@@ -23,16 +23,8 @@ from .graph import (
     watts_strogatz,
 )
 from .interception import InterceptionResult, coverage_function, intercepted_pairs
-from .kernels import INF, backend, set_backend
-from .protocol import (
-    BeliefState,
-    BroadcastError,
-    ForwardingPolicy,
-    RoutingGraph,
-    forwarding_policy,
-    routing_graph,
-    synchronize,
-)
+from .kernels import INF, backend
+from .protocol import BeliefState, BroadcastError, synchronize
 from .reduction import (
     BlowupMap,
     NonuniformStrategy,

@@ -132,11 +132,3 @@ def coverage_function(g: Graph, S) -> Fraction:
                                 banned=smask)
         intercepted += int((members & (smask | ~reached)).sum())
     return Fraction(intercepted, total) if total else Fraction(0)
-
-
-def csv_row(strategy_label: str, selection: str, k: int, seed: int,
-            result: InterceptionResult) -> str:
-    """One result row: `strategy,selection,|S|,seed,fraction_ordered,fraction_unordered`."""
-    return (f"{strategy_label},{selection},{k},{seed},"
-            f"{float(result.fraction_ordered):.6f},"
-            f"{float(result.fraction_unordered):.6f}")

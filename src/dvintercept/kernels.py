@@ -1,246 +1,22 @@
 """Hot numeric loops: BFS, per-target synchronization, routing reachability.
 
-Two interchangeable backends:
-
-* ``numba`` (default when numba is installed): the loop implementations below
-  compiled with ``@njit``.
-* ``numpy``: vectorized fallbacks, used when numba is unavailable or when the
-  environment variable ``DVINTERCEPT_NUMBA=0`` is set.
-
-``set_backend()`` switches at runtime; ``benchmarks/bench_kernels.py`` times
-the two against each other.
-
-All kernels work on CSR adjacency (``indptr``/``indices`` int64 arrays) and
-use ``INF`` as the unreachable sentinel.  INF is far below int64 overflow so
-that ``INF + small`` stays ordered above every finite distance.
+Each kernel is vectorized numpy over CSR adjacency (``indptr``/``indices``
+int64 arrays) and uses ``INF`` as the unreachable sentinel.  INF is far below
+int64 overflow so that ``INF + small`` stays ordered above every finite
+distance.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 INF = int(np.int64(1) << np.int64(60))
 _INF64 = np.int64(INF)
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # numba is optional; fall back to the numpy kernels
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-# ---------------------------------------------------------------------------
-# loop implementations (numba-compilable)
-# ---------------------------------------------------------------------------
-
-
-def _loop_bfs(indptr, indices, src, banned):
-    n = indptr.shape[0] - 1
-    dist = np.full(n, _INF64, np.int64)
-    if banned[src]:
-        return dist
-    queue = np.empty(n, np.int64)
-    dist[src] = 0
-    queue[0] = src
-    head = 0
-    tail = 1
-    while head < tail:
-        u = queue[head]
-        head += 1
-        du = dist[u] + 1
-        for j in range(indptr[u], indptr[u + 1]):
-            v = indices[j]
-            if not banned[v] and dist[v] > du:
-                dist[v] = du
-                queue[tail] = v
-                tail += 1
-    return dist
-
-
-def _loop_sync_column(indptr, indices, pinned, pmask, t):
-    # Synchronous fixpoint of the per-target update: honest i takes
-    # min(current, 1 + min over neighbours of the previous round's value);
-    # pinned rows (colluder broadcasts) never change.
-    n = indptr.shape[0] - 1
-    col = np.empty(n, np.int64)
-    for i in range(n):
-        if pmask[i]:
-            col[i] = pinned[i]
-        elif i == t:
-            col[i] = 0
-        else:
-            col[i] = _INF64
-    prev = col.copy()
-    rounds = 0
-    while True:
-        changed = False
-        for i in range(n):
-            if pmask[i]:
-                continue
-            best = _INF64
-            for j in range(indptr[i], indptr[i + 1]):
-                v = prev[indices[j]]
-                if v < best:
-                    best = v
-            if best < _INF64 and best + 1 < prev[i]:
-                col[i] = best + 1
-                changed = True
-        if not changed:
-            return col, rounds
-        rounds += 1
-        prev[:] = col
-        if rounds > n + 1:
-            # diverging; caller validates rounds <= n-1 and reports
-            return col, rounds
-
-
-def _loop_reach(indptr, indices, col, t, cmask, hops, liberal, banned):
-    # Reverse reachability to t over the routing graph induced by broadcast
-    # column `col`: honest nodes fan out to their argmin neighbours, colluders
-    # to their single hop (or every neighbour in liberal mode).  Edges into
-    # banned nodes are unusable and banned nodes emit nothing.
-    n = indptr.shape[0] - 1
-    minv = np.full(n, _INF64, np.int64)
-    for u in range(n):
-        if not cmask[u]:
-            best = _INF64
-            for j in range(indptr[u], indptr[u + 1]):
-                v = col[indices[j]]
-                if v < best:
-                    best = v
-            minv[u] = best
-    rptr = np.zeros(n + 1, np.int64)
-    for u in range(n):
-        if u == t or banned[u]:
-            continue
-        if cmask[u]:
-            if liberal:
-                for j in range(indptr[u], indptr[u + 1]):
-                    v = indices[j]
-                    if not banned[v]:
-                        rptr[v + 1] += 1
-            else:
-                h = hops[u]
-                if h >= 0 and not banned[h]:
-                    rptr[h + 1] += 1
-        else:
-            b = minv[u]
-            if b < _INF64:
-                for j in range(indptr[u], indptr[u + 1]):
-                    v = indices[j]
-                    if col[v] == b and not banned[v]:
-                        rptr[v + 1] += 1
-    for i in range(n):
-        rptr[i + 1] += rptr[i]
-    radj = np.empty(rptr[n], np.int64)
-    fill = rptr[:n].copy()
-    for u in range(n):
-        if u == t or banned[u]:
-            continue
-        if cmask[u]:
-            if liberal:
-                for j in range(indptr[u], indptr[u + 1]):
-                    v = indices[j]
-                    if not banned[v]:
-                        radj[fill[v]] = u
-                        fill[v] += 1
-            else:
-                h = hops[u]
-                if h >= 0 and not banned[h]:
-                    radj[fill[h]] = u
-                    fill[h] += 1
-        else:
-            b = minv[u]
-            if b < _INF64:
-                for j in range(indptr[u], indptr[u + 1]):
-                    v = indices[j]
-                    if col[v] == b and not banned[v]:
-                        radj[fill[v]] = u
-                        fill[v] += 1
-    reached = np.zeros(n, np.bool_)
-    queue = np.empty(n, np.int64)
-    reached[t] = True
-    queue[0] = t
-    head = 0
-    tail = 1
-    while head < tail:
-        v = queue[head]
-        head += 1
-        for j in range(rptr[v], rptr[v + 1]):
-            u = radj[j]
-            if not reached[u]:
-                reached[u] = True
-                queue[tail] = u
-                tail += 1
-    return reached
-
-
-def _loop_path_cover(indptr, indices, t, smask):
-    # Per-target shortest-path coverage: for each source s, the fraction of
-    # s->t shortest paths touching the marked set.  sigma counts all shortest
-    # paths, sigma_a those avoiding the set entirely.
-    n = indptr.shape[0] - 1
-    dist = np.full(n, _INF64, np.int64)
-    queue = np.empty(n, np.int64)
-    dist[t] = 0
-    queue[0] = t
-    head = 0
-    tail = 1
-    while head < tail:
-        u = queue[head]
-        head += 1
-        du = dist[u] + 1
-        for j in range(indptr[u], indptr[u + 1]):
-            v = indices[j]
-            if dist[v] > du:
-                dist[v] = du
-                queue[tail] = v
-                tail += 1
-    sigma = np.zeros(n, np.float64)
-    sigma_a = np.zeros(n, np.float64)
-    sigma[t] = 1.0
-    if not smask[t]:
-        sigma_a[t] = 1.0
-    for qi in range(1, tail):
-        u = queue[qi]
-        s = 0.0
-        sa = 0.0
-        for j in range(indptr[u], indptr[u + 1]):
-            v = indices[j]
-            if dist[v] == dist[u] - 1:
-                s += sigma[v]
-                sa += sigma_a[v]
-        sigma[u] = s
-        if not smask[u]:
-            sigma_a[u] = sa
-    cov = 0.0
-    cnt = 0
-    st = smask[t]
-    for qi in range(1, tail):
-        u = queue[qi]
-        cnt += 1
-        if st or smask[u]:
-            cov += 1.0
-        else:
-            cov += 1.0 - sigma_a[u] / sigma[u]
-    return cov, cnt
-
-
-# ---------------------------------------------------------------------------
-# numpy fallbacks
-# ---------------------------------------------------------------------------
+def backend() -> str:
+    """Name of the kernel implementation, recorded by the benchmark."""
+    return "numpy"
 
 
 def _edge_arrays(indptr, indices):
@@ -249,8 +25,11 @@ def _edge_arrays(indptr, indices):
     return np.repeat(np.arange(n, dtype=np.int64), deg), indices
 
 
-def _np_bfs(indptr, indices, src, banned):
+def bfs(indptr, indices, src, banned=None):
+    """Hop distances from src; banned nodes are neither entered nor left."""
     n = indptr.shape[0] - 1
+    if banned is None:
+        banned = np.zeros(n, np.bool_)
     dist = np.full(n, _INF64, np.int64)
     if banned[src]:
         return dist
@@ -272,7 +51,17 @@ def _np_bfs(indptr, indices, src, banned):
     return dist
 
 
-def _np_sync_column(indptr, indices, pinned, pmask, t):
+# path_cover's BFS; a separate name keeps it out of the calls counted on `bfs`
+_bfs = bfs
+
+
+def sync_column(indptr, indices, pinned, pmask, t):
+    """Synchronous fixpoint of the per-target belief update: (col, rounds).
+
+    Honest i takes min(current, 1 + min over neighbours of the previous
+    round's value); pinned rows (colluder broadcasts) never change.  Stops
+    after n+1 rounds so the caller can report divergence.
+    """
     n = indptr.shape[0] - 1
     esrc, edst = _edge_arrays(indptr, indices)
     col = np.where(pmask, pinned, _INF64).astype(np.int64)
@@ -293,8 +82,16 @@ def _np_sync_column(indptr, indices, pinned, pmask, t):
             return col, rounds
 
 
-def _np_reach(indptr, indices, col, t, cmask, hops, liberal, banned):
+def reach(indptr, indices, col, t, cmask, hops, liberal=False, banned=None):
+    """Reverse reachability to t over the routing graph of column `col`.
+
+    Honest nodes fan out to their argmin neighbours, colluders to their
+    single hop (or every neighbour in liberal mode).  Edges into banned nodes
+    are unusable and banned nodes emit nothing.
+    """
     n = indptr.shape[0] - 1
+    if banned is None:
+        banned = np.zeros(n, np.bool_)
     esrc, edst = _edge_arrays(indptr, indices)
     nbr_min = np.full(n, _INF64, np.int64)
     hsrc = ~cmask[esrc]
@@ -314,25 +111,30 @@ def _np_reach(indptr, indices, col, t, cmask, hops, liberal, banned):
         reached[np.unique(esrc[newly])] = True
 
 
-def _np_path_cover(indptr, indices, t, smask):
+def path_cover(indptr, indices, t, smask):
+    """Per-target shortest-path coverage of the marked set `smask`.
+
+    Returns (sum over sources s reaching t of the fraction of s->t shortest
+    paths touching the set, number of such sources).
+    """
     n = indptr.shape[0] - 1
-    nb = np.zeros(n, bool)
-    dist = _np_bfs(indptr, indices, t, nb)
+    dist = _bfs(indptr, indices, t)
     esrc, edst = _edge_arrays(indptr, indices)
     down = (dist[esrc] < _INF64) & (dist[edst] == dist[esrc] - 1)
+    # sigma counts all shortest paths to t, sigma_a those avoiding the set
     sigma = np.zeros(n, np.float64)
     sigma_a = np.zeros(n, np.float64)
     sigma[t] = 1.0
     if not smask[t]:
         sigma_a[t] = 1.0
-    reach = dist < _INF64
-    maxd = int(dist[reach].max()) if reach.any() else 0
+    reachable = dist < _INF64
+    maxd = int(dist[reachable].max()) if reachable.any() else 0
     for d in range(1, maxd + 1):
         layer = down & (dist[esrc] == d)
         np.add.at(sigma, esrc[layer], sigma[edst[layer]])
         np.add.at(sigma_a, esrc[layer], sigma_a[edst[layer]])
         sigma_a[smask] = 0.0
-    nodes = np.flatnonzero(reach)
+    nodes = np.flatnonzero(reachable)
     nodes = nodes[nodes != t]
     if nodes.size == 0:
         return 0.0, 0
@@ -341,86 +143,3 @@ def _np_path_cover(indptr, indices, t, smask):
     else:
         cov = np.where(smask[nodes], 1.0, 1.0 - sigma_a[nodes] / sigma[nodes])
     return float(cov.sum()), int(nodes.size)
-
-
-# ---------------------------------------------------------------------------
-# backend dispatch
-# ---------------------------------------------------------------------------
-
-_NUMPY_IMPL = {
-    "bfs": _np_bfs,
-    "sync_column": _np_sync_column,
-    "reach": _np_reach,
-    "path_cover": _np_path_cover,
-}
-
-_NUMBA_IMPL = None
-_impl = dict(_NUMPY_IMPL)
-_backend_name = "numpy"
-
-
-def _build_numba_impl():
-    global _NUMBA_IMPL
-    if _NUMBA_IMPL is None:
-        _NUMBA_IMPL = {
-            "bfs": njit(cache=True)(_loop_bfs),
-            "sync_column": njit(cache=True)(_loop_sync_column),
-            "reach": njit(cache=True)(_loop_reach),
-            "path_cover": njit(cache=True)(_loop_path_cover),
-        }
-    return _NUMBA_IMPL
-
-
-def set_backend(name: str) -> None:
-    """Select the kernel backend: "numba" or "numpy"."""
-    global _impl, _backend_name
-    if name == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not installed")
-        _impl = _build_numba_impl()
-    elif name == "numpy":
-        _impl = dict(_NUMPY_IMPL)
-    else:
-        raise ValueError(f"unknown backend {name!r}")
-    _backend_name = name
-
-
-def backend() -> str:
-    return _backend_name
-
-
-if HAVE_NUMBA and os.environ.get("DVINTERCEPT_NUMBA", "1") != "0":
-    set_backend("numba")
-
-
-# ---------------------------------------------------------------------------
-# public wrappers
-# ---------------------------------------------------------------------------
-
-
-def _no_banned(n):
-    return np.zeros(n, np.bool_)
-
-
-def bfs(indptr, indices, src, banned=None):
-    n = indptr.shape[0] - 1
-    if banned is None:
-        banned = _no_banned(n)
-    return _impl["bfs"](indptr, indices, np.int64(src), banned)
-
-
-def sync_column(indptr, indices, pinned, pmask, t):
-    return _impl["sync_column"](indptr, indices, pinned, pmask, np.int64(t))
-
-
-def reach(indptr, indices, col, t, cmask, hops, liberal=False, banned=None):
-    n = indptr.shape[0] - 1
-    if banned is None:
-        banned = _no_banned(n)
-    return _impl["reach"](
-        indptr, indices, col, np.int64(t), cmask, hops, liberal, banned
-    )
-
-
-def path_cover(indptr, indices, t, smask):
-    return _impl["path_cover"](indptr, indices, np.int64(t), smask)

@@ -1,9 +1,10 @@
-"""Honest-agent dynamics: belief synchronization, forwarding, routing graphs.
+"""Honest-agent dynamics: belief synchronization.
 
 Honest nodes repeatedly set their believed distance to each target to
 min(current, 1 + min over neighbours of the neighbour's announced value) and
-forward traffic to any neighbour announcing the minimum.  Colluding nodes
-announce fixed vectors that never change across rounds.
+forward traffic to any neighbour announcing the minimum; `kernels.reach`
+walks the routing graph this induces.  Colluding nodes announce fixed vectors
+that never change across rounds.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import numpy as np
 
 from . import kernels
 from .graph import Graph
-from .kernels import INF
 
 
 class BroadcastError(ValueError):
@@ -107,85 +107,3 @@ def synchronize(g: Graph, colluders, broadcasts) -> BeliefState:
         worst = max(worst, rounds)
         rho[:, t] = col
     return BeliefState(rho=rho, rounds_to_converge=worst, colluders=colluders)
-
-
-@dataclass(frozen=True)
-class ForwardingPolicy:
-    """Greedy next-hop choices induced by a belief fixpoint.
-
-    Honest nodes keep the full argmin set of neighbours; colluder hops are
-    declared by the strategy layer, not derived here.
-    """
-
-    graph: Graph
-    belief: BeliefState
-
-    def next_hops(self, i: int, t: int) -> tuple[int, ...]:
-        """Neighbours of honest node i announcing the minimal distance to t."""
-        if i in self.belief.colluders:
-            raise ValueError(f"node {i} is a colluder; its hop is strategy-declared")
-        nbrs = self.graph.neighbors(i)
-        vals = self.belief.rho[nbrs, t]
-        best = vals.min() if vals.size else INF
-        if best >= INF:
-            return ()
-        return tuple(int(v) for v in nbrs[vals == best])
-
-
-def forwarding_policy(g: Graph, b: BeliefState) -> ForwardingPolicy:
-    return ForwardingPolicy(graph=g, belief=b)
-
-
-@dataclass(frozen=True)
-class RoutingGraph:
-    """Directed graph of admissible next hops toward one target.
-
-    Walks from s to `target` are exactly the corresponding paths from s to
-    the target: honest nodes fan out to every announced-minimum neighbour,
-    colluders to their single declared hop.
-    """
-
-    target: int
-    out_edges: dict[int, tuple[int, ...]]
-
-    def reachable_to_target(self, banned=()) -> set[int]:
-        """Nodes with a walk to the target avoiding `banned` internally."""
-        banned = set(banned) - {self.target}
-        radj: dict[int, list[int]] = {}
-        for u, hops in self.out_edges.items():
-            if u in banned:
-                continue
-            for v in hops:
-                if v not in banned or v == self.target:
-                    radj.setdefault(v, []).append(u)
-        reached = {self.target}
-        stack = [self.target]
-        while stack:
-            v = stack.pop()
-            for u in radj.get(v, ()):
-                if u not in reached:
-                    reached.add(u)
-                    stack.append(u)
-        return reached
-
-
-def routing_graph(g: Graph, fp: ForwardingPolicy, colluder_hops, t: int) -> RoutingGraph:
-    """Materialize the per-target routing graph.
-
-    `colluder_hops` maps each colluder to its declared next hop for t.
-    """
-    colluders = fp.belief.colluders
-    if set(colluder_hops) != set(colluders):
-        raise ValueError("colluder hops must be given for exactly the colluder set")
-    out: dict[int, tuple[int, ...]] = {}
-    for u in range(g.n):
-        if u == t:
-            continue
-        if u in colluders:
-            h = int(colluder_hops[u])
-            if h >= 0 and not g.has_edge(u, h):
-                raise ValueError(f"declared hop {h} is not a neighbour of colluder {u}")
-            out[u] = (h,) if h >= 0 else ()
-        else:
-            out[u] = fp.next_hops(u, t)
-    return RoutingGraph(target=t, out_edges=out)

@@ -214,31 +214,18 @@ def collapse_strategy(bm: BlowupMap, uniform: Strategy) -> NonuniformStrategy:
                               forward=forward)
 
 
-def translate_fraction(g: Graph, S, p, mode: str = "direct_count") -> Fraction:
+def translate_fraction(g: Graph, S, p) -> Fraction:
     """Interception fraction carried across the blowup.
 
-    direct_count: every unordered pair touching a new vertex is intercepted
-    (new vertices all collude), so with q subdivided edges
+    Every unordered pair touching a new vertex is intercepted (new vertices
+    all collude), so with q subdivided edges
     p' = (p*C(n,2) + C(q,2) + q*n) / C(n+q,2).
-    closed_form: an alternative expression for D-regular graphs with |S|*D
-    new vertices and an |S|*|V| cross term; retained for comparison only,
-    as it is known to disagree with direct counting.
     """
-    S = sorted(set(int(v) for v in S))
+    S = set(int(v) for v in S)
     p = Fraction(p)
     n = g.n
     if not S:
         return p
-    if mode == "direct_count":
-        q = sum(1 for u, v in g.edges() if u in set(S) or v in set(S))
-        num = p * comb(n, 2) + comb(q, 2) + q * n
-        return num / Fraction(comb(n + q, 2))
-    if mode == "closed_form":
-        deg = g.degrees()
-        if n and (deg != deg[0]).any():
-            raise ValueError("closed_form mode requires a regular graph")
-        D = int(deg[0]) if n else 0
-        sd = len(S) * D
-        num = p * comb(n, 2) + comb(sd, 2) + len(S) * n
-        return num / Fraction(comb(n + sd, 2))
-    raise ValueError(f"unknown mode {mode!r}")
+    q = sum(1 for u, v in g.edges() if u in S or v in S)
+    num = p * comb(n, 2) + comb(q, 2) + q * n
+    return num / Fraction(comb(n + q, 2))

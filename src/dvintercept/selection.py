@@ -83,10 +83,9 @@ def _lazy_greedy(g: Graph, stop):
                 heapq.heappush(heap, (-gain, v, len(chosen)))
                 continue
         # submodularity of the objective: selected gains never increase
-        assert not gains or gain <= gains[-1] + 1e-9, (
-            f"marginal gain increased along the greedy sequence "
-            f"({gains[-1]} -> {gain})"
-        )
+        if gains and gain > gains[-1] + 1e-9:
+            raise RuntimeError("marginal gain increased along the greedy "
+                               f"sequence ({gains[-1]} -> {gain})")
         chosen.append(v)
         gains.append(gain)
         current += gain

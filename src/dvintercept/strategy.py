@@ -78,13 +78,6 @@ class Strategy:
                         f"forward({v},{t}) = {int(hops[t])} is not a neighbour"
                     )
 
-    def hops_for_target(self, t: int, n: int) -> np.ndarray:
-        """Length-n array of colluder hops for target t (-1 elsewhere)."""
-        hops = np.full(n, -1, np.int64)
-        for v in self.colluders:
-            hops[v] = self.forward[v][t]
-        return hops
-
 
 def strategy_to_text(strat: Strategy) -> str:
     """One record per (colluder, target): `colluder target broadcast hop`."""

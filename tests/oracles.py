@@ -7,6 +7,9 @@ enumeration, per-edge message simulation) so agreement is meaningful.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 
 from dvintercept.kernels import INF
@@ -58,13 +61,18 @@ def naive_sync(g, colluders, broadcasts):
         rounds += 1
 
 
-def routing_out_edges(g, rho, colluders, hops, t):
-    """Per-node admissible next hops toward t, recomputed from scratch."""
+def routing_out_edges(g, rho, colluders, hops, t, liberal=False):
+    """Per-node admissible next hops toward t, recomputed from scratch.
+
+    Colluders use their declared hop, or every neighbour when `liberal`.
+    """
     out = {}
     for u in range(g.n):
         if u == t:
             continue
-        if u in colluders:
+        if u in colluders and liberal:
+            out[u] = sorted(int(v) for v in g.neighbors(u))
+        elif u in colluders:
             h = hops[u]
             out[u] = [h] if h is not None and h >= 0 else []
         else:
@@ -102,6 +110,58 @@ def simulate_strategy(g, strat, t):
     rho, _ = naive_sync(g, colluders, broadcasts)
     hops = {v: int(strat.forward[v][t]) for v in colluders}
     return routing_out_edges(g, rho, colluders, hops, t)
+
+
+def path_cover_oracle(g, t, S):
+    """Shortest-path coverage toward t by explicit path enumeration.
+
+    Returns (sum over sources s != t that reach t of the fraction of shortest
+    s-t paths with a node in S, endpoints included; number of such sources).
+    """
+    S = set(int(v) for v in S)
+    hops = {t: 0}
+    layer = [t]
+    while layer:
+        nxt = []
+        for u in layer:
+            for v in g.neighbors(u):
+                v = int(v)
+                if v not in hops:
+                    hops[v] = hops[u] + 1
+                    nxt.append(v)
+        layer = nxt
+
+    def paths_from(u):
+        if u == t:
+            return [(t,)]
+        return [(u,) + rest
+                for v in g.neighbors(u) if hops.get(int(v)) == hops[u] - 1
+                for rest in paths_from(int(v))]
+
+    cov = Fraction(0)
+    sources = [s for s in hops if s != t]
+    for s in sources:
+        paths = paths_from(s)
+        cov += Fraction(sum(1 for p in paths if S.intersection(p)), len(paths))
+    return cov, len(sources)
+
+
+def translate_fraction_closed_form(g, S, p):
+    """Alternative blow-up fraction for D-regular graphs: |S|*D new vertices
+    and an |S|*|V| cross term.  Known to disagree with direct counting
+    (`reduction.translate_fraction`); kept only to report that disagreement.
+    """
+    S = set(int(v) for v in S)
+    p = Fraction(p)
+    n = g.n
+    if not S:
+        return p
+    deg = g.degrees()
+    if n and (deg != deg[0]).any():
+        raise ValueError("closed form requires a regular graph")
+    sd = len(S) * (int(deg[0]) if n else 0)
+    num = p * comb(n, 2) + comb(sd, 2) + len(S) * n
+    return num / Fraction(comb(n + sd, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from dvintercept.selection import (
     shortest_path_coverage,
 )
 
-from oracles import random_connected_graph
+from oracles import random_connected_graph, translate_fraction_closed_form
 
 MESH = os.path.join(os.path.dirname(__file__), "data", "mesh.edges")
 
@@ -213,13 +213,12 @@ class TestAcceptance:
             nonuniform = _uniform_as_nonuniform(g, strat)
             lifted = lift_strategy(bm, nonuniform)
             res_p = intercepted_pairs(bm.blown, lifted)
-            assert res_p.fraction_unordered == translate_fraction(
-                g, C, p, mode="direct_count")
+            assert res_p.fraction_unordered == translate_fraction(g, C, p)
             deg = g.degrees()
             if (deg == deg[0]).all():
-                # closed-form mode only applies to regular graphs
-                if res_p.fraction_unordered != translate_fraction(
-                        g, C, p, mode="closed_form"):
+                # the closed form only applies to regular graphs
+                if res_p.fraction_unordered != translate_fraction_closed_form(
+                        g, C, p):
                     formula_disagreements += 1
 
             # identity on the announcements honest nodes can hear; columns
@@ -235,8 +234,8 @@ class TestAcceptance:
                             == nonuniform.broadcast[v][u][honest_targets]).all()
         acceptance("A7", True,
                    "50 instances: direct count == engine on the blown-up "
-                   "graph; collapse(lift) restores broadcasts (closed-form "
-                   f"mode disagrees on {formula_disagreements} regular "
+                   "graph; collapse(lift) restores broadcasts (the closed "
+                   f"form disagrees on {formula_disagreements} regular "
                    "instances, reported only)")
 
     def test_a8_curve_properties(self, acceptance):

@@ -105,6 +105,8 @@ class TestRunExperiment:
         for line in lines[1:]:
             f = line.split(",")
             assert len(f) == 11
+            # fractions carry exactly six decimals
+            assert all(len(x.split(".")[1]) == 6 for x in f[8:10])
             keys.append((f[3], f[4], int(f[5]), int(f[6])))
         assert keys == sorted(keys)
 

@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 
 import dvintercept.strategy as S
 from dvintercept import graph as G
-from dvintercept.interception import (
-    coverage_function,
-    csv_row,
-    intercepted_pairs,
-)
+from dvintercept.interception import coverage_function, intercepted_pairs
 
 from oracles import intercepted_pairs_oracle, random_connected_graph
 
@@ -123,13 +119,6 @@ class TestCoverageFunction:
         order = [int(v) for v in rng.permutation(g.n)]
         vals = [coverage_function(g, order[:k]) for k in range(g.n + 1)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
-
-
-def test_csv_row_format():
-    g = path_graph(5)
-    res = intercepted_pairs(g, S.honest_strategy(g, [2]))
-    row = csv_row("honest", "random", 1, 7, res)
-    assert row == "honest,random,1,7,0.800000,0.800000"
 
 
 @settings(max_examples=20, deadline=None)

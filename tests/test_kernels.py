@@ -1,15 +1,21 @@
-"""Backend equivalence and dispatch for the compiled kernels."""
+"""The numpy kernels against the slow reference implementations in oracles."""
 
 import numpy as np
 import pytest
 
 import dvintercept.kernels as K
+import dvintercept.strategy as S
+from dvintercept import graph as G
 from dvintercept.kernels import INF
-from oracles import random_connected_graph
-
-
-def _csr(g):
-    return g.indptr, g.indices
+from oracles import (
+    deliverable,
+    naive_sync,
+    path_cover_oracle,
+    random_connected_graph,
+    routing_out_edges,
+    simple_path_distances,
+    simulate_strategy,
+)
 
 
 def _random_pinned(rng, g, n_colluders, t):
@@ -21,90 +27,88 @@ def _random_pinned(rng, g, n_colluders, t):
     return pinned, pmask
 
 
-@pytest.fixture
-def both_backends():
-    if not K.HAVE_NUMBA:
-        pytest.skip("numba backend unavailable")
-    saved = K.backend()
-    yield
-    K.set_backend(saved)
+def _expected_reach(out_edges, n, t, banned=None):
+    # a banned target accepts no edges, so only t itself reaches it
+    avoid = set() if banned is None else set(np.flatnonzero(banned).tolist())
+    if t in avoid:
+        return [s == t for s in range(n)]
+    return [deliverable(out_edges, s, t, avoid) for s in range(n)]
 
 
-class TestBackendDispatch:
-    def test_backend_reports_current(self, both_backends):
-        K.set_backend("numpy")
-        assert K.backend() == "numpy"
-        K.set_backend("numba")
-        assert K.backend() == "numba"
+class TestKernelsAgainstOracles:
+    def _check_graph(self, g, rng):
+        indptr, indices = g.indptr, g.indices
 
-    def test_set_backend_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            K.set_backend("cython")
-
-    def test_env_flag_disables_numba(self):
-        import os
-        import subprocess
-        import sys
-
-        # Inherit the environment and put the directory holding the package
-        # under test first on the path, so the child imports the same copy.
-        pkg_root = os.path.dirname(os.path.dirname(K.__file__))
-        env = dict(os.environ, DVINTERCEPT_NUMBA="0")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (pkg_root, env.get("PYTHONPATH")) if p)
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import dvintercept.kernels as K; print(K.backend())"],
-            capture_output=True, text=True, env=env,
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "numpy"
-
-
-class TestBackendEquivalence:
-    """Both implementations agree bit-for-bit on random inputs."""
-
-    def _run_all(self, g, rng):
-        indptr, indices = _csr(g)
         src = int(rng.integers(g.n))
         banned = np.zeros(g.n, np.bool_)
         for v in rng.permutation(g.n)[: g.n // 4]:
             banned[v] = True
         banned[src] = False
-        out = {"bfs": K.bfs(indptr, indices, src, banned)}
+        induced = G.from_edges(g.n, [(u, v) for u, v in g.edges()
+                                     if not banned[u] and not banned[v]])
+        assert (K.bfs(indptr, indices, src, banned).tolist()
+                == simple_path_distances(induced, src))
 
         t = int(rng.integers(g.n))
         pinned, pmask = _random_pinned(rng, g, max(1, g.n // 5), t)
-        col, rounds = K.sync_column(indptr, indices, pinned, pmask, t)
-        out["sync_col"] = col
-        out["sync_rounds"] = rounds
+        colluders = set(np.flatnonzero(pmask).tolist())
+        broadcasts = {v: np.where(np.arange(g.n) == t, pinned[v], INF)
+                      for v in colluders}
+        rho, _ = naive_sync(g, colluders, broadcasts)
+        col, _ = K.sync_column(indptr, indices, pinned, pmask, t)
+        assert col.tolist() == [row[t] for row in rho]
 
         hops = np.full(g.n, -1, np.int64)
-        for v in range(g.n):
-            if pmask[v] and v != t and g.degree(v):
+        for v in colluders:
+            if v != t and g.degree(v):
                 hops[v] = g.neighbors(v)[0]
-        out["reach_strict"] = K.reach(indptr, indices, col, t, pmask, hops)
-        out["reach_liberal"] = K.reach(indptr, indices, col, t, pmask, hops,
-                                       liberal=True)
-        out["reach_banned"] = K.reach(indptr, indices, col, t, pmask, hops,
-                                      banned=pmask)
+        strict = routing_out_edges(g, rho, colluders, hops, t)
+        liberal = routing_out_edges(g, rho, colluders, hops, t, liberal=True)
+        assert (K.reach(indptr, indices, col, t, pmask, hops).tolist()
+                == _expected_reach(strict, g.n, t))
+        assert (K.reach(indptr, indices, col, t, pmask, hops,
+                        liberal=True).tolist()
+                == _expected_reach(liberal, g.n, t))
+        assert (K.reach(indptr, indices, col, t, pmask, hops,
+                        banned=pmask).tolist()
+                == _expected_reach(strict, g.n, t, banned=pmask))
 
-        smask = pmask.copy()
-        cov, count = K.path_cover(indptr, indices, t, smask)
-        out["cover"] = cov
-        out["count"] = count
-        return out
+        cov, count = K.path_cover(indptr, indices, t, pmask)
+        expect_cov, expect_count = path_cover_oracle(g, t, colluders)
+        assert count == expect_count
+        assert cov == pytest.approx(float(expect_cov), abs=1e-9)
 
-    def test_all_kernels_agree(self, both_backends):
+    def test_all_kernels_match_oracles(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
-            g = random_connected_graph(rng, n_max=25)
-            state = rng.bit_generator.state
-            K.set_backend("numpy")
-            rng.bit_generator.state = state
-            a = self._run_all(g, rng)
-            K.set_backend("numba")
-            rng.bit_generator.state = state
-            b = self._run_all(g, rng)
-            for key in a:
-                assert np.array_equal(a[key], b[key]), key
+            self._check_graph(random_connected_graph(rng, n_max=25), rng)
+
+    def test_reach_matches_message_simulation(self):
+        # lying colluder on 8-node graphs: the kernel pipeline against the
+        # from-scratch message simulator
+        rng = np.random.default_rng(23)
+        for _ in range(5):
+            g = G.erdos_renyi(8, 0.4, seed=int(rng.integers(1 << 30)))
+            v = int(rng.integers(g.n))
+            vec = np.maximum(1, G.bfs_distances(g, v).dist - 1)
+            vec[v] = 0
+            nbrs = g.neighbors(v)
+            hop = int(nbrs[0]) if nbrs.size else -1
+            strat = S.Strategy(
+                colluders=(v,), broadcast={v: vec},
+                forward={v: np.full(g.n, hop, np.int64)})
+            cmask = np.zeros(g.n, np.bool_)
+            cmask[v] = True
+            hops = np.full(g.n, -1, np.int64)
+            hops[v] = hop
+            for t in range(g.n):
+                if t == v:
+                    continue
+                pinned = np.zeros(g.n, np.int64)
+                pinned[v] = vec[t]
+                col, _ = K.sync_column(g.indptr, g.indices, pinned, cmask, t)
+                out = simulate_strategy(g, strat, t)
+                for banned in (None, cmask):
+                    got = K.reach(g.indptr, g.indices, col, t, cmask, hops,
+                                  banned=banned)
+                    assert got.tolist() == _expected_reach(out, g.n, t, banned)

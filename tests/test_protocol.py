@@ -7,7 +7,7 @@ from dvintercept import graph as G
 from dvintercept import protocol as P
 from dvintercept.kernels import INF
 
-from oracles import naive_sync, routing_out_edges, simulate_strategy
+from oracles import naive_sync
 
 
 def path_graph(n):
@@ -79,104 +79,6 @@ class TestSynchronize:
         g = path_graph(3)
         with pytest.raises(ValueError):
             P.synchronize(g, {1}, {})
-
-
-class TestForwardingPolicy:
-    def test_tie_set(self):
-        g = G.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        fp = P.forwarding_policy(g, P.synchronize(g, set(), {}))
-        assert fp.next_hops(0, 3) == (1, 2)
-
-    def test_tree_singletons(self):
-        g = G.from_edges(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)])
-        fp = P.forwarding_policy(g, P.synchronize(g, set(), {}))
-        for i in range(g.n):
-            for t in range(g.n):
-                if i != t:
-                    assert len(fp.next_hops(i, t)) == 1
-
-    def test_argmin_recomputation(self):
-        g = G.erdos_renyi(30, 0.2, seed=17)
-        b = P.synchronize(g, set(), {})
-        fp = P.forwarding_policy(g, b)
-        for i in range(g.n):
-            for t in range(g.n):
-                if i == t:
-                    continue
-                nbrs = [int(v) for v in g.neighbors(i)]
-                vals = [int(b.rho[v, t]) for v in nbrs]
-                if not vals or min(vals) >= INF:
-                    assert fp.next_hops(i, t) == ()
-                else:
-                    best = min(vals)
-                    expect = tuple(v for v, x in zip(nbrs, vals) if x == best)
-                    assert fp.next_hops(i, t) == expect
-
-    def test_colluder_hop_is_not_derived(self):
-        g = path_graph(3)
-        bc = {1: np.array([1, 0, 1], np.int64)}
-        fp = P.forwarding_policy(g, P.synchronize(g, {1}, bc))
-        with pytest.raises(ValueError):
-            fp.next_hops(1, 0)
-
-
-class TestRoutingGraph:
-    def test_path_edges(self):
-        g = path_graph(3)
-        fp = P.forwarding_policy(g, P.synchronize(g, set(), {}))
-        rg = P.routing_graph(g, fp, {}, 2)
-        assert rg.out_edges == {0: (1,), 1: (2,)}
-
-    def test_honest_is_shortest_path_dag(self):
-        g = G.erdos_renyi(12, 0.3, seed=2)
-        b = P.synchronize(g, set(), {})
-        fp = P.forwarding_policy(g, b)
-        d = all_pairs_bfs(g)
-        for t in range(g.n):
-            rg = P.routing_graph(g, fp, {}, t)
-            for u, hops in rg.out_edges.items():
-                for v in hops:
-                    assert d[v, t] == d[u, t] - 1
-
-    def test_rejects_non_neighbour_hop(self):
-        g = path_graph(4)
-        bc = {1: np.array([1, 0, 1, 1], np.int64)}
-        fp = P.forwarding_policy(g, P.synchronize(g, {1}, bc))
-        with pytest.raises(ValueError):
-            P.routing_graph(g, fp, {1: 3}, 0)
-
-    def test_matches_message_simulation(self):
-        # lying configuration on an 8-node graph, checked against the
-        # from-scratch simulator
-        rng = np.random.default_rng(23)
-        for _ in range(5):
-            g = G.erdos_renyi(8, 0.4, seed=int(rng.integers(1 << 30)))
-            v = int(rng.integers(g.n))
-            vec = np.maximum(1, G.bfs_distances(g, v).dist - 1)
-            vec[v] = 0
-            b = P.synchronize(g, {v}, {v: vec})
-            fp = P.forwarding_policy(g, b)
-            nbrs = g.neighbors(v)
-            hop = int(nbrs[0]) if nbrs.size else -1
-            import dvintercept.strategy as S
-
-            strat = S.Strategy(
-                colluders=(v,), broadcast={v: vec},
-                forward={v: np.full(g.n, hop, np.int64)})
-            for t in range(g.n):
-                if t == v:
-                    continue
-                rg = P.routing_graph(g, fp, {v: hop}, t)
-                expect = simulate_strategy(g, strat, t)
-                got = {u: sorted(h) for u, h in rg.out_edges.items()}
-                assert got == {u: sorted(h) for u, h in expect.items()}
-
-    def test_reverse_reachability_helper(self):
-        g = path_graph(4)
-        fp = P.forwarding_policy(g, P.synchronize(g, set(), {}))
-        rg = P.routing_graph(g, fp, {}, 3)
-        assert rg.reachable_to_target() == {0, 1, 2, 3}
-        assert rg.reachable_to_target(banned={1}) == {2, 3}
 
 
 @settings(max_examples=25, deadline=None)

@@ -13,6 +13,7 @@ from oracles import (
     nonuniform_admissible,
     nonuniform_intercepted,
     random_connected_graph,
+    translate_fraction_closed_form,
 )
 
 
@@ -67,8 +68,8 @@ class TestTranslateFraction:
 
     def test_c4_both_modes(self):
         g = cycle_graph(4)
-        direct = R.translate_fraction(g, [0], Fraction(1, 3), "direct_count")
-        closed = R.translate_fraction(g, [0], Fraction(1, 3), "closed_form")
+        direct = R.translate_fraction(g, [0], Fraction(1, 3))
+        closed = translate_fraction_closed_form(g, [0], Fraction(1, 3))
         assert direct == Fraction(11, 15)
         assert closed == Fraction(7, 15)
         assert direct != closed  # the two accountings genuinely disagree
@@ -76,7 +77,7 @@ class TestTranslateFraction:
     def test_formula_mode_needs_regular_graph(self):
         g = G.from_edges(3, [(0, 1), (1, 2)])
         with pytest.raises(ValueError, match="regular"):
-            R.translate_fraction(g, [1], Fraction(0), "closed_form")
+            translate_fraction_closed_form(g, [1], Fraction(0))
 
     def test_direct_matches_engine(self):
         rng = np.random.default_rng(47)
@@ -93,7 +94,7 @@ class TestTranslateFraction:
             bm = R.blow_up(g, C)
             lifted = R.lift_strategy(bm, nu)
             measured = intercepted_pairs(bm.blown, lifted).fraction_unordered
-            assert R.translate_fraction(g, C, p, "direct_count") == measured
+            assert R.translate_fraction(g, C, p) == measured
 
 
 class TestLiftCollapse:

@@ -105,6 +105,14 @@ class TestGreedyMax:
         with pytest.raises(ValueError):
             sel.greedy_max_spds(star(4), 9)
 
+    def test_increasing_gain_raises(self, monkeypatch):
+        # a supermodular objective breaks the lazy-greedy invariant; the
+        # check must hold under `python -O` too, so it is not an assert
+        monkeypatch.setattr(sel, "shortest_path_coverage",
+                            lambda g, S: float(len(S) ** 2))
+        with pytest.raises(RuntimeError, match="marginal gain increased"):
+            sel.greedy_max_spds(star(5), 3)
+
 
 class TestGreedyMin:
     def test_p_zero(self):

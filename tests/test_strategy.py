@@ -8,7 +8,7 @@ from dvintercept import graph as G
 from dvintercept import protocol as P
 from dvintercept.kernels import INF
 
-from oracles import random_connected_graph
+from oracles import random_connected_graph, simulate_strategy
 
 
 def path_graph(n):
@@ -70,9 +70,7 @@ class TestIndependentStrategy:
 
         res = intercepted_pairs(g, st_, per_target=True)
         # leaf 3 -> leaf 2 still routes via the centre on the tie
-        b = P.synchronize(g, st_.colluders, st_.broadcast)
-        fp = P.forwarding_policy(g, b)
-        assert 0 in fp.next_hops(3, 2)
+        assert 0 in simulate_strategy(g, st_, 2)[3]
 
     def test_perceived_distance_drop_bounded_by_two(self):
         rng = np.random.default_rng(5)
@@ -330,6 +328,14 @@ class TestCheckAdmissible:
         assert not verdict.admissible
         assert verdict.violating_pair == (0, 4)
         assert verdict.trap_set == {0, 1, 2}
+
+    def test_rejects_non_neighbour_hop(self):
+        g = path_graph(4)
+        strat = S.Strategy(colluders=(1,),
+                           broadcast={1: np.array([1, 0, 1, 1], np.int64)},
+                           forward={1: np.full(4, 3, np.int64)})
+        with pytest.raises(ValueError, match="not a neighbour"):
+            S.check_admissible(g, strat)
 
     def test_overzealous_broadcast(self):
         # colluder 6 hangs off a long path toward target 0; claiming
