@@ -25,7 +25,7 @@ from .strategy import (
 CSV_HEADER = ("graph,n,m,selection,strategy,k,trial,seed,"
               "fraction_ordered,fraction_unordered,runtime_ms")
 
-_SELECT_METHODS = ("random", "top_degree", "greedy_max", "greedy_min", "exhaustive")
+_SELECT_METHODS = ("random", "top_degree", "greedy_max", "exhaustive")
 _STRATEGIES = ("honest", "independent", "separated", "adjacent")
 _METRICS = ("ordered", "unordered")
 
@@ -91,7 +91,9 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
 
     methods = tuple(s.strip() for s in merged["select"].split(",") if s.strip())
     for m in methods:
-        if m not in _SELECT_METHODS:
+        if m == "greedy_min":
+            errors.append("select: greedy_min picks its own size; it cannot sweep k")
+        elif m not in _SELECT_METHODS:
             errors.append(f"select: unknown method {m!r}")
     strategies = tuple(s.strip() for s in merged["strategy"].split(",") if s.strip())
     for s in strategies:
@@ -102,12 +104,12 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
     if not sweep:
         errors.append("k: at least one sweep value is required")
     for tok in sweep:
-        body = tok[:-1] if tok.endswith("%") else tok
         try:
-            if float(body) < 0:
+            if (float(tok[:-1]) if tok.endswith("%") else int(tok)) < 0:
                 errors.append(f"k: negative sweep value {tok!r}")
         except ValueError:
-            errors.append(f"k: malformed sweep value {tok!r}")
+            errors.append(f"k: malformed sweep value {tok!r} "
+                          "(a count is an integer, a percentage ends in %)")
 
     trials = master_seed = 0
     try:

@@ -16,7 +16,9 @@ import numpy as np
 
 from . import kernels
 from .graph import Graph, component_labels
-from .strategy import Strategy, check_admissible, honest_strategy
+# intercepted_pairs checks admissibility in its own pass; check_admissible
+# stays importable here because perfbench/tracing.py patches this name
+from .strategy import Strategy, _target_pass, check_admissible  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -49,55 +51,43 @@ class InterceptionResult:
         return self.fraction_ordered
 
 
-def intercepted_pairs(g: Graph, strat: Strategy, *, check: bool = True,
+def intercepted_pairs(g: Graph, strat: Strategy, *,
                       per_target: bool = False) -> InterceptionResult:
-    """Count intercepted pairs under the given admissible strategy."""
-    if check:
-        verdict = check_admissible(g, strat)
-        if not verdict:
-            raise ValueError(
-                f"strategy is inadmissible: pair {verdict.violating_pair} "
-                f"has no corresponding path (trapped nodes {sorted(verdict.trap_set)})"
-            )
+    """Count intercepted pairs under the given strategy, checking its
+    admissibility in the same per-target pass (ValueError at the first target
+    whose routing graph traps a node).  Memory: one n x n bool (n^2 bytes),
+    doubled for a moment by the unordered count."""
     comp = component_labels(g)
-    sset = set(strat.colluders)
+    sizes = np.bincount(comp)
     smask = np.zeros(g.n, np.bool_)
     smask[list(strat.colluders)] = True
-    cmask = smask.copy()
-    pinned = np.zeros(g.n, np.int64)
-    hops = np.full(g.n, -1, np.int64)
-    # intercept[s, t]: direction s -> t intercepted
+    # intercept[s, t]: direction s -> t intercepted; only ever set on
+    # same-component, off-diagonal entries
     intercept = np.zeros((g.n, g.n), np.bool_)
     counts: dict[int, tuple[int, int]] = {}
-    for t in range(g.n):
+    for t, col, hops, trapped in _target_pass(g, strat):
+        if trapped.size:
+            raise ValueError(
+                f"strategy is inadmissible: pair {(int(trapped[0]), t)} "
+                f"has no corresponding path (trapped nodes {trapped.tolist()})"
+            )
         members = comp == comp[t]
         members[t] = False
-        if t in sset:
-            icol = members.copy()
+        if smask[t]:
+            icol = members
         else:
-            for v in strat.colluders:
-                pinned[v] = strat.broadcast[v][t]
-                hops[v] = strat.forward[v][t]
-            col, _ = kernels.sync_column(g.indptr, g.indices, pinned, cmask, t)
-            reached = kernels.reach(g.indptr, g.indices, col, t, cmask, hops,
+            reached = kernels.reach(g.indptr, g.indices, col, t, smask, hops,
                                     banned=smask)
             icol = members & (smask | ~reached)
         intercept[:, t] = icol
         if per_target:
-            counts[t] = (int(icol.sum()), int(members.sum()))
-    same = comp[:, None] == comp[None, :]
-    np.fill_diagonal(same, False)
-    total_ordered = int(same.sum())
-    intercepted_ordered = int(intercept[same].sum())
-    both = intercept & intercept.T
-    iu = np.triu_indices(g.n, k=1)
-    total_unordered = int(same[iu].sum())
-    intercepted_unordered = int((both & same)[iu].sum())
+            counts[t] = (int(icol.sum()), int(sizes[comp[t]]) - 1)
+    total_ordered = int((sizes * (sizes - 1)).sum())
     return InterceptionResult(
         total_ordered=total_ordered,
-        intercepted_ordered=intercepted_ordered,
-        total_unordered=total_unordered,
-        intercepted_unordered=intercepted_unordered,
+        intercepted_ordered=int(intercept.sum()),
+        total_unordered=total_ordered // 2,
+        intercepted_unordered=int((intercept & intercept.T).sum()) // 2,
         per_target_counts=counts if per_target else None,
     )
 

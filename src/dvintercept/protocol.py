@@ -75,17 +75,22 @@ class BeliefState:
     colluders: frozenset[int] = field(default_factory=frozenset)
 
 
-def synchronize_column(g: Graph, colluders, broadcasts, t: int):
-    """Fixpoint column of perceived distances to a single target t.
-
-    Returns (col, rounds).  `broadcasts` must already be validated.
-    """
+def _sync_columns(g: Graph, colluders, broadcasts):
+    """Yield (t, col, rounds) per target t: the fixpoint column with colluder
+    rows pinned to their (already validated) broadcasts.  Raises
+    ConvergenceError past n-1 rounds (a sub-1 broadcast leak)."""
     pinned = np.zeros(g.n, np.int64)
     pmask = np.zeros(g.n, np.bool_)
-    for v in colluders:
-        pmask[v] = True
-        pinned[v] = broadcasts[v][t]
-    return kernels.sync_column(g.indptr, g.indices, pinned, pmask, t)
+    pmask[list(colluders)] = True
+    for t in range(g.n):
+        for v in colluders:
+            pinned[v] = broadcasts[v][t]
+        col, rounds = kernels.sync_column(g.indptr, g.indices, pinned, pmask, t)
+        if rounds > max(g.n - 1, 0):
+            raise ConvergenceError(
+                f"column {t} did not stabilize within {g.n - 1} rounds"
+            )
+        yield t, col, rounds
 
 
 def synchronize(g: Graph, colluders, broadcasts) -> BeliefState:
@@ -98,12 +103,7 @@ def synchronize(g: Graph, colluders, broadcasts) -> BeliefState:
     colluders = frozenset(broadcasts)
     rho = np.empty((g.n, g.n), np.int64)
     worst = 0
-    for t in range(g.n):
-        col, rounds = synchronize_column(g, colluders, broadcasts, t)
-        if rounds > max(g.n - 1, 0):
-            raise ConvergenceError(
-                f"column {t} did not stabilize within {g.n - 1} rounds"
-            )
+    for t, col, rounds in _sync_columns(g, colluders, broadcasts):
         worst = max(worst, rounds)
         rho[:, t] = col
     return BeliefState(rho=rho, rounds_to_converge=worst, colluders=colluders)

@@ -467,6 +467,8 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
     pmask[list(C)] = True
     broadcast = {v: cache.row(v).copy() for v in C}
     forward = {v: np.full(g.n, -1, np.int64) for v in C}
+    # relay bounds (multi-node components only) need the synchronized column
+    relays = any(len(comp) > 1 for comp in comps)
 
     for t in range(g.n):
         dt = cache.row(t)
@@ -496,6 +498,8 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
             for x, hop in _intra_component_hops(g, comp, exit_node).items():
                 forward[x][t] = hop
 
+        if not relays:
+            continue
         # perceived distances after one pass: exits announce plan values,
         # every other colluder its true distance
         pinned = dt.copy()
@@ -540,30 +544,31 @@ class AdmissibilityVerdict:
         return self.admissible
 
 
-def check_admissible(g: Graph, strat: Strategy) -> AdmissibilityVerdict:
-    """A strategy is admissible when, for every target, every node in the
-    target's component can reach it in the per-target routing graph."""
+def _target_pass(g: Graph, strat: Strategy):
+    """The per-target pass shared by the admissibility check and the count:
+    yields (t, col, hops, trapped) with the colluders' hops toward t (one
+    array reused across steps) and the members of t's component that cannot
+    reach t in the routing graph."""
     strat.validate(g)
     comp = component_labels(g)
     cmask = np.zeros(g.n, np.bool_)
     cmask[list(strat.colluders)] = True
-    pinned = np.zeros(g.n, np.int64)
     hops = np.full(g.n, -1, np.int64)
-    for t in range(g.n):
+    for t, col, _ in protocol._sync_columns(g, strat.colluders, strat.broadcast):
         for v in strat.colluders:
-            pinned[v] = strat.broadcast[v][t]
             hops[v] = strat.forward[v][t]
-        col, rounds = kernels.sync_column(g.indptr, g.indices, pinned, cmask, t)
-        if rounds > max(g.n - 1, 0):
-            raise protocol.ConvergenceError(
-                f"column {t} did not stabilize within {g.n - 1} rounds"
-            )
         reached = kernels.reach(g.indptr, g.indices, col, t, cmask, hops)
         members = np.flatnonzero(comp == comp[t])
-        missing = members[~reached[members]]
-        if missing.size:
-            trapped = frozenset(int(v) for v in missing)
-            return AdmissibilityVerdict(False, (int(missing[0]), t), trapped)
+        yield t, col, hops, members[~reached[members]]
+
+
+def check_admissible(g: Graph, strat: Strategy) -> AdmissibilityVerdict:
+    """A strategy is admissible when, for every target, every node in the
+    target's component can reach it in the per-target routing graph."""
+    for t, _, _, trapped in _target_pass(g, strat):
+        if trapped.size:
+            return AdmissibilityVerdict(False, (int(trapped[0]), t),
+                                        frozenset(trapped.tolist()))
     return AdmissibilityVerdict(True)
 
 

@@ -47,13 +47,19 @@ class TestConfigParsing:
     def test_all_violations_reported_at_once(self):
         with pytest.raises(ConfigError) as exc:
             parse_config(
-                "select = psychic\nstrategy = bribe\nk = -3\n"
+                "select = psychic, greedy_min\nstrategy = bribe\nk = -3, 1.5\n"
                 "trials = zero\nseed = pi\nmetric = vibes\nbogus = 1\n"
             )
         msg = str(exc.value)
-        for frag in ("psychic", "bribe", "-3", "trials", "seed", "metric",
-                     "bogus", "exactly one of"):
+        # greedy_min picks its own set size, so a sweep over k cannot run it;
+        # a count must be an integer
+        for frag in ("psychic", "greedy_min", "bribe", "-3", "'1.5'", "trials",
+                     "seed", "metric", "bogus", "exactly one of"):
             assert frag in msg
+
+    def test_fractional_percentage_allowed(self):
+        cfg = parse_config("generate = erdos_renyi(9,0.5)\nk = 2.5%, 3\n")
+        assert cfg.sweep == ("2.5%", "3")
 
     def test_graph_and_generate_mutually_exclusive(self):
         with pytest.raises(ConfigError, match="exactly one"):

@@ -61,8 +61,13 @@ class TestInterceptedPairs:
                 f[t] = S._closest_hop(g, G.bfs_distances(g, t).dist, 2)
         f[4] = 1
         bad = S.Strategy(colluders=(2,), broadcast={2: b}, forward={2: f})
-        with pytest.raises(ValueError, match="inadmissible"):
+        verdict = S.check_admissible(g, bad)
+        assert not verdict
+        with pytest.raises(ValueError, match="inadmissible") as exc:
             intercepted_pairs(g, bad)
+        # the count stops where the check does and reports the same diagnostics
+        assert f"pair {verdict.violating_pair} " in str(exc.value)
+        assert f"trapped nodes {sorted(verdict.trap_set)}" in str(exc.value)
 
     def test_endpoint_pairs_always_count(self):
         rng = np.random.default_rng(19)
@@ -94,6 +99,51 @@ class TestInterceptedPairs:
         res = intercepted_pairs(g, S.honest_strategy(g, [3]))
         assert res.total_ordered == 2 + 6
         assert res.total_unordered == 1 + 3
+
+
+# (graph, exact same-component ordered pair total)
+DEGENERATE = [
+    (G.from_edges(0, []), 0),
+    (G.from_edges(1, []), 0),
+    (G.from_edges(2, []), 0),
+    (G.from_edges(2, [(0, 1)]), 2),
+    # a path, a triangle and the isolated nodes 2 and 6
+    (G.from_edges(7, [(0, 1), (3, 4), (4, 5), (3, 5)]), 2 + 6),
+]
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize("g, total", DEGENERATE,
+                             ids=[f"n{g.n}m{g.m}" for g, _ in DEGENERATE])
+    def test_matches_oracle_and_totals(self, g, total):
+        # every colluder set on the small graphs; on the 7-node one the empty
+        # set, each single node, a pair across components and C = V
+        if g.n <= 2:
+            sets = [[v for v in range(g.n) if mask >> v & 1]
+                    for mask in range(2 ** g.n)]
+        else:
+            sets = [[]] + [[v] for v in range(g.n)] + [[1, 4], list(range(g.n))]
+        for C in sets:
+            builders = [S.honest_strategy, S.independent_strategy,
+                        S.adjacent_strategy]
+            if all(G.bfs_distances(g, x).dist[y] >= 2 for x in C for y in C
+                   if x < y):
+                builders.append(S.separated_strategy)
+            for build in builders:
+                strat = build(g, C)
+                assert S.check_admissible(g, strat)
+                res = intercepted_pairs(g, strat, per_target=True)
+                pairs = intercepted_pairs_oracle(g, strat)
+                assert res.total_ordered == total
+                assert res.total_unordered == total // 2
+                assert res.intercepted_ordered == len(pairs)
+                assert res.intercepted_unordered == sum(
+                    1 for (a, b) in pairs if a < b and (b, a) in pairs)
+                for t in C:  # a colluder as target: its whole component
+                    icount, members = res.per_target_counts[t]
+                    assert icount == members
+                if len(C) == g.n:
+                    assert res.intercepted_ordered == total
 
 
 class TestCoverageFunction:
