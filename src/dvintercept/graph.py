@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from . import kernels
 from .kernels import INF
@@ -156,6 +158,26 @@ def distance_avoiding(g: Graph, removed, x: int, y: int) -> int:
         banned[v] = True
     dist = kernels.bfs(g.indptr, g.indices, x, banned)
     return int(dist[y])
+
+
+# target ids per distance block; per-block arrays take O(n * _BLOCK) memory
+_BLOCK = 256
+
+
+def distance_blocks(g: Graph, removed=()):
+    """Yield (T, D) over consecutive blocks T of at most _BLOCK node ids, where
+    D[i, s] is the hop distance between T[i] and s once every edge touching
+    `removed` is deleted (float64, np.inf where unreachable).  The graph is
+    undirected, so the rows D are also the columns D[:, T]."""
+    cut = np.zeros(g.n, np.bool_)
+    cut[list(removed)] = True
+    esrc = np.repeat(np.arange(g.n), g.degrees())
+    keep = ~(cut[esrc] | cut[g.indices])
+    adj = csr_matrix((np.ones(int(keep.sum())), (esrc[keep], g.indices[keep])),
+                     shape=(g.n, g.n))
+    for lo in range(0, g.n, _BLOCK):
+        T = np.arange(lo, min(lo + _BLOCK, g.n))
+        yield T, shortest_path(adj, directed=True, unweighted=True, indices=T)
 
 
 def component_labels(g: Graph) -> np.ndarray:

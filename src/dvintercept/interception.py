@@ -14,11 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import kernels
-from .graph import Graph, component_labels
+from .graph import _BLOCK, Graph, component_labels, distance_blocks
 # intercepted_pairs checks admissibility in its own pass; check_admissible
 # stays importable here because perfbench/tracing.py patches this name
-from .strategy import Strategy, _target_pass, check_admissible  # noqa: F401
+from .strategy import Strategy, _closed_form_pass, check_admissible  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -54,41 +53,37 @@ class InterceptionResult:
 def intercepted_pairs(g: Graph, strat: Strategy, *,
                       per_target: bool = False) -> InterceptionResult:
     """Count intercepted pairs under the given strategy, checking its
-    admissibility in the same per-target pass (ValueError at the first target
-    whose routing graph traps a node).  Memory: one n x n bool (n^2 bytes),
-    doubled for a moment by the unordered count."""
+    admissibility in the same closed-form pass (ValueError at the first
+    target whose routing graph traps a node).  Memory: one n x n bool
+    (n^2 bytes) plus the pass's O(n * block) arrays."""
     comp = component_labels(g)
     sizes = np.bincount(comp)
-    smask = np.zeros(g.n, np.bool_)
-    smask[list(strat.colluders)] = True
-    # intercept[s, t]: direction s -> t intercepted; only ever set on
+    # intercept[t, s]: direction s -> t intercepted; only ever set on
     # same-component, off-diagonal entries
     intercept = np.zeros((g.n, g.n), np.bool_)
-    counts: dict[int, tuple[int, int]] = {}
-    for t, col, hops, trapped in _target_pass(g, strat):
-        if trapped.size:
+    for T, icept, violation in _closed_form_pass(g, strat):
+        if violation:
+            pair, trapped = violation
             raise ValueError(
-                f"strategy is inadmissible: pair {(int(trapped[0]), t)} "
-                f"has no corresponding path (trapped nodes {trapped.tolist()})"
+                f"strategy is inadmissible: pair {pair} "
+                f"has no corresponding path (trapped nodes {trapped})"
             )
-        members = comp == comp[t]
-        members[t] = False
-        if smask[t]:
-            icol = members
-        else:
-            reached = kernels.reach(g.indptr, g.indices, col, t, smask, hops,
-                                    banned=smask)
-            icol = members & (smask | ~reached)
-        intercept[:, t] = icol
-        if per_target:
-            counts[t] = (int(icol.sum()), int(sizes[comp[t]]) - 1)
+        intercept[T] = icept
+    # both directions intercepted, counted once per ordered pair, by blocks
+    # of rows so that no second n x n array is made
+    both = sum(int((intercept[lo:lo + _BLOCK] & intercept[:, lo:lo + _BLOCK].T).sum())
+               for lo in range(0, g.n, _BLOCK))
+    counts = None
+    if per_target:
+        row = intercept.sum(axis=1)
+        counts = {t: (int(row[t]), int(sizes[comp[t]]) - 1) for t in range(g.n)}
     total_ordered = int((sizes * (sizes - 1)).sum())
     return InterceptionResult(
         total_ordered=total_ordered,
         intercepted_ordered=int(intercept.sum()),
         total_unordered=total_ordered // 2,
-        intercepted_unordered=int((intercept & intercept.T).sum()) // 2,
-        per_target_counts=counts if per_target else None,
+        intercepted_unordered=both // 2,
+        per_target_counts=counts,
     )
 
 
@@ -97,28 +92,14 @@ def coverage_function(g: Graph, S) -> Fraction:
 
     Equals intercepted_pairs(g, honest_strategy(g, S)).fraction, computed
     without materializing the strategy: with everyone honest the routing
-    graph toward t is the shortest-path predecessor DAG, so a source is
-    intercepted exactly when every shortest path to t crosses S.
+    graph toward t is the shortest-path predecessor DAG, so s -> t is
+    intercepted exactly when every shortest path crosses S, i.e. when
+    d_G(s, t) < d_{G-S}(s, t) (with every edge touching S deleted, this
+    also holds when s or t is in S).
     """
     S = sorted(set(int(v) for v in S))
-    comp = component_labels(g)
-    smask = np.zeros(g.n, np.bool_)
-    smask[S] = True
-    cmask = np.zeros(g.n, np.bool_)
-    hops = np.full(g.n, -1, np.int64)
-    sset = set(S)
-    total = 0
-    intercepted = 0
-    for t in range(g.n):
-        members = comp == comp[t]
-        members[t] = False
-        msize = int(members.sum())
-        total += msize
-        if t in sset:
-            intercepted += msize
-            continue
-        col = kernels.bfs(g.indptr, g.indices, t)
-        reached = kernels.reach(g.indptr, g.indices, col, t, cmask, hops,
-                                banned=smask)
-        intercepted += int((members & (smask | ~reached)).sum())
+    sizes = np.bincount(component_labels(g))
+    total = int((sizes * (sizes - 1)).sum())
+    intercepted = sum(int((d < d_cut).sum()) for (_, d), (_, d_cut)
+                      in zip(distance_blocks(g), distance_blocks(g, S)))
     return Fraction(intercepted, total) if total else Fraction(0)

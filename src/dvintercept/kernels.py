@@ -59,8 +59,8 @@ def sync_column(indptr, indices, pinned, pmask, t):
     """Synchronous fixpoint of the per-target belief update: (col, rounds).
 
     Honest i takes min(current, 1 + min over neighbours of the previous
-    round's value); pinned rows (colluder broadcasts) never change.  Stops
-    after n+1 rounds so the caller can report divergence.
+    round's value); pinned rows (colluder broadcasts) never change.  Values
+    only fall, so the loop ends; `rounds` counts the rounds that changed one.
     """
     n = indptr.shape[0] - 1
     esrc, edst = _edge_arrays(indptr, indices)
@@ -78,8 +78,6 @@ def sync_column(indptr, indices, pinned, pmask, t):
             return col, rounds
         col = new
         rounds += 1
-        if rounds > n + 1:
-            return col, rounds
 
 
 def reach(indptr, indices, col, t, cmask, hops, liberal=False, banned=None):

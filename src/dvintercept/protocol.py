@@ -27,10 +27,6 @@ class BroadcastError(ValueError):
         self.target = target
 
 
-class ConvergenceError(RuntimeError):
-    """Synchronization failed to reach a fixpoint within n-1 rounds."""
-
-
 def validate_broadcasts(n: int, colluders, broadcasts) -> dict[int, np.ndarray]:
     """Normalize and validate per-colluder broadcast vectors.
 
@@ -75,35 +71,25 @@ class BeliefState:
     colluders: frozenset[int] = field(default_factory=frozenset)
 
 
-def _sync_columns(g: Graph, colluders, broadcasts):
-    """Yield (t, col, rounds) per target t: the fixpoint column with colluder
-    rows pinned to their (already validated) broadcasts.  Raises
-    ConvergenceError past n-1 rounds (a sub-1 broadcast leak)."""
-    pinned = np.zeros(g.n, np.int64)
-    pmask = np.zeros(g.n, np.bool_)
-    pmask[list(colluders)] = True
-    for t in range(g.n):
-        for v in colluders:
-            pinned[v] = broadcasts[v][t]
-        col, rounds = kernels.sync_column(g.indptr, g.indices, pinned, pmask, t)
-        if rounds > max(g.n - 1, 0):
-            raise ConvergenceError(
-                f"column {t} did not stabilize within {g.n - 1} rounds"
-            )
-        yield t, col, rounds
-
-
 def synchronize(g: Graph, colluders, broadcasts) -> BeliefState:
     """Run synchronization to the fixpoint with colluder rows pinned.
 
-    Raises BroadcastError for malformed broadcasts and ConvergenceError if
-    any target column needs more than n-1 rounds (a sub-1 broadcast leak).
+    Raises BroadcastError for malformed broadcasts.  Once they are valid,
+    each column is a unit-weight Bellman-Ford from its pinned sources (the
+    target at 0 and the colluders at their broadcasts) through honest nodes,
+    so it settles within the longest colluder-free path: at most n-1 rounds.
     """
     broadcasts = validate_broadcasts(g.n, colluders, broadcasts)
     colluders = frozenset(broadcasts)
+    pinned = np.zeros(g.n, np.int64)
+    pmask = np.zeros(g.n, np.bool_)
+    pmask[list(colluders)] = True
     rho = np.empty((g.n, g.n), np.int64)
     worst = 0
-    for t, col, rounds in _sync_columns(g, colluders, broadcasts):
+    for t in range(g.n):
+        for v in colluders:
+            pinned[v] = broadcasts[v][t]
+        rho[:, t], rounds = kernels.sync_column(g.indptr, g.indices, pinned,
+                                                pmask, t)
         worst = max(worst, rounds)
-        rho[:, t] = col
     return BeliefState(rho=rho, rounds_to_converge=worst, colluders=colluders)

@@ -16,7 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels, protocol
-from .graph import Graph, component_labels, distance_avoiding
+# distance_avoiding is no longer called here (relay_row in adjacent_strategy
+# runs its BFS once per member and component) but stays importable because
+# perfbench/tracing.py patches this name
+from .graph import (Graph, component_labels, distance_avoiding,  # noqa: F401
+                    distance_blocks)
 from .kernels import INF
 
 
@@ -72,11 +76,12 @@ class Strategy:
             hops = self.forward[v]
             if hops.shape != (g.n,):
                 raise ValueError(f"forward vector for node {v} has shape {hops.shape}")
-            for t in np.flatnonzero(hops >= 0):
-                if not g.has_edge(v, int(hops[t])):
-                    raise ValueError(
-                        f"forward({v},{t}) = {int(hops[t])} is not a neighbour"
-                    )
+            bad = np.flatnonzero((hops >= 0) & ~np.isin(hops, g.neighbors(v)))
+            if bad.size:
+                t = int(bad[0])
+                raise ValueError(
+                    f"forward({v},{t}) = {int(hops[t])} is not a neighbour"
+                )
 
 
 def strategy_to_text(strat: Strategy) -> str:
@@ -469,6 +474,18 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
     forward = {v: np.full(g.n, -1, np.int64) for v in C}
     # relay bounds (multi-node components only) need the synchronized column
     relays = any(len(comp) > 1 for comp in comps)
+    relay_rows: dict[tuple[int, int], np.ndarray] = {}
+
+    def relay_row(x: int, cj: int) -> np.ndarray:
+        """Distances from x avoiding comps[cj] minus x; independent of the
+        target, so one BFS per (member, component) serves every target."""
+        row = relay_rows.get((x, cj))
+        if row is None:
+            banned = np.zeros(g.n, np.bool_)
+            banned[list(comps[cj])] = True
+            banned[x] = False
+            row = relay_rows[(x, cj)] = kernels.bfs(g.indptr, g.indices, x, banned)
+        return row
 
     for t in range(g.n):
         dt = cache.row(t)
@@ -519,8 +536,7 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
                     if plan.entries[comp_qid[cj]].forwarding_number > fn_i:
                         continue
                     w = w_of[cj]
-                    banned = set(comps[cj]) - {x}
-                    dwx = distance_avoiding(g, banned, w, x) if x not in banned else INF
+                    dwx = int(relay_row(x, cj)[w])
                     if dwx >= INF:
                         continue
                     best = max(best, int(col[w]) - dwx)
@@ -544,31 +560,131 @@ class AdmissibilityVerdict:
         return self.admissible
 
 
-def _target_pass(g: Graph, strat: Strategy):
-    """The per-target pass shared by the admissibility check and the count:
-    yields (t, col, hops, trapped) with the colluders' hops toward t (one
-    array reused across steps) and the members of t's component that cannot
-    reach t in the routing graph."""
+def _int_dtype(bound: int):
+    """(dtype, sentinel): int16 or int32 when half its range exceeds `bound`,
+    with that half as the sentinel, so a sum of two stored values never
+    wraps; else int64 with INF + 1, which keeps every sum up to INF finite
+    as the synchronization does (a node whose best neighbour announces
+    INF - 1 believes INF and still forwards)."""
+    for dtype in (np.int16, np.int32):
+        sentinel = np.iinfo(dtype).max // 2
+        if bound < sentinel:
+            return dtype, sentinel
+    return np.int64, INF + 1
+
+
+def _closed_form_pass(g: Graph, strat: Strategy):
+    """The pass shared by the admissibility check and the count, in closed
+    form over blocks of targets T.  Yields (T, intercept, violation):
+    intercept is a |T| x n bool array marking s -> T[i] as intercepted at
+    [i, s]; violation is None, or ((s, t), trapped) for the block's first
+    target t with members of its component that cannot reach it in the
+    routing graph, listed in id order, s the first of them.
+
+    With D the hop distances in G minus every edge touching the colluders,
+    D_C[x] the hop distances from colluder x through honest nodes only and
+    b_x colluder x's broadcast, the synchronized column toward t is
+    col = min(D[t], offer) with offer[s] = min over x of b_x[t] + D_C[x, s].
+    An honest s descends along its argmin neighbours to exactly the sources
+    (t and the colluders) attaining col[s], so s -> t is intercepted iff
+    offer[s] < D[t, s], and s reaches t iff col[s] is finite and attained by
+    t or by a delivering colluder.  The delivering colluders Del_t are a
+    least fixpoint over the colluders: x delivers when x = t or its hop
+    toward t is t, a delivering colluder, or an honest node that reaches t.
+    """
     strat.validate(g)
+    n, ids = g.n, np.asarray(strat.colluders, np.int64)
+    k = ids.size
     comp = component_labels(g)
-    cmask = np.zeros(g.n, np.bool_)
-    cmask[list(strat.colluders)] = True
-    hops = np.full(g.n, -1, np.int64)
-    for t, col, _ in protocol._sync_columns(g, strat.colluders, strat.broadcast):
-        for v in strat.colluders:
-            hops[v] = strat.forward[v][t]
-        reached = kernels.reach(g.indptr, g.indices, col, t, cmask, hops)
-        members = np.flatnonzero(comp == comp[t])
-        yield t, col, hops, members[~reached[members]]
+    smask = np.zeros(n, np.bool_)
+    smask[ids] = True
+    cidx = np.full(n, -1, np.int64)  # node id -> colluder index
+    cidx[ids] = np.arange(k)
+    b = np.array([strat.broadcast[v] for v in strat.colluders],
+                 np.int64).reshape(k, n)
+    hop = np.array([strat.forward[v] for v in strat.colluders],
+                   np.int64).reshape(k, n)
+    # an offer toward a target in another component reaches none of the
+    # target's members, so such entries are dropped before sizing the dtype
+    b[comp[ids][:, None] != comp] = INF
+    finite = b[b < INF]
+    dtype, inf = _int_dtype((int(finite.max()) if finite.size else 0) + n)
+    b = np.where(b < INF, b, inf).astype(dtype)
+    dc = np.empty((k, n), dtype)
+    for i, x in enumerate(ids):
+        others = smask.copy()
+        others[x] = False
+        d = kernels.bfs(g.indptr, g.indices, x, others)
+        dc[i] = np.where(d < INF, d, inf)
+
+    def min_plus(bt):
+        """min over colluders i of bt[i, j] + dc[i, s], saturated at inf."""
+        out = np.full((bt.shape[1], n), inf, dtype)
+        for i in range(k):
+            np.minimum(out, bt[i][:, None] + dc[i], out=out)
+        return np.minimum(out, inf, out=out)
+
+    for T, dist in distance_blocks(g, ids.tolist()):
+        j = np.arange(T.size)
+        unreached = np.isinf(dist)
+        dist[unreached] = 0
+        d = dist.astype(dtype)
+        d[unreached] = inf
+        del dist, unreached  # the float64 block is the largest array here
+        bt = b[:, T]
+        offer = min_plus(bt)
+        col = np.minimum(d, offer)
+        members = comp[T][:, None] == comp
+        intercept = offer < d
+        del offer
+        intercept |= smask
+        intercept[smask[T]] = True
+        intercept &= members
+        intercept[j, T] = False
+
+        # delivering colluders: a k x |T| fixpoint read at the colluders' hops
+        ht = hop[:, T]
+        h = np.maximum(ht, 0)
+        hc = cidx[h]
+        via_hop = (ht >= 0) & (hc >= 0)
+        hcol = col[j, h]
+        live = (ht >= 0) & ~smask[h] & (hcol < inf)
+        direct = d[j, h] == hcol
+        # attains[i, y, j]: colluder y's offer sets the column at i's hop
+        attains = np.minimum(bt[None] + dc[:, h].transpose(1, 0, 2), inf) \
+            == hcol[:, None]
+        deliver = (ht == T) | (ids[:, None] == T)
+        while True:
+            grown = deliver | (via_hop & deliver[np.maximum(hc, 0), j]) \
+                | (live & (direct | (attains & deliver).any(axis=1)))
+            if (grown == deliver).all():
+                break
+            deliver = grown
+
+        reached = col < inf
+        # targets where a colluder that does not deliver offers something
+        rows = np.flatnonzero((~deliver & (bt < inf)).any(axis=0))
+        if rows.size:
+            odel = min_plus(np.where(deliver[:, rows], bt[:, rows], inf))
+            reached[rows] &= col[rows] == np.minimum(d[rows], odel)
+        reached[:, ids] = deliver.T
+        reached[j, T] = True
+        trapped = members & ~reached
+        bad = np.flatnonzero(trapped.any(axis=1))
+        violation = None
+        if bad.size:
+            nodes = np.flatnonzero(trapped[bad[0]]).tolist()
+            violation = (nodes[0], int(T[bad[0]])), nodes
+        yield T, intercept, violation
 
 
 def check_admissible(g: Graph, strat: Strategy) -> AdmissibilityVerdict:
     """A strategy is admissible when, for every target, every node in the
     target's component can reach it in the per-target routing graph."""
-    for t, _, _, trapped in _target_pass(g, strat):
-        if trapped.size:
-            return AdmissibilityVerdict(False, (int(trapped[0]), t),
-                                        frozenset(trapped.tolist()))
+    for _, _, violation in _closed_form_pass(g, strat):
+        if violation:
+            pair, trapped = violation
+            return AdmissibilityVerdict(False, pair, frozenset(trapped))
     return AdmissibilityVerdict(True)
 
 

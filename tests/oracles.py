@@ -12,6 +12,7 @@ from math import comb
 
 import numpy as np
 
+from dvintercept import kernels
 from dvintercept.kernels import INF
 
 
@@ -296,3 +297,49 @@ def random_connected_graph(rng, n_max=8, n_min=2):
         if a != b:
             edges.append((min(a, b), max(a, b)))
     return from_edges(n, edges)
+
+
+def target_pass_reference(g, strat):
+    """The per-target pass the library ran before its closed form: for every
+    target one synchronized column (`kernels.sync_column`), one unbanned
+    `kernels.reach` for the admissibility check and, for honest targets, one
+    reach with the colluders banned for the count.
+
+    Returns (verdict, counts, per_target): verdict is None when admissible,
+    else (violating_pair, trapped nodes) at the first violating target;
+    counts is (total_ordered, intercepted_ordered, total_unordered,
+    intercepted_unordered) and per_target maps t to (intercepted, total);
+    both are None for an inadmissible strategy.
+    """
+    strat.validate(g)
+    comp = np.array(_components(g), np.int64)
+    sizes = np.bincount(comp) if g.n else np.zeros(0, np.int64)
+    cmask = np.zeros(g.n, np.bool_)
+    cmask[list(strat.colluders)] = True
+    hops = np.full(g.n, -1, np.int64)
+    pinned = np.zeros(g.n, np.int64)
+    intercept = np.zeros((g.n, g.n), np.bool_)
+    per_target = {}
+    for t in range(g.n):
+        for v in strat.colluders:
+            pinned[v] = strat.broadcast[v][t]
+            hops[v] = strat.forward[v][t]
+        col, _ = kernels.sync_column(g.indptr, g.indices, pinned, cmask, t)
+        reached = kernels.reach(g.indptr, g.indices, col, t, cmask, hops)
+        members = np.flatnonzero(comp == comp[t])
+        trapped = members[~reached[members]]
+        if trapped.size:
+            return (int(trapped[0]), t), trapped.tolist(), None, None
+        others = (comp == comp[t]) & (np.arange(g.n) != t)
+        if cmask[t]:
+            icol = others
+        else:
+            clean = kernels.reach(g.indptr, g.indices, col, t, cmask, hops,
+                                  banned=cmask)
+            icol = others & (cmask | ~clean)
+        intercept[:, t] = icol
+        per_target[t] = (int(icol.sum()), int(sizes[comp[t]]) - 1)
+    total = int((sizes * (sizes - 1)).sum())
+    counts = (total, int(intercept.sum()), total // 2,
+              int((intercept & intercept.T).sum()) // 2)
+    return None, None, counts, per_target

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 import dvintercept.strategy as S
 from dvintercept import graph as G
 from dvintercept.interception import coverage_function, intercepted_pairs
+from dvintercept.kernels import INF
 
-from oracles import intercepted_pairs_oracle, random_connected_graph
+from oracles import (deliverable, intercepted_pairs_oracle,
+                     random_connected_graph, simulate_strategy,
+                     target_pass_reference)
 
 
 def path_graph(n):
@@ -183,3 +186,163 @@ def test_strategy_dominates_honest_pointwise(seed):
     adj = intercepted_pairs(g, S.adjacent_strategy(g, C))
     hon = intercepted_pairs(g, S.honest_strategy(g, C))
     assert adj.intercepted_ordered >= hon.intercepted_ordered
+
+
+# ---------------------------------------------------------------------------
+# the closed-form pass against the per-target pass and the path oracles
+# ---------------------------------------------------------------------------
+
+
+def random_strategy(g, C, rng, scale):
+    """Broadcasts drawn from small values and INF, with scale >= 1 also values
+    at and above 2^15 and with scale 2 also values just below INF (so each
+    integer width of the closed-form pass runs); hops a random neighbour or
+    -1.  Mostly inadmissible."""
+    broadcast, forward = {}, {}
+    for v in C:
+        vec = rng.integers(1, g.n + 3, g.n).astype(np.int64)
+        kind = rng.random(g.n)
+        vec[kind < 0.15] = INF
+        if scale >= 1:
+            big = (kind >= 0.15) & (kind < 0.3)
+            vec[big] = 2**15 + rng.integers(0, 2**20, int(big.sum()))
+        if scale == 2:
+            near = kind > 0.9
+            vec[near] = INF - rng.integers(1, 3, int(near.sum()))
+        vec[v] = 0
+        hops = np.full(g.n, -1, np.int64)
+        nbrs = g.neighbors(v)
+        if nbrs.size:
+            pick = rng.random(g.n) < 0.9
+            hops[pick] = nbrs[rng.integers(nbrs.size, size=int(pick.sum()))]
+        broadcast[v], forward[v] = vec, hops
+    return S.Strategy(colluders=tuple(sorted(C)), broadcast=broadcast,
+                      forward=forward)
+
+
+def perturbed(g, strat, rng, targets):
+    """strat with one colluder's entry toward one of `targets` changed: a
+    broadcast lowered to 1, a hop redirected to a random neighbour or
+    dropped, or a broadcast raised by 2^15."""
+    broadcast = {v: b.copy() for v, b in strat.broadcast.items()}
+    forward = {v: f.copy() for v, f in strat.forward.items()}
+    x = strat.colluders[int(rng.integers(len(strat.colluders)))]
+    t = int(targets[int(rng.integers(len(targets)))])
+    kind = int(rng.integers(4))
+    if t == x:
+        kind = 1
+    if kind == 0:
+        broadcast[x][t] = 1
+    elif kind == 1 and g.degree(x):
+        nbrs = g.neighbors(x)
+        forward[x][t] = int(nbrs[rng.integers(nbrs.size)])
+    elif kind == 2:
+        forward[x][t] = -1
+    elif kind == 3 and broadcast[x][t] < INF:
+        broadcast[x][t] += 2**15
+    return S.Strategy(colluders=strat.colluders, broadcast=broadcast,
+                      forward=forward)
+
+
+def assert_pass_matches(g, strat, oracle=True):
+    """check_admissible and intercepted_pairs against the per-target pass and,
+    with `oracle`, against routing-graph enumeration."""
+    pair, trapped, counts, per_target = target_pass_reference(g, strat)
+    verdict = S.check_admissible(g, strat)
+    if pair is not None:
+        assert not verdict
+        assert verdict.violating_pair == pair
+        assert verdict.trap_set == frozenset(trapped)
+        with pytest.raises(ValueError) as exc:
+            intercepted_pairs(g, strat)
+        assert str(exc.value) == (f"strategy is inadmissible: pair {pair} has "
+                                  f"no corresponding path (trapped nodes {trapped})")
+        if oracle:
+            s, t = pair
+            out = simulate_strategy(g, strat, t)
+            comp = G.component_labels(g)
+            assert [v for v in range(g.n) if comp[v] == comp[t]
+                    and not deliverable(out, v, t)] == trapped
+            assert all(deliverable(simulate_strategy(g, strat, u), v, u)
+                       for u in range(t) for v in range(g.n)
+                       if comp[v] == comp[u])
+        return
+    assert verdict
+    res = intercepted_pairs(g, strat, per_target=True)
+    assert (res.total_ordered, res.intercepted_ordered, res.total_unordered,
+            res.intercepted_unordered) == counts
+    assert res.per_target_counts == per_target
+    if oracle:
+        pairs = intercepted_pairs_oracle(g, strat)
+        assert res.intercepted_ordered == len(pairs)
+        assert res.intercepted_unordered == sum(
+            1 for (a, b) in pairs if a < b and (b, a) in pairs)
+        assert {t: c for t, (c, _) in res.per_target_counts.items()} == {
+            t: sum(1 for (_, u) in pairs if u == t) for t in range(g.n)}
+
+
+def builders(g, C):
+    out = [S.honest_strategy, S.independent_strategy, S.adjacent_strategy]
+    if all(G.bfs_distances(g, x).dist[y] >= 2 for x in C for y in C if x < y):
+        out.append(S.separated_strategy)
+    return [build(g, C) for build in out]
+
+
+class TestClosedFormPass:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_matches_per_target_pass_and_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, n_max=9, n_min=1)
+        if rng.random() < 0.3:  # a second component and an isolated node
+            g = G.from_edges(g.n + 3, list(g.edges()) + [(g.n, g.n + 1)])
+        k = int(rng.integers(0, g.n + 1))  # up to every node a colluder
+        C = [int(v) for v in rng.permutation(g.n)[:k]]
+        strats = builders(g, C)
+        if C:
+            strats += [random_strategy(g, C, rng, scale) for scale in range(3)]
+            strats.append(perturbed(g, strats[2], rng, range(g.n)))
+        for strat in strats:
+            assert_pass_matches(g, strat)
+
+    @pytest.mark.parametrize("g, total", DEGENERATE,
+                             ids=[f"n{g.n}m{g.m}" for g, _ in DEGENERATE])
+    def test_degenerate_inputs(self, g, total):
+        rng = np.random.default_rng(g.n + g.m)
+        sets = [[]] + [[v] for v in range(g.n)] + [list(range(g.n))]
+        for C in sets:
+            strats = builders(g, C)
+            if C:
+                strats += [random_strategy(g, C, rng, scale)
+                           for scale in range(3)]
+            for strat in strats:
+                assert_pass_matches(g, strat)
+
+    def test_announcement_just_below_inf(self):
+        # path 0-1-2-3 with colluder 2 cutting 0 and 1 off from 3: a node
+        # whose best neighbour announces INF - 1 believes INF but still
+        # forwards, so INF - 2 at distance 2 delivers and INF - 1 traps 0
+        g = path_graph(4)
+        for value, pair in ((INF - 2, None), (INF - 1, (0, 3))):
+            strat = S.Strategy(
+                colluders=(2,),
+                broadcast={2: np.array([2, 1, 0, value], np.int64)},
+                forward={2: np.array([1, 1, -1, 3], np.int64)})
+            assert S.check_admissible(g, strat).violating_pair == pair
+            assert_pass_matches(g, strat)
+
+    def test_two_blocks(self):
+        # n above one block of targets: violations planted in the second
+        g = G.erdos_renyi(300, 0.012, seed=4)
+        assert g.n > G._BLOCK
+        rng = np.random.default_rng(4)
+        C = [int(v) for v in rng.permutation(g.n)[:12]]
+        base = S.adjacent_strategy(g, C)
+        strats = [base, S.honest_strategy(g, C)]
+        strats += [perturbed(g, base, rng, range(G._BLOCK, g.n))
+                   for _ in range(4)]
+        verdicts = [S.check_admissible(g, strat) for strat in strats]
+        assert any(v.violating_pair and v.violating_pair[1] >= G._BLOCK
+                   for v in verdicts)
+        for strat in strats:
+            assert_pass_matches(g, strat, oracle=False)

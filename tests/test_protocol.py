@@ -7,7 +7,7 @@ from dvintercept import graph as G
 from dvintercept import protocol as P
 from dvintercept.kernels import INF
 
-from oracles import naive_sync
+from oracles import naive_sync, random_connected_graph
 
 
 def path_graph(n):
@@ -90,4 +90,25 @@ def test_convergence_bound_property(seed):
     vec = np.maximum(1, G.bfs_distances(g, v).dist - 2)
     vec[v] = 0
     b = P.synchronize(g, {v}, {v: vec})
+    assert b.rounds_to_converge <= g.n - 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_random_valid_broadcasts_settle_within_n_minus_1_rounds(seed):
+    # with valid broadcasts every column is a unit-weight Bellman-Ford from
+    # pinned sources through honest nodes, so no column needs n rounds
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n_max=14, n_min=1)
+    if rng.random() < 0.3:  # a second component and an isolated node
+        g = G.from_edges(g.n + 3, list(g.edges()) + [(g.n, g.n + 1)])
+    k = int(rng.integers(0, g.n + 1))
+    colluders = {int(v) for v in rng.permutation(g.n)[:k]}
+    bcs = {}
+    for v in colluders:
+        vec = rng.integers(1, 2 * g.n + 2, g.n).astype(np.int64)
+        vec[rng.random(g.n) < 0.3] = INF
+        vec[v] = 0
+        bcs[v] = vec
+    b = P.synchronize(g, colluders, bcs)
     assert b.rounds_to_converge <= g.n - 1
