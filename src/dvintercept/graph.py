@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from . import kernels
 from .kernels import INF
@@ -164,39 +164,33 @@ def distance_avoiding(g: Graph, removed, x: int, y: int) -> int:
 _BLOCK = 256
 
 
-def distance_blocks(g: Graph, removed=()):
-    """Yield (T, D) over consecutive blocks T of at most _BLOCK node ids, where
-    D[i, s] is the hop distance between T[i] and s once every edge touching
-    `removed` is deleted (float64, np.inf where unreachable).  The graph is
-    undirected, so the rows D are also the columns D[:, T]."""
+def _adjacency(g: Graph, removed=()) -> csr_matrix:
+    """scipy CSR adjacency of g with every edge touching `removed` deleted."""
     cut = np.zeros(g.n, np.bool_)
     cut[list(removed)] = True
     esrc = np.repeat(np.arange(g.n), g.degrees())
     keep = ~(cut[esrc] | cut[g.indices])
-    adj = csr_matrix((np.ones(int(keep.sum())), (esrc[keep], g.indices[keep])),
-                     shape=(g.n, g.n))
-    for lo in range(0, g.n, _BLOCK):
-        T = np.arange(lo, min(lo + _BLOCK, g.n))
+    return csr_matrix((np.ones(int(keep.sum())), (esrc[keep], g.indices[keep])),
+                      shape=(g.n, g.n))
+
+
+def distance_blocks(g: Graph, removed=(), nodes=None):
+    """Yield (T, D) over consecutive blocks T of at most _BLOCK ids from
+    `nodes` (every node by default), where D[i, s] is the hop distance between
+    T[i] and s once every edge touching `removed` is deleted (float64, np.inf
+    where unreachable).  The graph is undirected, so the rows D are also the
+    columns D[:, T]."""
+    adj = _adjacency(g, removed)
+    nodes = np.arange(g.n) if nodes is None else np.asarray(nodes, np.int64)
+    for lo in range(0, nodes.size, _BLOCK):
+        T = nodes[lo : lo + _BLOCK]
         yield T, shortest_path(adj, directed=True, unweighted=True, indices=T)
 
 
 def component_labels(g: Graph) -> np.ndarray:
-    """Connected-component label per node (labels are 0..c-1)."""
-    labels = np.full(g.n, -1, np.int64)
-    c = 0
-    for s in range(g.n):
-        if labels[s] >= 0:
-            continue
-        stack = [s]
-        labels[s] = c
-        while stack:
-            u = stack.pop()
-            for v in g.neighbors(u):
-                if labels[v] < 0:
-                    labels[v] = c
-                    stack.append(int(v))
-        c += 1
-    return labels
+    """Connected-component label per node (labels are 0..c-1, numbered in
+    order of each component's lowest node id)."""
+    return connected_components(_adjacency(g), directed=False)[1].astype(np.int64)
 
 
 def is_connected(g: Graph) -> bool:

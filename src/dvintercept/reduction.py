@@ -16,7 +16,7 @@ import numpy as np
 
 from .graph import Graph, from_edges
 from .kernels import INF
-from .strategy import Strategy, _closest_hop, _DistCache
+from .strategy import Strategy, _closest_hop, _distance_rows
 
 
 @dataclass(frozen=True)
@@ -34,17 +34,9 @@ class NonuniformStrategy:
 
 def honest_nonuniform(g: Graph, S) -> NonuniformStrategy:
     S = tuple(sorted(set(int(v) for v in S)))
-    cache = _DistCache(g)
-    broadcast = {}
-    forward = {v: np.full(g.n, -1, np.int64) for v in S}
-    for v in S:
-        row = cache.row(v)
-        broadcast[v] = {int(u): row.copy() for u in g.neighbors(v)}
-    for t in range(g.n):
-        dist_t = cache.row(t)
-        for v in S:
-            if v != t:
-                forward[v][t] = _closest_hop(g, dist_t, v)
+    rows = at, D = _distance_rows(g, S)
+    broadcast = {v: {int(u): D[at[v]].copy() for u in g.neighbors(v)} for v in S}
+    forward = {v: _closest_hop(g, rows, v) for v in S}
     return NonuniformStrategy(colluders=S, broadcast=broadcast, forward=forward)
 
 
@@ -112,64 +104,44 @@ def lift_strategy(bm: BlowupMap, nonuniform: NonuniformStrategy) -> Strategy:
     if tuple(nonuniform.colluders) != bm.S:
         raise ValueError("nonuniform strategy colluders do not match the blowup")
     gp = bm.blown
-    n, np_ = bm.original.n, gp.n
-    cache = _DistCache(gp)
+    n = bm.original.n
+    rows = at, D = _distance_rows(gp, bm.S_prime)
     sset = set(bm.S)
+    # the original honest targets, the only columns that carry the lie
+    lied = np.ones(n, np.bool_)
+    lied[list(bm.S)] = False
     broadcast: dict[int, np.ndarray] = {}
     forward: dict[int, np.ndarray] = {}
 
     for v in bm.S:
-        broadcast[v] = cache.row(v).copy()
-        forward[v] = np.full(np_, -1, np.int64)
+        broadcast[v] = D[at[v]].copy()
+        hops = _closest_hop(gp, rows, v)
+        declared = np.where(lied, nonuniform.forward[v], -1)
+        for t in np.flatnonzero(declared >= 0):
+            hop = int(declared[t])
+            hops[t] = bm.w_of[(min(v, hop), max(v, hop))]
+        forward[v] = hops
 
     for (u, v), w in bm.w_of.items():
         owner, hearer = _owner_side(bm, u, v)
-        vec = cache.row(w).copy()
-        src = nonuniform.broadcast[owner][hearer]
-        for t in range(n):
-            if t not in sset:
-                vec[t] = src[t]
+        vec = D[at[w]].copy()
+        vec[:n][lied] = nonuniform.broadcast[owner][hearer][lied]
         vec[w] = 0
         broadcast[w] = vec
-        forward[w] = np.full(np_, -1, np.int64)
-
-    dist_rows: dict[int, np.ndarray] = {}
-
-    def drow(t):
-        if t not in dist_rows:
-            dist_rows[t] = cache.row(t)
-        return dist_rows[t]
-
-    for t in range(np_):
-        honest_target = t >= n or t in sset
-        for v in bm.S:
-            if v == t:
-                continue
-            if not honest_target and nonuniform.forward[v][t] >= 0:
-                hop = int(nonuniform.forward[v][t])
-                e = (min(v, hop), max(v, hop))
-                forward[v][t] = bm.w_of[e]
-            else:
-                forward[v][t] = _closest_hop(gp, drow(t), v)
-        for (u, v), w in bm.w_of.items():
-            if w == t:
-                continue
-            if t == u or t == v:
-                forward[w][t] = t
-                continue
-            hop = -1
-            if not honest_target:
-                if u in sset and nonuniform.forward[u][t] == v:
-                    hop = v
-                elif v in sset and nonuniform.forward[v][t] == u:
-                    hop = u
-                elif not (u in sset and v in sset):
-                    # the honest endpoint may be drawn in by the lie; relay
-                    # its traffic onward to the colluder, never back
-                    hop = u if u in sset else v
-            if hop < 0:
-                hop = _closest_hop(gp, drow(t), w)
-            forward[w][t] = hop
+        # toward u and v the closest hop is that endpoint.  Toward a lied
+        # target w crosses the edge where a colluder endpoint's declared hop
+        # does; otherwise an honest endpoint may be drawn in by the lie, and
+        # w relays its traffic onward to the colluder, never back
+        hops = _closest_hop(gp, rows, w)
+        if hearer in sset:
+            hop = np.where(nonuniform.forward[hearer] == owner, owner, -1)
+        else:
+            hop = np.full(n, owner, np.int64)
+        hop = np.where(nonuniform.forward[owner] == hearer, hearer, hop)
+        relay = lied & (hop >= 0)
+        relay[hearer] = False
+        hops[:n][relay] = hop[relay]
+        forward[w] = hops
     return Strategy(colluders=bm.S_prime, broadcast=broadcast, forward=forward,
                     label="lifted")
 

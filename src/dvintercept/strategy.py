@@ -19,8 +19,8 @@ from . import kernels, protocol
 # distance_avoiding is no longer called here (relay_row in adjacent_strategy
 # runs its BFS once per member and component) but stays importable because
 # perfbench/tracing.py patches this name
-from .graph import (Graph, component_labels, distance_avoiding,  # noqa: F401
-                    distance_blocks)
+from .graph import (Graph, ParseError, distance_avoiding,  # noqa: F401
+                    component_labels, distance_blocks)
 from .kernels import INF
 
 
@@ -28,32 +28,39 @@ class BudgetError(RuntimeError):
     """Exhaustive search would exceed its configured budget."""
 
 
-class _DistCache:
-    """Memoized single-source BFS rows."""
+def _distance_rows(g: Graph, S):
+    """(at, D): D holds the int64 hop-distance rows of S and its neighbours,
+    INF where unreachable.  Node v's row is D[at[v]]; at[v] = -1 for nodes
+    not covered.  The builders read nothing outside these rows."""
+    cover = np.zeros(g.n, np.bool_)
+    cover[list(S)] = True
+    cover[g.indices[np.repeat(cover, g.degrees())]] = True
+    ids = np.flatnonzero(cover)
+    at = np.full(g.n, -1, np.int64)
+    at[ids] = np.arange(ids.size)
+    D = np.empty((ids.size, g.n), np.int64)
+    for T, block in distance_blocks(g, nodes=ids):
+        D[at[T]] = np.where(np.isinf(block), INF, block)
+    return at, D
 
-    def __init__(self, g: Graph):
-        self.g = g
-        self._rows: dict[int, np.ndarray] = {}
 
-    def row(self, s: int) -> np.ndarray:
-        r = self._rows.get(s)
-        if r is None:
-            r = kernels.bfs(self.g.indptr, self.g.indices, s)
-            self._rows[s] = r
-        return r
-
-
-def _closest_hop(g: Graph, dist_t: np.ndarray, v: int) -> int:
-    """Lowest-id neighbour of v minimizing true distance to the target whose
-    distance row is dist_t; -1 if the target is unreachable."""
+def _closest_hop(g: Graph, rows, v: int, t: int | None = None):
+    """Lowest-id neighbour of v minimizing true distance to t, or the array
+    of them over every target when t is None; -1 where t = v, where t is
+    unreachable or where v has no neighbours.  `rows` = (at, D) as from
+    `_distance_rows` and must cover v's neighbours."""
+    at, D = rows
     nbrs = g.neighbors(v)
-    if nbrs.size == 0:
-        return -1
-    vals = dist_t[nbrs]
-    best = vals.min()
-    if best >= INF:
-        return -1
-    return int(nbrs[vals == best][0])
+    vals = D[at[nbrs]] if t is None else D[at[nbrs], t]
+    if nbrs.size:
+        # neighbour lists are sorted, so argmin's first minimum is the lowest id
+        hop = np.where(vals.min(axis=0) < INF, nbrs[vals.argmin(axis=0)], -1)
+    else:
+        hop = np.full(vals.shape[1:], -1, np.int64)
+    if t is None:
+        hop[v] = -1
+        return hop
+    return -1 if t == v else int(hop)
 
 
 @dataclass(frozen=True)
@@ -99,22 +106,35 @@ def strategy_from_text(text: str, n: int) -> Strategy:
     label = "custom"
     broadcast: dict[int, np.ndarray] = {}
     forward: dict[int, np.ndarray] = {}
-    for line in text.splitlines():
-        line = line.strip()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
             parts = line[1:].split()
             if parts and parts[0] == "label":
+                if len(parts) < 2:
+                    raise ParseError("label line without a label", lineno)
                 label = parts[1]
             continue
-        v_s, t_s, b_s, h_s = line.split()
-        v, t = int(v_s), int(t_s)
+        tokens = line.split()
+        if len(tokens) != 4:
+            raise ParseError(f"expected 4 tokens, got {len(tokens)}", lineno)
+        try:
+            v, t, h = (int(tok) for tok in tokens[:2] + tokens[3:])
+            b = INF if tokens[2] == "inf" else int(tokens[2])
+        except ValueError:
+            raise ParseError(f"non-integer field in {line!r}", lineno) from None
+        for name, node in (("colluder", v), ("target", t)):
+            if not 0 <= node < n:
+                raise ParseError(f"{name} {node} out of range for n={n}", lineno)
+        if not -1 <= h < n:
+            raise ParseError(f"hop {h} out of range for n={n}", lineno)
         if v not in broadcast:
             broadcast[v] = np.full(n, INF, np.int64)
             forward[v] = np.full(n, -1, np.int64)
-        broadcast[v][t] = INF if b_s == "inf" else int(b_s)
-        forward[v][t] = int(h_s)
+        broadcast[v][t] = b
+        forward[v][t] = h
     return Strategy(colluders=tuple(sorted(broadcast)), broadcast=broadcast,
                     forward=forward, label=label)
 
@@ -127,14 +147,9 @@ def strategy_from_text(text: str, n: int) -> Strategy:
 def honest_strategy(g: Graph, S) -> Strategy:
     """Everyone announces true distances and forwards to a closest neighbour."""
     S = tuple(sorted(set(int(v) for v in S)))
-    cache = _DistCache(g)
-    broadcast = {v: cache.row(v).copy() for v in S}
-    forward = {v: np.full(g.n, -1, np.int64) for v in S}
-    for t in range(g.n):
-        dist_t = cache.row(t)
-        for v in S:
-            if v != t:
-                forward[v][t] = _closest_hop(g, dist_t, v)
+    rows = at, D = _distance_rows(g, S)
+    broadcast = {v: D[at[v]].copy() for v in S}
+    forward = {v: _closest_hop(g, rows, v) for v in S}
     return Strategy(colluders=S, broadcast=broadcast, forward=forward, label="honest")
 
 
@@ -142,20 +157,15 @@ def independent_strategy(g: Graph, S) -> Strategy:
     """Each colluder lies on its own: announce max(1, d(v,t)-2) per target and
     forward to a true-closest neighbour."""
     S = tuple(sorted(set(int(v) for v in S)))
-    cache = _DistCache(g)
+    rows = at, D = _distance_rows(g, S)
     broadcast = {}
-    forward = {v: np.full(g.n, -1, np.int64) for v in S}
     for v in S:
-        d = cache.row(v)
+        d = D[at[v]]
         bv = np.maximum(np.int64(1), d - 2)
         bv[d >= INF] = INF
         bv[v] = 0
         broadcast[v] = bv
-    for t in range(g.n):
-        dist_t = cache.row(t)
-        for v in S:
-            if v != t:
-                forward[v][t] = _closest_hop(g, dist_t, v)
+    forward = {v: _closest_hop(g, rows, v) for v in S}
     return Strategy(colluders=S, broadcast=broadcast, forward=forward,
                     label="independent")
 
@@ -179,14 +189,14 @@ def colluding_distance(g: Graph, C, x: int, y: int, j: int) -> int:
         return 0 if x == y else INF
     if x == y:
         return INF
-    cache = _DistCache(g)
+    rows = {v: kernels.bfs(g.indptr, g.indices, v) for v in C}
     middle = [v for v in C if v != x and v != y]
     best = INF
     for perm in itertools.permutations(middle, j - 2):
         seq = (x, *perm, y)
         total = 0
         for a, b in zip(seq, seq[1:]):
-            d = int(cache.row(a)[b])
+            d = int(rows[a][b])
             if d >= INF:
                 total = INF
                 break
@@ -220,44 +230,47 @@ class RhoStarPlan:
         return self.entries[x].value
 
 
-def _check_separated(C, cache: _DistCache) -> None:
-    for i, x in enumerate(C):
-        row = cache.row(x)
-        for y in C[i + 1 :]:
-            if row[y] < 2:
-                raise ValueError(
-                    f"colluders {x} and {y} are not separated "
-                    "(distance < 2); use adjacent_strategy"
-                )
+def _check_separated(C, rows) -> None:
+    at, D = rows
+    C = np.asarray(C, np.int64)
+    close = np.argwhere(np.triu(D[np.ix_(at[C], C)] < 2, 1))
+    if close.size:
+        x, y = C[close[0]]
+        raise ValueError(
+            f"colluders {x} and {y} are not separated "
+            "(distance < 2); use adjacent_strategy"
+        )
 
 
-def rho_star_plan(g: Graph, C, t: int, *, cache: _DistCache | None = None,
-                  target_row: np.ndarray | None = None, order=None) -> RhoStarPlan:
+def rho_star_plan(g: Graph, C, t: int, *, rows=None, order=None) -> RhoStarPlan:
     """Optimal broadcasts toward t for pairwise-separated colluders.
 
     Label-setting over colluders: each settles at the minimum of its own lie
     max(1, d(x,t)-2) and max(1, d(x,y)-2 + value(y)) over settled colluders y.
     With `order` given, colluders settle in exactly that sequence and may only
     relay through earlier entries.  A colluder is proper (forwarding_number
-    > 1) only when a relay value strictly beats its own lie.
+    > 1) only when a relay value strictly beats its own lie.  `rows` = (at, D)
+    gives the true distance row D[at[v]] of every colluder and neighbour v;
+    without it they are computed here.
     """
     C = tuple(sorted(set(int(v) for v in C)))
     if t in C:
         raise ValueError("target must not be a colluder")
-    if cache is None:
-        cache = _DistCache(g)
-    _check_separated(C, cache)
-    dt = target_row if target_row is not None else cache.row(t)
+    if rows is None:
+        rows = _distance_rows(g, C)
+    _check_separated(C, rows)
+    at, D = rows
 
-    def clamp(v):
-        return INF if v >= INF else max(1, v)
+    def lie(d):
+        """max(1, d - 2), INF kept."""
+        return INF if d >= INF else max(1, d - 2)
 
     val: dict[int, int] = {}
     pred: dict[int, int | None] = {}
     entries: dict[int, RhoStarEntry] = {}
 
     if order is None:
-        tent = {x: clamp(int(dt[x]) - 2) for x in C}
+        tent = {x: lie(int(D[at[x], t])) for x in C}
         via: dict[int, int | None] = {x: None for x in C}
         unsettled = set(C)
         settle_seq = []
@@ -269,12 +282,12 @@ def rho_star_plan(g: Graph, C, t: int, *, cache: _DistCache | None = None,
             settle_seq.append(x)
             if val[x] >= INF:
                 continue
-            row = cache.row(x)
+            row = D[at[x]]
             for z in unsettled:
                 d = int(row[z])
                 if d >= INF:
                     continue
-                cand = clamp(d - 2 + val[x])
+                cand = lie(d + val[x])
                 if cand < tent[z]:
                     tent[z] = cand
                     via[z] = x
@@ -283,15 +296,15 @@ def rho_star_plan(g: Graph, C, t: int, *, cache: _DistCache | None = None,
         if sorted(settle_seq) != list(C):
             raise ValueError("order must be a permutation of the colluder set")
         for x in settle_seq:
-            best = clamp(int(dt[x]) - 2)
+            best = lie(int(D[at[x], t]))
             best_pred: int | None = None
             for y in val:
                 if val[y] >= INF:
                     continue
-                d = int(cache.row(y)[x])
+                d = int(D[at[y], x])
                 if d >= INF:
                     continue
-                cand = clamp(d - 2 + val[y])
+                cand = lie(d + val[y])
                 if cand < best:
                     best = cand
                     best_pred = y
@@ -305,35 +318,29 @@ def rho_star_plan(g: Graph, C, t: int, *, cache: _DistCache | None = None,
                                       witness=(x,), exit_hop=-1)
             continue
         if p is None:
-            fn, witness = 1, (x,)
-            toward = dt
+            fn, witness, toward = 1, (x,), t
         else:
             prev = entries[p]
             fn, witness = prev.forwarding_number + 1, (x,) + prev.witness
-            toward = cache.row(p)
+            toward = p
         entries[x] = RhoStarEntry(value=val[x], forwarding_number=fn,
                                   witness=witness,
-                                  exit_hop=_closest_hop(g, toward, x))
+                                  exit_hop=_closest_hop(g, rows, x, toward))
     return RhoStarPlan(target=t, entries=entries)
 
 
 def separated_strategy(g: Graph, C) -> Strategy:
     """Optimal uniform broadcasts for a pairwise-separated colluder set."""
     C = tuple(sorted(set(int(v) for v in C)))
-    cache = _DistCache(g)
-    _check_separated(C, cache)
+    rows = at, D = _distance_rows(g, C)
+    _check_separated(C, rows)
     cset = set(C)
-    broadcast = {v: cache.row(v).copy() for v in C}
-    forward = {v: np.full(g.n, -1, np.int64) for v in C}
+    broadcast = {v: D[at[v]].copy() for v in C}
+    forward = {v: _closest_hop(g, rows, v) for v in C}
     for t in range(g.n):
         if t in cset:
-            # intercepted by definition: stay honest toward colluder targets
-            for v in C:
-                if v != t:
-                    forward[v][t] = _closest_hop(g, cache.row(t), v)
-            continue
-        dt = cache.row(t)
-        plan = rho_star_plan(g, C, t, cache=cache, target_row=dt)
+            continue  # intercepted by definition: stay honest toward colluders
+        plan = rho_star_plan(g, C, t, rows=rows)
         for v in C:
             e = plan.entries[v]
             broadcast[v][t] = e.value
@@ -448,11 +455,10 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
     """
     C = tuple(sorted(set(int(v) for v in C)))
     cset = set(C)
-    cache = _DistCache(g)
+    rows = at, D = _distance_rows(g, C)
     comps = colluder_components(g, C)
     gq, qid, honest_of, comp_qid = _quotient(g, comps)
-    qcache = _DistCache(gq)
-    comp_index = {cq: ci for ci, cq in enumerate(comp_qid)}
+    qrows = _distance_rows(gq, comp_qid)
 
     qorder = None
     if component_order is not None:
@@ -470,8 +476,8 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
 
     pmask = np.zeros(g.n, np.bool_)
     pmask[list(C)] = True
-    broadcast = {v: cache.row(v).copy() for v in C}
-    forward = {v: np.full(g.n, -1, np.int64) for v in C}
+    broadcast = {v: D[at[v]].copy() for v in C}
+    forward = {v: _closest_hop(g, rows, v) for v in C}
     # relay bounds (multi-node components only) need the synchronized column
     relays = any(len(comp) > 1 for comp in comps)
     relay_rows: dict[tuple[int, int], np.ndarray] = {}
@@ -487,24 +493,19 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
             row = relay_rows[(x, cj)] = kernels.bfs(g.indptr, g.indices, x, banned)
         return row
 
+    # colluder targets and components without a finite plan value keep the
+    # honest broadcast and hop set above
     for t in range(g.n):
-        dt = cache.row(t)
         if t in cset:
-            for v in C:
-                if v != t:
-                    forward[v][t] = _closest_hop(g, dt, v)
             continue
         tq = int(qid[t])
-        plan = rho_star_plan(gq, comp_qid, tq, cache=qcache, order=qorder)
+        plan = rho_star_plan(gq, comp_qid, tq, rows=qrows, order=qorder)
 
         exits: dict[int, int] = {}  # component index -> exit member
         w_of: dict[int, int] = {}  # component index -> first honest vertex
         for ci, comp in enumerate(comps):
             e = plan.entries[comp_qid[ci]]
             if e.value >= INF or e.exit_hop < 0:
-                for x in comp:
-                    broadcast[x][t] = dt[x]
-                    forward[x][t] = _closest_hop(g, dt, x)
                 continue
             w = honest_of[e.exit_hop]
             w_of[ci] = w
@@ -518,8 +519,9 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
         if not relays:
             continue
         # perceived distances after one pass: exits announce plan values,
-        # every other colluder its true distance
-        pinned = dt.copy()
+        # every other colluder its true distance (only colluder entries are read)
+        pinned = np.zeros(g.n, np.int64)
+        pinned[pmask] = D[at[pmask], t]
         for ci, x in exits.items():
             pinned[x] = plan.entries[comp_qid[ci]].value
         col, _ = kernels.sync_column(g.indptr, g.indices, pinned, pmask, t)
@@ -710,8 +712,7 @@ def minimal_admissible_bruteforce(g: Graph, C, t: int, budget: int = 10**6):
     C = tuple(sorted(set(int(v) for v in C)))
     if t in C:
         raise ValueError("target must not be a colluder")
-    cache = _DistCache(g)
-    dt = cache.row(t)
+    dt = kernels.bfs(g.indptr, g.indices, t)
     comp = component_labels(g)
     members = np.flatnonzero(comp == comp[t])
     ranges = []

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from dvintercept import graph as G
 from dvintercept.kernels import INF
 
-from oracles import simple_path_distances
+from oracles import _components, simple_path_distances
 
 
 def path_graph(n):
@@ -54,6 +54,24 @@ class TestFromEdgeList:
         p = tmp_path / "g.edges"
         p.write_text("0 1\n1 2\n")
         assert G.load_edge_list(p).n == 3
+
+
+class TestComponentLabels:
+    def test_matches_oracle(self):
+        graphs = [G.from_edges(n, []) for n in (0, 1, 2)]
+        graphs += [G.from_edges(2, [(0, 1)]),
+                   G.from_edges(7, [(0, 5), (5, 3), (1, 6)]),
+                   G.from_edges(6, [(4, 5), (2, 3)])]
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            n = int(rng.integers(1, 40))
+            m = int(rng.integers(0, n + 1))  # sparse: several components
+            graphs.append(G.from_edges(n, [(int(rng.integers(n)), int(rng.integers(n)))
+                                           for _ in range(m)]))
+        for g in graphs:
+            labels = G.component_labels(g)
+            assert labels.dtype == np.int64
+            assert labels.tolist() == _components(g)
 
 
 class TestBfsDistances:

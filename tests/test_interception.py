@@ -58,10 +58,7 @@ class TestInterceptedPairs:
         g = path_graph(5)
         b = G.bfs_distances(g, 2).dist.copy()
         b[4] = 1
-        f = np.full(5, -1, np.int64)
-        for t in range(5):
-            if t != 2:
-                f[t] = S._closest_hop(g, G.bfs_distances(g, t).dist, 2)
+        f = S._closest_hop(g, S._distance_rows(g, [2]), 2)
         f[4] = 1
         bad = S.Strategy(colluders=(2,), broadcast={2: b}, forward={2: f})
         verdict = S.check_admissible(g, bad)

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 import dvintercept.strategy as S
 from dvintercept import graph as G
 from dvintercept import protocol as P
+from dvintercept import reduction as R
+from dvintercept.interception import intercepted_pairs
 from dvintercept.kernels import INF
 
 from oracles import random_connected_graph, simulate_strategy
@@ -314,10 +316,7 @@ class TestCheckAdmissible:
     def _path_strategy(self, g, fwd4):
         b = G.bfs_distances(g, 2).dist.copy()
         b[4] = 1
-        f = np.full(5, -1, np.int64)
-        for t in range(5):
-            if t != 2:
-                f[t] = S._closest_hop(g, G.bfs_distances(g, t).dist, 2)
+        f = S._closest_hop(g, S._distance_rows(g, [2]), 2)
         f[4] = fwd4
         return S.Strategy(colluders=(2,), broadcast={2: b}, forward={2: f})
 
@@ -345,10 +344,7 @@ class TestCheckAdmissible:
         def strat(claim):
             b = G.bfs_distances(g, 6).dist.copy()
             b[0] = claim
-            f = np.full(7, -1, np.int64)
-            for t in range(7):
-                if t != 6:
-                    f[t] = S._closest_hop(g, G.bfs_distances(g, t).dist, 6)
+            f = S._closest_hop(g, S._distance_rows(g, [6]), 6)
             return S.Strategy(colluders=(6,), broadcast={6: b}, forward={6: f})
 
         assert S.check_admissible(g, strat(3)).admissible  # d - 2
@@ -379,10 +375,7 @@ class TestIsBeneficial:
         g = path_graph(5)
         b = G.bfs_distances(g, 2).dist.copy()
         b[4] = 1
-        f = np.full(5, -1, np.int64)
-        for t in range(5):
-            if t != 2:
-                f[t] = S._closest_hop(g, G.bfs_distances(g, t).dist, 2)
+        f = S._closest_hop(g, S._distance_rows(g, [2]), 2)
         f[4] = 1
         bad = S.Strategy(colluders=(2,), broadcast={2: b}, forward={2: f})
         with pytest.raises(ValueError):
@@ -454,6 +447,135 @@ class TestSerialization:
         for v in st_.colluders:
             assert (back.broadcast[v] == st_.broadcast[v]).all()
             assert (back.forward[v] == st_.forward[v]).all()
+
+    def test_other_component_is_inf(self):
+        # colluder 1 cannot reach 3 or 4: its lie toward them is INF, not
+        # INF - 2, and the text says so; every ordered pair of {0, 1, 2}
+        # crosses 1 either way
+        g = G.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+        honest = intercepted_pairs(g, S.honest_strategy(g, [1]))
+        for st_ in (S.separated_strategy(g, [1]), S.adjacent_strategy(g, [1])):
+            assert list(st_.broadcast[1]) == [1, 0, 1, INF, INF]
+            text = S.strategy_to_text(st_)
+            assert "1 3 inf -1" in text and "1 4 inf -1" in text
+            back = S.strategy_from_text(text, g.n)
+            assert (back.broadcast[1] == st_.broadcast[1]).all()
+            res = intercepted_pairs(g, st_)
+            assert res.intercepted_ordered == honest.intercepted_ordered == 6
+
+    @pytest.mark.parametrize("record, message", [
+        ("1 0 1", "expected 4 tokens, got 3"),
+        ("1 0 1 0 0", "expected 4 tokens, got 5"),
+        ("1 x 1 0", "non-integer field"),
+        ("1 0 1.5 0", "non-integer field"),
+        ("1 -1 2 0", "target -1 out of range"),
+        ("9 0 1 0", "colluder 9 out of range"),
+        ("1 7 1 0", "target 7 out of range"),
+        ("1 0 1 -2", "hop -2 out of range"),
+        ("# label", "label line without a label"),
+    ], ids=["too-few-tokens", "too-many-tokens", "non-integer-id",
+            "non-integer-broadcast", "negative-target", "colluder-out-of-range",
+            "target-out-of-range", "hop-below-minus-one", "label-missing"])
+    def test_rejects_malformed_record(self, record, message):
+        text = f"# label custom\n1 1 0 -1\n\n{record}\n"
+        with pytest.raises(G.ParseError, match=f"line 4: {message}") as exc:
+            S.strategy_from_text(text, 4)
+        assert exc.value.line_number == 4
+
+
+def closest_hop_oracle(g, dist, v, t):
+    """Lowest-id neighbour of v on a shortest path to t, from the BFS row
+    dist[t]; -1 where t = v or t is unreachable."""
+    best, hop = INF, -1
+    for u in g.neighbors(v):
+        if t != v and dist[t][u] < best:
+            best, hop = dist[t][u], int(u)
+    return hop
+
+
+def assert_builder_outputs(g, C, lift=True):
+    """Every builder's broadcasts and hops against per-target BFS rows: hops
+    at honestly routed entries are the lowest-id closest neighbour."""
+    dist = [G.bfs_distances(g, t).dist for t in range(g.n)]
+    cset = set(C)
+
+    def check_hops(graph, rows, strat, honest_entry=lambda v, t: True):
+        for v in strat.colluders:
+            for t in range(graph.n):
+                if honest_entry(v, t):
+                    assert strat.forward[v][t] == closest_hop_oracle(
+                        graph, rows, v, t), (v, t)
+
+    honest = S.honest_strategy(g, C)
+    independent = S.independent_strategy(g, C)
+    nonuniform = R.honest_nonuniform(g, C)
+    for v in C:
+        d = dist[v]
+        assert (honest.broadcast[v] == d).all()
+        lie = np.where(d >= INF, INF, np.maximum(1, d - 2))
+        lie[v] = 0
+        assert (independent.broadcast[v] == lie).all()
+        assert set(nonuniform.broadcast[v]) == set(map(int, g.neighbors(v)))
+        assert all((b == d).all() for b in nonuniform.broadcast[v].values())
+    for strat in (honest, independent, nonuniform):
+        check_hops(g, dist, strat)
+
+    strats = [S.adjacent_strategy(g, C)]
+    try:
+        strats.append(S.separated_strategy(g, C))
+    except ValueError:
+        pass
+    for strat in strats:
+        for v in C:
+            unreachable = dist[v] >= INF
+            assert (strat.broadcast[v][unreachable] == INF).all()
+        # colluder targets and unreachable ones stay honestly routed; a
+        # separated colluder whose own lie is not beaten routes toward t
+        check_hops(g, dist, strat, lambda v, t: t in cset or dist[v][t] >= INF
+                   or (strat.label == "rho_star"
+                       and strat.broadcast[v][t] == max(1, dist[v][t] - 2)))
+
+    if lift:
+        bm = R.blow_up(g, C)
+        lifted = R.lift_strategy(bm, nonuniform)
+        gp = bm.blown
+        blown = [G.bfs_distances(gp, t).dist for t in range(gp.n)]
+        check_hops(gp, blown, lifted, lambda v, t: t >= g.n or t in cset)
+
+
+def separated_subset(g, rng):
+    out = []
+    for v in rng.permutation(g.n):
+        if all(G.bfs_distances(g, int(v)).dist[u] >= 2 for u in out):
+            out.append(int(v))
+    return out
+
+
+class TestBuilderOutputs:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_against_bfs_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, n_max=9, n_min=1)
+        if rng.random() < 0.4:  # a second component and an isolated node
+            g = G.from_edges(g.n + 3, list(g.edges()) + [(g.n, g.n + 1)])
+        if rng.random() < 0.5:
+            C = separated_subset(g, rng)
+        else:
+            C = [int(v) for v in rng.permutation(g.n)]
+        C = C[: int(rng.integers(0, len(C) + 1))]  # from no colluder to all
+        assert_builder_outputs(g, C)
+
+    def test_rows_span_two_blocks(self):
+        g = G.erdos_renyi(300, 0.012, seed=4)
+        g = G.from_edges(g.n + 3, list(g.edges()) + [(g.n, g.n + 1)])
+        assert g.n > G._BLOCK
+        rng = np.random.default_rng(4)
+        C = [int(v) for v in rng.permutation(g.n)[:150]]
+        at, D = S._distance_rows(g, C)
+        assert D.shape[0] > G._BLOCK  # colluders and neighbours
+        assert_builder_outputs(g, C, lift=False)
+        assert_builder_outputs(g, separated_subset(g, rng)[:12])
 
 
 @settings(max_examples=25, deadline=None)
