@@ -114,6 +114,12 @@ def path_cover(indptr, indices, t, smask):
 
     Returns (sum over sources s reaching t of the fraction of s->t shortest
     paths touching the set, number of such sources).
+
+    Selection no longer calls this (`selection._Coverage` updates all pairs
+    at once).  It stays as the per-target definition that
+    `tests/oracles.shortest_path_coverage_reference` sums and
+    `tests/test_kernels.py` checks against path enumeration, and as a name
+    the benchmark's traced run patches.
     """
     n = indptr.shape[0] - 1
     dist = _bfs(indptr, indices, t)

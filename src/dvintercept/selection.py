@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import shortest_path
 
-from . import kernels
-from .graph import Graph
+from .graph import Graph, _adjacency, component_labels
 from .strategy import BudgetError
 
 _METHODS = ("random", "top_degree", "greedy_max", "greedy_min", "exhaustive")
@@ -42,6 +42,105 @@ class SelectionSpec:
             raise ValueError(f"method {self.method!r} requires k >= 0")
 
 
+class _Coverage:
+    """`shortest_path_coverage` of a growing prefix S, by successive group
+    betweenness (Puzis, Elovici & Dolev, Phys. Rev. E 76, 056709, 2007).
+
+    Per connected component it holds the hop distances D, in the narrowest
+    unsigned type that holds twice the diameter, and as float64 the exact
+    shortest-path counts sigma and sigma_S, those of the paths with no node
+    in S.  Adding v removes the paths through v in O(c^2) on its component:
+
+        sigma_{S+v}(s, t) = sigma_S(s, t)
+                            - [d(s, v) + d(v, t) = d(s, t)] sigma_S(s, v) sigma_S(v, t)
+
+    The covered share of a pair is 1 - sigma_S / sigma.  Values are summed as
+    the objective's per-target definition sums them, because the greedy's
+    exact ties are decided by the last bits: one numpy sum per target over
+    the other nodes of its component, in ascending order, then the targets'
+    sums one by one in ascending order.
+    """
+
+    def __init__(self, g: Graph):
+        self._comp = component_labels(g)
+        sizes = np.bincount(self._comp)
+        self._pairs = int((sizes * (sizes - 1)).sum())
+        adj = _adjacency(g)
+        self._nodes = [np.flatnonzero(self._comp == c) for c in range(sizes.size)]
+        self._pos = np.zeros(g.n, np.int64)  # index of a node in its component
+        self._dist, self._sigma = [], []
+        for nodes in self._nodes:
+            self._pos[nodes] = np.arange(nodes.size)
+            a = adj[nodes][:, nodes]
+            D = shortest_path(a, directed=True, unweighted=True)
+            diameter = int(D.max())
+            D = D.astype(np.min_scalar_type(2 * diameter))
+            # sigma at distance d is A times sigma at distance d - 1
+            sigma = np.eye(nodes.size)
+            for d in range(1, diameter + 1):
+                layer = D == d
+                sigma[layer] = (a @ np.where(D == d - 1, sigma, 0.0))[layer]
+            self._dist.append(D)
+            self._sigma.append(sigma)
+        self._reset()
+
+    def _reset(self):
+        self.chosen: set[int] = set()
+        # sigma_S blocks are replaced, never written in place, so they can
+        # start as sigma's arrays
+        self._sigma_s = list(self._sigma)
+        # per-target sum of covered shares; all are 0 when S is empty
+        self._rows = np.zeros(self._comp.size)
+
+    def _with(self, v: int):
+        """(per-target sums, sigma_S block of v's component) for S + v."""
+        if not 0 <= v < self._comp.size:
+            raise ValueError(f"node {v} out of range for n={self._comp.size}")
+        if v in self.chosen:
+            raise ValueError(f"node {v} is already chosen")
+        c, i = self._comp[v], self._pos[v]
+        D, sigma_s = self._dist[c], self._sigma_s[c]
+        # both matrices are symmetric: v's row is also its column.  As v is
+        # not in S, sigma_S(v, v) = 1, so this also zeroes v's row and column
+        out = np.outer(sigma_s[i], sigma_s[i])
+        out *= np.add.outer(D[i], D[i]) == D
+        np.subtract(sigma_s, out, out=out)
+        share = out / self._sigma[c]
+        np.subtract(1.0, share, out=share)
+        m = share.shape[0]
+        # off-diagonal entries row by row: past the first diagonal entry,
+        # each run of m + 1 flat entries ends on the next one
+        off = share.ravel()[1:].reshape(m - 1, m + 1)[:, :-1].reshape(m, m - 1)
+        rows = self._rows.copy()
+        rows[self._nodes[c]] = off.sum(axis=1)
+        return rows, out
+
+    def _value(self, rows) -> float:
+        # cumsum adds left to right, as a running Python float does
+        return float(np.cumsum(rows)[-1]) / self._pairs if self._pairs else 0.0
+
+    def value(self) -> float:
+        """F(S) of the current prefix."""
+        return self._value(self._rows)
+
+    def value_with(self, v: int) -> float:
+        """F(S + v); the prefix is unchanged."""
+        return self._value(self._with(int(v))[0])
+
+    def add(self, v: int) -> None:
+        """Append v to the prefix."""
+        v = int(v)
+        self._rows, self._sigma_s[self._comp[v]] = self._with(v)
+        self.chosen.add(v)
+
+    def value_of(self, S) -> float:
+        """F(S) for any S (duplicates ignored); S becomes the prefix."""
+        self._reset()
+        for v in set(int(v) for v in S):
+            self.add(v)
+        return self.value()
+
+
 def shortest_path_coverage(g: Graph, S) -> float:
     """Fraction of shortest paths covered by S, averaged over ordered pairs.
 
@@ -49,16 +148,7 @@ def shortest_path_coverage(g: Graph, S) -> float:
     fraction of shortest s-t paths passing through S (1 when an endpoint is
     in S).  Monotone and submodular in S.
     """
-    smask = np.zeros(g.n, np.bool_)
-    for v in S:
-        smask[int(v)] = True
-    cov = 0.0
-    cnt = 0
-    for t in range(g.n):
-        c, k = kernels.path_cover(g.indptr, g.indices, t, smask)
-        cov += c
-        cnt += k
-    return cov / cnt if cnt else 0.0
+    return _Coverage(g).value_of(S)
 
 
 def _lazy_greedy(g: Graph, stop):
@@ -67,10 +157,11 @@ def _lazy_greedy(g: Graph, stop):
     `stop(chosen, value)` decides when to halt.  Returns (chosen list,
     final value, chosen gain sequence).
     """
+    cover = _Coverage(g)
     chosen: list[int] = []
     current = 0.0
     # heap entries: (-cached gain, node id, round the gain was computed in)
-    heap = [(-shortest_path_coverage(g, [v]), v, 0) for v in range(g.n)]
+    heap = [(-cover.value_with(v), v, 0) for v in range(g.n)]
     heapq.heapify(heap)
     gains: list[float] = []
     while heap and not stop(chosen, current):
@@ -78,7 +169,7 @@ def _lazy_greedy(g: Graph, stop):
         if rnd == len(chosen):
             gain = -neg
         else:
-            gain = shortest_path_coverage(g, chosen + [v]) - current
+            gain = cover.value_with(v) - current
             if heap and gain < -heap[0][0] - 1e-12:
                 heapq.heappush(heap, (-gain, v, len(chosen)))
                 continue
@@ -86,6 +177,7 @@ def _lazy_greedy(g: Graph, stop):
         if gains and gain > gains[-1] + 1e-9:
             raise RuntimeError("marginal gain increased along the greedy "
                                f"sequence ({gains[-1]} -> {gain})")
+        cover.add(v)
         chosen.append(v)
         gains.append(gain)
         current += gain
@@ -93,7 +185,14 @@ def _lazy_greedy(g: Graph, stop):
 
 
 def greedy_max_spds(g: Graph, k: int) -> list[int]:
-    """Greedy size-k set maximizing shortest-path coverage (ties: lowest id)."""
+    """Greedy size-k set maximizing shortest-path coverage.
+
+    The lowest id wins a tie only between bit-equal gains computed in the
+    same round.  Gains equal as exact fractions can differ in their last
+    bits, because the coverage is a rounded float sum, and the lazy greedy
+    accepts a re-evaluated gain within 1e-12 of the best cached one, so the
+    node re-evaluated first beats a tied node whose cached gain is older,
+    whatever their ids."""
     if not (1 <= k <= g.n):
         raise ValueError(f"k={k} out of range for n={g.n}")
     chosen, _, _ = _lazy_greedy(g, lambda c, v: len(c) >= k)
@@ -126,10 +225,11 @@ def exhaustive_opt(g: Graph, k: int, budget: int = 10**6):
         raise BudgetError(
             f"C({g.n},{k}) = {math.comb(g.n, k)} exceeds budget {budget}"
         )
+    cover = _Coverage(g)
     best_set: tuple[int, ...] = ()
     best = -1.0
     for combo in itertools.combinations(range(g.n), k):
-        val = shortest_path_coverage(g, combo)
+        val = cover.value_of(combo)
         if val > best + 1e-12:
             best = val
             best_set = combo

@@ -7,7 +7,9 @@ enumeration, per-edge message simulation) so agreement is meaningful.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -281,6 +283,57 @@ def intercepted_pairs_oracle(g, strat):
             if s in sset or t in sset or not deliverable(out, s, t, avoid=sset):
                 pairs.add((s, t))
     return pairs
+
+
+def shortest_path_coverage_reference(g, S) -> float:
+    """The per-target loop `selection.shortest_path_coverage` ran before its
+    successive-update evaluator: one `kernels.path_cover` per target, the
+    per-target sums added in ascending target order."""
+    smask = np.zeros(g.n, np.bool_)
+    for v in S:
+        smask[int(v)] = True
+    cov = 0.0
+    cnt = 0
+    for t in range(g.n):
+        c, k = kernels.path_cover(g.indptr, g.indices, t, smask)
+        cov += c
+        cnt += k
+    return cov / cnt if cnt else 0.0
+
+
+def lazy_greedy_reference(g, stop):
+    """`selection._lazy_greedy`'s CELF loop over
+    `shortest_path_coverage_reference`, one full evaluation per gain.
+
+    Returns (chosen list, final value, chosen gain sequence)."""
+    chosen, current, gains = [], 0.0, []
+    heap = [(-shortest_path_coverage_reference(g, [v]), v, 0) for v in range(g.n)]
+    heapq.heapify(heap)
+    while heap and not stop(chosen, current):
+        neg, v, rnd = heapq.heappop(heap)
+        if rnd == len(chosen):
+            gain = -neg
+        else:
+            gain = shortest_path_coverage_reference(g, chosen + [v]) - current
+            if heap and gain < -heap[0][0] - 1e-12:
+                heapq.heappush(heap, (-gain, v, len(chosen)))
+                continue
+        chosen.append(v)
+        gains.append(gain)
+        current += gain
+    return chosen, current, gains
+
+
+def exhaustive_reference(g, k):
+    """Best size-k set under `shortest_path_coverage_reference` by full
+    enumeration, the first in lexicographic order among values within
+    1e-12 of each other, as `selection.exhaustive_opt` breaks ties."""
+    best_set, best = (), -1.0
+    for combo in combinations(range(g.n), k):
+        val = shortest_path_coverage_reference(g, combo)
+        if val > best + 1e-12:
+            best, best_set = val, combo
+    return list(best_set), best
 
 
 def random_connected_graph(rng, n_max=8, n_min=2):
