@@ -15,6 +15,7 @@ from .graph import Graph, load_edge_list
 from .interception import intercepted_pairs
 from .selection import SelectionSpec, select
 from .strategy import (
+    BudgetError,
     Strategy,
     adjacent_strategy,
     honest_strategy,
@@ -272,7 +273,7 @@ def main(argv=None) -> int:
                 mapping.update(_parse_kv(fh.read()))
         cfg = build_config(mapping)
         csv_text, summary = run_experiment(cfg)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (BudgetError, ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if cfg.out:

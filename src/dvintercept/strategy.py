@@ -44,23 +44,21 @@ def _distance_rows(g: Graph, S):
     return at, D
 
 
-def _closest_hop(g: Graph, rows, v: int, t: int | None = None):
-    """Lowest-id neighbour of v minimizing true distance to t, or the array
-    of them over every target when t is None; -1 where t = v, where t is
-    unreachable or where v has no neighbours.  `rows` = (at, D) as from
-    `_distance_rows` and must cover v's neighbours."""
+def _closest_hop(g: Graph, rows, v: int):
+    """Per target, the lowest-id neighbour of v minimizing true distance to
+    it; -1 at v itself, at unreachable targets and everywhere when v has no
+    neighbours.  `rows` = (at, D) as from `_distance_rows` and must cover
+    v's neighbours."""
     at, D = rows
     nbrs = g.neighbors(v)
-    vals = D[at[nbrs]] if t is None else D[at[nbrs], t]
+    vals = D[at[nbrs]]
     if nbrs.size:
         # neighbour lists are sorted, so argmin's first minimum is the lowest id
         hop = np.where(vals.min(axis=0) < INF, nbrs[vals.argmin(axis=0)], -1)
     else:
-        hop = np.full(vals.shape[1:], -1, np.int64)
-    if t is None:
-        hop[v] = -1
-        return hop
-    return -1 if t == v else int(hop)
+        hop = np.full(g.n, -1, np.int64)
+    hop[v] = -1
+    return hop
 
 
 @dataclass(frozen=True)
@@ -242,6 +240,65 @@ def _check_separated(C, rows) -> None:
         )
 
 
+def _rho_star_plans(g: Graph, C, rows, order=None, targets=None):
+    """The rho* label setting toward every target at once.
+
+    C is the sorted colluder tuple, `rows` = (at, D) as from `_distance_rows`
+    (covering C and its neighbours) and `targets` defaults to every
+    non-colluder.  Returns (T, val, fn, pred, hop), each of the last four a
+    k x |T| int64 array indexed [colluder index, target index]: the plan
+    value, forwarding number, index of the predecessor on the witness chain
+    (-1 for none) and exit hop (-1 where the value is INF).
+
+    Step i settles, per target, the unsettled colluder with the least
+    (tentative value, id), or order[i] when `order` is given, then relaxes
+    every unsettled colluder z to max(1, d(x, z) - 2 + val); only a strict
+    improvement makes x the predecessor of z.  The exit hop is the closest
+    hop toward the predecessor, or toward the target when there is none.
+    """
+    at, D = rows
+    _check_separated(C, rows)
+    ids = np.asarray(C, np.int64)
+    k = ids.size
+    T = (np.flatnonzero(~np.isin(np.arange(g.n), ids)) if targets is None
+         else np.asarray(targets, np.int64).reshape(-1))
+    if order is not None:
+        order = [int(v) for v in order]
+        if sorted(order) != list(C):
+            raise ValueError("order must be a permutation of the colluder set")
+        order = np.searchsorted(ids, order)
+    DC = D[at[ids]]
+    dcc = DC[:, ids]
+    d = DC[:, T]
+    tent = np.where(d < INF, np.maximum(1, d - 2), INF)
+    via = np.full(tent.shape, -1, np.int64)
+    settled = np.zeros(tent.shape, np.bool_)
+    val = np.empty_like(tent)
+    fn = np.empty_like(tent)
+    pred = np.empty_like(tent)
+    j = np.arange(T.size)
+    for step in range(k):
+        if order is None:
+            # argmin's first minimum is the lowest id, C being sorted
+            x = np.where(settled, INF + 1, tent).argmin(axis=0)
+        else:
+            x = np.full(T.size, order[step])
+        settled[x, j] = True
+        v, p = tent[x, j], via[x, j]
+        val[x, j], pred[x, j] = v, p
+        fn[x, j] = np.where(p >= 0, fn[np.maximum(p, 0), j], 0) + 1
+        dxz = dcc[x].T
+        cand = np.maximum(1, dxz - 2 + v)
+        better = (cand < tent) & (dxz < INF) & (v < INF) & ~settled
+        tent = np.where(better, cand, tent)
+        via = np.where(better, x, via)
+    hops = np.array([_closest_hop(g, rows, int(x)) for x in ids],
+                    np.int64).reshape(k, g.n)
+    toward = np.where(pred >= 0, ids[np.maximum(pred, 0)], T)
+    hop = np.where(val < INF, hops[np.arange(k)[:, None], toward], -1)
+    return T, val, fn, pred, hop
+
+
 def rho_star_plan(g: Graph, C, t: int, *, rows=None, order=None) -> RhoStarPlan:
     """Optimal broadcasts toward t for pairwise-separated colluders.
 
@@ -254,97 +311,40 @@ def rho_star_plan(g: Graph, C, t: int, *, rows=None, order=None) -> RhoStarPlan:
     without it they are computed here.
     """
     C = tuple(sorted(set(int(v) for v in C)))
+    if not 0 <= t < g.n:
+        raise ValueError(f"target {t} out of range for n={g.n}")
     if t in C:
         raise ValueError("target must not be a colluder")
     if rows is None:
         rows = _distance_rows(g, C)
-    _check_separated(C, rows)
-    at, D = rows
-
-    def lie(d):
-        """max(1, d - 2), INF kept."""
-        return INF if d >= INF else max(1, d - 2)
-
-    val: dict[int, int] = {}
-    pred: dict[int, int | None] = {}
-    entries: dict[int, RhoStarEntry] = {}
-
-    if order is None:
-        tent = {x: lie(int(D[at[x], t])) for x in C}
-        via: dict[int, int | None] = {x: None for x in C}
-        unsettled = set(C)
-        settle_seq = []
-        while unsettled:
-            x = min(unsettled, key=lambda v: (tent[v], v))
-            unsettled.discard(x)
-            val[x] = tent[x]
-            pred[x] = via[x]
-            settle_seq.append(x)
-            if val[x] >= INF:
-                continue
-            row = D[at[x]]
-            for z in unsettled:
-                d = int(row[z])
-                if d >= INF:
-                    continue
-                cand = lie(d + val[x])
-                if cand < tent[z]:
-                    tent[z] = cand
-                    via[z] = x
-    else:
-        settle_seq = [int(v) for v in order]
-        if sorted(settle_seq) != list(C):
-            raise ValueError("order must be a permutation of the colluder set")
-        for x in settle_seq:
-            best = lie(int(D[at[x], t]))
-            best_pred: int | None = None
-            for y in val:
-                if val[y] >= INF:
-                    continue
-                d = int(D[at[y], x])
-                if d >= INF:
-                    continue
-                cand = lie(d + val[y])
-                if cand < best:
-                    best = cand
-                    best_pred = y
-            val[x] = best
-            pred[x] = best_pred
-
-    for x in settle_seq:
-        p = pred[x]
-        if val[x] >= INF:
-            entries[x] = RhoStarEntry(value=INF, forwarding_number=1,
-                                      witness=(x,), exit_hop=-1)
-            continue
-        if p is None:
-            fn, witness, toward = 1, (x,), t
-        else:
-            prev = entries[p]
-            fn, witness = prev.forwarding_number + 1, (x,) + prev.witness
-            toward = p
-        entries[x] = RhoStarEntry(value=val[x], forwarding_number=fn,
-                                  witness=witness,
-                                  exit_hop=_closest_hop(g, rows, x, toward))
+    _, val, fn, pred, hop = _rho_star_plans(g, C, rows, order=order,
+                                            targets=[t])
+    entries = {}
+    for i, x in enumerate(C):
+        witness = [x]
+        p = int(pred[i, 0])
+        while p >= 0:
+            witness.append(C[p])
+            p = int(pred[p, 0])
+        entries[x] = RhoStarEntry(value=int(val[i, 0]),
+                                  forwarding_number=int(fn[i, 0]),
+                                  witness=tuple(witness),
+                                  exit_hop=int(hop[i, 0]))
     return RhoStarPlan(target=t, entries=entries)
 
 
 def separated_strategy(g: Graph, C) -> Strategy:
-    """Optimal uniform broadcasts for a pairwise-separated colluder set."""
+    """Optimal uniform broadcasts for a pairwise-separated colluder set.
+    Colluder targets are intercepted by definition: toward them every
+    colluder stays honest."""
     C = tuple(sorted(set(int(v) for v in C)))
     rows = at, D = _distance_rows(g, C)
-    _check_separated(C, rows)
-    cset = set(C)
+    T, val, _, _, hop = _rho_star_plans(g, C, rows)
     broadcast = {v: D[at[v]].copy() for v in C}
     forward = {v: _closest_hop(g, rows, v) for v in C}
-    for t in range(g.n):
-        if t in cset:
-            continue  # intercepted by definition: stay honest toward colluders
-        plan = rho_star_plan(g, C, t, rows=rows)
-        for v in C:
-            e = plan.entries[v]
-            broadcast[v][t] = e.value
-            forward[v][t] = e.exit_hop
+    for i, v in enumerate(C):
+        broadcast[v][T] = val[i]
+        forward[v][T] = hop[i]
     return Strategy(colluders=C, broadcast=broadcast, forward=forward,
                     label="rho_star")
 
@@ -383,15 +383,16 @@ def _quotient(g: Graph, comps):
 
     Quotient ids follow original-id order: honest nodes keep their relative
     order, each component sits at its lowest member.  Returns (quotient
-    graph, qid array mapping original -> quotient id, honest_of mapping
-    quotient honest id -> original id, comp quotient ids list).
+    graph, qid array mapping original -> quotient id, honest_of array mapping
+    quotient id -> original id, -1 at component nodes, comp quotient ids
+    list).
     """
     comp_of = {}
     for ci, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = ci
     qid = np.full(g.n, -1, np.int64)
-    honest_of: dict[int, int] = {}
+    honest_of = np.full(g.n, -1, np.int64)
     comp_qid = [-1] * len(comps)
     nxt = 0
     for v in range(g.n):
@@ -413,7 +414,7 @@ def _quotient(g: Graph, comps):
     from .graph import from_edges
 
     gq = from_edges(nxt, edges)
-    return gq, qid, honest_of, comp_qid
+    return gq, qid, honest_of[:nxt], comp_qid
 
 
 def _intra_component_hops(g: Graph, comp, exit_node: int) -> dict[int, int]:
@@ -454,19 +455,29 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
     separated_strategy exactly.
     """
     C = tuple(sorted(set(int(v) for v in C)))
-    cset = set(C)
     rows = at, D = _distance_rows(g, C)
     comps = colluder_components(g, C)
-    gq, qid, honest_of, comp_qid = _quotient(g, comps)
-    qrows = _distance_rows(gq, comp_qid)
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    # relay bounds (multi-node components only) need the synchronized column
+    relays = any(len(comp) > 1 for comp in comps)
+    if relays:
+        gq, qid, honest_of, comp_qid = _quotient(g, comps)
+        qrows = _distance_rows(gq, comp_qid)
+    else:
+        # quotient ids follow original-id order, so with every component a
+        # singleton the quotient is g itself with the same ids
+        gq, qrows, comp_qid = g, rows, list(C)
+        qid = honest_of = np.arange(g.n)
 
     qorder = None
     if component_order is not None:
         seen_ci = []
         for item in component_order:
             members = (item,) if isinstance(item, (int, np.integer)) else tuple(item)
-            cis = {next(ci for ci, comp in enumerate(comps) if int(m) in comp)
-                   for m in members}
+            for m in members:
+                if int(m) not in comp_of:
+                    raise ValueError(f"order item {item!r}: {m} is not a colluder")
+            cis = {comp_of[int(m)] for m in members}
             if len(cis) != 1:
                 raise ValueError(f"order item {item!r} spans multiple components")
             seen_ci.append(cis.pop())
@@ -474,12 +485,34 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
             raise ValueError("component_order must list every component exactly once")
         qorder = [comp_qid[ci] for ci in seen_ci]
 
-    pmask = np.zeros(g.n, np.bool_)
-    pmask[list(C)] = True
+    T = np.flatnonzero(~np.isin(np.arange(g.n), C))
+    _, val, fn, _, qhop = _rho_star_plans(gq, tuple(comp_qid), qrows,
+                                          order=qorder, targets=qid[T])
+    # colluder targets and components without a finite plan value keep the
+    # honest broadcast and hop set here
     broadcast = {v: D[at[v]].copy() for v in C}
     forward = {v: _closest_hop(g, rows, v) for v in C}
-    # relay bounds (multi-node components only) need the synchronized column
-    relays = any(len(comp) > 1 for comp in comps)
+    live = (val < INF) & (qhop >= 0)
+    w = np.where(live, honest_of[np.maximum(qhop, 0)], -1)  # first honest vertex
+    exits = np.full(w.shape, -1, np.int64)  # exit member per (component, target)
+    for ci, comp in enumerate(comps):
+        for x in reversed(comp):  # the lowest-id member adjacent to w wins
+            adj = np.zeros(g.n, np.bool_)
+            adj[g.neighbors(x)] = True
+            exits[ci, live[ci] & adj[w[ci]]] = x
+        for x in comp:
+            sel = exits[ci] == x
+            broadcast[x][T[sel]] = val[ci, sel]
+            forward[x][T[sel]] = w[ci, sel]
+            if len(comp) > 1 and sel.any():
+                for y, hop in _intra_component_hops(g, comp, x).items():
+                    forward[y][T[sel]] = hop
+    if not relays:
+        return Strategy(colluders=C, broadcast=broadcast, forward=forward,
+                        label="adjacent_general")
+
+    pmask = np.zeros(g.n, np.bool_)
+    pmask[list(C)] = True
     relay_rows: dict[tuple[int, int], np.ndarray] = {}
 
     def relay_row(x: int, cj: int) -> np.ndarray:
@@ -493,55 +526,30 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
             row = relay_rows[(x, cj)] = kernels.bfs(g.indptr, g.indices, x, banned)
         return row
 
-    # colluder targets and components without a finite plan value keep the
-    # honest broadcast and hop set above
-    for t in range(g.n):
-        if t in cset:
-            continue
-        tq = int(qid[t])
-        plan = rho_star_plan(gq, comp_qid, tq, rows=qrows, order=qorder)
-
-        exits: dict[int, int] = {}  # component index -> exit member
-        w_of: dict[int, int] = {}  # component index -> first honest vertex
-        for ci, comp in enumerate(comps):
-            e = plan.entries[comp_qid[ci]]
-            if e.value >= INF or e.exit_hop < 0:
-                continue
-            w = honest_of[e.exit_hop]
-            w_of[ci] = w
-            exit_node = min(x for x in comp if g.has_edge(x, w))
-            exits[ci] = exit_node
-            broadcast[exit_node][t] = e.value
-            forward[exit_node][t] = w
-            for x, hop in _intra_component_hops(g, comp, exit_node).items():
-                forward[x][t] = hop
-
-        if not relays:
-            continue
+    for j, t in enumerate(T):
+        has_exit = np.flatnonzero(exits[:, j] >= 0)
         # perceived distances after one pass: exits announce plan values,
         # every other colluder its true distance (only colluder entries are read)
         pinned = np.zeros(g.n, np.int64)
         pinned[pmask] = D[at[pmask], t]
-        for ci, x in exits.items():
-            pinned[x] = plan.entries[comp_qid[ci]].value
+        pinned[exits[has_exit, j]] = val[has_exit, j]
         col, _ = kernels.sync_column(g.indptr, g.indices, pinned, pmask, t)
 
-        for ci, comp in enumerate(comps):
-            if ci not in exits or len(comp) == 1:
+        for ci in has_exit:
+            comp = comps[ci]
+            if len(comp) == 1:
                 continue
-            fn_i = plan.entries[comp_qid[ci]].forwarding_number
             for x in comp:
-                if x == exits[ci]:
+                if x == exits[ci, j]:
                     continue
                 best = -INF
-                for cj in exits:
-                    if plan.entries[comp_qid[cj]].forwarding_number > fn_i:
+                for cj in has_exit:
+                    if fn[cj, j] > fn[ci, j]:
                         continue
-                    w = w_of[cj]
-                    dwx = int(relay_row(x, cj)[w])
+                    dwx = int(relay_row(x, cj)[w[cj, j]])
                     if dwx >= INF:
                         continue
-                    best = max(best, int(col[w]) - dwx)
+                    best = max(best, int(col[w[cj, j]]) - dwx)
                 broadcast[x][t] = max(1, best) if best > -INF else 1
     return Strategy(colluders=C, broadcast=broadcast, forward=forward,
                     label="adjacent_general")

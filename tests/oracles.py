@@ -396,3 +396,188 @@ def target_pass_reference(g, strat):
     counts = (total, int(intercept.sum()), total // 2,
               int((intercept & intercept.T).sum()) // 2)
     return None, None, counts, per_target
+
+
+def rho_star_plan_reference(g, C, t, *, rows=None, order=None):
+    """The per-target label setting `strategy.rho_star_plan` ran before the
+    all-targets pass: a Python loop over the colluders toward one target t,
+    one single-target `_closest_hop` per exit hop."""
+    from dvintercept.strategy import (RhoStarEntry, RhoStarPlan,
+                                      _check_separated, _closest_hop,
+                                      _distance_rows)
+
+    C = tuple(sorted(set(int(v) for v in C)))
+    if t in C:
+        raise ValueError("target must not be a colluder")
+    if rows is None:
+        rows = _distance_rows(g, C)
+    _check_separated(C, rows)
+    at, D = rows
+
+    def lie(d):
+        """max(1, d - 2), INF kept."""
+        return INF if d >= INF else max(1, d - 2)
+
+    val, pred, entries = {}, {}, {}
+    if order is None:
+        tent = {x: lie(int(D[at[x], t])) for x in C}
+        via = {x: None for x in C}
+        unsettled = set(C)
+        settle_seq = []
+        while unsettled:
+            x = min(unsettled, key=lambda v: (tent[v], v))
+            unsettled.discard(x)
+            val[x] = tent[x]
+            pred[x] = via[x]
+            settle_seq.append(x)
+            if val[x] >= INF:
+                continue
+            row = D[at[x]]
+            for z in unsettled:
+                d = int(row[z])
+                if d >= INF:
+                    continue
+                cand = lie(d + val[x])
+                if cand < tent[z]:
+                    tent[z] = cand
+                    via[z] = x
+    else:
+        settle_seq = [int(v) for v in order]
+        if sorted(settle_seq) != list(C):
+            raise ValueError("order must be a permutation of the colluder set")
+        for x in settle_seq:
+            best = lie(int(D[at[x], t]))
+            best_pred = None
+            for y in val:
+                if val[y] >= INF:
+                    continue
+                d = int(D[at[y], x])
+                if d >= INF:
+                    continue
+                cand = lie(d + val[y])
+                if cand < best:
+                    best = cand
+                    best_pred = y
+            val[x] = best
+            pred[x] = best_pred
+
+    for x in settle_seq:
+        p = pred[x]
+        if val[x] >= INF:
+            entries[x] = RhoStarEntry(value=INF, forwarding_number=1,
+                                      witness=(x,), exit_hop=-1)
+            continue
+        if p is None:
+            fn, witness, toward = 1, (x,), t
+        else:
+            prev = entries[p]
+            fn, witness = prev.forwarding_number + 1, (x,) + prev.witness
+            toward = p
+        entries[x] = RhoStarEntry(value=val[x], forwarding_number=fn,
+                                  witness=witness,
+                                  exit_hop=int(_closest_hop(g, rows, x)[toward]))
+    return RhoStarPlan(target=t, entries=entries)
+
+
+def separated_strategy_reference(g, C):
+    """`strategy.separated_strategy` as one `rho_star_plan_reference` per
+    honest target."""
+    from dvintercept.strategy import Strategy, _closest_hop, _distance_rows
+
+    C = tuple(sorted(set(int(v) for v in C)))
+    rows = at, D = _distance_rows(g, C)
+    broadcast = {v: D[at[v]].copy() for v in C}
+    forward = {v: _closest_hop(g, rows, v) for v in C}
+    for t in range(g.n):
+        if t in C:
+            continue
+        plan = rho_star_plan_reference(g, C, t, rows=rows)
+        for v in C:
+            e = plan.entries[v]
+            broadcast[v][t] = e.value
+            forward[v][t] = e.exit_hop
+    return Strategy(colluders=C, broadcast=broadcast, forward=forward,
+                    label="rho_star")
+
+
+def adjacent_strategy_reference(g, C, component_order=None):
+    """`strategy.adjacent_strategy` as the per-target loop it ran before the
+    all-targets plan: per honest target one quotient `rho_star_plan_reference`,
+    the exits and intra-component hops, then for multi-node components one
+    `kernels.sync_column` and the relay bounds."""
+    from dvintercept.strategy import (Strategy, _closest_hop, _distance_rows,
+                                      _intra_component_hops, _quotient,
+                                      colluder_components)
+
+    C = tuple(sorted(set(int(v) for v in C)))
+    cset = set(C)
+    rows = at, D = _distance_rows(g, C)
+    comps = colluder_components(g, C)
+    gq, qid, honest_of, comp_qid = _quotient(g, comps)
+    qrows = _distance_rows(gq, comp_qid)
+    qorder = None
+    if component_order is not None:
+        seen_ci = []
+        for item in component_order:
+            members = (item,) if isinstance(item, (int, np.integer)) else tuple(item)
+            cis = {next(ci for ci, comp in enumerate(comps) if int(m) in comp)
+                   for m in members}
+            if len(cis) != 1:
+                raise ValueError(f"order item {item!r} spans multiple components")
+            seen_ci.append(cis.pop())
+        if sorted(seen_ci) != list(range(len(comps))):
+            raise ValueError("component_order must list every component exactly once")
+        qorder = [comp_qid[ci] for ci in seen_ci]
+
+    pmask = np.zeros(g.n, np.bool_)
+    pmask[list(C)] = True
+    broadcast = {v: D[at[v]].copy() for v in C}
+    forward = {v: _closest_hop(g, rows, v) for v in C}
+    relays = any(len(comp) > 1 for comp in comps)
+    for t in range(g.n):
+        if t in cset:
+            continue
+        plan = rho_star_plan_reference(gq, comp_qid, int(qid[t]), rows=qrows,
+                                       order=qorder)
+        exits, w_of = {}, {}
+        for ci, comp in enumerate(comps):
+            e = plan.entries[comp_qid[ci]]
+            if e.value >= INF or e.exit_hop < 0:
+                continue
+            w = int(honest_of[e.exit_hop])
+            w_of[ci] = w
+            exit_node = min(x for x in comp if g.has_edge(x, w))
+            exits[ci] = exit_node
+            broadcast[exit_node][t] = e.value
+            forward[exit_node][t] = w
+            for x, hop in _intra_component_hops(g, comp, exit_node).items():
+                forward[x][t] = hop
+        if not relays:
+            continue
+        pinned = np.zeros(g.n, np.int64)
+        pinned[pmask] = D[at[pmask], t]
+        for ci, x in exits.items():
+            pinned[x] = plan.entries[comp_qid[ci]].value
+        col, _ = kernels.sync_column(g.indptr, g.indices, pinned, pmask, t)
+        for ci, comp in enumerate(comps):
+            if ci not in exits or len(comp) == 1:
+                continue
+            fn_i = plan.entries[comp_qid[ci]].forwarding_number
+            for x in comp:
+                if x == exits[ci]:
+                    continue
+                best = -INF
+                for cj in exits:
+                    if plan.entries[comp_qid[cj]].forwarding_number > fn_i:
+                        continue
+                    w = w_of[cj]
+                    banned = np.zeros(g.n, np.bool_)
+                    banned[list(comps[cj])] = True
+                    banned[x] = False
+                    dwx = int(kernels.bfs(g.indptr, g.indices, x, banned)[w])
+                    if dwx >= INF:
+                        continue
+                    best = max(best, int(col[w]) - dwx)
+                broadcast[x][t] = max(1, best) if best > -INF else 1
+    return Strategy(colluders=C, broadcast=broadcast, forward=forward,
+                    label="adjacent_general")

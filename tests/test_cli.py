@@ -209,6 +209,13 @@ class TestMain:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_exhaustive_budget_exit_code_and_message(self, capsys):
+        rc = main(["--generate", "pref_attach(60, 2)", "--select", "exhaustive",
+                   "--k", "5"])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: C(60,5) = 5461512 exceeds budget 1000000\n"
+
     def test_missing_config_file(self, capsys):
         rc = main(["--config", "/nonexistent/exp.cfg"])
         assert rc == 1

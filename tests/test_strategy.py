@@ -10,7 +10,9 @@ from dvintercept import reduction as R
 from dvintercept.interception import intercepted_pairs
 from dvintercept.kernels import INF
 
-from oracles import random_connected_graph, simulate_strategy
+from oracles import (adjacent_strategy_reference, random_connected_graph,
+                     rho_star_plan_reference, separated_strategy_reference,
+                     simulate_strategy)
 
 
 def path_graph(n):
@@ -155,6 +157,13 @@ class TestRhoStarPlan:
         g = path_graph(4)
         with pytest.raises(ValueError):
             S.rho_star_plan(g, {1, 3}, 1)
+
+    @pytest.mark.parametrize("t", [-1, -4, 4, 99])
+    def test_refuses_target_out_of_range(self, t):
+        # a negative t would otherwise read another target's column
+        g = path_graph(4)
+        with pytest.raises(ValueError, match=f"target {t} out of range for n=4"):
+            S.rho_star_plan(g, {1, 3}, t)
 
     def test_forwarding_numbers_decrease_along_witness(self):
         rng = np.random.default_rng(41)
@@ -303,6 +312,9 @@ class TestAdjacentStrategy:
             S.adjacent_strategy(g, {1, 4}, component_order=[1])
         with pytest.raises(ValueError):
             S.adjacent_strategy(g, {1, 4}, component_order=[1, 1])
+        for order, bad in (([0, 99], 99), ([0, 2], 2), ([(0, 1), 3], 1)):
+            with pytest.raises(ValueError, match=f": {bad} is not a colluder"):
+                S.adjacent_strategy(g, [0, 3], component_order=order)
 
 
 class TestCheckAdmissible:
@@ -596,3 +608,58 @@ def test_separated_strategy_properties(seed):
                 continue
             assert 1 <= st_.broadcast[x][t] <= max(1, int(rows[x][t]) - 2) \
                 or rows[x][t] >= INF
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_plans_match_per_target_reference(seed):
+    # 40 % of the graphs have a second component and an isolated node; the
+    # separated set of 0 to 8 colluders, in random order, is also the order
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n_max=16, n_min=1)
+    if rng.random() < 0.4:
+        g = G.from_edges(g.n + 3, list(g.edges()) + [(g.n, g.n + 1)])
+    order = separated_subset(g, rng)[: int(rng.integers(0, 9))]
+    C = tuple(sorted(order))
+    rows = S._distance_rows(g, C)
+    for o in (None, order):
+        T, val, fn, pred, hop = S._rho_star_plans(g, C, rows, order=o)
+        assert list(T) == [t for t in range(g.n) if t not in C]
+        for j, t in enumerate(T):
+            ref = rho_star_plan_reference(g, C, int(t), order=o)
+            assert S.rho_star_plan(g, C, int(t), order=o) == ref
+            for i, x in enumerate(C):
+                e = ref.entries[x]
+                assert (val[i, j], fn[i, j], hop[i, j]) == \
+                    (e.value, e.forwarding_number, e.exit_hop)
+                nxt = C[pred[i, j]] if pred[i, j] >= 0 else None
+                assert nxt == (e.witness[1] if len(e.witness) > 1 else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_builders_match_per_target_reference(seed):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n_max=12, n_min=1)
+    if rng.random() < 0.4:
+        g = G.from_edges(g.n + 3, list(g.edges()) + [(g.n, g.n + 1)])
+    if rng.random() < 0.4:
+        C = separated_subset(g, rng)
+    else:
+        C = [int(v) for v in rng.permutation(g.n)]
+    C = C[: int(rng.integers(0, len(C) + 1))]
+    pairs = [(S.adjacent_strategy(g, C), adjacent_strategy_reference(g, C))]
+    comps = S.colluder_components(g, C)
+    if len(comps) > 1:
+        order = [comps[i] if rng.random() < 0.5 else comps[i][-1]
+                 for i in rng.permutation(len(comps))]
+        pairs.append((S.adjacent_strategy(g, C, component_order=order),
+                      adjacent_strategy_reference(g, C, component_order=order)))
+    if all(len(c) == 1 for c in comps):
+        pairs.append((S.separated_strategy(g, C),
+                      separated_strategy_reference(g, C)))
+    for got, ref in pairs:
+        assert got.colluders == ref.colluders and got.label == ref.label
+        for v in ref.colluders:
+            assert np.array_equal(got.broadcast[v], ref.broadcast[v])
+            assert np.array_equal(got.forward[v], ref.forward[v])
