@@ -171,17 +171,12 @@ def collapse_strategy(bm: BlowupMap, uniform: Strategy) -> NonuniformStrategy:
             rev = uniform.broadcast[w][:n].copy()
             rev[hearer] = 0
             broadcast[hearer][owner] = rev
+    # subdivision vertex w on edge (a, b) maps back, from v, to a + b - v
+    ends = np.zeros(bm.blown.n, np.int64)
+    ends[list(bm.edge_of)] = [a + b for a, b in bm.edge_of.values()]
     for v in bm.S:
-        hops = np.full(n, -1, np.int64)
-        for t in range(n):
-            h = int(uniform.forward[v][t])
-            if h >= 0:
-                e = bm.edge_of.get(h)
-                if e is None:
-                    hops[t] = h
-                else:
-                    hops[t] = e[0] if e[1] == v else e[1]
-        forward[v] = hops
+        h = uniform.forward[v][:n]
+        forward[v] = np.where(h >= n, ends[h] - v, h)
     return NonuniformStrategy(colluders=bm.S, broadcast=broadcast,
                               forward=forward)
 

@@ -14,13 +14,13 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.csgraph import shortest_path
 
 from . import kernels, protocol
-# distance_avoiding is no longer called here (relay_row in adjacent_strategy
-# runs its BFS once per member and component) but stays importable because
+# distance_avoiding is not called here but stays importable because
 # perfbench/tracing.py patches this name
 from .graph import (Graph, ParseError, distance_avoiding,  # noqa: F401
-                    component_labels, distance_blocks)
+                    _adjacency, component_labels, distance_blocks)
 from .kernels import INF
 
 
@@ -28,10 +28,11 @@ class BudgetError(RuntimeError):
     """Exhaustive search would exceed its configured budget."""
 
 
-def _distance_rows(g: Graph, S):
+def _distance_rows(g: Graph, S, removed=()):
     """(at, D): D holds the int64 hop-distance rows of S and its neighbours,
-    INF where unreachable.  Node v's row is D[at[v]]; at[v] = -1 for nodes
-    not covered.  The builders read nothing outside these rows."""
+    INF where unreachable, once every edge touching `removed` is deleted.
+    Node v's row is D[at[v]]; at[v] = -1 for nodes not covered.  The
+    builders read nothing outside these rows."""
     cover = np.zeros(g.n, np.bool_)
     cover[list(S)] = True
     cover[g.indices[np.repeat(cover, g.degrees())]] = True
@@ -39,9 +40,23 @@ def _distance_rows(g: Graph, S):
     at = np.full(g.n, -1, np.int64)
     at[ids] = np.arange(ids.size)
     D = np.empty((ids.size, g.n), np.int64)
-    for T, block in distance_blocks(g, nodes=ids):
+    for T, block in distance_blocks(g, removed, nodes=ids):
         D[at[T]] = np.where(np.isinf(block), INF, block)
     return at, D
+
+
+def _honest_rows(g: Graph, C):
+    """k x n int64: row i holds the hop distances from colluder C[i] through
+    honest nodes only (every other colluder banned), INF where unreachable."""
+    ids = np.asarray(C, np.int64)
+    banned = np.zeros(g.n, np.bool_)
+    banned[ids] = True
+    rows = np.empty((ids.size, g.n), np.int64)
+    for i, x in enumerate(ids):
+        banned[x] = False
+        rows[i] = kernels.bfs(g.indptr, g.indices, x, banned)
+        banned[x] = True
+    return rows
 
 
 def _closest_hop(g: Graph, rows, v: int):
@@ -387,59 +402,36 @@ def _quotient(g: Graph, comps):
     quotient id -> original id, -1 at component nodes, comp quotient ids
     list).
     """
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    qid = np.full(g.n, -1, np.int64)
-    honest_of = np.full(g.n, -1, np.int64)
-    comp_qid = [-1] * len(comps)
-    nxt = 0
-    for v in range(g.n):
-        if v in comp_of:
-            ci = comp_of[v]
-            if comp_qid[ci] < 0:
-                comp_qid[ci] = nxt
-                nxt += 1
-            qid[v] = comp_qid[ci]
-        else:
-            qid[v] = nxt
-            honest_of[nxt] = v
-            nxt += 1
-    edges = set()
-    for u, v in g.edges():
-        a, b = int(qid[u]), int(qid[v])
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    from .graph import from_edges
-
-    gq = from_edges(nxt, edges)
-    return gq, qid, honest_of[:nxt], comp_qid
+    rep = np.arange(g.n)  # the lowest member of each node's component
+    colluder = np.zeros(g.n, np.bool_)
+    for comp in comps:
+        rep[list(comp)] = comp[0]
+        colluder[list(comp)] = True
+    nodes = np.flatnonzero(rep == np.arange(g.n))
+    qid = np.searchsorted(nodes, rep)
+    nq = nodes.size
+    src, dst = np.repeat(qid, g.degrees()), qid[g.indices]
+    # sorted unique codes give sorted, duplicate-free adjacency lists
+    code = np.unique(src[src != dst] * nq + dst[src != dst])
+    indptr = np.zeros(nq + 1, np.int64)
+    np.cumsum(np.bincount(code // nq, minlength=nq), out=indptr[1:])
+    gq = Graph(n=nq, indptr=indptr, indices=code % nq)
+    honest_of = np.where(colluder[nodes], -1, nodes)
+    return gq, qid, honest_of, [int(qid[comp[0]]) for comp in comps]
 
 
-def _intra_component_hops(g: Graph, comp, exit_node: int) -> dict[int, int]:
-    """Next hop toward the exit along shortest paths inside the component."""
-    cset = set(comp)
-    depth = {exit_node: 0}
-    frontier = [exit_node]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.neighbors(u):
-                v = int(v)
-                if v in cset and v not in depth:
-                    depth[v] = depth[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    hops = {}
-    for x in comp:
-        if x == exit_node:
-            continue
-        best = min(
-            (int(v) for v in g.neighbors(x) if int(v) in depth
-             and depth[int(v)] == depth[x] - 1),
-        )
-        hops[x] = best
+def _intra_component_hops(g: Graph, comp) -> np.ndarray:
+    """H[a, b]: the lowest-id neighbour of comp[a] one step closer to comp[b]
+    along shortest paths inside the component, -1 on the diagonal.  `comp`
+    is a sorted colluder component of at least two members."""
+    comp = np.asarray(comp, np.int64)
+    sub = _adjacency(g)[comp][:, comp]
+    dist = shortest_path(sub, directed=True, unweighted=True).astype(np.int64)
+    # per member, the least dist * c + index over its neighbours picks the
+    # closest one toward each member, lowest id on ties
+    key = dist[sub.indices] * comp.size + sub.indices[:, None]
+    hops = comp[np.minimum.reduceat(key, sub.indptr[:-1], axis=0) % comp.size]
+    np.fill_diagonal(hops, -1)
     return hops
 
 
@@ -504,53 +496,47 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
             sel = exits[ci] == x
             broadcast[x][T[sel]] = val[ci, sel]
             forward[x][T[sel]] = w[ci, sel]
-            if len(comp) > 1 and sel.any():
-                for y, hop in _intra_component_hops(g, comp, x).items():
-                    forward[y][T[sel]] = hop
+        if len(comp) > 1:
+            # internal traffic is relayed toward the exit, which keeps w
+            sel = exits[ci] >= 0
+            hops = _intra_component_hops(g, comp)[
+                :, np.searchsorted(comp, exits[ci, sel])]
+            for a, y in enumerate(comp):
+                other = hops[a] >= 0
+                forward[y][T[sel][other]] = hops[a, other]
     if not relays:
         return Strategy(colluders=C, broadcast=broadcast, forward=forward,
                         label="adjacent_general")
 
-    pmask = np.zeros(g.n, np.bool_)
-    pmask[list(C)] = True
-    relay_rows: dict[tuple[int, int], np.ndarray] = {}
-
-    def relay_row(x: int, cj: int) -> np.ndarray:
-        """Distances from x avoiding comps[cj] minus x; independent of the
-        target, so one BFS per (member, component) serves every target."""
-        row = relay_rows.get((x, cj))
-        if row is None:
-            banned = np.zeros(g.n, np.bool_)
-            banned[list(comps[cj])] = True
-            banned[x] = False
-            row = relay_rows[(x, cj)] = kernels.bfs(g.indptr, g.indices, x, banned)
-        return row
-
-    for j, t in enumerate(T):
-        has_exit = np.flatnonzero(exits[:, j] >= 0)
-        # perceived distances after one pass: exits announce plan values,
-        # every other colluder its true distance (only colluder entries are read)
-        pinned = np.zeros(g.n, np.int64)
-        pinned[pmask] = D[at[pmask], t]
-        pinned[exits[has_exit, j]] = val[has_exit, j]
-        col, _ = kernels.sync_column(g.indptr, g.indices, pinned, pmask, t)
-
-        for ci in has_exit:
-            comp = comps[ci]
-            if len(comp) == 1:
+    # Relay bounds read the synchronized column at each exit's first honest
+    # vertex w in closed form (see _closed_form_pass): with b the broadcast
+    # so far (exits announce their plan value, every other colluder its true
+    # distance), col[w] = min(D_{G-S}(w, t), min over x of b_x[t] + D_C(x, w)).
+    # Every w lies in N(S), which the rows of _distance_rows cover.
+    _, DS = _distance_rows(g, C, removed=C)
+    has = exits >= 0
+    wi = np.maximum(w, 0)  # read only where has
+    col = DS[at[wi], T]
+    for bx, dx in zip((broadcast[x][T] for x in C), _honest_rows(g, C)):
+        dxw = dx[wi]
+        col = np.minimum(col, np.where((bx < INF) & (dxw < INF), bx + dxw, INF))
+    for ci, comp in enumerate(comps):
+        for x in comp:
+            sel = has[ci] & (exits[ci] != x)  # empty for a singleton
+            if not sel.any():
                 continue
-            for x in comp:
-                if x == exits[ci, j]:
-                    continue
-                best = -INF
-                for cj in has_exit:
-                    if fn[cj, j] > fn[ci, j]:
-                        continue
-                    dwx = int(relay_row(x, cj)[w[cj, j]])
-                    if dwx >= INF:
-                        continue
-                    best = max(best, int(col[w[cj, j]]) - dwx)
-                broadcast[x][t] = max(1, best) if best > -INF else 1
+            # the bound is the largest col[w] - d(x, w), or 1 when there is
+            # none, over the components with an exit and a forwarding number
+            # no larger than ci's, d avoiding that component's members but x
+            best = np.full(T.size, -INF)
+            for cj in np.flatnonzero(has.any(axis=1)):
+                banned = np.zeros(g.n, np.bool_)
+                banned[list(comps[cj])] = True
+                banned[x] = False
+                dwx = kernels.bfs(g.indptr, g.indices, x, banned)[wi[cj]]
+                ok = has[cj] & (fn[cj] <= fn[ci]) & (dwx < INF)
+                best = np.where(ok, np.maximum(best, col[cj] - dwx), best)
+            broadcast[x][T[sel]] = np.maximum(1, best[sel])
     return Strategy(colluders=C, broadcast=broadcast, forward=forward,
                     label="adjacent_general")
 
@@ -620,12 +606,8 @@ def _closed_form_pass(g: Graph, strat: Strategy):
     finite = b[b < INF]
     dtype, inf = _int_dtype((int(finite.max()) if finite.size else 0) + n)
     b = np.where(b < INF, b, inf).astype(dtype)
-    dc = np.empty((k, n), dtype)
-    for i, x in enumerate(ids):
-        others = smask.copy()
-        others[x] = False
-        d = kernels.bfs(g.indptr, g.indices, x, others)
-        dc[i] = np.where(d < INF, d, inf)
+    dc = _honest_rows(g, ids)
+    dc = np.where(dc < INF, dc, inf).astype(dtype)
 
     def min_plus(bt):
         """min over colluders i of bt[i, j] + dc[i, s], saturated at inf."""

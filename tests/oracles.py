@@ -500,20 +500,72 @@ def separated_strategy_reference(g, C):
                     label="rho_star")
 
 
+def quotient_reference(g, comps):
+    """`strategy._quotient` as a walk over every node and edge: (quotient
+    graph, qid original -> quotient id, honest_of quotient id -> original id
+    or -1 at component nodes, quotient id of each component)."""
+    from dvintercept.graph import from_edges
+
+    comp_of = {}
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = ci
+    qid = np.full(g.n, -1, np.int64)
+    honest_of = np.full(g.n, -1, np.int64)
+    comp_qid = [-1] * len(comps)
+    nxt = 0
+    for v in range(g.n):
+        if v in comp_of:
+            ci = comp_of[v]
+            if comp_qid[ci] < 0:
+                comp_qid[ci] = nxt
+                nxt += 1
+            qid[v] = comp_qid[ci]
+        else:
+            qid[v] = nxt
+            honest_of[nxt] = v
+            nxt += 1
+    edges = set()
+    for u, v in g.edges():
+        a, b = int(qid[u]), int(qid[v])
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    return from_edges(nxt, edges), qid, honest_of[:nxt], comp_qid
+
+
+def intra_component_hops_reference(g, comp, exit_node: int) -> dict[int, int]:
+    """Per member other than the exit, its lowest-id neighbour one step
+    closer to the exit inside the component (one BFS from the exit)."""
+    cset = set(comp)
+    depth = {exit_node: 0}
+    frontier = [exit_node]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in g.neighbors(u):
+                v = int(v)
+                if v in cset and v not in depth:
+                    depth[v] = depth[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return {x: min(int(v) for v in g.neighbors(x)
+                   if int(v) in depth and depth[int(v)] == depth[x] - 1)
+            for x in comp if x != exit_node}
+
+
 def adjacent_strategy_reference(g, C, component_order=None):
     """`strategy.adjacent_strategy` as the per-target loop it ran before the
     all-targets plan: per honest target one quotient `rho_star_plan_reference`,
     the exits and intra-component hops, then for multi-node components one
     `kernels.sync_column` and the relay bounds."""
     from dvintercept.strategy import (Strategy, _closest_hop, _distance_rows,
-                                      _intra_component_hops, _quotient,
                                       colluder_components)
 
     C = tuple(sorted(set(int(v) for v in C)))
     cset = set(C)
     rows = at, D = _distance_rows(g, C)
     comps = colluder_components(g, C)
-    gq, qid, honest_of, comp_qid = _quotient(g, comps)
+    gq, qid, honest_of, comp_qid = quotient_reference(g, comps)
     qrows = _distance_rows(gq, comp_qid)
     qorder = None
     if component_order is not None:
@@ -550,7 +602,8 @@ def adjacent_strategy_reference(g, C, component_order=None):
             exits[ci] = exit_node
             broadcast[exit_node][t] = e.value
             forward[exit_node][t] = w
-            for x, hop in _intra_component_hops(g, comp, exit_node).items():
+            for x, hop in intra_component_hops_reference(g, comp,
+                                                         exit_node).items():
                 forward[x][t] = hop
         if not relays:
             continue

@@ -10,9 +10,9 @@ from dvintercept import graph as G
 from dvintercept.interception import coverage_function, intercepted_pairs
 from dvintercept.kernels import INF
 
-from oracles import (deliverable, intercepted_pairs_oracle,
-                     random_connected_graph, simulate_strategy,
-                     target_pass_reference)
+from oracles import (adjacent_strategy_reference, deliverable,
+                     intercepted_pairs_oracle, random_connected_graph,
+                     simulate_strategy, target_pass_reference)
 
 
 def path_graph(n):
@@ -110,6 +110,8 @@ DEGENERATE = [
     # a path, a triangle and the isolated nodes 2 and 6
     (G.from_edges(7, [(0, 1), (3, 4), (4, 5), (3, 5)]), 2 + 6),
 ]
+# multi-node colluder components on the 7-node graph
+MULTI_NODE = [[0, 1], [3, 4]]
 
 
 class TestDegenerateInputs:
@@ -117,13 +119,21 @@ class TestDegenerateInputs:
                              ids=[f"n{g.n}m{g.m}" for g, _ in DEGENERATE])
     def test_matches_oracle_and_totals(self, g, total):
         # every colluder set on the small graphs; on the 7-node one the empty
-        # set, each single node, a pair across components and C = V
+        # set, each single node, a pair across components, the whole path
+        # (a multi-node component with no honest node beside it), an edge of
+        # the triangle and C = V
         if g.n <= 2:
             sets = [[v for v in range(g.n) if mask >> v & 1]
                     for mask in range(2 ** g.n)]
         else:
-            sets = [[]] + [[v] for v in range(g.n)] + [[1, 4], list(range(g.n))]
+            sets = [[]] + [[v] for v in range(g.n)] + [[1, 4]] \
+                + MULTI_NODE + [list(range(g.n))]
         for C in sets:
+            got = S.adjacent_strategy(g, C)
+            ref = adjacent_strategy_reference(g, C)
+            for v in C:
+                assert np.array_equal(got.broadcast[v], ref.broadcast[v])
+                assert np.array_equal(got.forward[v], ref.forward[v])
             builders = [S.honest_strategy, S.independent_strategy,
                         S.adjacent_strategy]
             if all(G.bfs_distances(g, x).dist[y] >= 2 for x in C for y in C
@@ -307,6 +317,8 @@ class TestClosedFormPass:
     def test_degenerate_inputs(self, g, total):
         rng = np.random.default_rng(g.n + g.m)
         sets = [[]] + [[v] for v in range(g.n)] + [list(range(g.n))]
+        if g.n == 7:
+            sets += MULTI_NODE
         for C in sets:
             strats = builders(g, C)
             if C:
