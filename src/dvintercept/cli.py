@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -106,11 +107,15 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
         errors.append("k: at least one sweep value is required")
     for tok in sweep:
         try:
-            if (float(tok[:-1]) if tok.endswith("%") else int(tok)) < 0:
-                errors.append(f"k: negative sweep value {tok!r}")
+            value = float(tok[:-1]) if tok.endswith("%") else int(tok)
         except ValueError:
             errors.append(f"k: malformed sweep value {tok!r} "
                           "(a count is an integer, a percentage ends in %)")
+            continue
+        if not math.isfinite(value):
+            errors.append(f"k: percentage {tok!r} is not finite")
+        elif value < 0:
+            errors.append(f"k: negative sweep value {tok!r}")
 
     trials = master_seed = 0
     try:
@@ -207,7 +212,8 @@ def run_experiment(cfg: ExperimentConfig):
 
     Per (method, trial) a selection seed is derived from the master seed, so
     every strategy in a trial shares the same colluder set and sweep sizes
-    take nested prefixes of one selection order.
+    take nested prefixes of one selection order.  Exhaustive optima are not
+    nested, so `exhaustive` runs one search per size.
     """
     g, graph_name = _load_graph(cfg)
     sizes = _resolve_sweep(cfg.sweep, g.n)
@@ -216,9 +222,10 @@ def run_experiment(cfg: ExperimentConfig):
     for method in cfg.select:
         for trial in range(cfg.trials):
             seed = derive_seed(cfg.master_seed, method, trial)
-            full = select(g, SelectionSpec(method=method, k=kmax, seed=seed))
+            picks = {k: select(g, SelectionSpec(method=method, k=k, seed=seed))
+                     for k in (sizes if method == "exhaustive" else [kmax])}
             for k in sizes:
-                S = full[:k]
+                S = picks.get(k, picks[kmax])[:k]
                 for name in cfg.strategies:
                     start = time.perf_counter()
                     strat, label = build_strategy(g, name, S)

@@ -61,37 +61,31 @@ class Graph:
                     yield u, int(v)
 
 
+def _csr(n: int, src, dst, labels=None) -> Graph:
+    """Graph on n nodes with one edge per arc src[i] -> dst[i]; every arc
+    must also be given reversed.  Self-loops and duplicates are dropped, and
+    the sorted unique arc codes give sorted, duplicate-free adjacency lists."""
+    keep = src != dst
+    code = np.unique(src[keep] * n + dst[keep])
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(code // n, minlength=n), out=indptr[1:])
+    return Graph(n=n, indptr=indptr, indices=code % n, labels=labels)
+
+
 def from_edges(n: int, edges, labels=None) -> Graph:
     """Build a Graph from an iterable of (u, v) pairs.
 
     Self-loops and duplicate edges are dropped; adjacency lists come out
     sorted and symmetric.
     """
-    seen = set()
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        if u == v:
-            continue
-        seen.add((min(u, v), max(u, v)))
-    deg = np.zeros(n, np.int64)
-    for u, v in seen:
-        deg[u] += 1
-        deg[v] += 1
-    indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    indices = np.empty(indptr[-1], np.int64)
-    fill = indptr[:-1].copy()
-    for u, v in sorted(seen):
-        indices[fill[u]] = v
-        fill[u] += 1
-        indices[fill[v]] = u
-        fill[v] += 1
-    for u in range(n):
-        indices[indptr[u] : indptr[u + 1]].sort()
-    return Graph(n=n, indptr=indptr, indices=indices,
-                 labels=tuple(labels) if labels is not None else None)
+    e = np.array([(int(u), int(v)) for u, v in edges], np.int64).reshape(-1, 2)
+    bad = np.flatnonzero(((e < 0) | (e >= n)).any(axis=1))
+    if bad.size:
+        u, v = e[bad[0]]
+        raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+    return _csr(n, np.concatenate([e[:, 0], e[:, 1]]),
+                np.concatenate([e[:, 1], e[:, 0]]),
+                labels=tuple(labels) if labels is not None else None)
 
 
 def from_edge_list(text: str) -> Graph:
@@ -299,4 +293,7 @@ def parse_generator_spec(spec: str):
 def generate(spec: str, seed: int) -> Graph:
     """Build a graph from a generator spec string with the given seed."""
     name, args = parse_generator_spec(spec)
-    return GENERATORS[name](*args, seed=seed)
+    try:
+        return GENERATORS[name](*args, seed=seed)
+    except TypeError as exc:  # a missing or extra argument, or a float count
+        raise ValueError(f"generator spec {spec!r}: {exc}") from None

@@ -14,10 +14,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import _BLOCK, Graph, component_labels, distance_blocks
+from .graph import _BLOCK, Graph, component_labels
 # intercepted_pairs checks admissibility in its own pass; check_admissible
 # stays importable here because perfbench/tracing.py patches this name
-from .strategy import Strategy, _closed_form_pass, check_admissible  # noqa: F401
+from .strategy import (Strategy, _closed_form_pass,  # noqa: F401
+                       check_admissible, honest_strategy)
 
 
 @dataclass(frozen=True)
@@ -88,18 +89,9 @@ def intercepted_pairs(g: Graph, strat: Strategy, *,
 
 
 def coverage_function(g: Graph, S) -> Fraction:
-    """Honest-strategy interception fraction for colluder set S.
-
-    Equals intercepted_pairs(g, honest_strategy(g, S)).fraction, computed
-    without materializing the strategy: with everyone honest the routing
-    graph toward t is the shortest-path predecessor DAG, so s -> t is
-    intercepted exactly when every shortest path crosses S, i.e. when
-    d_G(s, t) < d_{G-S}(s, t) (with every edge touching S deleted, this
-    also holds when s or t is in S).
-    """
-    S = sorted(set(int(v) for v in S))
-    sizes = np.bincount(component_labels(g))
-    total = int((sizes * (sizes - 1)).sum())
-    intercepted = sum(int((d < d_cut).sum()) for (_, d), (_, d_cut)
-                      in zip(distance_blocks(g), distance_blocks(g, S)))
-    return Fraction(intercepted, total) if total else Fraction(0)
+    """Honest-strategy interception fraction for colluder set S, the ordered
+    fraction of intercepted_pairs(g, honest_strategy(g, S)).  With everyone
+    honest the routing graph toward t is the shortest-path predecessor DAG,
+    so s -> t is intercepted exactly when every shortest path crosses S:
+    d_G(s, t) < d_{G-S}(s, t), with every edge touching S deleted."""
+    return intercepted_pairs(g, honest_strategy(g, S)).fraction_ordered

@@ -31,10 +31,13 @@ def validate_broadcasts(n: int, colluders, broadcasts) -> dict[int, np.ndarray]:
     """Normalize and validate per-colluder broadcast vectors.
 
     `broadcasts` maps each colluder to a length-n integer vector.  Requires
-    exactly the colluder set as keys, a 0 self entry, and every other entry
-    at least 1 (INF allowed).
+    exactly the colluder set as keys, ids in [0, n), a 0 self entry, and
+    every other entry at least 1 (INF allowed).
     """
     colluders = frozenset(int(v) for v in colluders)
+    outside = sorted(v for v in colluders if not 0 <= v < n)
+    if outside:
+        raise ValueError(f"colluder {outside[0]} out of range for n={n}")
     if set(broadcasts) != colluders:
         missing = colluders - set(broadcasts)
         extra = set(broadcasts) - colluders

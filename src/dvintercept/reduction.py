@@ -16,7 +16,7 @@ import numpy as np
 
 from .graph import Graph, from_edges
 from .kernels import INF
-from .strategy import Strategy, _closest_hop, _distance_rows
+from .strategy import Strategy, _honest
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,8 @@ class NonuniformStrategy:
 
 
 def honest_nonuniform(g: Graph, S) -> NonuniformStrategy:
-    S = tuple(sorted(set(int(v) for v in S)))
-    rows = at, D = _distance_rows(g, S)
-    broadcast = {v: {int(u): D[at[v]].copy() for u in g.neighbors(v)} for v in S}
-    forward = {v: _closest_hop(g, rows, v) for v in S}
+    S, _, honest, forward = _honest(g, S)
+    broadcast = {v: {int(u): honest[v].copy() for u in g.neighbors(v)} for v in S}
     return NonuniformStrategy(colluders=S, broadcast=broadcast, forward=forward)
 
 
@@ -103,36 +101,26 @@ def lift_strategy(bm: BlowupMap, nonuniform: NonuniformStrategy) -> Strategy:
     """
     if tuple(nonuniform.colluders) != bm.S:
         raise ValueError("nonuniform strategy colluders do not match the blowup")
-    gp = bm.blown
     n = bm.original.n
-    rows = at, D = _distance_rows(gp, bm.S_prime)
+    _, _, broadcast, forward = _honest(bm.blown, bm.S_prime)
     sset = set(bm.S)
     # the original honest targets, the only columns that carry the lie
     lied = np.ones(n, np.bool_)
     lied[list(bm.S)] = False
-    broadcast: dict[int, np.ndarray] = {}
-    forward: dict[int, np.ndarray] = {}
 
     for v in bm.S:
-        broadcast[v] = D[at[v]].copy()
-        hops = _closest_hop(gp, rows, v)
         declared = np.where(lied, nonuniform.forward[v], -1)
         for t in np.flatnonzero(declared >= 0):
             hop = int(declared[t])
-            hops[t] = bm.w_of[(min(v, hop), max(v, hop))]
-        forward[v] = hops
+            forward[v][t] = bm.w_of[(min(v, hop), max(v, hop))]
 
     for (u, v), w in bm.w_of.items():
         owner, hearer = _owner_side(bm, u, v)
-        vec = D[at[w]].copy()
-        vec[:n][lied] = nonuniform.broadcast[owner][hearer][lied]
-        vec[w] = 0
-        broadcast[w] = vec
+        broadcast[w][:n][lied] = nonuniform.broadcast[owner][hearer][lied]
         # toward u and v the closest hop is that endpoint.  Toward a lied
         # target w crosses the edge where a colluder endpoint's declared hop
         # does; otherwise an honest endpoint may be drawn in by the lie, and
         # w relays its traffic onward to the colluder, never back
-        hops = _closest_hop(gp, rows, w)
         if hearer in sset:
             hop = np.where(nonuniform.forward[hearer] == owner, owner, -1)
         else:
@@ -140,8 +128,7 @@ def lift_strategy(bm: BlowupMap, nonuniform: NonuniformStrategy) -> Strategy:
         hop = np.where(nonuniform.forward[owner] == hearer, hearer, hop)
         relay = lied & (hop >= 0)
         relay[hearer] = False
-        hops[:n][relay] = hop[relay]
-        forward[w] = hops
+        forward[w][:n][relay] = hop[relay]
     return Strategy(colluders=bm.S_prime, broadcast=broadcast, forward=forward,
                     label="lifted")
 

@@ -11,7 +11,7 @@ and the best composite value obtained by relaying through other colluders.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse.csgraph import shortest_path
@@ -20,7 +20,7 @@ from . import kernels, protocol
 # distance_avoiding is not called here but stays importable because
 # perfbench/tracing.py patches this name
 from .graph import (Graph, ParseError, distance_avoiding,  # noqa: F401
-                    _adjacency, component_labels, distance_blocks)
+                    _adjacency, _csr, component_labels, distance_blocks)
 from .kernels import INF
 
 
@@ -74,6 +74,27 @@ def _closest_hop(g: Graph, rows, v: int):
         hop = np.full(g.n, -1, np.int64)
     hop[v] = -1
     return hop
+
+
+def _colluder_tuple(g: Graph, S) -> tuple[int, ...]:
+    """S sorted and deduplicated; ValueError naming an id outside [0, n)."""
+    S = tuple(sorted(set(int(v) for v in S)))
+    outside = [v for v in S if not 0 <= v < g.n]
+    if outside:
+        raise ValueError(f"colluder {outside[0]} out of range for n={g.n}")
+    return S
+
+
+def _honest(g: Graph, S):
+    """(S, rows, broadcast, forward): S as `_colluder_tuple`, the distance
+    rows of S and its neighbours as from `_distance_rows`, and per colluder a
+    fresh copy of its true distances and of its `_closest_hop` array, which
+    every builder starts from and edits where it lies."""
+    S = _colluder_tuple(g, S)
+    rows = at, D = _distance_rows(g, S)
+    broadcast = {v: D[at[v]].copy() for v in S}
+    forward = {v: _closest_hop(g, rows, v) for v in S}
+    return S, rows, broadcast, forward
 
 
 @dataclass(frozen=True)
@@ -159,26 +180,18 @@ def strategy_from_text(text: str, n: int) -> Strategy:
 
 def honest_strategy(g: Graph, S) -> Strategy:
     """Everyone announces true distances and forwards to a closest neighbour."""
-    S = tuple(sorted(set(int(v) for v in S)))
-    rows = at, D = _distance_rows(g, S)
-    broadcast = {v: D[at[v]].copy() for v in S}
-    forward = {v: _closest_hop(g, rows, v) for v in S}
+    S, _, broadcast, forward = _honest(g, S)
     return Strategy(colluders=S, broadcast=broadcast, forward=forward, label="honest")
 
 
 def independent_strategy(g: Graph, S) -> Strategy:
     """Each colluder lies on its own: announce max(1, d(v,t)-2) per target and
     forward to a true-closest neighbour."""
-    S = tuple(sorted(set(int(v) for v in S)))
-    rows = at, D = _distance_rows(g, S)
-    broadcast = {}
-    for v in S:
-        d = D[at[v]]
-        bv = np.maximum(np.int64(1), d - 2)
-        bv[d >= INF] = INF
-        bv[v] = 0
-        broadcast[v] = bv
-    forward = {v: _closest_hop(g, rows, v) for v in S}
+    S, _, broadcast, forward = _honest(g, S)
+    for v, d in broadcast.items():
+        finite = d < INF
+        d[finite] = np.maximum(1, d[finite] - 2)
+        d[v] = 0
     return Strategy(colluders=S, broadcast=broadcast, forward=forward,
                     label="independent")
 
@@ -243,12 +256,17 @@ class RhoStarPlan:
         return self.entries[x].value
 
 
-def _check_separated(C, rows) -> None:
-    at, D = rows
-    C = np.asarray(C, np.int64)
-    close = np.argwhere(np.triu(D[np.ix_(at[C], C)] < 2, 1))
+def _check_separated(g: Graph, C) -> None:
+    """ValueError naming the least adjacent colluder pair (x, y), x < y.  It
+    is the first arc between two colluders in CSR order: its source x is the
+    least colluder with a colluder neighbour, so each such neighbour is
+    above x."""
+    cmask = np.zeros(g.n, np.bool_)
+    cmask[list(_colluder_tuple(g, C))] = True
+    esrc = np.repeat(np.arange(g.n), g.degrees())
+    close = np.flatnonzero(cmask[esrc] & cmask[g.indices])
     if close.size:
-        x, y = C[close[0]]
+        x, y = esrc[close[0]], g.indices[close[0]]
         raise ValueError(
             f"colluders {x} and {y} are not separated "
             "(distance < 2); use adjacent_strategy"
@@ -258,9 +276,9 @@ def _check_separated(C, rows) -> None:
 def _rho_star_plans(g: Graph, C, rows, order=None, targets=None):
     """The rho* label setting toward every target at once.
 
-    C is the sorted colluder tuple, `rows` = (at, D) as from `_distance_rows`
-    (covering C and its neighbours) and `targets` defaults to every
-    non-colluder.  Returns (T, val, fn, pred, hop), each of the last four a
+    C is the sorted tuple of a colluder set with no two members adjacent,
+    `rows` = (at, D) as from `_distance_rows` (covering C and its
+    neighbours) and `targets` defaults to every non-colluder.  Returns (T, val, fn, pred, hop), each of the last four a
     k x |T| int64 array indexed [colluder index, target index]: the plan
     value, forwarding number, index of the predecessor on the witness chain
     (-1 for none) and exit hop (-1 where the value is INF).
@@ -272,7 +290,6 @@ def _rho_star_plans(g: Graph, C, rows, order=None, targets=None):
     hop toward the predecessor, or toward the target when there is none.
     """
     at, D = rows
-    _check_separated(C, rows)
     ids = np.asarray(C, np.int64)
     k = ids.size
     T = (np.flatnonzero(~np.isin(np.arange(g.n), ids)) if targets is None
@@ -325,11 +342,12 @@ def rho_star_plan(g: Graph, C, t: int, *, rows=None, order=None) -> RhoStarPlan:
     gives the true distance row D[at[v]] of every colluder and neighbour v;
     without it they are computed here.
     """
-    C = tuple(sorted(set(int(v) for v in C)))
+    C = _colluder_tuple(g, C)
     if not 0 <= t < g.n:
         raise ValueError(f"target {t} out of range for n={g.n}")
     if t in C:
         raise ValueError("target must not be a colluder")
+    _check_separated(g, C)
     if rows is None:
         rows = _distance_rows(g, C)
     _, val, fn, pred, hop = _rho_star_plans(g, C, rows, order=order,
@@ -349,19 +367,12 @@ def rho_star_plan(g: Graph, C, t: int, *, rows=None, order=None) -> RhoStarPlan:
 
 
 def separated_strategy(g: Graph, C) -> Strategy:
-    """Optimal uniform broadcasts for a pairwise-separated colluder set.
-    Colluder targets are intercepted by definition: toward them every
-    colluder stays honest."""
-    C = tuple(sorted(set(int(v) for v in C)))
-    rows = at, D = _distance_rows(g, C)
-    T, val, _, _, hop = _rho_star_plans(g, C, rows)
-    broadcast = {v: D[at[v]].copy() for v in C}
-    forward = {v: _closest_hop(g, rows, v) for v in C}
-    for i, v in enumerate(C):
-        broadcast[v][T] = val[i]
-        forward[v][T] = hop[i]
-    return Strategy(colluders=C, broadcast=broadcast, forward=forward,
-                    label="rho_star")
+    """Optimal uniform broadcasts for a pairwise-separated colluder set:
+    `adjacent_strategy`, whose components are then all single colluders,
+    after a check that no two colluders are adjacent.  Colluder targets are
+    intercepted by definition: toward them every colluder stays honest."""
+    _check_separated(g, C)
+    return replace(adjacent_strategy(g, C), label="rho_star")
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +420,7 @@ def _quotient(g: Graph, comps):
         colluder[list(comp)] = True
     nodes = np.flatnonzero(rep == np.arange(g.n))
     qid = np.searchsorted(nodes, rep)
-    nq = nodes.size
-    src, dst = np.repeat(qid, g.degrees()), qid[g.indices]
-    # sorted unique codes give sorted, duplicate-free adjacency lists
-    code = np.unique(src[src != dst] * nq + dst[src != dst])
-    indptr = np.zeros(nq + 1, np.int64)
-    np.cumsum(np.bincount(code // nq, minlength=nq), out=indptr[1:])
-    gq = Graph(n=nq, indptr=indptr, indices=code % nq)
+    gq = _csr(nodes.size, np.repeat(qid, g.degrees()), qid[g.indices])
     honest_of = np.where(colluder[nodes], -1, nodes)
     return gq, qid, honest_of, [int(qid[comp[0]]) for comp in comps]
 
@@ -443,11 +448,12 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
     member adjacent to the first honest vertex of its witness chain; the exit
     announces the quotient plan value, other members announce the tightest
     safe lower bound derived from already-perceived distances, and internal
-    traffic is relayed to the exit.  On a separated set this reproduces
-    separated_strategy exactly.
+    traffic is relayed to the exit.  With no two colluders adjacent every
+    component is one colluder and the quotient is g itself; that case is
+    separated_strategy.
     """
-    C = tuple(sorted(set(int(v) for v in C)))
-    rows = at, D = _distance_rows(g, C)
+    C, rows, broadcast, forward = _honest(g, C)
+    at = rows[0]
     comps = colluder_components(g, C)
     comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
     # relay bounds (multi-node components only) need the synchronized column
@@ -481,9 +487,7 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
     _, val, fn, _, qhop = _rho_star_plans(gq, tuple(comp_qid), qrows,
                                           order=qorder, targets=qid[T])
     # colluder targets and components without a finite plan value keep the
-    # honest broadcast and hop set here
-    broadcast = {v: D[at[v]].copy() for v in C}
-    forward = {v: _closest_hop(g, rows, v) for v in C}
+    # honest broadcast and hop
     live = (val < INF) & (qhop >= 0)
     w = np.where(live, honest_of[np.maximum(qhop, 0)], -1)  # first honest vertex
     exits = np.full(w.shape, -1, np.int64)  # exit member per (component, target)

@@ -336,6 +336,67 @@ def exhaustive_reference(g, k):
     return list(best_set), best
 
 
+def from_edges_reference(n, edges, labels=None):
+    """`graph.from_edges` as it was before the shared sorted-code builder:
+    a set of normalized pairs, degree counts and a per-edge fill."""
+    from dvintercept.graph import Graph
+
+    seen = set()
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            continue
+        seen.add((min(u, v), max(u, v)))
+    deg = np.zeros(n, np.int64)
+    for u, v in seen:
+        deg[u] += 1
+        deg[v] += 1
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    indices = np.empty(indptr[-1], np.int64)
+    fill = indptr[:-1].copy()
+    for u, v in sorted(seen):
+        indices[fill[u]] = v
+        fill[u] += 1
+        indices[fill[v]] = u
+        fill[v] += 1
+    for u in range(n):
+        indices[indptr[u] : indptr[u + 1]].sort()
+    return Graph(n=n, indptr=indptr, indices=indices,
+                 labels=tuple(labels) if labels is not None else None)
+
+
+def coverage_function_reference(g, S) -> Fraction:
+    """`interception.coverage_function` as its own two-pass count: with
+    everyone honest, s -> t is intercepted exactly when d_G(s, t) <
+    d_{G-S}(s, t), every edge touching S deleted (which also covers an
+    endpoint in S)."""
+    from dvintercept.graph import component_labels, distance_blocks
+
+    S = sorted(set(int(v) for v in S))
+    sizes = np.bincount(component_labels(g))
+    total = int((sizes * (sizes - 1)).sum())
+    intercepted = sum(int((d < d_cut).sum()) for (_, d), (_, d_cut)
+                      in zip(distance_blocks(g), distance_blocks(g, S)))
+    return Fraction(intercepted, total) if total else Fraction(0)
+
+
+def check_separated_reference(C, rows) -> None:
+    """`strategy._check_separated` as it read the pair off the distance rows
+    (at, D) of the sorted colluder tuple C: the first x < y at distance < 2."""
+    at, D = rows
+    C = np.asarray(C, np.int64)
+    close = np.argwhere(np.triu(D[np.ix_(at[C], C)] < 2, 1))
+    if close.size:
+        x, y = C[close[0]]
+        raise ValueError(
+            f"colluders {x} and {y} are not separated "
+            "(distance < 2); use adjacent_strategy"
+        )
+
+
 def random_connected_graph(rng, n_max=8, n_min=2):
     """Random connected graph: a random spanning tree plus random extras."""
     from dvintercept.graph import from_edges
@@ -409,9 +470,9 @@ def rho_star_plan_reference(g, C, t, *, rows=None, order=None):
     C = tuple(sorted(set(int(v) for v in C)))
     if t in C:
         raise ValueError("target must not be a colluder")
+    _check_separated(g, C)
     if rows is None:
         rows = _distance_rows(g, C)
-    _check_separated(C, rows)
     at, D = rows
 
     def lie(d):

@@ -15,7 +15,9 @@ from dvintercept.cli import (
     run_experiment,
     serialize_config,
 )
-from dvintercept.graph import from_edges
+from dvintercept.graph import from_edges, load_edge_list
+from dvintercept.interception import coverage_function
+from dvintercept.selection import exhaustive_opt
 
 
 CONFIG = """\
@@ -47,14 +49,17 @@ class TestConfigParsing:
     def test_all_violations_reported_at_once(self):
         with pytest.raises(ConfigError) as exc:
             parse_config(
-                "select = psychic, greedy_min\nstrategy = bribe\nk = -3, 1.5\n"
+                "select = psychic, greedy_min\nstrategy = bribe\n"
+                "k = -3, 1.5, inf%, nan%, -inf%\n"
                 "trials = zero\nseed = pi\nmetric = vibes\nbogus = 1\n"
             )
         msg = str(exc.value)
         # greedy_min picks its own set size, so a sweep over k cannot run it;
-        # a count must be an integer
-        for frag in ("psychic", "greedy_min", "bribe", "-3", "'1.5'", "trials",
-                     "seed", "metric", "bogus", "exactly one of"):
+        # a count must be an integer and a percentage finite
+        for frag in ("psychic", "greedy_min", "bribe", "-3", "'1.5'",
+                     "'inf%' is not finite", "'nan%' is not finite",
+                     "'-inf%' is not finite", "trials", "seed", "metric",
+                     "bogus", "exactly one of"):
             assert frag in msg
 
     def test_fractional_percentage_allowed(self):
@@ -166,6 +171,23 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="exceeds"):
             run_experiment(cfg)
 
+    def test_exhaustive_rows_are_optima_per_size(self, tmp_path):
+        # exhaustive optima are not nested: on the path 0-1-...-6 the k = 2
+        # optimum is {1, 4}, but the k = 1 optimum is node 3, not node 1
+        path = tmp_path / "p7.edges"
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(6)))
+        cfg = parse_config(f"graph = {path}\nselect = exhaustive\nk = 1, 2, 3\n"
+                           "trials = 1\nstrategy = honest\n")
+        csv_text, _ = run_experiment(cfg)
+        g = load_edge_list(path)
+        rows = [ln.split(",") for ln in csv_text.strip().splitlines()[1:]]
+        assert [int(f[5]) for f in rows] == [1, 2, 3]
+        for f in rows:
+            best = exhaustive_opt(g, int(f[5]))[0]
+            assert float(f[8]) == pytest.approx(float(coverage_function(g, best)),
+                                                abs=5e-7)
+        assert rows[0][8] == "0.714286"
+
     def test_graph_file_input(self, tmp_path):
         path = tmp_path / "tiny.edges"
         path.write_text("a b\nb c\nc d\nd a\n")
@@ -208,6 +230,21 @@ class TestMain:
         rc = main(["--k", "2"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--generate", "erdos_renyi(10)", "--k", "2"],
+         "error: generator spec 'erdos_renyi(10)': "
+         "erdos_renyi() missing 1 required positional argument: 'p'\n"),
+        (["--generate", "pref_attach(20,2.5)", "--k", "2"],
+         "error: generator spec 'pref_attach(20,2.5)': "
+         "'float' object cannot be interpreted as an integer\n"),
+        (["--generate", "erdos_renyi(10,0.3)", "--k", "inf%,nan%"],
+         "error: k: percentage 'inf%' is not finite; "
+         "k: percentage 'nan%' is not finite\n"),
+    ])
+    def test_input_error_exit_code_and_message(self, capsys, argv, message):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == message
 
     def test_exhaustive_budget_exit_code_and_message(self, capsys):
         rc = main(["--generate", "pref_attach(60, 2)", "--select", "exhaustive",

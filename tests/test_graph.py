@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvintercept import graph as G
+from dvintercept import reduction as R
 from dvintercept.kernels import INF
 
-from oracles import _components, simple_path_distances
+from oracles import _components, from_edges_reference, simple_path_distances
 
 
 def path_graph(n):
@@ -54,6 +55,53 @@ class TestFromEdgeList:
         p = tmp_path / "g.edges"
         p.write_text("0 1\n1 2\n")
         assert G.load_edge_list(p).n == 3
+
+
+def same_csr(a, b):
+    assert a.n == b.n and a.labels == b.labels
+    for x, y in ((a.indptr, b.indptr), (a.indices, b.indices)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+class TestFromEdges:
+    """The sorted-code CSR builder against the set-and-fill reference."""
+
+    def test_degenerate_and_noisy_edge_lists(self):
+        cases = [(n, []) for n in (0, 1, 2)]
+        cases += [(1, [(0, 0)]), (2, [(0, 1), (1, 0), (0, 1), (1, 1)]),
+                  (5, [(4, 0), (0, 4), (2, 2), (3, 1), (1, 3), (3, 1)])]
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            e = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+            cases.append((n, [tuple(map(int, uv)) for uv in e]))
+        for n, edges in cases:
+            same_csr(G.from_edges(n, edges), from_edges_reference(n, edges))
+        same_csr(G.from_edges(2, iter([(1, 0)]), labels=["a", "b"]),
+                 from_edges_reference(2, [(1, 0)], labels=["a", "b"]))
+
+    def test_out_of_range_message(self):
+        for n, edges in ((3, [(0, 1), (3, 1), (-1, 0)]), (0, [(0, 0)]),
+                         (2, [(1, 1), (0, -1)])):
+            with pytest.raises(ValueError) as ref:
+                from_edges_reference(n, edges)
+            with pytest.raises(ValueError, match=r"out of range") as got:
+                G.from_edges(n, edges)
+            assert str(got.value) == str(ref.value)
+
+    def test_generators_and_blow_up(self, monkeypatch):
+        def build():
+            gs = [G.erdos_renyi(80, 0.06, seed=1), G.pref_attach(80, 3, seed=2),
+                  G.watts_strogatz(60, 4, 0.3, seed=3),
+                  G.from_edge_list("a b\nb a\nc c\nc d\n")]
+            gs.append(R.blow_up(gs[0], [0, 5, 17, 40]).blown)
+            return gs
+
+        fast = build()
+        monkeypatch.setattr(G, "from_edges", from_edges_reference)
+        monkeypatch.setattr(R, "from_edges", from_edges_reference)
+        for a, b in zip(fast, build()):
+            same_csr(a, b)
 
 
 class TestComponentLabels:
@@ -213,6 +261,18 @@ class TestGenerateSpec:
     def test_malformed_spec(self):
         with pytest.raises(ValueError):
             G.parse_generator_spec("erdos_renyi 3 0.5")
+
+    @pytest.mark.parametrize("spec, detail", [
+        ("erdos_renyi(10)", "missing 1 required positional argument: 'p'"),
+        ("pref_attach(20,2.5)", "'float' object cannot be interpreted as an integer"),
+        ("watts_strogatz(20.0,4,0.1)", "'float' object cannot be interpreted"),
+        ("pref_attach(20,2,3,4)", "takes from 1 to 2 positional arguments"),
+    ])
+    def test_wrong_arguments_name_the_spec(self, spec, detail):
+        with pytest.raises(ValueError) as exc:
+            G.generate(spec, seed=0)
+        assert str(exc.value).startswith(f"generator spec {spec!r}: ")
+        assert detail in str(exc.value)
 
 
 @settings(max_examples=30, deadline=None)

@@ -10,9 +10,10 @@ from dvintercept import graph as G
 from dvintercept.interception import coverage_function, intercepted_pairs
 from dvintercept.kernels import INF
 
-from oracles import (adjacent_strategy_reference, deliverable,
-                     intercepted_pairs_oracle, random_connected_graph,
-                     simulate_strategy, target_pass_reference)
+from oracles import (adjacent_strategy_reference, coverage_function_reference,
+                     deliverable, intercepted_pairs_oracle,
+                     random_connected_graph, simulate_strategy,
+                     target_pass_reference)
 
 
 def path_graph(n):
@@ -172,6 +173,20 @@ class TestCoverageFunction:
             C = [int(v) for v in rng.permutation(g.n)[:k]]
             res = intercepted_pairs(g, S.honest_strategy(g, C))
             assert coverage_function(g, C) == res.fraction
+
+    def test_matches_two_pass_reference(self):
+        # d_G < d_{G-S} against the honest count, on disconnected graphs with
+        # isolated nodes, with C = {} and C = V among the sets
+        rng = np.random.default_rng(43)
+        cases = [(g, [[], list(range(g.n))]) for g, _ in DEGENERATE]
+        for _ in range(25):
+            g = random_connected_graph(rng, n_max=12, n_min=1)
+            g = G.from_edges(g.n + 3, list(g.edges()) + [(g.n, g.n + 1)])
+            perm = [int(v) for v in rng.permutation(g.n)]
+            cases.append((g, [[], perm, perm[: int(rng.integers(1, g.n))]]))
+        for g, sets in cases:
+            for C in sets:
+                assert coverage_function(g, C) == coverage_function_reference(g, C)
 
     def test_monotone_in_s(self):
         rng = np.random.default_rng(39)

@@ -32,6 +32,15 @@ class TestSynchronize:
         b = P.synchronize(g, set(), {})
         assert b.rho[0, 3] == 2
 
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_colluder_out_of_range(self, bad):
+        g = path_graph(5)
+        vec = np.ones(5, np.int64)
+        with pytest.raises(ValueError, match=f"^colluder {bad} out of range for n=5$"):
+            P.synchronize(g, {bad}, {bad: vec})
+        with pytest.raises(ValueError, match=f"^colluder {bad} out of range"):
+            P.validate_broadcasts(5, {bad}, {bad: vec})
+
     def test_pinned_colluder_row(self):
         g = path_graph(5)
         bc = np.array([2, 1, 0, 1, 1], np.int64)

@@ -10,9 +10,9 @@ from dvintercept import reduction as R
 from dvintercept.interception import intercepted_pairs
 from dvintercept.kernels import INF
 
-from oracles import (adjacent_strategy_reference, random_connected_graph,
-                     rho_star_plan_reference, separated_strategy_reference,
-                     simulate_strategy)
+from oracles import (adjacent_strategy_reference, check_separated_reference,
+                     random_connected_graph, rho_star_plan_reference,
+                     separated_strategy_reference, simulate_strategy)
 
 
 def path_graph(n):
@@ -247,6 +247,49 @@ class TestSeparatedStrategy:
     def test_refuses_adjacent(self):
         with pytest.raises(ValueError):
             S.separated_strategy(path_graph(4), {1, 2})
+
+    def test_first_adjacent_pair_matches_rows_check(self):
+        # the CSR check names the same pair, in the same message, as the
+        # check on distance rows it replaced
+        rng = np.random.default_rng(71)
+        seen = 0
+        for _ in range(200):
+            g = random_connected_graph(rng, n_max=14, n_min=1)
+            C = tuple(sorted(int(v) for v in
+                             rng.permutation(g.n)[: int(rng.integers(0, g.n + 1))]))
+            msgs = []
+            for check in (lambda: S._check_separated(g, C),
+                          lambda: check_separated_reference(C, S._distance_rows(g, C))):
+                try:
+                    check()
+                    msgs.append(None)
+                except ValueError as exc:
+                    msgs.append(str(exc))
+            assert msgs[0] == msgs[1]
+            seen += msgs[0] is not None
+        assert 50 < seen < 200
+
+
+class TestColluderIdsOutOfRange:
+    """Every builder refuses an id outside [0, n) by name; -1 would
+    otherwise read node n - 1's row and n raise a bare IndexError."""
+
+    BUILDERS = [S.honest_strategy, S.independent_strategy, S.separated_strategy,
+                S.adjacent_strategy, R.honest_nonuniform,
+                lambda g, C: S.rho_star_plan(g, C, 0)]
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_builders(self, build, bad):
+        with pytest.raises(ValueError, match=f"^colluder {bad} out of range for n=5$"):
+            build(path_graph(5), [2, bad])
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_lift_strategy(self, bad):
+        g = path_graph(5)
+        nu = R.NonuniformStrategy(colluders=(bad,), broadcast={}, forward={})
+        with pytest.raises(ValueError, match=f"^colluder {bad} out of range"):
+            R.lift_strategy(R.blow_up(g, [bad]), nu)
 
 
 class TestAdjacentStrategy:
