@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import connected_components
 
 from . import kernels
 from .kernels import INF
@@ -70,6 +71,17 @@ def _csr(n: int, src, dst, labels=None) -> Graph:
     indptr = np.zeros(n + 1, np.int64)
     np.cumsum(np.bincount(code // n, minlength=n), out=indptr[1:])
     return Graph(n=n, indptr=indptr, indices=code % n, labels=labels)
+
+
+def induced_subgraph(g: Graph, nodes) -> Graph:
+    """The subgraph induced on the distinct ids `nodes`; its node i is
+    nodes[i]."""
+    nodes = np.asarray(nodes, np.int64)
+    pos = np.full(g.n, -1, np.int64)
+    pos[nodes] = np.arange(nodes.size)
+    src, dst = pos[np.repeat(np.arange(g.n), g.degrees())], pos[g.indices]
+    keep = (src >= 0) & (dst >= 0)
+    return _csr(nodes.size, src[keep], dst[keep])
 
 
 def from_edges(n: int, edges, labels=None) -> Graph:
@@ -157,6 +169,9 @@ def distance_avoiding(g: Graph, removed, x: int, y: int) -> int:
 # target ids per distance block; per-block arrays take O(n * _BLOCK) memory
 _BLOCK = 256
 
+# distance dtypes in widening order; each one's maximum marks unreached entries
+_HOP_DTYPES = (np.uint8, np.uint16, np.uint32)
+
 
 def _adjacency(g: Graph, removed=()) -> csr_matrix:
     """scipy CSR adjacency of g with every edge touching `removed` deleted."""
@@ -168,17 +183,95 @@ def _adjacency(g: Graph, removed=()) -> csr_matrix:
                       shape=(g.n, g.n))
 
 
+def _pull_lists(g: Graph, removed=(), sealed=()):
+    """(n, rows, starts, nbrs): the arcs a BFS level pulls bits over.  Node
+    rows[i] takes the bits of nbrs[starts[i]:starts[i + 1]] (the last run ends
+    at nbrs' end).  Every arc touching `removed` is dropped, and so is every
+    arc into `sealed`; rows lists only the nodes that keep an arc, because
+    `reduceat` gives no identity for an empty run."""
+    blocked = np.zeros(g.n, np.bool_)
+    blocked[list(removed)] = True
+    gives = ~blocked
+    blocked[list(sealed)] = True
+    esrc = np.repeat(np.arange(g.n), g.degrees())
+    keep = ~blocked[esrc] & gives[g.indices]
+    esrc = esrc[keep]
+    first = np.flatnonzero(np.diff(esrc, prepend=-1))
+    return g.n, esrc[first], first, g.indices[keep]
+
+
+def _bit_bfs(pull, sources) -> np.ndarray:
+    """|sources| x n hop distances over `pull` (from `_pull_lists`), all
+    sources at once: node v holds bit i of its uint64 words when sources[i]
+    has reached it.  One level ORs the frontier words of each node's pulled
+    neighbours and keeps the bits not yet seen; every entry still unseen
+    before a level gains 1, so an entry reached at level d holds d.  The
+    result is uint8, widened to uint16 or uint32 when a level would reach
+    the dtype's maximum, which marks the unreached entries."""
+    n, rows, starts, nbrs = pull
+    sources = np.asarray(sources, np.int64).reshape(-1)
+    k = sources.size
+    words = (k + 63) // 64
+    bit = np.arange(k)
+    frontier = np.zeros((n, words), "<u8")
+    np.bitwise_or.at(frontier, (sources, bit >> 6),
+                     np.left_shift(np.uint64(1), (bit & 63).astype(np.uint64)))
+    seen = frontier.copy()
+    dtypes = iter(_HOP_DTYPES)
+    dist = np.zeros((n, 64 * words), next(dtypes))
+
+    def unseen():
+        # bit i of a little-endian word is column i of its row
+        return np.unpackbits((~seen).view(np.uint8), axis=1, bitorder="little")
+
+    level = 0
+    while rows.size:
+        pulled = np.bitwise_or.reduceat(frontier[nbrs], starts, axis=0)
+        pulled &= ~seen[rows]
+        if not pulled.any():
+            break
+        level += 1
+        if level == np.iinfo(dist.dtype).max:
+            dist = dist.astype(next(dtypes))
+        dist += unseen()
+        frontier.fill(0)
+        frontier[rows] = pulled
+        seen[rows] |= pulled
+    dist[unseen().view(np.bool_)] = np.iinfo(dist.dtype).max
+    return np.ascontiguousarray(dist[:, :k].T)
+
+
+def hop_distances(g: Graph, sources, removed=(), sealed=()) -> np.ndarray:
+    """D[i, v]: the hop distance from sources[i] to v once every edge
+    touching `removed` is deleted, with no path entering a node of `sealed`
+    other than its own source.  uint8 while every distance fits below 255,
+    else uint16 or uint32; np.iinfo(D.dtype).max marks unreached entries
+    (see `as_hops`)."""
+    return _bit_bfs(_pull_lists(g, removed, sealed), sources)
+
+
+def as_hops(D, dtype=np.int64, inf: int = INF) -> np.ndarray:
+    """The hop distances D (as from `hop_distances`) in `dtype`, unreached
+    entries set to `inf`.  The copy is widened before inf is written, so a
+    large inf never wraps in D's narrow dtype."""
+    out = D.astype(dtype)
+    out[D == np.iinfo(D.dtype).max] = inf
+    return out
+
+
 def distance_blocks(g: Graph, removed=(), nodes=None):
     """Yield (T, D) over consecutive blocks T of at most _BLOCK ids from
     `nodes` (every node by default), where D[i, s] is the hop distance between
-    T[i] and s once every edge touching `removed` is deleted (float64, np.inf
-    where unreachable).  The graph is undirected, so the rows D are also the
-    columns D[:, T]."""
-    adj = _adjacency(g, removed)
+    T[i] and s once every edge touching `removed` is deleted, from one
+    bit-parallel BFS per block.  D is `hop_distances`' narrow array: one byte
+    per entry while the block's distances stay below 255, the dtype's
+    maximum where unreachable.  The graph is undirected, so the rows D are
+    also the columns D[:, T]."""
+    pull = _pull_lists(g, removed)
     nodes = np.arange(g.n) if nodes is None else np.asarray(nodes, np.int64)
     for lo in range(0, nodes.size, _BLOCK):
         T = nodes[lo : lo + _BLOCK]
-        yield T, shortest_path(adj, directed=True, unweighted=True, indices=T)
+        yield T, _bit_bfs(pull, T)
 
 
 def component_labels(g: Graph) -> np.ndarray:
@@ -293,7 +386,18 @@ def parse_generator_spec(spec: str):
 def generate(spec: str, seed: int) -> Graph:
     """Build a graph from a generator spec string with the given seed."""
     name, args = parse_generator_spec(spec)
+    fn = GENERATORS[name]
+    # seed is positional in some generators, so a surplus argument would bind
+    # to it and fail as "multiple values for 'seed'" without this check
+    params = [p for p in inspect.signature(fn).parameters.values()
+              if p.name != "seed" and p.kind is p.POSITIONAL_OR_KEYWORD]
+    if len(args) > len(params):
+        required = sum(p.default is p.empty for p in params)
+        takes = (str(len(params)) if required == len(params)
+                 else f"from {required} to {len(params)}")
+        raise ValueError(f"generator spec {spec!r}: {name}() takes {takes} "
+                         f"positional arguments but {len(args)} were given")
     try:
-        return GENERATORS[name](*args, seed=seed)
+        return fn(*args, seed=seed)
     except TypeError as exc:  # a missing or extra argument, or a float count
         raise ValueError(f"generator spec {spec!r}: {exc}") from None

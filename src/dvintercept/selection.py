@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse import csr_matrix
 
-from .graph import Graph, _adjacency, component_labels
+from .graph import Graph, component_labels, hop_distances, induced_subgraph
 from .strategy import BudgetError
 
 _METHODS = ("random", "top_degree", "greedy_max", "greedy_min", "exhaustive")
@@ -65,14 +65,15 @@ class _Coverage:
         self._comp = component_labels(g)
         sizes = np.bincount(self._comp)
         self._pairs = int((sizes * (sizes - 1)).sum())
-        adj = _adjacency(g)
         self._nodes = [np.flatnonzero(self._comp == c) for c in range(sizes.size)]
         self._pos = np.zeros(g.n, np.int64)  # index of a node in its component
         self._dist, self._sigma = [], []
         for nodes in self._nodes:
             self._pos[nodes] = np.arange(nodes.size)
-            a = adj[nodes][:, nodes]
-            D = shortest_path(a, directed=True, unweighted=True)
+            sub = induced_subgraph(g, nodes)
+            a = csr_matrix((np.ones(sub.indices.size), sub.indices, sub.indptr),
+                           shape=(nodes.size, nodes.size))
+            D = hop_distances(sub, np.arange(nodes.size))
             diameter = int(D.max())
             D = D.astype(np.min_scalar_type(2 * diameter))
             # sigma at distance d is A times sigma at distance d - 1

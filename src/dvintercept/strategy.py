@@ -14,13 +14,13 @@ import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
 
 from . import kernels, protocol
 # distance_avoiding is not called here but stays importable because
 # perfbench/tracing.py patches this name
 from .graph import (Graph, ParseError, distance_avoiding,  # noqa: F401
-                    _adjacency, _csr, component_labels, distance_blocks)
+                    _csr, as_hops, component_labels, distance_blocks,
+                    hop_distances, induced_subgraph)
 from .kernels import INF
 
 
@@ -41,22 +41,16 @@ def _distance_rows(g: Graph, S, removed=()):
     at[ids] = np.arange(ids.size)
     D = np.empty((ids.size, g.n), np.int64)
     for T, block in distance_blocks(g, removed, nodes=ids):
-        D[at[T]] = np.where(np.isinf(block), INF, block)
+        D[at[T]] = as_hops(block)
     return at, D
 
 
 def _honest_rows(g: Graph, C):
-    """k x n int64: row i holds the hop distances from colluder C[i] through
-    honest nodes only (every other colluder banned), INF where unreachable."""
-    ids = np.asarray(C, np.int64)
-    banned = np.zeros(g.n, np.bool_)
-    banned[ids] = True
-    rows = np.empty((ids.size, g.n), np.int64)
-    for i, x in enumerate(ids):
-        banned[x] = False
-        rows[i] = kernels.bfs(g.indptr, g.indices, x, banned)
-        banned[x] = True
-    return rows
+    """k x n: row i holds the hop distances from colluder C[i] through
+    honest nodes only (no path enters another colluder), from one
+    bit-parallel BFS with every colluder sealed.  The dtype is
+    `hop_distances`' narrow one, its maximum where unreachable."""
+    return hop_distances(g, C, sealed=C)
 
 
 def _closest_hop(g: Graph, rows, v: int):
@@ -331,16 +325,14 @@ def _rho_star_plans(g: Graph, C, rows, order=None, targets=None):
     return T, val, fn, pred, hop
 
 
-def rho_star_plan(g: Graph, C, t: int, *, rows=None, order=None) -> RhoStarPlan:
+def rho_star_plan(g: Graph, C, t: int, *, order=None) -> RhoStarPlan:
     """Optimal broadcasts toward t for pairwise-separated colluders.
 
     Label-setting over colluders: each settles at the minimum of its own lie
     max(1, d(x,t)-2) and max(1, d(x,y)-2 + value(y)) over settled colluders y.
     With `order` given, colluders settle in exactly that sequence and may only
     relay through earlier entries.  A colluder is proper (forwarding_number
-    > 1) only when a relay value strictly beats its own lie.  `rows` = (at, D)
-    gives the true distance row D[at[v]] of every colluder and neighbour v;
-    without it they are computed here.
+    > 1) only when a relay value strictly beats its own lie.
     """
     C = _colluder_tuple(g, C)
     if not 0 <= t < g.n:
@@ -348,10 +340,8 @@ def rho_star_plan(g: Graph, C, t: int, *, rows=None, order=None) -> RhoStarPlan:
     if t in C:
         raise ValueError("target must not be a colluder")
     _check_separated(g, C)
-    if rows is None:
-        rows = _distance_rows(g, C)
-    _, val, fn, pred, hop = _rho_star_plans(g, C, rows, order=order,
-                                            targets=[t])
+    _, val, fn, pred, hop = _rho_star_plans(g, C, _distance_rows(g, C),
+                                            order=order, targets=[t])
     entries = {}
     for i, x in enumerate(C):
         witness = [x]
@@ -383,25 +373,30 @@ def separated_strategy(g: Graph, C) -> Strategy:
 def colluder_components(g: Graph, C) -> list[tuple[int, ...]]:
     """Connected components of the subgraph induced on the colluder set,
     ordered by lowest member id."""
-    cset = set(int(v) for v in C)
-    seen: set[int] = set()
-    comps = []
-    for s in sorted(cset):
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        seen.add(s)
-        while stack:
-            u = stack.pop()
-            for v in g.neighbors(u):
-                v = int(v)
-                if v in cset and v not in seen:
-                    seen.add(v)
-                    comp.add(v)
-                    stack.append(v)
-        comps.append(tuple(sorted(comp)))
-    return comps
+    ids = np.unique(np.asarray(list(C), np.int64))
+    pos = np.full(g.n, -1, np.int64)  # node id -> index in ids
+    pos[ids] = np.arange(ids.size)
+    # the colluders' arcs, then those of the colluder-induced CSR
+    deg = g.indptr[ids + 1] - g.indptr[ids]
+    src = np.repeat(np.arange(ids.size), deg)
+    arcs = np.arange(src.size) + (g.indptr[ids] - np.cumsum(deg) + deg)[src]
+    dst = pos[g.indices[arcs]]
+    src, dst = src[dst >= 0], dst[dst >= 0]
+    # min-label propagation with pointer jumping ends with every member
+    # labelled by the lowest index of its component
+    label = np.arange(ids.size)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, src, label[dst])
+        low = low[low]
+        if (low == label).all():
+            break
+        label = low
+    # ids are sorted, so components first appear at their lowest member
+    comps: dict[int, list[int]] = {}
+    for v, root in zip(ids.tolist(), label.tolist()):
+        comps.setdefault(root, []).append(v)
+    return [tuple(comp) for comp in comps.values()]
 
 
 def _quotient(g: Graph, comps):
@@ -430,8 +425,8 @@ def _intra_component_hops(g: Graph, comp) -> np.ndarray:
     along shortest paths inside the component, -1 on the diagonal.  `comp`
     is a sorted colluder component of at least two members."""
     comp = np.asarray(comp, np.int64)
-    sub = _adjacency(g)[comp][:, comp]
-    dist = shortest_path(sub, directed=True, unweighted=True).astype(np.int64)
+    sub = induced_subgraph(g, comp)
+    dist = hop_distances(sub, np.arange(comp.size)).astype(np.int64)
     # per member, the least dist * c + index over its neighbours picks the
     # closest one toward each member, lowest id on ties
     key = dist[sub.indices] * comp.size + sub.indices[:, None]
@@ -490,12 +485,19 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
     # honest broadcast and hop
     live = (val < INF) & (qhop >= 0)
     w = np.where(live, honest_of[np.maximum(qhop, 0)], -1)  # first honest vertex
-    exits = np.full(w.shape, -1, np.int64)  # exit member per (component, target)
+    wi = np.maximum(w, 0)  # read only where live
+    # the exit member per (component, target) is the lowest-id member
+    # adjacent to w: lowest[ci, u] is that member for node u, n for none
+    cnum = np.full(g.n, -1, np.int64)  # component index of each colluder
     for ci, comp in enumerate(comps):
-        for x in reversed(comp):  # the lowest-id member adjacent to w wins
-            adj = np.zeros(g.n, np.bool_)
-            adj[g.neighbors(x)] = True
-            exits[ci, live[ci] & adj[w[ci]]] = x
+        cnum[list(comp)] = ci
+    esrc = np.repeat(np.arange(g.n), g.degrees())
+    arc = cnum[esrc] >= 0
+    lowest = np.full((len(comps), g.n), g.n, np.int64)
+    np.minimum.at(lowest, (cnum[esrc[arc]], g.indices[arc]), esrc[arc])
+    exits = lowest[np.arange(len(comps))[:, None], wi]
+    exits[~live | (exits == g.n)] = -1
+    for ci, comp in enumerate(comps):
         for x in comp:
             sel = exits[ci] == x
             broadcast[x][T[sel]] = val[ci, sel]
@@ -519,28 +521,24 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
     # Every w lies in N(S), which the rows of _distance_rows cover.
     _, DS = _distance_rows(g, C, removed=C)
     has = exits >= 0
-    wi = np.maximum(w, 0)  # read only where has
     col = DS[at[wi], T]
-    for bx, dx in zip((broadcast[x][T] for x in C), _honest_rows(g, C)):
+    for bx, dx in zip((broadcast[x][T] for x in C), as_hops(_honest_rows(g, C))):
         dxw = dx[wi]
         col = np.minimum(col, np.where((bx < INF) & (dxw < INF), bx + dxw, INF))
-    for ci, comp in enumerate(comps):
-        for x in comp:
-            sel = has[ci] & (exits[ci] != x)  # empty for a singleton
-            if not sel.any():
-                continue
-            # the bound is the largest col[w] - d(x, w), or 1 when there is
-            # none, over the components with an exit and a forwarding number
-            # no larger than ci's, d avoiding that component's members but x
-            best = np.full(T.size, -INF)
-            for cj in np.flatnonzero(has.any(axis=1)):
-                banned = np.zeros(g.n, np.bool_)
-                banned[list(comps[cj])] = True
-                banned[x] = False
-                dwx = kernels.bfs(g.indptr, g.indices, x, banned)[wi[cj]]
-                ok = has[cj] & (fn[cj] <= fn[ci]) & (dwx < INF)
-                best = np.where(ok, np.maximum(best, col[cj] - dwx), best)
-            broadcast[x][T[sel]] = np.maximum(1, best[sel])
+    # Per member x of a multi-node component ci, the bound is the largest
+    # col[w] - d(x, w), or 1 when there is none, over the components cj with
+    # an exit and a forwarding number no larger than ci's, d avoiding cj's
+    # members but x: one BFS per cj from every such x, cj sealed.
+    X = np.array([x for comp in comps if len(comp) > 1 for x in comp], np.int64)
+    ci_of = cnum[X]
+    best = np.full((X.size, T.size), -INF)
+    for cj in np.flatnonzero(has.any(axis=1)):
+        dwx = as_hops(hop_distances(g, X, sealed=comps[cj])[:, wi[cj]])
+        ok = has[cj] & (fn[cj] <= fn[ci_of]) & (dwx < INF)
+        best = np.where(ok, np.maximum(best, col[cj] - dwx), best)
+    for x, ci, bound in zip(X.tolist(), ci_of, best):
+        sel = has[ci] & (exits[ci] != x)
+        broadcast[x][T[sel]] = np.maximum(1, bound[sel])
     return Strategy(colluders=C, broadcast=broadcast, forward=forward,
                     label="adjacent_general")
 
@@ -610,8 +608,7 @@ def _closed_form_pass(g: Graph, strat: Strategy):
     finite = b[b < INF]
     dtype, inf = _int_dtype((int(finite.max()) if finite.size else 0) + n)
     b = np.where(b < INF, b, inf).astype(dtype)
-    dc = _honest_rows(g, ids)
-    dc = np.where(dc < INF, dc, inf).astype(dtype)
+    dc = as_hops(_honest_rows(g, ids), dtype, inf)
 
     def min_plus(bt):
         """min over colluders i of bt[i, j] + dc[i, s], saturated at inf."""
@@ -622,11 +619,8 @@ def _closed_form_pass(g: Graph, strat: Strategy):
 
     for T, dist in distance_blocks(g, ids.tolist()):
         j = np.arange(T.size)
-        unreached = np.isinf(dist)
-        dist[unreached] = 0
-        d = dist.astype(dtype)
-        d[unreached] = inf
-        del dist, unreached  # the float64 block is the largest array here
+        d = as_hops(dist, dtype, inf)
+        del dist
         bt = b[:, T]
         offer = min_plus(bt)
         col = np.minimum(d, offer)

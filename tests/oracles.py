@@ -373,12 +373,13 @@ def coverage_function_reference(g, S) -> Fraction:
     everyone honest, s -> t is intercepted exactly when d_G(s, t) <
     d_{G-S}(s, t), every edge touching S deleted (which also covers an
     endpoint in S)."""
-    from dvintercept.graph import component_labels, distance_blocks
+    from dvintercept.graph import as_hops, component_labels, distance_blocks
 
     S = sorted(set(int(v) for v in S))
     sizes = np.bincount(component_labels(g))
     total = int((sizes * (sizes - 1)).sum())
-    intercepted = sum(int((d < d_cut).sum()) for (_, d), (_, d_cut)
+    # the two blocks may differ in width, so both are compared as int64
+    intercepted = sum(int((as_hops(d) < as_hops(d_cut)).sum()) for (_, d), (_, d_cut)
                       in zip(distance_blocks(g), distance_blocks(g, S)))
     return Fraction(intercepted, total) if total else Fraction(0)
 
@@ -459,20 +460,26 @@ def target_pass_reference(g, strat):
     return None, None, counts, per_target
 
 
-def rho_star_plan_reference(g, C, t, *, rows=None, order=None):
+def rho_star_plan_reference(g, C, t, *, order=None):
     """The per-target label setting `strategy.rho_star_plan` ran before the
     all-targets pass: a Python loop over the colluders toward one target t,
     one single-target `_closest_hop` per exit hop."""
-    from dvintercept.strategy import (RhoStarEntry, RhoStarPlan,
-                                      _check_separated, _closest_hop,
-                                      _distance_rows)
+    from dvintercept.strategy import _distance_rows
 
     C = tuple(sorted(set(int(v) for v in C)))
+    return _plan_on_rows(g, C, t, _distance_rows(g, C), order)
+
+
+def _plan_on_rows(g, C, t, rows, order=None):
+    """`rho_star_plan_reference` on the sorted colluder tuple C, reading the
+    distance rows (at, D) of C and its neighbours from `rows`, so that the
+    per-target loops below compute them once."""
+    from dvintercept.strategy import (RhoStarEntry, RhoStarPlan,
+                                      _check_separated, _closest_hop)
+
     if t in C:
         raise ValueError("target must not be a colluder")
     _check_separated(g, C)
-    if rows is None:
-        rows = _distance_rows(g, C)
     at, D = rows
 
     def lie(d):
@@ -552,7 +559,7 @@ def separated_strategy_reference(g, C):
     for t in range(g.n):
         if t in C:
             continue
-        plan = rho_star_plan_reference(g, C, t, rows=rows)
+        plan = _plan_on_rows(g, C, t, rows)
         for v in C:
             e = plan.entries[v]
             broadcast[v][t] = e.value
@@ -614,6 +621,30 @@ def intra_component_hops_reference(g, comp, exit_node: int) -> dict[int, int]:
             for x in comp if x != exit_node}
 
 
+def colluder_components_reference(g, C):
+    """`strategy.colluder_components` as the Python DFS over the colluders'
+    neighbours it ran before the colluder-induced CSR."""
+    cset = set(int(v) for v in C)
+    seen: set[int] = set()
+    comps = []
+    for s in sorted(cset):
+        if s in seen:
+            continue
+        comp = {s}
+        stack = [s]
+        seen.add(s)
+        while stack:
+            u = stack.pop()
+            for v in g.neighbors(u):
+                v = int(v)
+                if v in cset and v not in seen:
+                    seen.add(v)
+                    comp.add(v)
+                    stack.append(v)
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
 def adjacent_strategy_reference(g, C, component_order=None):
     """`strategy.adjacent_strategy` as the per-target loop it ran before the
     all-targets plan: per honest target one quotient `rho_star_plan_reference`,
@@ -650,8 +681,8 @@ def adjacent_strategy_reference(g, C, component_order=None):
     for t in range(g.n):
         if t in cset:
             continue
-        plan = rho_star_plan_reference(gq, comp_qid, int(qid[t]), rows=qrows,
-                                       order=qorder)
+        plan = _plan_on_rows(gq, tuple(sorted(comp_qid)), int(qid[t]), qrows,
+                             qorder)
         exits, w_of = {}, {}
         for ci, comp in enumerate(comps):
             e = plan.entries[comp_qid[ci]]

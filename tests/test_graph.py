@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import shortest_path
 
 from dvintercept import graph as G
+from dvintercept import kernels
 from dvintercept import reduction as R
 from dvintercept.kernels import INF
 
@@ -189,6 +191,138 @@ class TestDistanceAvoiding:
             assert G.distance_avoiding(g, removed, x, y) == expect
 
 
+def scipy_rows(g, sources, removed=()):
+    """scipy's unweighted shortest paths from `sources` once every edge
+    touching `removed` is deleted, as int64 with INF where unreachable."""
+    D = shortest_path(G._adjacency(g, removed), directed=True, unweighted=True,
+                      indices=np.asarray(sources, np.int64))
+    return np.where(np.isinf(D), INF, D).astype(np.int64).reshape(len(sources), g.n)
+
+
+def banned_rows(g, sources, removed=(), sealed=()):
+    """One `kernels.bfs` per source with `removed` and every other node of
+    `sealed` banned (neither entered nor left); a removed source reaches only
+    itself."""
+    rows = np.full((len(sources), g.n), INF, np.int64)
+    for i, x in enumerate(int(v) for v in sources):
+        rows[i, x] = 0
+        if x in set(int(v) for v in removed):
+            continue
+        banned = np.zeros(g.n, np.bool_)
+        banned[list(removed)] = True
+        banned[list(sealed)] = True
+        banned[x] = False
+        rows[i] = kernels.bfs(g.indptr, g.indices, x, banned)
+    return rows
+
+
+def sparse_graph(rng, n):
+    """A graph on n nodes with about n edges: several components and
+    isolated nodes."""
+    return G.from_edges(n, [(int(rng.integers(n)), int(rng.integers(n)))
+                            for _ in range(int(rng.integers(0, n + 1)))])
+
+
+class TestHopDistances:
+    """The bit-parallel BFS against scipy, `kernels.bfs` with a banned set
+    and path enumeration."""
+
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 257])
+    def test_removed_sets_match_scipy(self, count):
+        rng = np.random.default_rng(count)
+        for trial in range(12):
+            n = int(rng.integers(1, 50))
+            g = (sparse_graph(rng, n) if trial % 2
+                 else G.erdos_renyi(n, float(rng.uniform(0.05, 0.3)), seed=trial))
+            sources = rng.integers(n, size=count)  # repeats included
+            removed = rng.permutation(n)[: int(rng.integers(0, n))]
+            D = G.hop_distances(g, sources, removed)
+            assert D.dtype == np.uint8 and D.shape == (count, n)
+            assert (G.as_hops(D) == scipy_rows(g, sources, removed)).all()
+
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 257])
+    def test_sealed_sets_match_banned_bfs(self, count):
+        rng = np.random.default_rng(100 + count)
+        for trial in range(12):
+            n = int(rng.integers(1, 50))
+            g = (sparse_graph(rng, n) if trial % 2
+                 else G.erdos_renyi(n, float(rng.uniform(0.05, 0.3)), seed=trial))
+            sources = rng.integers(n, size=count)
+            removed = rng.permutation(n)[: int(rng.integers(0, n // 3 + 1))]
+            sealed = rng.permutation(n)[: int(rng.integers(0, n + 1))]
+            sealed = np.concatenate([sealed, sources[: count // 2]])
+            D = G.hop_distances(g, sources, removed, sealed)
+            assert (G.as_hops(D) == banned_rows(g, sources, removed, sealed)).all()
+
+    def test_distinct_sources_past_one_block(self):
+        g = G.erdos_renyi(400, 0.006, seed=2)  # disconnected, isolated nodes
+        sources = np.random.default_rng(3).permutation(g.n)[:257]
+        assert (G.as_hops(G.hop_distances(g, sources)) == scipy_rows(g, sources)).all()
+        S = sources[:40]
+        assert (G.as_hops(G.hop_distances(g, S, sealed=S))
+                == banned_rows(g, S, sealed=S)).all()
+
+    def test_against_path_enumeration(self):
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            g = sparse_graph(rng, 9)
+            D = G.as_hops(G.hop_distances(g, np.arange(g.n)))
+            for s in range(g.n):
+                assert D[s].tolist() == simple_path_distances(g, s)
+
+    def test_tiny_graphs(self):
+        none = np.iinfo(np.uint8).max
+        for n in (0, 1, 2):
+            g = G.from_edges(n, [])
+            D = G.hop_distances(g, np.arange(n))
+            assert D.dtype == np.uint8
+            assert D.tolist() == [[0 if s == v else none for v in range(n)]
+                                  for s in range(n)]
+            assert G.hop_distances(g, []).shape == (0, n)
+        g = G.from_edges(2, [(0, 1)])
+        assert G.hop_distances(g, [0, 1]).tolist() == [[0, 1], [1, 0]]
+        assert G.hop_distances(g, [0, 1], removed=[1]).tolist() == \
+            [[0, none], [none, 0]]
+        assert G.hop_distances(g, [0, 1], sealed=[1]).tolist() == \
+            [[0, none], [1, 0]]
+        assert G.hop_distances(g, [0, 1], sealed=[0, 1]).tolist() == \
+            [[0, none], [none, 0]]
+
+    def test_widens_past_254(self):
+        # the longest distance on a path of 255 nodes is 254, which uint8
+        # holds below its sentinel; one more node needs uint16
+        for n, dtype in ((255, np.uint8), (256, np.uint16)):
+            D = G.hop_distances(path_graph(n), [0, n // 2])
+            assert D.dtype == dtype and int(D.max()) == n - 1
+        g = G.watts_strogatz(600, 2, 0.0, seed=5)  # a ring, diameter 300
+        sources = np.arange(0, g.n, 7)
+        D = G.hop_distances(g, sources)
+        assert D.dtype == np.uint16 and int(D.max()) == 300
+        assert (G.as_hops(D) == scipy_rows(g, sources)).all()
+        # cut the ring open: paths up to 598 hops, and unreached entries
+        D = G.hop_distances(g, sources, removed=[300])
+        assert D.dtype == np.uint16
+        assert (G.as_hops(D) == scipy_rows(g, sources, [300])).all()
+        sealed = [1, 450]
+        assert (G.as_hops(G.hop_distances(g, sources, sealed=sealed))
+                == banned_rows(g, sources, sealed=sealed)).all()
+
+    def test_as_hops_widens_before_the_sentinel(self):
+        D = np.array([[0, 3, 255]], np.uint8)
+        assert G.as_hops(D).tolist() == [[0, 3, INF]]
+        assert G.as_hops(D, np.int16, 16383).tolist() == [[0, 3, 16383]]
+
+    def test_distance_blocks_cover_nodes(self):
+        g = G.erdos_renyi(600, 0.005, seed=4)
+        removed = list(range(0, g.n, 9))
+        nodes = np.random.default_rng(5).permutation(g.n)[:520]
+        blocks = list(G.distance_blocks(g, removed, nodes=nodes))
+        assert [T.size for T, _ in blocks] == [G._BLOCK, G._BLOCK, 520 - 2 * G._BLOCK]
+        assert (np.concatenate([T for T, _ in blocks]) == nodes).all()
+        D = np.concatenate([G.as_hops(block) for _, block in blocks])
+        assert (D == scipy_rows(g, nodes, removed)).all()
+
+
 class TestGenerators:
     def test_er_degenerate(self):
         assert G.erdos_renyi(7, 0.0, seed=1).m == 0
@@ -267,6 +401,10 @@ class TestGenerateSpec:
         ("pref_attach(20,2.5)", "'float' object cannot be interpreted as an integer"),
         ("watts_strogatz(20.0,4,0.1)", "'float' object cannot be interpreted"),
         ("pref_attach(20,2,3,4)", "takes from 1 to 2 positional arguments"),
+        ("erdos_renyi(10,0.5,3)",
+         "erdos_renyi() takes 2 positional arguments but 3 were given"),
+        ("watts_strogatz(10,2,0.1,4)",
+         "watts_strogatz() takes 3 positional arguments but 4 were given"),
     ])
     def test_wrong_arguments_name_the_spec(self, spec, detail):
         with pytest.raises(ValueError) as exc:

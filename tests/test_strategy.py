@@ -5,14 +5,16 @@ from hypothesis import strategies as st
 
 import dvintercept.strategy as S
 from dvintercept import graph as G
+from dvintercept import kernels
 from dvintercept import protocol as P
 from dvintercept import reduction as R
 from dvintercept.interception import intercepted_pairs
 from dvintercept.kernels import INF
 
 from oracles import (adjacent_strategy_reference, check_separated_reference,
-                     random_connected_graph, rho_star_plan_reference,
-                     separated_strategy_reference, simulate_strategy)
+                     colluder_components_reference, random_connected_graph,
+                     rho_star_plan_reference, separated_strategy_reference,
+                     simulate_strategy)
 
 
 def path_graph(n):
@@ -290,6 +292,45 @@ class TestColluderIdsOutOfRange:
         nu = R.NonuniformStrategy(colluders=(bad,), broadcast={}, forward={})
         with pytest.raises(ValueError, match=f"^colluder {bad} out of range"):
             R.lift_strategy(R.blow_up(g, [bad]), nu)
+
+
+class TestColluderRows:
+    """The per-colluder-set helpers the builders and the pass share."""
+
+    def graphs(self):
+        rng = np.random.default_rng(71)
+        out = [G.from_edges(n, []) for n in (0, 1, 2)] + [path_graph(2)]
+        for _ in range(12):
+            g = random_connected_graph(rng, n_max=14, n_min=1)
+            if rng.random() < 0.5:  # a second component and an isolated node
+                g = G.from_edges(g.n + 3, list(g.edges()) + [(g.n, g.n + 1)])
+            out.append(g)
+        out.append(G.erdos_renyi(300, 0.01, seed=3))
+        return out, rng
+
+    def test_honest_rows_match_banned_bfs(self):
+        graphs, rng = self.graphs()
+        for g in graphs:
+            perm = [int(v) for v in rng.permutation(g.n)]
+            for C in ([], sorted(perm[: max(1, g.n // 3)]), sorted(perm[:70]),
+                      list(range(g.n))):
+                rows = S._honest_rows(g, C)
+                assert rows.shape == (len(C), g.n)
+                banned = np.zeros(g.n, np.bool_)
+                banned[C] = True
+                for i, x in enumerate(C):
+                    banned[x] = False
+                    expect = kernels.bfs(g.indptr, g.indices, x, banned)
+                    banned[x] = True
+                    assert (G.as_hops(rows[i]) == expect).all()
+
+    def test_colluder_components_match_dfs(self):
+        graphs, rng = self.graphs()
+        for g in graphs:
+            for size in (0, 1, g.n // 2, g.n):
+                C = [int(v) for v in rng.permutation(g.n)[:size]]
+                assert S.colluder_components(g, C) == \
+                    colluder_components_reference(g, C)
 
 
 class TestAdjacentStrategy:
