@@ -184,20 +184,23 @@ def _adjacency(g: Graph, removed=()) -> csr_matrix:
 
 
 def _pull_lists(g: Graph, removed=(), sealed=()):
-    """(n, rows, starts, nbrs): the arcs a BFS level pulls bits over.  Node
-    rows[i] takes the bits of nbrs[starts[i]:starts[i + 1]] (the last run ends
-    at nbrs' end).  Every arc touching `removed` is dropped, and so is every
-    arc into `sealed`; rows lists only the nodes that keep an arc, because
-    `reduceat` gives no identity for an empty run."""
+    """(n, starts, nbrs, mask): in a BFS level node v pulls the bits of
+    nbrs[starts[v]:starts[v + 1]].  Every arc touching `removed` is dropped,
+    and so is every arc into `sealed`.  `reduceat` gives a node with an
+    empty run the word at its start instead of zero, so such a node's `mask`
+    word is 0 (all ones otherwise); nbrs ends with one padding entry, and
+    starts with its index, so that every start is in range."""
     blocked = np.zeros(g.n, np.bool_)
     blocked[list(removed)] = True
     gives = ~blocked
     blocked[list(sealed)] = True
     esrc = np.repeat(np.arange(g.n), g.degrees())
     keep = ~blocked[esrc] & gives[g.indices]
-    esrc = esrc[keep]
-    first = np.flatnonzero(np.diff(esrc, prepend=-1))
-    return g.n, esrc[first], first, g.indices[keep]
+    counts = np.bincount(esrc[keep], minlength=g.n)
+    starts = np.zeros(g.n + 1, np.int64)
+    np.cumsum(counts, out=starts[1:])
+    mask = np.where(counts > 0, ~np.uint64(0), np.uint64(0))[:, None]
+    return g.n, starts, np.append(g.indices[keep], 0), mask
 
 
 def _bit_bfs(pull, sources) -> np.ndarray:
@@ -208,7 +211,7 @@ def _bit_bfs(pull, sources) -> np.ndarray:
     before a level gains 1, so an entry reached at level d holds d.  The
     result is uint8, widened to uint16 or uint32 when a level would reach
     the dtype's maximum, which marks the unreached entries."""
-    n, rows, starts, nbrs = pull
+    n, starts, nbrs, mask = pull
     sources = np.asarray(sources, np.int64).reshape(-1)
     k = sources.size
     words = (k + 63) // 64
@@ -225,18 +228,18 @@ def _bit_bfs(pull, sources) -> np.ndarray:
         return np.unpackbits((~seen).view(np.uint8), axis=1, bitorder="little")
 
     level = 0
-    while rows.size:
-        pulled = np.bitwise_or.reduceat(frontier[nbrs], starts, axis=0)
-        pulled &= ~seen[rows]
-        if not pulled.any():
+    while starts[-1]:  # with no arc there is no level
+        # the last run is the padding entry's
+        frontier = np.bitwise_or.reduceat(frontier[nbrs], starts, axis=0)[:-1]
+        frontier &= mask
+        frontier &= ~seen
+        if not frontier.any():
             break
         level += 1
         if level == np.iinfo(dist.dtype).max:
             dist = dist.astype(next(dtypes))
         dist += unseen()
-        frontier.fill(0)
-        frontier[rows] = pulled
-        seen[rows] |= pulled
+        seen |= frontier
     dist[unseen().view(np.bool_)] = np.iinfo(dist.dtype).max
     return np.ascontiguousarray(dist[:, :k].T)
 
