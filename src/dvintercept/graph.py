@@ -148,20 +148,36 @@ class DistanceVector:
     dist: np.ndarray
 
 
+def _node_id(n: int, v, what: str) -> int:
+    """int(v); ValueError "<what> v out of range for n=<n>" outside [0, n)."""
+    v = int(v)
+    if not 0 <= v < n:
+        raise ValueError(f"{what} {v} out of range for n={n}")
+    return v
+
+
+def _colluder_tuple(n: int, S) -> tuple[int, ...]:
+    """S sorted and deduplicated; ValueError naming its least id outside
+    [0, n)."""
+    S = tuple(sorted(set(int(v) for v in S)))
+    for v in S[:1] + S[-1:]:
+        _node_id(n, v, "colluder")
+    return S
+
+
 def bfs_distances(g: Graph, source: int) -> DistanceVector:
-    if not (0 <= source < g.n):
-        raise ValueError(f"source {source} out of range for n={g.n}")
+    source = _node_id(g.n, source, "source")
     return DistanceVector(source=source, dist=kernels.bfs(g.indptr, g.indices, source))
 
 
 def distance_avoiding(g: Graph, removed, x: int, y: int) -> int:
     """Distance from x to y in the subgraph induced on V minus `removed`."""
-    removed = set(int(v) for v in removed)
+    removed = _colluder_tuple(g.n, removed)
+    x, y = _node_id(g.n, x, "endpoint"), _node_id(g.n, y, "endpoint")
     if x in removed or y in removed:
         raise ValueError("endpoints must not be in the removed set")
     banned = np.zeros(g.n, np.bool_)
-    for v in removed:
-        banned[v] = True
+    banned[list(removed)] = True
     dist = kernels.bfs(g.indptr, g.indices, x, banned)
     return int(dist[y])
 
@@ -171,16 +187,6 @@ _BLOCK = 256
 
 # distance dtypes in widening order; each one's maximum marks unreached entries
 _HOP_DTYPES = (np.uint8, np.uint16, np.uint32)
-
-
-def _adjacency(g: Graph, removed=()) -> csr_matrix:
-    """scipy CSR adjacency of g with every edge touching `removed` deleted."""
-    cut = np.zeros(g.n, np.bool_)
-    cut[list(removed)] = True
-    esrc = np.repeat(np.arange(g.n), g.degrees())
-    keep = ~(cut[esrc] | cut[g.indices])
-    return csr_matrix((np.ones(int(keep.sum())), (esrc[keep], g.indices[keep])),
-                      shape=(g.n, g.n))
 
 
 def _pull_lists(g: Graph, removed=(), sealed=()):
@@ -262,25 +268,27 @@ def as_hops(D, dtype=np.int64, inf: int = INF) -> np.ndarray:
     return out
 
 
-def distance_blocks(g: Graph, removed=(), nodes=None):
-    """Yield (T, D) over consecutive blocks T of at most _BLOCK ids from
-    `nodes` (every node by default), where D[i, s] is the hop distance between
-    T[i] and s once every edge touching `removed` is deleted, from one
-    bit-parallel BFS per block.  D is `hop_distances`' narrow array: one byte
-    per entry while the block's distances stay below 255, the dtype's
-    maximum where unreachable.  The graph is undirected, so the rows D are
-    also the columns D[:, T]."""
+def distance_blocks(g: Graph, removed=()):
+    """Yield (T, D) over consecutive blocks T of at most _BLOCK node ids, in
+    id order, where D[i, s] is the hop distance between T[i] and s once every
+    edge touching `removed` is deleted, from one bit-parallel BFS per block.
+    D is `hop_distances`' narrow array: one byte per entry while the block's
+    distances stay below 255, the dtype's maximum where unreachable.  The
+    graph is undirected, so the rows D are also the columns D[:, T]."""
     pull = _pull_lists(g, removed)
-    nodes = np.arange(g.n) if nodes is None else np.asarray(nodes, np.int64)
-    for lo in range(0, nodes.size, _BLOCK):
-        T = nodes[lo : lo + _BLOCK]
+    for lo in range(0, g.n, _BLOCK):
+        T = np.arange(lo, min(lo + _BLOCK, g.n))
         yield T, _bit_bfs(pull, T)
 
 
 def component_labels(g: Graph) -> np.ndarray:
     """Connected-component label per node (labels are 0..c-1, numbered in
-    order of each component's lowest node id)."""
-    return connected_components(_adjacency(g), directed=False)[1].astype(np.int64)
+    order of each component's lowest node id).  This is the one
+    connected-components routine: one scipy pass over the stored CSR
+    arrays, which are sorted and duplicate-free (`_csr`)."""
+    adj = csr_matrix((np.ones(g.indices.size), g.indices, g.indptr),
+                     shape=(g.n, g.n))
+    return connected_components(adj, directed=False)[1].astype(np.int64)
 
 
 def is_connected(g: Graph) -> bool:

@@ -62,7 +62,7 @@ def intercepted_pairs(g: Graph, strat: Strategy, *,
     # intercept[t, s]: direction s -> t intercepted; only ever set on
     # same-component, off-diagonal entries
     intercept = np.zeros((g.n, g.n), np.bool_)
-    for T, icept, violation in _closed_form_pass(g, strat):
+    for T, icept, violation in _closed_form_pass(g, strat, comp):
         if violation:
             pair, trapped = violation
             raise ValueError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .graph import Graph
+from .graph import Graph, _colluder_tuple
 
 
 class BroadcastError(ValueError):
@@ -34,10 +34,7 @@ def validate_broadcasts(n: int, colluders, broadcasts) -> dict[int, np.ndarray]:
     exactly the colluder set as keys, ids in [0, n), a 0 self entry, and
     every other entry at least 1 (INF allowed).
     """
-    colluders = frozenset(int(v) for v in colluders)
-    outside = sorted(v for v in colluders if not 0 <= v < n)
-    if outside:
-        raise ValueError(f"colluder {outside[0]} out of range for n={n}")
+    colluders = frozenset(_colluder_tuple(n, colluders))
     if set(broadcasts) != colluders:
         missing = colluders - set(broadcasts)
         extra = set(broadcasts) - colluders

@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .graph import Graph, from_edges
+from .graph import Graph, _colluder_tuple, from_edges
 from .kernels import INF
 from .strategy import Strategy, _honest
 
@@ -58,7 +58,7 @@ class BlowupMap:
 
 
 def blow_up(g: Graph, S) -> BlowupMap:
-    S = tuple(sorted(set(int(v) for v in S)))
+    S = _colluder_tuple(g.n, S)
     sset = set(S)
     w_of: dict[tuple[int, int], int] = {}
     edges = []
@@ -175,7 +175,7 @@ def translate_fraction(g: Graph, S, p) -> Fraction:
     all collude), so with q subdivided edges
     p' = (p*C(n,2) + C(q,2) + q*n) / C(n+q,2).
     """
-    S = set(int(v) for v in S)
+    S = set(_colluder_tuple(g.n, S))
     p = Fraction(p)
     n = g.n
     if not S:

@@ -19,8 +19,9 @@ from . import kernels, protocol
 # distance_avoiding is not called here but stays importable because
 # perfbench/tracing.py patches this name
 from .graph import (Graph, ParseError, distance_avoiding,  # noqa: F401
-                    _csr, as_hops, component_labels, distance_blocks,
-                    hop_distances, induced_subgraph)
+                    _colluder_tuple, _csr, _node_id, as_hops,
+                    component_labels, distance_blocks, hop_distances,
+                    induced_subgraph)
 from .kernels import INF
 
 
@@ -39,10 +40,7 @@ def _distance_rows(g: Graph, S, removed=()):
     ids = np.flatnonzero(cover)
     at = np.full(g.n, -1, np.int64)
     at[ids] = np.arange(ids.size)
-    D = np.empty((ids.size, g.n), np.int64)
-    for T, block in distance_blocks(g, removed, nodes=ids):
-        D[at[T]] = as_hops(block)
-    return at, D
+    return at, as_hops(hop_distances(g, ids, removed))
 
 
 def _honest_rows(g: Graph, C):
@@ -70,21 +68,12 @@ def _closest_hop(g: Graph, rows, v: int):
     return hop
 
 
-def _colluder_tuple(g: Graph, S) -> tuple[int, ...]:
-    """S sorted and deduplicated; ValueError naming an id outside [0, n)."""
-    S = tuple(sorted(set(int(v) for v in S)))
-    outside = [v for v in S if not 0 <= v < g.n]
-    if outside:
-        raise ValueError(f"colluder {outside[0]} out of range for n={g.n}")
-    return S
-
-
 def _honest(g: Graph, S):
     """(S, rows, broadcast, forward): S as `_colluder_tuple`, the distance
     rows of S and its neighbours as from `_distance_rows`, and per colluder a
     fresh copy of its true distances and of its `_closest_hop` array, which
     every builder starts from and edits where it lies."""
-    S = _colluder_tuple(g, S)
+    S = _colluder_tuple(g.n, S)
     rows = at, D = _distance_rows(g, S)
     broadcast = {v: D[at[v]].copy() for v in S}
     forward = {v: _closest_hop(g, rows, v) for v in S}
@@ -106,17 +95,35 @@ class Strategy:
     label: str = "custom"
 
     def validate(self, g: Graph) -> None:
+        """ValueError at the first fault, colluders in `colluders` order and
+        then the lowest target: a malformed broadcast, a missing or
+        misshapen forward vector, or a hop that is neither -1 nor a
+        neighbour."""
         protocol.validate_broadcasts(g.n, self.colluders, self.broadcast)
-        for v in self.colluders:
-            hops = self.forward[v]
-            if hops.shape != (g.n,):
-                raise ValueError(f"forward vector for node {v} has shape {hops.shape}")
-            bad = np.flatnonzero((hops >= 0) & ~np.isin(hops, g.neighbors(v)))
-            if bad.size:
-                t = int(bad[0])
-                raise ValueError(
-                    f"forward({v},{t}) = {int(hops[t])} is not a neighbour"
-                )
+        n, fault = g.n, None
+        hops = np.full((len(self.colluders), n), -1, np.int64)
+        # nbr[i]: colluder i's neighbours; column n stands for every hop
+        # outside [0, n)
+        nbr = np.zeros((len(self.colluders), n + 1), np.bool_)
+        for i, v in enumerate(self.colluders):
+            if v not in self.forward:
+                fault = ValueError(f"forward vector for node {v} is missing")
+                break
+            if np.shape(self.forward[v]) != (n,):
+                fault = ValueError(f"forward vector for node {v} has shape "
+                                   f"{np.shape(self.forward[v])}")
+                break
+            hops[i] = self.forward[v]
+            nbr[i, g.neighbors(v)] = True
+        # one lookup of every hop in its colluder's row
+        bad = ~np.take_along_axis(nbr, np.where((hops >= 0) & (hops < n), hops, n),
+                                  axis=1) & (hops != -1)
+        if bad.any():
+            i, t = np.argwhere(bad)[0]
+            raise ValueError(f"forward({self.colluders[i]},{t}) = {hops[i, t]} "
+                             "is not a neighbour")
+        if fault:
+            raise fault
 
 
 def strategy_to_text(strat: Strategy) -> str:
@@ -198,7 +205,7 @@ def independent_strategy(g: Graph, S) -> Strategy:
 def colluding_distance(g: Graph, C, x: int, y: int, j: int) -> int:
     """Minimum, over ordered sequences of j distinct colluders from x to y,
     of the sum of consecutive true distances; INF if no such sequence."""
-    C = sorted(set(int(v) for v in C))
+    C = _colluder_tuple(g.n, C)
     if x not in C or y not in C:
         raise ValueError("x and y must be colluders")
     if j < 1:
@@ -256,7 +263,7 @@ def _check_separated(g: Graph, C) -> None:
     least colluder with a colluder neighbour, so each such neighbour is
     above x."""
     cmask = np.zeros(g.n, np.bool_)
-    cmask[list(_colluder_tuple(g, C))] = True
+    cmask[list(_colluder_tuple(g.n, C))] = True
     esrc = np.repeat(np.arange(g.n), g.degrees())
     close = np.flatnonzero(cmask[esrc] & cmask[g.indices])
     if close.size:
@@ -334,9 +341,8 @@ def rho_star_plan(g: Graph, C, t: int, *, order=None) -> RhoStarPlan:
     relay through earlier entries.  A colluder is proper (forwarding_number
     > 1) only when a relay value strictly beats its own lie.
     """
-    C = _colluder_tuple(g, C)
-    if not 0 <= t < g.n:
-        raise ValueError(f"target {t} out of range for n={g.n}")
+    C = _colluder_tuple(g.n, C)
+    t = _node_id(g.n, t, "target")
     if t in C:
         raise ValueError("target must not be a colluder")
     _check_separated(g, C)
@@ -372,31 +378,13 @@ def separated_strategy(g: Graph, C) -> Strategy:
 
 def colluder_components(g: Graph, C) -> list[tuple[int, ...]]:
     """Connected components of the subgraph induced on the colluder set,
-    ordered by lowest member id."""
-    ids = np.unique(np.asarray(list(C), np.int64))
-    pos = np.full(g.n, -1, np.int64)  # node id -> index in ids
-    pos[ids] = np.arange(ids.size)
-    # the colluders' arcs, then those of the colluder-induced CSR
-    deg = g.indptr[ids + 1] - g.indptr[ids]
-    src = np.repeat(np.arange(ids.size), deg)
-    arcs = np.arange(src.size) + (g.indptr[ids] - np.cumsum(deg) + deg)[src]
-    dst = pos[g.indices[arcs]]
-    src, dst = src[dst >= 0], dst[dst >= 0]
-    # min-label propagation with pointer jumping ends with every member
-    # labelled by the lowest index of its component
-    label = np.arange(ids.size)
-    while True:
-        low = label.copy()
-        np.minimum.at(low, src, label[dst])
-        low = low[low]
-        if (low == label).all():
-            break
-        label = low
-    # ids are sorted, so components first appear at their lowest member
-    comps: dict[int, list[int]] = {}
-    for v, root in zip(ids.tolist(), label.tolist()):
-        comps.setdefault(root, []).append(v)
-    return [tuple(comp) for comp in comps.values()]
+    ordered by lowest member id: `component_labels` of that subgraph, whose
+    labels count up from the component of its lowest member."""
+    C = _colluder_tuple(g.n, C)
+    comps: list[list[int]] = [[] for _ in C]
+    for v, label in zip(C, component_labels(induced_subgraph(g, C)).tolist()):
+        comps[label].append(v)
+    return [tuple(comp) for comp in comps if comp]
 
 
 def _quotient(g: Graph, comps):
@@ -450,7 +438,9 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
     C, rows, broadcast, forward = _honest(g, C)
     at = rows[0]
     comps = colluder_components(g, C)
-    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    cnum = np.full(g.n, -1, np.int64)  # component index of each colluder
+    for ci, comp in enumerate(comps):
+        cnum[list(comp)] = ci
     # relay bounds (multi-node components only) need the synchronized column
     relays = any(len(comp) > 1 for comp in comps)
     if relays:
@@ -468,9 +458,9 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
         for item in component_order:
             members = (item,) if isinstance(item, (int, np.integer)) else tuple(item)
             for m in members:
-                if int(m) not in comp_of:
+                if not 0 <= int(m) < g.n or cnum[int(m)] < 0:
                     raise ValueError(f"order item {item!r}: {m} is not a colluder")
-            cis = {comp_of[int(m)] for m in members}
+            cis = {int(cnum[int(m)]) for m in members}
             if len(cis) != 1:
                 raise ValueError(f"order item {item!r} spans multiple components")
             seen_ci.append(cis.pop())
@@ -488,9 +478,6 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
     wi = np.maximum(w, 0)  # read only where live
     # the exit member per (component, target) is the lowest-id member
     # adjacent to w: lowest[ci, u] is that member for node u, n for none
-    cnum = np.full(g.n, -1, np.int64)  # component index of each colluder
-    for ci, comp in enumerate(comps):
-        cnum[list(comp)] = ci
     esrc = np.repeat(np.arange(g.n), g.degrees())
     arc = cnum[esrc] >= 0
     lowest = np.full((len(comps), g.n), g.n, np.int64)
@@ -571,9 +558,10 @@ def _int_dtype(bound: int):
     return np.int64, INF + 1
 
 
-def _closed_form_pass(g: Graph, strat: Strategy):
+def _closed_form_pass(g: Graph, strat: Strategy, comp):
     """The pass shared by the admissibility check and the count, in closed
-    form over blocks of targets T.  Yields (T, intercept, violation):
+    form over blocks of targets T; `comp` is `component_labels(g)`, which
+    each caller computes once.  Yields (T, intercept, violation):
     intercept is a |T| x n bool array marking s -> T[i] as intercepted at
     [i, s]; violation is None, or ((s, t), trapped) for the block's first
     target t with members of its component that cannot reach it in the
@@ -593,7 +581,6 @@ def _closed_form_pass(g: Graph, strat: Strategy):
     strat.validate(g)
     n, ids = g.n, np.asarray(strat.colluders, np.int64)
     k = ids.size
-    comp = component_labels(g)
     smask = np.zeros(n, np.bool_)
     smask[ids] = True
     cidx = np.full(n, -1, np.int64)  # node id -> colluder index
@@ -671,7 +658,7 @@ def _closed_form_pass(g: Graph, strat: Strategy):
 def check_admissible(g: Graph, strat: Strategy) -> AdmissibilityVerdict:
     """A strategy is admissible when, for every target, every node in the
     target's component can reach it in the per-target routing graph."""
-    for _, _, violation in _closed_form_pass(g, strat):
+    for _, _, violation in _closed_form_pass(g, strat, component_labels(g)):
         if violation:
             pair, trapped = violation
             return AdmissibilityVerdict(False, pair, frozenset(trapped))
@@ -697,7 +684,8 @@ def minimal_admissible_bruteforce(g: Graph, C, t: int, budget: int = 10**6):
     with colluders fanning out to all neighbours covers the component.
     Returns (colluder order, Pareto frontier of admissible vectors).
     """
-    C = tuple(sorted(set(int(v) for v in C)))
+    C = _colluder_tuple(g.n, C)
+    t = _node_id(g.n, t, "target")
     if t in C:
         raise ValueError("target must not be a colluder")
     dt = kernels.bfs(g.indptr, g.indices, t)

@@ -370,3 +370,22 @@ class TestClosedFormPass:
                    for v in verdicts)
         for strat in strats:
             assert_pass_matches(g, strat, oracle=False)
+
+    def test_one_labelling_per_count(self, monkeypatch):
+        # the count and the check each label the graph's components once
+        import dvintercept.interception as I
+        g = G.erdos_renyi(300, 0.012, seed=4)
+        strat = S.adjacent_strategy(g, [0, 1, 2, 5, 40])
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            return G.component_labels(graph)
+
+        monkeypatch.setattr(I, "component_labels", counted)
+        monkeypatch.setattr(S, "component_labels", counted)
+        intercepted_pairs(g, strat)
+        assert calls == [g]
+        calls.clear()
+        assert S.check_admissible(g, strat)
+        assert calls == [g]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -286,6 +288,32 @@ class TestColluderIdsOutOfRange:
         with pytest.raises(ValueError, match=f"^colluder {bad} out of range for n=5$"):
             build(path_graph(5), [2, bad])
 
+    CALLS = [
+        pytest.param(lambda g, bad: S.minimal_admissible_bruteforce(g, [bad], 0),
+                     "colluder", id="bruteforce-colluder"),
+        pytest.param(lambda g, bad: S.minimal_admissible_bruteforce(g, [2], bad),
+                     "target", id="bruteforce-target"),
+        pytest.param(lambda g, bad: S.colluding_distance(g, [bad, 1], bad, 1, 2),
+                     "colluder", id="colluding_distance"),
+        pytest.param(lambda g, bad: S.colluder_components(g, [2, bad]),
+                     "colluder", id="colluder_components"),
+        pytest.param(lambda g, bad: R.blow_up(g, [bad]), "colluder", id="blow_up"),
+        pytest.param(lambda g, bad: R.translate_fraction(g, [bad], 0.5),
+                     "colluder", id="translate_fraction"),
+        pytest.param(lambda g, bad: G.distance_avoiding(g, [], bad, 3),
+                     "endpoint", id="distance_avoiding-x"),
+        pytest.param(lambda g, bad: G.distance_avoiding(g, [], 0, bad),
+                     "endpoint", id="distance_avoiding-y"),
+        pytest.param(lambda g, bad: G.distance_avoiding(g, [bad], 0, 3),
+                     "colluder", id="distance_avoiding-removed"),
+    ]
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    @pytest.mark.parametrize("call, what", CALLS)
+    def test_other_calls(self, call, what, bad):
+        with pytest.raises(ValueError, match=f"^{what} {bad} out of range for n=5$"):
+            call(path_graph(5), bad)
+
     @pytest.mark.parametrize("bad", [-1, 5])
     def test_lift_strategy(self, bad):
         g = path_graph(5)
@@ -396,7 +424,8 @@ class TestAdjacentStrategy:
             S.adjacent_strategy(g, {1, 4}, component_order=[1])
         with pytest.raises(ValueError):
             S.adjacent_strategy(g, {1, 4}, component_order=[1, 1])
-        for order, bad in (([0, 99], 99), ([0, 2], 2), ([(0, 1), 3], 1)):
+        for order, bad in (([0, 99], 99), ([0, -1], -1), ([0, 2], 2),
+                           ([(0, 1), 3], 1)):
             with pytest.raises(ValueError, match=f": {bad} is not a colluder"):
                 S.adjacent_strategy(g, [0, 3], component_order=order)
 
@@ -431,6 +460,36 @@ class TestCheckAdmissible:
                            forward={1: np.full(4, 3, np.int64)})
         with pytest.raises(ValueError, match="not a neighbour"):
             S.check_admissible(g, strat)
+
+    @pytest.mark.parametrize("hop", [-2, 5])
+    def test_rejects_hop_outside_range(self, hop):
+        g = path_graph(5)
+        strat = S.honest_strategy(g, [1])
+        strat.forward[1][3] = hop
+        with pytest.raises(ValueError, match=f"^forward\\(1,3\\) = {hop} is not a neighbour$"):
+            strat.validate(g)
+
+    def test_rejects_missing_forward_vector(self):
+        g = path_graph(5)
+        strat = replace(S.honest_strategy(g, [1, 3]), forward={})
+        with pytest.raises(ValueError, match="^forward vector for node 1 is missing$"):
+            strat.validate(g)
+
+    def test_first_fault_in_colluder_order(self):
+        # colluder 1 faults at targets 3 and 4, colluder 3 at the lower target 0
+        g = path_graph(5)
+        strat = S.honest_strategy(g, [1, 3])
+        strat.forward[1][3:] = [4, -2]
+        strat.forward[3][0] = 0
+        with pytest.raises(ValueError, match=r"^forward\(1,3\) = 4 is not a neighbour$"):
+            strat.validate(g)
+        # a later colluder's missing vector does not hide an earlier bad hop
+        del strat.forward[3]
+        with pytest.raises(ValueError, match=r"^forward\(1,3\) = 4 is not a neighbour$"):
+            strat.validate(g)
+        strat.forward[1][3:] = [2, 2]
+        with pytest.raises(ValueError, match="^forward vector for node 3 is missing$"):
+            strat.validate(g)
 
     def test_overzealous_broadcast(self):
         # colluder 6 hangs off a long path toward target 0; claiming
