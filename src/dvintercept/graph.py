@@ -236,7 +236,8 @@ def _bit_bfs(pull, sources) -> np.ndarray:
     level = 0
     while starts[-1]:  # with no arc there is no level
         # the last run is the padding entry's
-        frontier = np.bitwise_or.reduceat(frontier[nbrs], starts, axis=0)[:-1]
+        frontier = np.bitwise_or.reduceat(np.take(frontier, nbrs, axis=0),
+                                          starts, axis=0)[:-1]
         frontier &= mask
         frontier &= ~seen
         if not frontier.any():

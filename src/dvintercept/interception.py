@@ -56,7 +56,8 @@ def intercepted_pairs(g: Graph, strat: Strategy, *,
     """Count intercepted pairs under the given strategy, checking its
     admissibility in the same closed-form pass (ValueError at the first
     target whose routing graph traps a node).  Memory: one n x n bool
-    (n^2 bytes) plus the pass's O(n * block) arrays."""
+    (n^2 bytes) plus the pass's O(n * block) arrays, one byte per entry
+    while every offer is below 127."""
     comp = component_labels(g)
     sizes = np.bincount(comp)
     # intercept[t, s]: direction s -> t intercepted; only ever set on
@@ -70,20 +71,24 @@ def intercepted_pairs(g: Graph, strat: Strategy, *,
                 f"has no corresponding path (trapped nodes {trapped})"
             )
         intercept[T] = icept
-    # both directions intercepted, counted once per ordered pair, by blocks
-    # of rows so that no second n x n array is made
-    both = sum(int((intercept[lo:lo + _BLOCK] & intercept[:, lo:lo + _BLOCK].T).sum())
-               for lo in range(0, g.n, _BLOCK))
+    # both directions intercepted, by square tiles of the upper triangle so
+    # that no second n x n array is made; tile (b, a) mirrors tile (a, b)
+    both = 0
+    for a in range(0, g.n, _BLOCK):
+        for b in range(a, g.n, _BLOCK):
+            tile = np.count_nonzero(intercept[a:a + _BLOCK, b:b + _BLOCK]
+                                    & intercept[b:b + _BLOCK, a:a + _BLOCK].T)
+            both += tile if a == b else 2 * tile
     counts = None
     if per_target:
-        row = intercept.sum(axis=1)
+        row = np.count_nonzero(intercept, axis=1)
         counts = {t: (int(row[t]), int(sizes[comp[t]]) - 1) for t in range(g.n)}
     total_ordered = int((sizes * (sizes - 1)).sum())
     return InterceptionResult(
         total_ordered=total_ordered,
-        intercepted_ordered=int(intercept.sum()),
+        intercepted_ordered=int(np.count_nonzero(intercept)),
         total_unordered=total_ordered // 2,
-        intercepted_unordered=both // 2,
+        intercepted_unordered=int(both) // 2,
         per_target_counts=counts,
     )
 

@@ -138,9 +138,12 @@ def strategy_to_text(strat: Strategy) -> str:
 
 
 def strategy_from_text(text: str, n: int) -> Strategy:
+    """Parse `strategy_to_text`'s format; ParseError at the first malformed
+    or repeated (colluder, target) record."""
     label = "custom"
     broadcast: dict[int, np.ndarray] = {}
     forward: dict[int, np.ndarray] = {}
+    first: dict[tuple[int, int], int] = {}  # (colluder, target) -> line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -165,6 +168,10 @@ def strategy_from_text(text: str, n: int) -> Strategy:
                 raise ParseError(f"{name} {node} out of range for n={n}", lineno)
         if not -1 <= h < n:
             raise ParseError(f"hop {h} out of range for n={n}", lineno)
+        if (v, t) in first:
+            raise ParseError(f"record for colluder {v}, target {t} repeats "
+                             f"line {first[v, t]}", lineno)
+        first[v, t] = lineno
         if v not in broadcast:
             broadcast[v] = np.full(n, INF, np.int64)
             forward[v] = np.full(n, -1, np.int64)
@@ -546,12 +553,12 @@ class AdmissibilityVerdict:
 
 
 def _int_dtype(bound: int):
-    """(dtype, sentinel): int16 or int32 when half its range exceeds `bound`,
-    with that half as the sentinel, so a sum of two stored values never
-    wraps; else int64 with INF + 1, which keeps every sum up to INF finite
-    as the synchronization does (a node whose best neighbour announces
-    INF - 1 believes INF and still forwards)."""
-    for dtype in (np.int16, np.int32):
+    """(dtype, sentinel): uint8, int16 or int32 when half its range exceeds
+    `bound`, with that half as the sentinel (127 for uint8), so a sum of two
+    stored values never wraps; else int64 with INF + 1, which keeps every sum
+    up to INF finite as the synchronization does (a node whose best
+    neighbour announces INF - 1 believes INF and still forwards)."""
+    for dtype in (np.uint8, np.int16, np.int32):
         sentinel = np.iinfo(dtype).max // 2
         if bound < sentinel:
             return dtype, sentinel
@@ -577,6 +584,22 @@ def _closed_form_pass(g: Graph, strat: Strategy, comp):
     t or by a delivering colluder.  The delivering colluders Del_t are a
     least fixpoint over the colluders: x delivers when x = t or its hop
     toward t is t, a delivering colluder, or an honest node that reaches t.
+
+    The integers are sized by the offers, not by n.  With cap the largest
+    finite b_x[t] (x and t in one component) plus the largest finite D_C
+    entry plus 1, every offer is below cap or the sentinel inf, and so is
+    every minimum of offers.  D is saturated at c = min(cap, inf - 1), inf
+    where unreached.  For a distance d >= c and any such offer o, o < d iff
+    o < c (o < cap <= d, or o = inf), and min(d, o) is o, or at least c
+    when o is inf; so intercept, col < inf, hcol, direct, attains and the
+    odel test come out as for the true distance.  (With cap > inf - 1, in
+    int64 only, c = INF exceeds every hop distance and nothing saturates.)
+    uint8 thus serves whenever every offer is below 127, however long the
+    paths in G - S.
+
+    Offers, and with them intercept and reached, are finite only within the
+    target's component, where every delivering colluder lies too; so the
+    component test is made only in the colluder columns and rows.
     """
     strat.validate(g)
     n, ids = g.n, np.asarray(strat.colluders, np.int64)
@@ -585,6 +608,7 @@ def _closed_form_pass(g: Graph, strat: Strategy, comp):
     smask[ids] = True
     cidx = np.full(n, -1, np.int64)  # node id -> colluder index
     cidx[ids] = np.arange(k)
+    sizes = np.bincount(comp)
     b = np.array([strat.broadcast[v] for v in strat.colluders],
                  np.int64).reshape(k, n)
     hop = np.array([strat.forward[v] for v in strat.colluders],
@@ -592,31 +616,48 @@ def _closed_form_pass(g: Graph, strat: Strategy, comp):
     # an offer toward a target in another component reaches none of the
     # target's members, so such entries are dropped before sizing the dtype
     b[comp[ids][:, None] != comp] = INF
-    finite = b[b < INF]
-    dtype, inf = _int_dtype((int(finite.max()) if finite.size else 0) + n)
+    raw_dc = _honest_rows(g, ids)
+    finite_b = b[b < INF]
+    finite_dc = raw_dc[raw_dc < np.iinfo(raw_dc.dtype).max]
+    cap = (int(finite_b.max()) if finite_b.size else 0) \
+        + (int(finite_dc.max()) if finite_dc.size else 0) + 1
+    dtype, inf = _int_dtype(cap)
     b = np.where(b < INF, b, inf).astype(dtype)
-    dc = as_hops(_honest_rows(g, ids), dtype, inf)
+    dc = as_hops(raw_dc, dtype, inf)
+
+    def saturated(D):
+        """D (as from `distance_blocks`) in `dtype`, at most min(cap,
+        inf - 1), inf where unreached.  The minimum is taken in D's dtype,
+        so that no distance wraps when narrowed; its bound is a row, because
+        numpy's minimum against a scalar ran ten times slower on uint8."""
+        top = np.iinfo(D.dtype).max
+        out = np.minimum(D, np.full(n, min(cap, inf - 1, top), D.dtype))
+        out = out.astype(dtype, copy=False)
+        return np.maximum(out, np.multiply(D == top, inf, dtype=dtype), out=out)
 
     def min_plus(bt):
-        """min over colluders i of bt[i, j] + dc[i, s], saturated at inf."""
+        """min over colluders i of bt[i, j] + dc[i, s], at most inf."""
         out = np.full((bt.shape[1], n), inf, dtype)
+        tmp = np.empty_like(out)
         for i in range(k):
-            np.minimum(out, bt[i][:, None] + dc[i], out=out)
-        return np.minimum(out, inf, out=out)
+            np.add(bt[i][:, None], dc[i], out=tmp)
+            np.minimum(out, tmp, out=out)
+        return out
 
     for T, dist in distance_blocks(g, ids.tolist()):
         j = np.arange(T.size)
-        d = as_hops(dist, dtype, inf)
+        d = saturated(dist)
         del dist
         bt = b[:, T]
         offer = min_plus(bt)
         col = np.minimum(d, offer)
-        members = comp[T][:, None] == comp
         intercept = offer < d
         del offer
-        intercept |= smask
-        intercept[smask[T]] = True
-        intercept &= members
+        # offer < d lies within the target's component; colluder endpoints
+        # are added within it
+        intercept[:, ids] |= comp[T][:, None] == comp[ids]
+        ct = np.flatnonzero(smask[T])
+        intercept[ct] = comp[T[ct]][:, None] == comp
         intercept[j, T] = False
 
         # delivering colluders: a k x |T| fixpoint read at the colluders' hops
@@ -646,12 +687,16 @@ def _closed_form_pass(g: Graph, strat: Strategy, comp):
             reached[rows] &= col[rows] == np.minimum(d[rows], odel)
         reached[:, ids] = deliver.T
         reached[j, T] = True
-        trapped = members & ~reached
-        bad = np.flatnonzero(trapped.any(axis=1))
+        # reached lies within each target's component, so a row falls short
+        # of its component's size exactly when it traps a member
+        bad = np.flatnonzero(np.count_nonzero(reached, axis=1)
+                             < sizes[comp[T]])
         violation = None
         if bad.size:
-            nodes = np.flatnonzero(trapped[bad[0]]).tolist()
-            violation = (nodes[0], int(T[bad[0]])), nodes
+            i = bad[0]
+            nodes = np.flatnonzero((comp == comp[T[i]])
+                                   & ~reached[i]).tolist()
+            violation = (nodes[0], int(T[i])), nodes
         yield T, intercept, violation
 
 

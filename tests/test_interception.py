@@ -217,18 +217,22 @@ def test_strategy_dominates_honest_pointwise(seed):
 
 def random_strategy(g, C, rng, scale):
     """Broadcasts drawn from small values and INF, with scale >= 1 also values
-    at and above 2^15 and with scale 2 also values just below INF (so each
-    integer width of the closed-form pass runs); hops a random neighbour or
-    -1.  Mostly inadmissible."""
+    in [127, 2^13), with scale >= 2 also values at and above 2^15 and with
+    scale 3 also values just below INF (so each integer width of the
+    closed-form pass runs); hops a random neighbour or -1.  Mostly
+    inadmissible."""
     broadcast, forward = {}, {}
     for v in C:
         vec = rng.integers(1, g.n + 3, g.n).astype(np.int64)
         kind = rng.random(g.n)
         vec[kind < 0.15] = INF
         if scale >= 1:
-            big = (kind >= 0.15) & (kind < 0.3)
+            mid = (kind >= 0.15) & (kind < 0.3)
+            vec[mid] = rng.integers(127, 2**13, int(mid.sum()))
+        if scale >= 2:
+            big = (kind >= 0.3) & (kind < 0.45)
             vec[big] = 2**15 + rng.integers(0, 2**20, int(big.sum()))
-        if scale == 2:
+        if scale == 3:
             near = kind > 0.9
             vec[near] = INF - rng.integers(1, 3, int(near.sum()))
         vec[v] = 0
@@ -322,7 +326,7 @@ class TestClosedFormPass:
         C = [int(v) for v in rng.permutation(g.n)[:k]]
         strats = builders(g, C)
         if C:
-            strats += [random_strategy(g, C, rng, scale) for scale in range(3)]
+            strats += [random_strategy(g, C, rng, scale) for scale in range(4)]
             strats.append(perturbed(g, strats[2], rng, range(g.n)))
         for strat in strats:
             assert_pass_matches(g, strat)
@@ -338,7 +342,7 @@ class TestClosedFormPass:
             strats = builders(g, C)
             if C:
                 strats += [random_strategy(g, C, rng, scale)
-                           for scale in range(3)]
+                           for scale in range(4)]
             for strat in strats:
                 assert_pass_matches(g, strat)
 
@@ -354,6 +358,55 @@ class TestClosedFormPass:
                 forward={2: np.array([1, 1, -1, 3], np.int64)})
             assert S.check_admissible(g, strat).violating_pair == pair
             assert_pass_matches(g, strat)
+
+    def test_long_paths_narrow_offers(self):
+        # a fan: the path 0-...-298 and a hub 299 adjacent to every path
+        # node.  With the hub colluding, distances in G - S reach 298 hops
+        # (uint16 blocks) while every offer is at most 5, so the pass runs
+        # in uint8 with its distances saturated
+        n = 300
+        g = G.from_edges(n, [(i, i + 1) for i in range(n - 2)]
+                         + [(i, n - 1) for i in range(n - 1)])
+        C = [n - 1]
+        assert next(G.distance_blocks(g, C))[1].dtype == np.uint16
+        strats = [S.honest_strategy(g, C), S.independent_strategy(g, C),
+                  S.separated_strategy(g, C)]
+        rng = np.random.default_rng(299)
+        for _ in range(3):
+            b = rng.integers(1, 4, n)
+            hop = rng.integers(0, n - 1, n)
+            b[n - 1], hop[n - 1] = 0, -1
+            strats.append(S.Strategy(colluders=(n - 1,), broadcast={n - 1: b},
+                                     forward={n - 1: hop}))
+        for strat in strats:
+            assert_pass_matches(g, strat, oracle=False)
+
+    def test_every_integer_width(self, monkeypatch):
+        # the largest offer sizes the pass's integers: uint8 below 127, then
+        # int16, int32 and int64 as random_strategy's scale grows
+        int_dtype, chosen = S._int_dtype, set()
+
+        def spy(bound):
+            out = int_dtype(bound)
+            chosen.add(out[0])
+            return out
+
+        monkeypatch.setattr(S, "_int_dtype", spy)
+        g = G.erdos_renyi(30, 0.15, seed=6)
+        rng = np.random.default_rng(6)
+        C = [int(v) for v in rng.permutation(g.n)[:4]]
+        for scale, dtype in enumerate((np.uint8, np.int16, np.int32, np.int64)):
+            assert_pass_matches(g, random_strategy(g, C, rng, scale),
+                                oracle=False)
+            assert chosen == {dtype}
+            chosen.clear()
+
+    @pytest.mark.parametrize("bound, dtype, sentinel", [
+        (126, np.uint8, 127), (127, np.int16, 16383),
+        (16382, np.int16, 16383), (16383, np.int32, 2**30 - 1),
+        (2**30 - 2, np.int32, 2**30 - 1), (2**30 - 1, np.int64, INF + 1)])
+    def test_int_dtype_boundaries(self, bound, dtype, sentinel):
+        assert S._int_dtype(bound) == (dtype, sentinel)
 
     def test_two_blocks(self):
         # n above one block of targets: violations planted in the second

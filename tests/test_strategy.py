@@ -628,9 +628,11 @@ class TestSerialization:
         ("1 7 1 0", "target 7 out of range"),
         ("1 0 1 -2", "hop -2 out of range"),
         ("# label", "label line without a label"),
+        ("1 1 2 0", "record for colluder 1, target 1 repeats line 2"),
     ], ids=["too-few-tokens", "too-many-tokens", "non-integer-id",
             "non-integer-broadcast", "negative-target", "colluder-out-of-range",
-            "target-out-of-range", "hop-below-minus-one", "label-missing"])
+            "target-out-of-range", "hop-below-minus-one", "label-missing",
+            "repeated-record"])
     def test_rejects_malformed_record(self, record, message):
         text = f"# label custom\n1 1 0 -1\n\n{record}\n"
         with pytest.raises(G.ParseError, match=f"line 4: {message}") as exc:
