@@ -7,6 +7,7 @@ reaches its destination.
 """
 
 from .graph import (
+    INF,
     DistanceVector,
     Graph,
     ParseError,
@@ -23,7 +24,7 @@ from .graph import (
     watts_strogatz,
 )
 from .interception import InterceptionResult, coverage_function, intercepted_pairs
-from .kernels import INF, backend
+from .kernels import backend
 from .protocol import BeliefState, BroadcastError, synchronize
 from .reduction import (
     BlowupMap,

@@ -9,8 +9,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from . import kernels
-from .kernels import INF
+INF = int(np.int64(1) << np.int64(60))  # unreached; INF + small cannot overflow
 
 
 class ParseError(ValueError):
@@ -165,9 +164,30 @@ def _colluder_tuple(n: int, S) -> tuple[int, ...]:
     return S
 
 
+def bfs(indptr, indices, src, banned=None):
+    """int64 hop distances from src over CSR arrays, INF where unreachable;
+    banned nodes are neither entered nor left."""
+    n = indptr.shape[0] - 1
+    banned = np.zeros(n, np.bool_) if banned is None else banned
+    esrc = np.repeat(np.arange(n), np.diff(indptr))
+    ok = ~banned[esrc] & ~banned[indices]
+    esrc, edst = esrc[ok], indices[ok]
+    dist = np.full(n, INF, np.int64)
+    frontier = np.zeros(n, np.bool_)
+    frontier[src] = not banned[src]
+    d = 0
+    while frontier.any():
+        dist[frontier] = d
+        d += 1
+        reached = np.zeros(n, np.bool_)
+        reached[edst[frontier[esrc]]] = True
+        frontier = reached & (dist == INF)
+    return dist
+
+
 def bfs_distances(g: Graph, source: int) -> DistanceVector:
     source = _node_id(g.n, source, "source")
-    return DistanceVector(source=source, dist=kernels.bfs(g.indptr, g.indices, source))
+    return DistanceVector(source=source, dist=bfs(g.indptr, g.indices, source))
 
 
 def distance_avoiding(g: Graph, removed, x: int, y: int) -> int:
@@ -178,7 +198,7 @@ def distance_avoiding(g: Graph, removed, x: int, y: int) -> int:
         raise ValueError("endpoints must not be in the removed set")
     banned = np.zeros(g.n, np.bool_)
     banned[list(removed)] = True
-    dist = kernels.bfs(g.indptr, g.indices, x, banned)
+    dist = bfs(g.indptr, g.indices, x, banned)
     return int(dist[y])
 
 

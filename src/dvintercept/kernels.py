@@ -1,17 +1,16 @@
-"""Hot numeric loops: BFS, per-target synchronization, routing reachability.
+"""Per-target reference loops: synchronization, routing reachability and
+shortest-path coverage, over CSR arrays with ``INF`` as the sentinel.
 
-Each kernel is vectorized numpy over CSR adjacency (``indptr``/``indices``
-int64 arrays) and uses ``INF`` as the unreachable sentinel.  INF is far below
-int64 overflow so that ``INF + small`` stays ordered above every finite
-distance.
+No library module calls them; they are what the tests check the closed forms
+against and what the benchmark's traced run patches.  ``INF`` and ``bfs``
+are `graph`'s, re-exported.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-INF = int(np.int64(1) << np.int64(60))
-_INF64 = np.int64(INF)
+from .graph import INF, bfs
 
 
 def backend() -> str:
@@ -23,32 +22,6 @@ def _edge_arrays(indptr, indices):
     n = indptr.shape[0] - 1
     deg = np.diff(indptr)
     return np.repeat(np.arange(n, dtype=np.int64), deg), indices
-
-
-def bfs(indptr, indices, src, banned=None):
-    """Hop distances from src; banned nodes are neither entered nor left."""
-    n = indptr.shape[0] - 1
-    if banned is None:
-        banned = np.zeros(n, np.bool_)
-    dist = np.full(n, _INF64, np.int64)
-    if banned[src]:
-        return dist
-    esrc, edst = _edge_arrays(indptr, indices)
-    ok = ~banned[esrc] & ~banned[edst]
-    esrc, edst = esrc[ok], edst[ok]
-    dist[src] = 0
-    frontier = np.array([src], dtype=np.int64)
-    d = 0
-    fmask = np.zeros(n, bool)
-    while frontier.size:
-        fmask[:] = False
-        fmask[frontier] = True
-        cand = edst[fmask[esrc]]
-        new = np.unique(cand[dist[cand] == _INF64])
-        d += 1
-        dist[new] = d
-        frontier = new
-    return dist
 
 
 # path_cover's BFS; a separate name keeps it out of the calls counted on `bfs`
@@ -64,15 +37,15 @@ def sync_column(indptr, indices, pinned, pmask, t):
     """
     n = indptr.shape[0] - 1
     esrc, edst = _edge_arrays(indptr, indices)
-    col = np.where(pmask, pinned, _INF64).astype(np.int64)
+    col = np.where(pmask, pinned, INF).astype(np.int64)
     if not pmask[t]:
         col[t] = 0
     honest = ~pmask
     rounds = 0
     while True:
-        nbr_min = np.full(n, _INF64, np.int64)
+        nbr_min = np.full(n, INF, np.int64)
         np.minimum.at(nbr_min, esrc, col[edst])
-        cand = np.where(nbr_min < _INF64, nbr_min + 1, _INF64)
+        cand = np.where(nbr_min < INF, nbr_min + 1, INF)
         new = np.where(honest, np.minimum(col, cand), col)
         if np.array_equal(new, col):
             return col, rounds
@@ -91,10 +64,10 @@ def reach(indptr, indices, col, t, cmask, hops, liberal=False, banned=None):
     if banned is None:
         banned = np.zeros(n, np.bool_)
     esrc, edst = _edge_arrays(indptr, indices)
-    nbr_min = np.full(n, _INF64, np.int64)
+    nbr_min = np.full(n, INF, np.int64)
     hsrc = ~cmask[esrc]
     np.minimum.at(nbr_min, esrc[hsrc], col[edst[hsrc]])
-    use_h = hsrc & (col[edst] == nbr_min[esrc]) & (nbr_min[esrc] < _INF64)
+    use_h = hsrc & (col[edst] == nbr_min[esrc]) & (nbr_min[esrc] < INF)
     if liberal:
         use_c = cmask[esrc]
     else:
@@ -113,25 +86,20 @@ def path_cover(indptr, indices, t, smask):
     """Per-target shortest-path coverage of the marked set `smask`.
 
     Returns (sum over sources s reaching t of the fraction of s->t shortest
-    paths touching the set, number of such sources).
-
-    Selection no longer calls this (`selection._Coverage` updates all pairs
-    at once).  It stays as the per-target definition that
-    `tests/oracles.shortest_path_coverage_reference` sums and
-    `tests/test_kernels.py` checks against path enumeration, and as a name
-    the benchmark's traced run patches.
+    paths touching the set, number of such sources).  The reference for
+    `selection._Coverage`, which updates all pairs at once.
     """
     n = indptr.shape[0] - 1
     dist = _bfs(indptr, indices, t)
     esrc, edst = _edge_arrays(indptr, indices)
-    down = (dist[esrc] < _INF64) & (dist[edst] == dist[esrc] - 1)
+    down = (dist[esrc] < INF) & (dist[edst] == dist[esrc] - 1)
     # sigma counts all shortest paths to t, sigma_a those avoiding the set
     sigma = np.zeros(n, np.float64)
     sigma_a = np.zeros(n, np.float64)
     sigma[t] = 1.0
     if not smask[t]:
         sigma_a[t] = 1.0
-    reachable = dist < _INF64
+    reachable = dist < INF
     maxd = int(dist[reachable].max()) if reachable.any() else 0
     for d in range(1, maxd + 1):
         layer = down & (dist[esrc] == d)

@@ -2,9 +2,9 @@
 
 Honest nodes repeatedly set their believed distance to each target to
 min(current, 1 + min over neighbours of the neighbour's announced value) and
-forward traffic to any neighbour announcing the minimum; `kernels.reach`
-walks the routing graph this induces.  Colluding nodes announce fixed vectors
-that never change across rounds.
+forward traffic to any neighbour announcing the minimum.  Colluding nodes
+announce fixed vectors that never change across rounds.  The fixpoint has a
+closed form over hop distances, which `synchronize` and `strategy` read.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
-from .graph import Graph, _colluder_tuple
+from .graph import (INF, Graph, _colluder_tuple, as_hops, distance_blocks,
+                    hop_distances)
 
 
 class BroadcastError(ValueError):
@@ -71,25 +71,42 @@ class BeliefState:
     colluders: frozenset[int] = field(default_factory=frozenset)
 
 
+def _min_plus(bt, dc, inf):
+    """min over colluders i of bt[i, j] + dc[i, s], at most inf; every entry
+    is at most inf and the dtype holds 2 * inf, so no sum wraps."""
+    out = np.full((bt.shape[1], dc.shape[1]), inf, dc.dtype)
+    tmp = np.empty_like(out)
+    for bi, di in zip(bt, dc):
+        np.add(bi[:, None], di, out=tmp)
+        np.minimum(out, tmp, out=out)
+    return out
+
+
 def synchronize(g: Graph, colluders, broadcasts) -> BeliefState:
     """Run synchronization to the fixpoint with colluder rows pinned.
 
     Raises BroadcastError for malformed broadcasts.  Once they are valid,
-    each column is a unit-weight Bellman-Ford from its pinned sources (the
-    target at 0 and the colluders at their broadcasts) through honest nodes,
-    so it settles within the longest colluder-free path: at most n-1 rounds.
+    each column is the closed form of `strategy._closed_form_pass` in int64,
+    and an honest node settles in the round of the hop count from its
+    nearest source attaining its belief: at most n - 1 rounds.
     """
     broadcasts = validate_broadcasts(g.n, colluders, broadcasts)
-    colluders = frozenset(broadcasts)
-    pinned = np.zeros(g.n, np.int64)
-    pmask = np.zeros(g.n, np.bool_)
-    pmask[list(colluders)] = True
+    ids = sorted(broadcasts)
+    inf = INF + 1  # sums up to INF stay finite, as in the iteration
+    b = np.array([broadcasts[v] for v in ids], np.int64).reshape(len(ids), g.n)
+    dc = as_hops(hop_distances(g, ids, sealed=ids), inf=inf)
     rho = np.empty((g.n, g.n), np.int64)
     worst = 0
-    for t in range(g.n):
-        for v in colluders:
-            pinned[v] = broadcasts[v][t]
-        rho[:, t], rounds = kernels.sync_column(g.indptr, g.indices, pinned,
-                                                pmask, t)
-        worst = max(worst, rounds)
-    return BeliefState(rho=rho, rounds_to_converge=worst, colluders=colluders)
+    for T, D in distance_blocks(g, ids):
+        d = as_hops(D, inf=inf)
+        bt = np.where(b[:, T] < INF, b[:, T], inf)
+        col = np.minimum(d, _min_plus(bt, dc, inf))
+        rho[:, T] = np.minimum(col, INF).T
+        # hop count from the nearest source attaining col (a colluder: 0)
+        hops = np.where(d == col, d, inf)
+        for bi, di in zip(bt, dc):
+            hops = np.where(bi[:, None] + di == col, np.minimum(hops, di), hops)
+        worst = max(worst, int(hops[col < INF].max(initial=0)))
+    rho[ids] = b
+    return BeliefState(rho=rho, rounds_to_converge=worst,
+                       colluders=frozenset(ids))

@@ -15,7 +15,6 @@ from math import comb
 import numpy as np
 
 from .graph import Graph, _colluder_tuple, from_edges
-from .kernels import INF
 from .strategy import Strategy, _honest
 
 

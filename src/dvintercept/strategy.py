@@ -15,14 +15,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import kernels, protocol
+from . import protocol
 # distance_avoiding is not called here but stays importable because
 # perfbench/tracing.py patches this name
-from .graph import (Graph, ParseError, distance_avoiding,  # noqa: F401
-                    _colluder_tuple, _csr, _node_id, as_hops,
+from .graph import (INF, Graph, ParseError, distance_avoiding,  # noqa: F401
+                    _colluder_tuple, _csr, _node_id, as_hops, bfs,
                     component_labels, distance_blocks, hop_distances,
                     induced_subgraph)
-from .kernels import INF
+from .protocol import _min_plus
 
 
 class BudgetError(RuntimeError):
@@ -223,14 +223,14 @@ def colluding_distance(g: Graph, C, x: int, y: int, j: int) -> int:
         return 0 if x == y else INF
     if x == y:
         return INF
-    rows = {v: kernels.bfs(g.indptr, g.indices, v) for v in C}
+    D = as_hops(hop_distances(g, C))
     middle = [v for v in C if v != x and v != y]
     best = INF
     for perm in itertools.permutations(middle, j - 2):
         seq = (x, *perm, y)
         total = 0
         for a, b in zip(seq, seq[1:]):
-            d = int(rows[a][b])
+            d = int(D[C.index(a), b])
             if d >= INF:
                 total = INF
                 break
@@ -281,12 +281,13 @@ def _check_separated(g: Graph, C) -> None:
         )
 
 
-def _rho_star_plans(g: Graph, C, rows, order=None, targets=None):
+def _rho_star_plans(g: Graph, C, rows, hops, order=None, targets=None):
     """The rho* label setting toward every target at once.
 
     C is the sorted tuple of a colluder set with no two members adjacent,
     `rows` = (at, D) as from `_distance_rows` (covering C and its
-    neighbours) and `targets` defaults to every non-colluder.  Returns (T, val, fn, pred, hop), each of the last four a
+    neighbours), `hops` C's `_closest_hop` arrays and `targets` defaults to
+    every non-colluder.  Returns (T, val, fn, pred, hop), each of the last four a
     k x |T| int64 array indexed [colluder index, target index]: the plan
     value, forwarding number, index of the predecessor on the witness chain
     (-1 for none) and exit hop (-1 where the value is INF).
@@ -332,8 +333,7 @@ def _rho_star_plans(g: Graph, C, rows, order=None, targets=None):
         better = (cand < tent) & (dxz < INF) & (v < INF) & ~settled
         tent = np.where(better, cand, tent)
         via = np.where(better, x, via)
-    hops = np.array([_closest_hop(g, rows, int(x)) for x in ids],
-                    np.int64).reshape(k, g.n)
+    hops = np.asarray(hops, np.int64).reshape(k, g.n)
     toward = np.where(pred >= 0, ids[np.maximum(pred, 0)], T)
     hop = np.where(val < INF, hops[np.arange(k)[:, None], toward], -1)
     return T, val, fn, pred, hop
@@ -353,8 +353,9 @@ def rho_star_plan(g: Graph, C, t: int, *, order=None) -> RhoStarPlan:
     if t in C:
         raise ValueError("target must not be a colluder")
     _check_separated(g, C)
-    _, val, fn, pred, hop = _rho_star_plans(g, C, _distance_rows(g, C),
-                                            order=order, targets=[t])
+    rows = _distance_rows(g, C)
+    _, val, fn, pred, hop = _rho_star_plans(
+        g, C, rows, [_closest_hop(g, rows, x) for x in C], order=order, targets=[t])
     entries = {}
     for i, x in enumerate(C):
         witness = [x]
@@ -453,10 +454,11 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
     if relays:
         gq, qid, honest_of, comp_qid = _quotient(g, comps)
         qrows = _distance_rows(gq, comp_qid)
+        qhops = [_closest_hop(gq, qrows, q) for q in comp_qid]
     else:
         # quotient ids follow original-id order, so with every component a
-        # singleton the quotient is g itself with the same ids
-        gq, qrows, comp_qid = g, rows, list(C)
+        # singleton the quotient is g itself with the same ids and hops
+        gq, qrows, comp_qid, qhops = g, rows, list(C), [forward[x] for x in C]
         qid = honest_of = np.arange(g.n)
 
     qorder = None
@@ -476,7 +478,7 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
         qorder = [comp_qid[ci] for ci in seen_ci]
 
     T = np.flatnonzero(~np.isin(np.arange(g.n), C))
-    _, val, fn, _, qhop = _rho_star_plans(gq, tuple(comp_qid), qrows,
+    _, val, fn, _, qhop = _rho_star_plans(gq, tuple(comp_qid), qrows, qhops,
                                           order=qorder, targets=qid[T])
     # colluder targets and components without a finite plan value keep the
     # honest broadcast and hop
@@ -635,21 +637,12 @@ def _closed_form_pass(g: Graph, strat: Strategy, comp):
         out = out.astype(dtype, copy=False)
         return np.maximum(out, np.multiply(D == top, inf, dtype=dtype), out=out)
 
-    def min_plus(bt):
-        """min over colluders i of bt[i, j] + dc[i, s], at most inf."""
-        out = np.full((bt.shape[1], n), inf, dtype)
-        tmp = np.empty_like(out)
-        for i in range(k):
-            np.add(bt[i][:, None], dc[i], out=tmp)
-            np.minimum(out, tmp, out=out)
-        return out
-
     for T, dist in distance_blocks(g, ids.tolist()):
         j = np.arange(T.size)
         d = saturated(dist)
         del dist
         bt = b[:, T]
-        offer = min_plus(bt)
+        offer = _min_plus(bt, dc, inf)
         col = np.minimum(d, offer)
         intercept = offer < d
         del offer
@@ -683,8 +676,8 @@ def _closed_form_pass(g: Graph, strat: Strategy, comp):
         # targets where a colluder that does not deliver offers something
         rows = np.flatnonzero((~deliver & (bt < inf)).any(axis=0))
         if rows.size:
-            odel = min_plus(np.where(deliver[:, rows], bt[:, rows], inf))
-            reached[rows] &= col[rows] == np.minimum(d[rows], odel)
+            reached[rows] &= col[rows] == np.minimum(d[rows], _min_plus(
+                np.where(deliver[:, rows], bt[:, rows], inf), dc, inf))
         reached[:, ids] = deliver.T
         reached[j, T] = True
         # reached lies within each target's component, so a row falls short
@@ -697,6 +690,7 @@ def _closed_form_pass(g: Graph, strat: Strategy, comp):
             nodes = np.flatnonzero((comp == comp[T[i]])
                                    & ~reached[i]).tolist()
             violation = (nodes[0], int(T[i])), nodes
+        del d, col, reached, attains  # not held through the next block's BFS
         yield T, intercept, violation
 
 
@@ -720,46 +714,54 @@ def is_beneficial(g: Graph, strat: Strategy) -> bool:
     return res.fraction_ordered > base.fraction_ordered
 
 
+_COMBOS = 4096  # combinations per brute-force step, ~3 int64 + 2k bytes per node
+
+
 def minimal_admissible_bruteforce(g: Graph, C, t: int, budget: int = 10**6):
     """Entrywise-minimal admissible broadcasts toward t by exhaustion.
 
     Other targets stay honest, so only the column for t constrains anything.
     A broadcast vector counts admissible when some forwarding commitment
-    delivers every same-component message, i.e. when reverse reachability
-    with colluders fanning out to all neighbours covers the component.
+    delivers every same-component message, i.e. when the closed form of
+    `_closed_form_pass`, with colluders fanning out to all neighbours, lets
+    the whole component reach t.
     Returns (colluder order, Pareto frontier of admissible vectors).
     """
     C = _colluder_tuple(g.n, C)
     t = _node_id(g.n, t, "target")
     if t in C:
         raise ValueError("target must not be a colluder")
-    dt = kernels.bfs(g.indptr, g.indices, t)
-    comp = component_labels(g)
-    members = np.flatnonzero(comp == comp[t])
-    ranges = []
-    for x in C:
-        if dt[x] >= INF:
-            ranges.append((INF,))
-        else:
-            ranges.append(tuple(range(1, int(dt[x]) + 1)))
+    dt = bfs(g.indptr, g.indices, t)
+    ranges = [tuple(range(1, int(dt[x]) + 1)) if dt[x] < INF else (INF,)
+              for x in C]
     size = 1
     for r in ranges:
         size *= len(r)
         if size > budget:
             raise BudgetError(f"search space exceeds budget of {budget}")
-    cmask = np.zeros(g.n, np.bool_)
-    cmask[list(C)] = True
-    hops = np.full(g.n, -1, np.int64)
-    pinned = np.zeros(g.n, np.int64)
+    k, inf = len(C), INF + 1
+    # with the colluders sealed, t's row is its distances in G - S
+    D = as_hops(hop_distances(g, (t, *C), sealed=C), inf=inf)
+    d, dc = D[0], D[1:]
+    combos = itertools.product(*ranges)
     admissible = []
-    for combo in itertools.product(*ranges):
-        for x, b in zip(C, combo):
-            pinned[x] = b
-        col, _ = kernels.sync_column(g.indptr, g.indices, pinned, cmask, t)
-        reached = kernels.reach(g.indptr, g.indices, col, t, cmask, hops,
-                                liberal=True)
-        if reached[members].all():
-            admissible.append(combo)
+    while chunk := list(itertools.islice(combos, _COMBOS)):
+        bt = np.array(chunk, np.int64).reshape(len(chunk), k).T
+        bt[bt >= INF] = inf
+        col = np.minimum(d, _min_plus(bt, dc, inf))
+        finite = col < inf
+        direct = (d == col) & finite
+        # attains[i, m, s]: colluder C[i]'s offer sets s's belief; at s = C[i]
+        # only its own does, so good there is its deliver flag
+        attains = (bt[:, :, None] + dc[:, None, :] == col) & finite
+        # deliver reaches its least fixpoint within k steps, good last reads it
+        deliver = np.zeros(bt.shape, np.bool_)
+        for _ in range(k + 1):
+            good = direct | (attains & deliver[:, :, None]).any(axis=0)
+            deliver = np.array([good[:, g.neighbors(x)].any(axis=1) for x in C],
+                               np.bool_).reshape(bt.shape)
+        ok = good[:, dt < INF].all(axis=1)
+        admissible += [combo for combo, a in zip(chunk, ok) if a]
     frontier = [a for a in admissible
                 if not any(b != a and all(bi <= ai for bi, ai in zip(b, a))
                            for b in admissible)]

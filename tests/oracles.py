@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -726,3 +726,50 @@ def adjacent_strategy_reference(g, C, component_order=None):
                 broadcast[x][t] = max(1, best) if best > -INF else 1
     return Strategy(colluders=C, broadcast=broadcast, forward=forward,
                     label="adjacent_general")
+
+
+def minimal_admissible_bruteforce_reference(g, C, t, budget=10**6):
+    """`strategy.minimal_admissible_bruteforce` as it ran before its closed
+    form: per broadcast combination one iterative `kernels.sync_column` and
+    one liberal `kernels.reach` (every colluder forwards to every
+    neighbour), admissible when the reach covers t's component.
+
+    Returns (colluder order, Pareto frontier of admissible vectors)."""
+    from dvintercept.graph import _colluder_tuple, _node_id, component_labels
+    from dvintercept.strategy import BudgetError
+
+    C = _colluder_tuple(g.n, C)
+    t = _node_id(g.n, t, "target")
+    if t in C:
+        raise ValueError("target must not be a colluder")
+    dt = kernels.bfs(g.indptr, g.indices, t)
+    comp = component_labels(g)
+    members = np.flatnonzero(comp == comp[t])
+    ranges = []
+    for x in C:
+        if dt[x] >= INF:
+            ranges.append((INF,))
+        else:
+            ranges.append(tuple(range(1, int(dt[x]) + 1)))
+    size = 1
+    for r in ranges:
+        size *= len(r)
+        if size > budget:
+            raise BudgetError(f"search space exceeds budget of {budget}")
+    cmask = np.zeros(g.n, np.bool_)
+    cmask[list(C)] = True
+    hops = np.full(g.n, -1, np.int64)
+    pinned = np.zeros(g.n, np.int64)
+    admissible = []
+    for combo in product(*ranges):
+        for x, b in zip(C, combo):
+            pinned[x] = b
+        col, _ = kernels.sync_column(g.indptr, g.indices, pinned, cmask, t)
+        reached = kernels.reach(g.indptr, g.indices, col, t, cmask, hops,
+                                liberal=True)
+        if reached[members].all():
+            admissible.append(combo)
+    frontier = [a for a in admissible
+                if not any(b != a and all(bi <= ai for bi, ai in zip(b, a))
+                           for b in admissible)]
+    return C, sorted(frontier)

@@ -1,4 +1,8 @@
-"""The numpy kernels against the slow reference implementations in oracles."""
+"""The numpy kernels against the slow reference implementations in oracles,
+and the rule that no library module calls them."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,3 +116,40 @@ class TestKernelsAgainstOracles:
                     got = K.reach(g.indptr, g.indices, col, t, cmask, hops,
                                   banned=banned)
                     assert got.tolist() == _expected_reach(out, g.n, t, banned)
+
+
+def _kernels_imports(path):
+    """(line, source text) of every import in the module at `path` that
+    names the kernels module."""
+    text = path.read_text(encoding="utf-8")
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.split(".")[-1] == "kernels" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = ((node.module or "").split(".")[-1] == "kernels"
+                   or any(a.name == "kernels" for a in node.names))
+        else:
+            continue
+        if hit:
+            yield node.lineno, ast.get_source_segment(text, node)
+
+
+def test_no_library_module_imports_kernels():
+    # the kernels are references for the tests; a live caller in the library
+    # would bring a second routing implementation back.  The package's
+    # re-export of `backend`, which the benchmark records, is the one import.
+    src = Path(K.__file__).parent
+    found = [(path.relative_to(src).as_posix(), line, stmt)
+             for path in sorted(src.rglob("*.py")) if path.name != "kernels.py"
+             for line, stmt in _kernels_imports(path)]
+    allowed = ("__init__.py", "from .kernels import backend")
+    assert [(p, stmt) for p, _, stmt in found] == [allowed], found
+
+
+def test_import_guard_sees_every_import_form(tmp_path):
+    forms = ["from . import kernels", "from .kernels import INF",
+             "import dvintercept.kernels as K", "from dvintercept import kernels",
+             "from dvintercept.kernels import bfs"]
+    mod = tmp_path / "mod.py"
+    mod.write_text("\n".join(forms + ["from .graph import INF"]) + "\n")
+    assert [stmt for _, stmt in _kernels_imports(mod)] == forms

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvintercept import graph as G
+from dvintercept import kernels as K
 from dvintercept import protocol as P
-from dvintercept.kernels import INF
+from dvintercept.graph import INF
 
 from oracles import naive_sync, random_connected_graph
 
@@ -121,3 +122,51 @@ def test_random_valid_broadcasts_settle_within_n_minus_1_rounds(seed):
         bcs[v] = vec
     b = P.synchronize(g, colluders, bcs)
     assert b.rounds_to_converge <= g.n - 1
+
+
+def _degenerate_sync_input(seed):
+    """(g, colluders, broadcasts): every fourth input has n in {0, 1, 2}, the
+    rest up to 13 nodes, 30 % of them with a second component and an
+    isolated node; every fifth input makes every node a colluder.  Entries
+    are INF with probability 0.2 and INF - 1 with 0.15, so a neighbour of an
+    INF - 1 entry believes INF."""
+    rng = np.random.default_rng(seed)
+    if seed % 4 == 0:
+        n = int(rng.integers(0, 3))
+        g = G.from_edges(n, [(0, 1)] if n == 2 and rng.random() < 0.5 else [])
+    else:
+        g = random_connected_graph(rng, n_max=10, n_min=1)
+        if rng.random() < 0.3:
+            g = G.from_edges(g.n + 3, list(g.edges()) + [(g.n, g.n + 1)])
+    k = g.n if seed % 5 == 0 else int(rng.integers(0, g.n + 1))
+    bcs = {}
+    for v in rng.permutation(g.n)[:k].tolist():
+        vec = rng.integers(1, 2 * g.n + 2, g.n).astype(np.int64)
+        r = rng.random(g.n)
+        vec[r < 0.2] = INF
+        vec[(r >= 0.2) & (r < 0.35)] = INF - 1
+        vec[v] = 0
+        bcs[v] = vec
+    return g, set(bcs), bcs
+
+
+def test_closed_form_matches_iterations_on_degenerate_inputs():
+    # rho and rounds against the full-matrix iteration and against one
+    # per-column sync_column per target, colluder targets included
+    for seed in range(400):
+        g, colluders, bcs = _degenerate_sync_input(seed)
+        b = P.synchronize(g, colluders, bcs)
+        rho, rounds = naive_sync(g, colluders, bcs)
+        assert b.rho.tolist() == rho, seed
+        assert b.rounds_to_converge == rounds, seed
+        pmask = np.zeros(g.n, np.bool_)
+        pmask[list(colluders)] = True
+        worst = 0
+        for t in range(g.n):
+            pinned = np.zeros(g.n, np.int64)
+            for v in colluders:
+                pinned[v] = bcs[v][t]
+            col, r = K.sync_column(g.indptr, g.indices, pinned, pmask, t)
+            assert b.rho[:, t].tolist() == col.tolist(), (seed, t)
+            worst = max(worst, r)
+        assert b.rounds_to_converge == worst, seed

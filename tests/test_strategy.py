@@ -14,9 +14,10 @@ from dvintercept.interception import intercepted_pairs
 from dvintercept.kernels import INF
 
 from oracles import (adjacent_strategy_reference, check_separated_reference,
-                     colluder_components_reference, random_connected_graph,
-                     rho_star_plan_reference, separated_strategy_reference,
-                     simulate_strategy)
+                     colluder_components_reference,
+                     minimal_admissible_bruteforce_reference,
+                     random_connected_graph, rho_star_plan_reference,
+                     separated_strategy_reference, simulate_strategy)
 
 
 def path_graph(n):
@@ -590,6 +591,43 @@ class TestBruteforce:
         with pytest.raises(S.BudgetError):
             S.minimal_admissible_bruteforce(g, [1, 3, 5, 7], 11, budget=10)
 
+    def test_frontier_matches_iterative_reference(self):
+        # the closed form against one sync_column and one liberal reach per
+        # combination: n from 1 to 9, a third of the graphs with a second
+        # component and an isolated node, 0 to 3 colluders, adjacent ones
+        # included, every non-colluder a target; n <= 2 and every other node
+        # a colluder are forced in turn.  A budget of 40 makes the larger
+        # searches raise BudgetError, which both sides must do alike.
+        rng = np.random.default_rng(89)
+        triples = raised = 0
+        for case in range(600):
+            if case % 5 == 0:
+                n = int(rng.integers(1, 3))
+                g = G.from_edges(n, [(0, 1)] if n == 2 and rng.random() < 0.5
+                                 else [])
+            else:
+                g = random_connected_graph(rng, n_max=6, n_min=1)
+                if rng.random() < 0.3:
+                    g = G.from_edges(g.n + 3, list(g.edges()) + [(g.n, g.n + 1)])
+            k = (g.n - 1 if case % 7 == 0
+                 else int(rng.integers(0, min(3, g.n - 1) + 1)))
+            C = [int(v) for v in rng.permutation(g.n)[:k]]
+            for t in range(g.n):
+                if t in C:
+                    continue
+                try:
+                    expect = minimal_admissible_bruteforce_reference(g, C, t,
+                                                                     budget=40)
+                except S.BudgetError:
+                    with pytest.raises(S.BudgetError):
+                        S.minimal_admissible_bruteforce(g, C, t, budget=40)
+                    raised += 1
+                    continue
+                assert S.minimal_admissible_bruteforce(g, C, t, budget=40) \
+                    == expect, (list(g.edges()), C, t)
+                triples += 1
+        assert triples >= 1500 and raised
+
 
 class TestSerialization:
     def test_round_trip(self):
@@ -767,8 +805,9 @@ def test_plans_match_per_target_reference(seed):
     order = separated_subset(g, rng)[: int(rng.integers(0, 9))]
     C = tuple(sorted(order))
     rows = S._distance_rows(g, C)
+    hops = [S._closest_hop(g, rows, x) for x in C]
     for o in (None, order):
-        T, val, fn, pred, hop = S._rho_star_plans(g, C, rows, order=o)
+        T, val, fn, pred, hop = S._rho_star_plans(g, C, rows, hops, order=o)
         assert list(T) == [t for t in range(g.n) if t not in C]
         for j, t in enumerate(T):
             ref = rho_star_plan_reference(g, C, int(t), order=o)
