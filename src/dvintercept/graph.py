@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -26,13 +26,18 @@ class Graph:
 
     Node ids are dense 0-based ints.  ``labels``, when present, maps ids back
     to the external tokens of an ingested edge list (labels[i] is node i's
-    token).  Immutable after construction; all queries are pure.
+    token).  Immutable after construction (`_csr` makes the arrays
+    read-only); all queries are pure, so a graph can hold what they compute
+    (`component_labels`, `_slot`).
     """
 
     n: int
     indptr: np.ndarray
     indices: np.ndarray
     labels: tuple[str, ...] | None = None
+    # component labels and the slot of the latest colluder set
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def m(self) -> int:
@@ -69,7 +74,39 @@ def _csr(n: int, src, dst, labels=None) -> Graph:
     code = np.unique(src[keep] * n + dst[keep])
     indptr = np.zeros(n + 1, np.int64)
     np.cumsum(np.bincount(code // n, minlength=n), out=indptr[1:])
-    return Graph(n=n, indptr=indptr, indices=code % n, labels=labels)
+    return Graph(n=n, indptr=_read_only(indptr),
+                 indices=_read_only(code % n), labels=labels)
+
+
+def _read_only(a):
+    """a, or each array of the tuple or list a, made read-only."""
+    if isinstance(a, (tuple, list)):
+        for x in a:
+            _read_only(x)
+    else:
+        a.flags.writeable = False
+    return a
+
+
+def _slot(g: Graph, S) -> dict:
+    """The values g holds for the colluder set S (as `_colluder_tuple`
+    gives it): the distances every build, count and check on (g, S) reads,
+    each computed once and read-only.  g holds one set at a time; naming
+    another drops the last one's values before the caller computes any."""
+    held, slot = g._memo.get("slot", (None, None))
+    if held != S:
+        g._memo.pop("slot", None)
+        slot = {}
+        g._memo["slot"] = (S, slot)
+    return slot
+
+
+def _memoized(g: Graph, S, key, compute):
+    """compute(), made read-only and held in S's slot under `key`."""
+    slot = _slot(g, S)
+    if key not in slot:
+        slot[key] = _read_only(compute())
+    return slot[key]
 
 
 def induced_subgraph(g: Graph, nodes) -> Graph:
@@ -289,27 +326,57 @@ def as_hops(D, dtype=np.int64, inf: int = INF) -> np.ndarray:
     return out
 
 
+def _honest_rows(g: Graph, C):
+    """k x n: row i holds the hop distances from colluder C[i] through
+    honest nodes only (no path enters another colluder), from one
+    bit-parallel BFS with every colluder sealed.  The dtype is
+    `hop_distances`' narrow one, its maximum where unreachable.  The rows
+    are held, read-only, in the slot of C's set; a C out of id order gets
+    them reordered in a copy."""
+    S = _colluder_tuple(g.n, C)
+    D = _memoized(g, S, "honest", lambda: hop_distances(g, S, sealed=S))
+    C = np.asarray(C, np.int64).reshape(-1)
+    return D if C.tolist() == list(S) else D[np.searchsorted(S, C)]
+
+
 def distance_blocks(g: Graph, removed=()):
     """Yield (T, D) over consecutive blocks T of at most _BLOCK node ids, in
     id order, where D[i, s] is the hop distance between T[i] and s once every
     edge touching `removed` is deleted, from one bit-parallel BFS per block.
     D is `hop_distances`' narrow array: one byte per entry while the block's
     distances stay below 255, the dtype's maximum where unreachable.  The
-    graph is undirected, so the rows D are also the columns D[:, T]."""
-    pull = _pull_lists(g, removed)
+    graph is undirected, so the rows D are also the columns D[:, T].
+
+    The blocks are held, read-only, in the slot of the set `removed`, so
+    the next pass over it runs no BFS: n^2 bytes while the distances fit in
+    one byte.  They are stored once the last one is in, so a pass stopped
+    early (at a violation) leaves nothing a later pass could take as
+    complete."""
+    S = _colluder_tuple(g.n, removed)
+    slot = _slot(g, S)
+    if "blocks" in slot:
+        yield from slot["blocks"]
+        return
+    pull, blocks = _pull_lists(g, S), []
     for lo in range(0, g.n, _BLOCK):
         T = np.arange(lo, min(lo + _BLOCK, g.n))
-        yield T, _bit_bfs(pull, T)
+        blocks.append(_read_only((T, _bit_bfs(pull, T))))
+        yield blocks[-1]
+    slot["blocks"] = blocks
 
 
 def component_labels(g: Graph) -> np.ndarray:
     """Connected-component label per node (labels are 0..c-1, numbered in
     order of each component's lowest node id).  This is the one
     connected-components routine: one scipy pass over the stored CSR
-    arrays, which are sorted and duplicate-free (`_csr`)."""
-    adj = csr_matrix((np.ones(g.indices.size), g.indices, g.indptr),
-                     shape=(g.n, g.n))
-    return connected_components(adj, directed=False)[1].astype(np.int64)
+    arrays, which are sorted and duplicate-free (`_csr`), once per graph,
+    which holds the labels read-only."""
+    if "labels" not in g._memo:
+        adj = csr_matrix((np.ones(g.indices.size), g.indices, g.indptr),
+                         shape=(g.n, g.n))
+        g._memo["labels"] = _read_only(
+            connected_components(adj, directed=False)[1].astype(np.int64))
+    return g._memo["labels"]
 
 
 def is_connected(g: Graph) -> bool:

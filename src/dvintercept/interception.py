@@ -55,14 +55,16 @@ def intercepted_pairs(g: Graph, strat: Strategy, *,
                       per_target: bool = False) -> InterceptionResult:
     """Count intercepted pairs under the given strategy, checking its
     admissibility in the same closed-form pass (ValueError at the first
-    target whose routing graph traps a node).  Memory: one n x n bool
-    (n^2 bytes) plus the pass's O(n * block) arrays, one byte per entry
-    while every offer is below 127."""
+    target whose routing graph traps a node).  Memory: the intercept matrix
+    packed eight entries to a byte (n^2/8 bytes), the pass's O(n * block)
+    arrays, one byte per entry while every offer is below 127, and the
+    distances in G - S that the graph holds for the colluder set (n^2 bytes
+    while they fit in one byte; see `graph.distance_blocks`)."""
     comp = component_labels(g)
     sizes = np.bincount(comp)
-    # intercept[t, s]: direction s -> t intercepted; only ever set on
+    # bit s of packed row t: direction s -> t intercepted; only ever set on
     # same-component, off-diagonal entries
-    intercept = np.zeros((g.n, g.n), np.bool_)
+    packed = np.zeros((g.n, (g.n + 7) // 8), np.uint8)
     for T, icept, violation in _closed_form_pass(g, strat, comp):
         if violation:
             pair, trapped = violation
@@ -70,27 +72,34 @@ def intercepted_pairs(g: Graph, strat: Strategy, *,
                 f"strategy is inadmissible: pair {pair} "
                 f"has no corresponding path (trapped nodes {trapped})"
             )
-        intercept[T] = icept
-    # both directions intercepted, by square tiles of the upper triangle so
-    # that no second n x n array is made; tile (b, a) mirrors tile (a, b)
+        packed[T] = np.packbits(icept, axis=1)
+    row = np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
+    # both directions intercepted, by square tiles of the upper triangle,
+    # each unpacked with its mirror; _BLOCK is a multiple of 8, so a tile's
+    # columns are whole bytes
     both = 0
     for a in range(0, g.n, _BLOCK):
         for b in range(a, g.n, _BLOCK):
-            tile = np.count_nonzero(intercept[a:a + _BLOCK, b:b + _BLOCK]
-                                    & intercept[b:b + _BLOCK, a:a + _BLOCK].T)
+            tile = np.count_nonzero(_unpack(packed[a:a + _BLOCK], b, g.n)
+                                    & _unpack(packed[b:b + _BLOCK], a, g.n).T)
             both += tile if a == b else 2 * tile
     counts = None
     if per_target:
-        row = np.count_nonzero(intercept, axis=1)
         counts = {t: (int(row[t]), int(sizes[comp[t]]) - 1) for t in range(g.n)}
     total_ordered = int((sizes * (sizes - 1)).sum())
     return InterceptionResult(
         total_ordered=total_ordered,
-        intercepted_ordered=int(np.count_nonzero(intercept)),
+        intercepted_ordered=int(row.sum()),
         total_unordered=total_ordered // 2,
         intercepted_unordered=int(both) // 2,
         per_target_counts=counts,
     )
+
+
+def _unpack(packed, lo: int, n: int):
+    """The bool columns lo to lo + _BLOCK (at most n) of the packed rows."""
+    return np.unpackbits(packed[:, lo // 8:(lo + _BLOCK) // 8], axis=1,
+                         count=min(_BLOCK, n - lo)).view(np.bool_)
 
 
 def coverage_function(g: Graph, S) -> Fraction:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import (INF, Graph, _colluder_tuple, as_hops, distance_blocks,
-                    hop_distances)
+from .graph import (INF, Graph, _colluder_tuple, _honest_rows, as_hops,
+                    distance_blocks)
 
 
 class BroadcastError(ValueError):
@@ -94,7 +94,7 @@ def synchronize(g: Graph, colluders, broadcasts) -> BeliefState:
     ids = sorted(broadcasts)
     inf = INF + 1  # sums up to INF stay finite, as in the iteration
     b = np.array([broadcasts[v] for v in ids], np.int64).reshape(len(ids), g.n)
-    dc = as_hops(hop_distances(g, ids, sealed=ids), inf=inf)
+    dc = as_hops(_honest_rows(g, ids), inf=inf)
     rho = np.empty((g.n, g.n), np.int64)
     worst = 0
     for T, D in distance_blocks(g, ids):

@@ -19,9 +19,9 @@ from . import protocol
 # distance_avoiding is not called here but stays importable because
 # perfbench/tracing.py patches this name
 from .graph import (INF, Graph, ParseError, distance_avoiding,  # noqa: F401
-                    _colluder_tuple, _csr, _node_id, as_hops, bfs,
-                    component_labels, distance_blocks, hop_distances,
-                    induced_subgraph)
+                    _colluder_tuple, _csr, _honest_rows, _memoized, _node_id,
+                    as_hops, bfs, component_labels, distance_blocks,
+                    hop_distances, induced_subgraph)
 from .protocol import _min_plus
 
 
@@ -33,22 +33,21 @@ def _distance_rows(g: Graph, S, removed=()):
     """(at, D): D holds the int64 hop-distance rows of S and its neighbours,
     INF where unreachable, once every edge touching `removed` is deleted.
     Node v's row is D[at[v]]; at[v] = -1 for nodes not covered.  The
-    builders read nothing outside these rows."""
-    cover = np.zeros(g.n, np.bool_)
-    cover[list(S)] = True
-    cover[g.indices[np.repeat(cover, g.degrees())]] = True
-    ids = np.flatnonzero(cover)
-    at = np.full(g.n, -1, np.int64)
-    at[ids] = np.arange(ids.size)
-    return at, as_hops(hop_distances(g, ids, removed))
+    builders read nothing outside these rows, which are held, read-only, in
+    the slot of S's set (`graph._slot`)."""
+    S = _colluder_tuple(g.n, S)
+    removed = _colluder_tuple(g.n, removed)
 
+    def rows():
+        cover = np.zeros(g.n, np.bool_)
+        cover[list(S)] = True
+        cover[g.indices[np.repeat(cover, g.degrees())]] = True
+        ids = np.flatnonzero(cover)
+        at = np.full(g.n, -1, np.int64)
+        at[ids] = np.arange(ids.size)
+        return at, as_hops(hop_distances(g, ids, removed))
 
-def _honest_rows(g: Graph, C):
-    """k x n: row i holds the hop distances from colluder C[i] through
-    honest nodes only (no path enters another colluder), from one
-    bit-parallel BFS with every colluder sealed.  The dtype is
-    `hop_distances`' narrow one, its maximum where unreachable."""
-    return hop_distances(g, C, sealed=C)
+    return _memoized(g, S, ("rows", removed), rows)
 
 
 def _closest_hop(g: Graph, rows, v: int):
@@ -223,14 +222,14 @@ def colluding_distance(g: Graph, C, x: int, y: int, j: int) -> int:
         return 0 if x == y else INF
     if x == y:
         return INF
-    D = as_hops(hop_distances(g, C))
+    at, D = _distance_rows(g, C)
     middle = [v for v in C if v != x and v != y]
     best = INF
     for perm in itertools.permutations(middle, j - 2):
         seq = (x, *perm, y)
         total = 0
         for a, b in zip(seq, seq[1:]):
-            d = int(D[C.index(a), b])
+            d = int(D[at[a], b])
             if d >= INF:
                 total = INF
                 break

@@ -48,6 +48,7 @@ def naive_sync(g, colluders, broadcasts):
             rho[i] = [int(x) for x in broadcasts[i]]
         else:
             rho[i][i] = 0
+    nbrs = [[int(k) for k in g.neighbors(i)] for i in range(g.n)]
     rounds = 0
     while True:
         new = [row[:] for row in rho]
@@ -55,7 +56,7 @@ def naive_sync(g, colluders, broadcasts):
             if i in colluders:
                 continue
             for j in range(g.n):
-                vals = [rho[int(k)][j] for k in g.neighbors(i)]
+                vals = [rho[k][j] for k in nbrs[i]]
                 if vals and min(vals) < INF:
                     new[i][j] = min(new[i][j], min(vals) + 1)
         if new == rho:
@@ -271,12 +272,16 @@ def _components(g):
 
 
 def intercepted_pairs_oracle(g, strat):
-    """Ordered intercepted pairs by explicit routing-graph enumeration."""
+    """Ordered intercepted pairs by explicit routing-graph enumeration: the
+    routing graph of `simulate_strategy` toward every target, from one
+    belief matrix (`naive_sync` does not depend on the target)."""
     comp = _components(g)
     sset = set(strat.colluders)
+    rho, _ = naive_sync(g, sset, {v: strat.broadcast[v] for v in sset})
     pairs = set()
     for t in range(g.n):
-        out = simulate_strategy(g, strat, t)
+        out = routing_out_edges(g, rho, sset, {v: int(strat.forward[v][t])
+                                               for v in sset}, t)
         for s in range(g.n):
             if s == t or comp[s] != comp[t]:
                 continue

@@ -106,6 +106,22 @@ class TestFromEdges:
         for a, b in zip(fast, build()):
             same_csr(a, b)
 
+    def test_built_graphs_are_read_only(self):
+        # what a graph holds (component labels, a colluder set's distances)
+        # stays valid only while its arrays cannot change
+        from dvintercept.strategy import _quotient
+
+        g = G.erdos_renyi(40, 0.1, seed=5)
+        graphs = [g, G.from_edges(3, [(0, 1)]), G.from_edges(0, []),
+                  G.from_edge_list("a b\nb c\n"), G.pref_attach(20, 2, seed=1),
+                  G.watts_strogatz(20, 4, 0.3, seed=2),
+                  G.induced_subgraph(g, [1, 2, 3, 9]),
+                  _quotient(g, [(0,), (1,)])[0], R.blow_up(g, [0, 5]).blown]
+        for h in graphs:
+            for arr in (h.indptr, h.indices):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[:1] = 0
+
 
 class TestComponentLabels:
     def test_matches_oracle(self):

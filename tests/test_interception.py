@@ -423,6 +423,20 @@ class TestClosedFormPass:
                    for v in verdicts)
         for strat in strats:
             assert_pass_matches(g, strat, oracle=False)
+        # packed intercept rows of 259 and 517 bits, over two and three
+        # blocks: small components on shuffled ids put intercepted pairs in
+        # every tile, and keep the routing-graph oracle affordable
+        for n in (259, 517):
+            rng = np.random.default_rng(n)
+            perm, edges, lo = rng.permutation(n), [], 0
+            while lo < n:
+                h = random_connected_graph(rng, n_max=min(8, n - lo), n_min=1)
+                edges += [(int(perm[lo + u]), int(perm[lo + v]))
+                          for u, v in h.edges()]
+                lo += h.n
+            g = G.from_edges(n, edges)
+            C = [int(v) for v in rng.permutation(n)[:n // 8]]
+            assert_pass_matches(g, S.adjacent_strategy(g, C))
 
     def test_one_labelling_per_count(self, monkeypatch):
         # the count and the check each label the graph's components once

@@ -1,0 +1,191 @@
+"""What a graph holds for its latest colluder set (`graph._slot`): the
+builders, counts and checks on one (graph, colluder set) share their BFS
+results, and every result equals the one on a freshly built copy."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import dvintercept.strategy as S
+from dvintercept import graph as G
+from dvintercept.interception import coverage_function, intercepted_pairs
+from dvintercept.protocol import synchronize
+
+from oracles import random_connected_graph
+
+BUILDERS = (S.honest_strategy, S.independent_strategy, S.separated_strategy,
+            S.adjacent_strategy)
+
+
+def fresh(g):
+    return G.from_edges(g.n, list(g.edges()))
+
+
+def separated(C, g):
+    return all(not g.has_edge(x, y) for x in C for y in C)
+
+
+def results(g, C):
+    """Every memoized path on (g, C): the builds, check, count, belief
+    matrix and coverage, as comparable values."""
+    out = []
+    for build in BUILDERS:
+        if build is S.separated_strategy and not separated(C, g):
+            continue
+        strat = build(g, C)
+        out.append((strat.colluders, strat.label,
+                    [(v, strat.broadcast[v].tolist(), strat.forward[v].tolist())
+                     for v in strat.colluders]))
+        out.append(S.check_admissible(g, strat))
+        out.append(intercepted_pairs(g, strat, per_target=True))
+        state = synchronize(g, strat.colluders, strat.broadcast)
+        out.append((state.rho.tolist(), state.rounds_to_converge,
+                    state.colluders))
+    out.append(coverage_function(g, C))
+    return out
+
+
+def held_arrays(g):
+    """Every array g holds."""
+    out = [g._memo["labels"]] if "labels" in g._memo else []
+    stack = list(g._memo["slot"][1].values()) if "slot" in g._memo else []
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (tuple, list)):
+            stack += x
+        else:
+            out.append(x)
+    return out
+
+
+def graphs():
+    rng = np.random.default_rng(16)
+    out = [G.from_edges(0, []), G.from_edges(1, []), G.from_edges(2, []),
+           G.from_edges(2, [(0, 1)]),
+           # a path, a triangle and the isolated nodes 2 and 6
+           G.from_edges(7, [(0, 1), (3, 4), (4, 5), (3, 5)])]
+    for _ in range(3):
+        g = random_connected_graph(rng, n_max=12)
+        out.append(G.from_edges(g.n + 3, list(g.edges()) + [(g.n, g.n + 1)]))
+    # two blocks of targets, with a second component and an isolated node
+    g = G.erdos_renyi(300, 0.012, seed=4)
+    out.append(G.from_edges(g.n + 3, list(g.edges()) + [(g.n, g.n + 1)]))
+    return out
+
+
+def colluder_sets(g, rng):
+    """Two sets, one separated when the graph allows; every node when n <= 2."""
+    if g.n <= 2:
+        return list(range(g.n)), list(range(g.n))[:1]
+    perm = [int(v) for v in rng.permutation(g.n)]
+    spread, near = [], np.zeros(g.n, np.bool_)
+    for v in perm[:g.n // 2]:
+        if not near[v]:
+            spread.append(v)
+            near[v] = True
+            near[g.neighbors(v)] = True
+    return spread[:max(1, g.n // 20)], perm[:max(2, g.n // 3)]
+
+
+@pytest.mark.parametrize("g", graphs(), ids=lambda g: f"n{g.n}m{g.m}")
+def test_interleaved_sets_match_fresh_graphs(g):
+    # S1, S2, S1 and then, on the small graphs, every node on one graph:
+    # each result equals the one on a freshly built copy, and everything the
+    # graph holds is read-only
+    rng = np.random.default_rng(g.n)
+    S1, S2 = colluder_sets(g, rng)
+    for C in (S1, S2, S1) + ((list(range(g.n)),) if g.n < 20 else ()):
+        assert results(g, C) == results(fresh(g), C)
+        held = held_arrays(g)
+        assert held and all(not arr.flags.writeable for arr in held)
+        assert g._memo["slot"][0] == tuple(sorted(C))
+
+
+def test_handed_out_arrays_are_read_only():
+    g = G.erdos_renyi(300, 0.012, seed=4)
+    C = [3, 50, 299]
+    arrays = [G.component_labels(g), G._honest_rows(g, C),
+              *S._distance_rows(g, C), *S._distance_rows(g, C, removed=C)]
+    arrays += [a for block in G.distance_blocks(g, C) for a in block]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[:1] = 0
+    # rows asked for out of id order are a reordered copy of the held ones
+    assert (G._honest_rows(g, [299, 3, 50])
+            == G._honest_rows(g, C)[[2, 0, 1]]).all()
+
+
+def test_stopped_pass_is_not_held_as_complete():
+    # a violation toward target 0 stops the check and the count in block 0;
+    # the next count on the same set must not take that block for the pass
+    g = G.erdos_renyi(300, 0.012, seed=4)
+    comp = G.component_labels(g)
+    C = [int(v) for v in np.flatnonzero(comp == comp[0])[1:40:4]]
+    base = S.adjacent_strategy(g, C)
+    forward = {v: f.copy() for v, f in base.forward.items()}
+    forward[C[0]][0] = -1  # C[0] can no longer deliver toward 0
+    bad = S.Strategy(colluders=base.colluders, broadcast=base.broadcast,
+                     forward=forward)
+    verdict = S.check_admissible(g, bad)
+    assert verdict.violating_pair[1] == 0
+    with pytest.raises(ValueError, match="inadmissible"):
+        intercepted_pairs(g, bad)
+    assert "blocks" not in g._memo["slot"][1]
+    assert intercepted_pairs(g, base, per_target=True) \
+        == intercepted_pairs(fresh(g), base, per_target=True)
+    blocks = g._memo["slot"][1]["blocks"]
+    assert [T[0] for T, _ in blocks] == list(range(0, g.n, G._BLOCK))
+    assert S.check_admissible(g, bad) == verdict
+
+
+def counted_bfs(monkeypatch):
+    """Patch `graph._bit_bfs`; return the Counter of its (pull, sources)
+    calls, a pull told apart by its arc starts."""
+    calls, bit_bfs = Counter(), G._bit_bfs
+
+    def counted(pull, sources):
+        calls[pull[1].tobytes(), tuple(np.asarray(sources).tolist())] += 1
+        return bit_bfs(pull, sources)
+
+    monkeypatch.setattr(G, "_bit_bfs", counted)
+    return calls
+
+
+def test_sweep_cell_runs_each_bfs_once(monkeypatch):
+    # four builds and four counts on one separated set: D_C, the rows of S
+    # and its neighbours, and one BFS per block of D_{G-S}
+    g = G.erdos_renyi(300, 0.012, seed=4)
+    C = sorted(colluder_sets(g, np.random.default_rng(4))[0])
+    calls = counted_bfs(monkeypatch)
+    for build in BUILDERS:
+        intercepted_pairs(g, build(g, C))
+    blocks = -(-g.n // G._BLOCK)
+    assert sum(calls.values()) == 2 + blocks
+    assert set(calls.values()) == {1}
+    dc = G._pull_lists(g, sealed=C)[1].tobytes(), tuple(C)
+    assert calls[dc] == 1
+
+
+def test_checked_adjacent_op_computes_d_c_once(monkeypatch):
+    # the relay bounds of a multi-node component and the count read the same
+    # D_C rows; every BFS of the build and the checked count runs once
+    g = G.erdos_renyi(300, 0.012, seed=4)
+    x = next(v for v in range(g.n) if g.degree(v))
+    C = sorted({x, int(g.neighbors(x)[0]), 100, 200})
+    calls = counted_bfs(monkeypatch)
+    strat = S.adjacent_strategy(g, C)
+    assert S.check_admissible(g, strat)
+    intercepted_pairs(g, strat)
+    assert set(calls.values()) == {1}
+    assert calls[G._pull_lists(g, sealed=C)[1].tobytes(), tuple(C)] == 1
+
+
+def test_rho_star_plans_share_their_rows(monkeypatch):
+    g = G.erdos_renyi(120, 0.03, seed=2)
+    C = colluder_sets(g, np.random.default_rng(2))[0]
+    calls = counted_bfs(monkeypatch)
+    plans = [S.rho_star_plan(g, C, t) for t in range(g.n) if t not in C]
+    assert sum(calls.values()) == 1
+    h = fresh(g)
+    assert plans == [S.rho_star_plan(h, C, p.target) for p in plans]
