@@ -79,8 +79,8 @@ def _csr(n: int, src, dst, labels=None) -> Graph:
 
 
 def _read_only(a):
-    """a, or each array of the tuple or list a, made read-only."""
-    if isinstance(a, (tuple, list)):
+    """a, or each array of the tuple a, made read-only."""
+    if isinstance(a, tuple):
         for x in a:
             _read_only(x)
     else:

@@ -65,6 +65,7 @@ def intercepted_pairs(g: Graph, strat: Strategy, *,
     # bit s of packed row t: direction s -> t intercepted; only ever set on
     # same-component, off-diagonal entries
     packed = np.zeros((g.n, (g.n + 7) // 8), np.uint8)
+    row = np.zeros(g.n, np.int64)
     for T, icept, violation in _closed_form_pass(g, strat, comp):
         if violation:
             pair, trapped = violation
@@ -73,7 +74,7 @@ def intercepted_pairs(g: Graph, strat: Strategy, *,
                 f"has no corresponding path (trapped nodes {trapped})"
             )
         packed[T] = np.packbits(icept, axis=1)
-    row = np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
+        row[T] = np.count_nonzero(icept, axis=1)
     # both directions intercepted, by square tiles of the upper triangle,
     # each unpacked with its mirror; _BLOCK is a multiple of 8, so a tile's
     # columns are whole bytes

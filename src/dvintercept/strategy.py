@@ -222,14 +222,14 @@ def colluding_distance(g: Graph, C, x: int, y: int, j: int) -> int:
         return 0 if x == y else INF
     if x == y:
         return INF
-    at, D = _distance_rows(g, C)
+    D = as_hops(hop_distances(g, C))
     middle = [v for v in C if v != x and v != y]
     best = INF
     for perm in itertools.permutations(middle, j - 2):
         seq = (x, *perm, y)
         total = 0
         for a, b in zip(seq, seq[1:]):
-            d = int(D[at[a], b])
+            d = int(D[C.index(a), b])
             if d >= INF:
                 total = INF
                 break
