@@ -28,7 +28,7 @@ class Graph:
     to the external tokens of an ingested edge list (labels[i] is node i's
     token).  Immutable after construction (`_csr` makes the arrays
     read-only); all queries are pure, so a graph can hold what they compute
-    (`component_labels`, `_slot`).
+    (`component_labels`, `_memoized`).
     """
 
     n: int
@@ -88,22 +88,14 @@ def _read_only(a):
     return a
 
 
-def _slot(g: Graph, S) -> dict:
-    """The values g holds for the colluder set S (as `_colluder_tuple`
-    gives it): the distances every build, count and check on (g, S) reads,
-    each computed once and read-only.  g holds one set at a time; naming
-    another drops the last one's values before the caller computes any."""
-    held, slot = g._memo.get("slot", (None, None))
-    if held != S:
-        g._memo.pop("slot", None)
-        slot = {}
-        g._memo["slot"] = (S, slot)
-    return slot
-
-
 def _memoized(g: Graph, S, key, compute):
-    """compute(), made read-only and held in S's slot under `key`."""
-    slot = _slot(g, S)
+    """compute(), made read-only and held under `key` in the slot of the
+    colluder set S (as `_colluder_tuple` gives it): the distances every
+    build, count and check on (g, S) reads.  g holds one slot at a time;
+    naming another set drops the last one's values before compute runs."""
+    if g._memo.get("slot", (None,))[0] != S:
+        g._memo["slot"] = (S, {})
+    slot = g._memo["slot"][1]
     if key not in slot:
         slot[key] = _read_only(compute())
     return slot[key]
@@ -126,6 +118,8 @@ def from_edges(n: int, edges, labels=None) -> Graph:
     Self-loops and duplicate edges are dropped; adjacency lists come out
     sorted and symmetric.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     e = np.array([(int(u), int(v)) for u, v in edges], np.int64).reshape(-1, 2)
     bad = np.flatnonzero(((e < 0) | (e >= n)).any(axis=1))
     if bad.size:
@@ -347,22 +341,18 @@ def distance_blocks(g: Graph, removed=()):
     distances stay below 255, the dtype's maximum where unreachable.  The
     graph is undirected, so the rows D are also the columns D[:, T].
 
-    The blocks are held, read-only, in the slot of the set `removed`, so
-    the next pass over it runs no BFS: n^2 bytes while the distances fit in
-    one byte.  They are stored once the last one is in, so a pass stopped
-    early (at a violation) leaves nothing a later pass could take as
-    complete."""
+    Every block is computed on first use and held, read-only, in the slot
+    of the set `removed`, so later passes and single-row reads over it run
+    no BFS: n^2 bytes while the distances fit in one byte."""
     S = _colluder_tuple(g.n, removed)
-    slot = _slot(g, S)
-    if "blocks" in slot:
-        yield from slot["blocks"]
-        return
-    pull, blocks = _pull_lists(g, S), []
-    for lo in range(0, g.n, _BLOCK):
-        T = np.arange(lo, min(lo + _BLOCK, g.n))
-        blocks.append(_read_only((T, _bit_bfs(pull, T))))
-        yield blocks[-1]
-    slot["blocks"] = blocks
+
+    def blocks():
+        pull = _pull_lists(g, S)
+        return tuple((T, _bit_bfs(pull, T)) for T in
+                     (np.arange(lo, min(lo + _BLOCK, g.n))
+                      for lo in range(0, g.n, _BLOCK)))
+
+    yield from _memoized(g, S, "blocks", blocks)
 
 
 def component_labels(g: Graph) -> np.ndarray:

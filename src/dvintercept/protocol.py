@@ -27,12 +27,24 @@ class BroadcastError(ValueError):
         self.target = target
 
 
+def _non_integer(vec, what: str, v):
+    """ValueError "<what>(v,t) = x is not an integer" at the first target t
+    where vec holds a non-integer x, or None."""
+    vec = np.asarray(vec)
+    if vec.dtype.kind not in "biu":  # an integer array needs no test
+        with np.errstate(invalid="ignore"):  # NaN and infinities fail it
+            bad = np.flatnonzero(vec.astype(np.int64) != vec)
+        if bad.size:
+            return ValueError(f"{what}({v},{bad[0]}) = {vec[bad[0]]} is not an integer")
+    return None
+
+
 def validate_broadcasts(n: int, colluders, broadcasts) -> dict[int, np.ndarray]:
     """Normalize and validate per-colluder broadcast vectors.
 
     `broadcasts` maps each colluder to a length-n integer vector.  Requires
     exactly the colluder set as keys, ids in [0, n), a 0 self entry, and
-    every other entry at least 1 (INF allowed).
+    every other entry an integer of at least 1 (INF allowed).
     """
     colluders = frozenset(_colluder_tuple(n, colluders))
     if set(broadcasts) != colluders:
@@ -44,9 +56,12 @@ def validate_broadcasts(n: int, colluders, broadcasts) -> dict[int, np.ndarray]:
         )
     out = {}
     for v, vec in broadcasts.items():
-        vec = np.asarray(vec, np.int64)
+        vec = np.asarray(vec)
         if vec.shape != (n,):
             raise ValueError(f"broadcast vector for node {v} has shape {vec.shape}")
+        if fault := _non_integer(vec, "broadcast", v):
+            raise fault
+        vec = np.asarray(vec, np.int64)
         if vec[v] != 0:
             raise BroadcastError("self distance must be 0", v, v)
         bad = np.flatnonzero(vec < 1)

@@ -11,6 +11,8 @@ and the best composite value obtained by relaying through other colluders.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,14 +31,13 @@ class BudgetError(RuntimeError):
     """Exhaustive search would exceed its configured budget."""
 
 
-def _distance_rows(g: Graph, S, removed=()):
-    """(at, D): D holds the int64 hop-distance rows of S and its neighbours,
-    INF where unreachable, once every edge touching `removed` is deleted.
-    Node v's row is D[at[v]]; at[v] = -1 for nodes not covered.  The
-    builders read nothing outside these rows, which are held, read-only, in
-    the slot of S's set (`graph._slot`)."""
+def _distance_rows(g: Graph, S):
+    """(at, D): D holds the int64 hop-distance rows of S and its neighbours
+    in g, INF where unreachable.  Node v's row is D[at[v]]; at[v] = -1 for
+    nodes not covered.  The builders read nothing else of g's distances but
+    D_C and D_{G-S}; the rows are held, read-only, in the slot of S's set
+    (`graph._memoized`)."""
     S = _colluder_tuple(g.n, S)
-    removed = _colluder_tuple(g.n, removed)
 
     def rows():
         cover = np.zeros(g.n, np.bool_)
@@ -45,9 +46,9 @@ def _distance_rows(g: Graph, S, removed=()):
         ids = np.flatnonzero(cover)
         at = np.full(g.n, -1, np.int64)
         at[ids] = np.arange(ids.size)
-        return at, as_hops(hop_distances(g, ids, removed))
+        return at, as_hops(hop_distances(g, ids))
 
-    return _memoized(g, S, ("rows", removed), rows)
+    return _memoized(g, S, "rows", rows)
 
 
 def _closest_hop(g: Graph, rows, v: int):
@@ -95,9 +96,12 @@ class Strategy:
 
     def validate(self, g: Graph) -> None:
         """ValueError at the first fault, colluders in `colluders` order and
-        then the lowest target: a malformed broadcast, a missing or
-        misshapen forward vector, or a hop that is neither -1 nor a
-        neighbour."""
+        then the lowest target: a repeated colluder, a malformed broadcast,
+        a missing, misshapen or non-integer forward vector, or a hop that is
+        neither -1 nor a neighbour."""
+        for v, count in Counter(self.colluders).items():
+            if count > 1:
+                raise ValueError(f"colluder {v} is repeated")
         protocol.validate_broadcasts(g.n, self.colluders, self.broadcast)
         n, fault = g.n, None
         hops = np.full((len(self.colluders), n), -1, np.int64)
@@ -107,10 +111,12 @@ class Strategy:
         for i, v in enumerate(self.colluders):
             if v not in self.forward:
                 fault = ValueError(f"forward vector for node {v} is missing")
-                break
-            if np.shape(self.forward[v]) != (n,):
+            elif np.shape(self.forward[v]) != (n,):
                 fault = ValueError(f"forward vector for node {v} has shape "
                                    f"{np.shape(self.forward[v])}")
+            else:
+                fault = protocol._non_integer(self.forward[v], "forward", v)
+            if fault:
                 break
             hops[i] = self.forward[v]
             nbr[i, g.neighbors(v)] = True
@@ -222,19 +228,14 @@ def colluding_distance(g: Graph, C, x: int, y: int, j: int) -> int:
         return 0 if x == y else INF
     if x == y:
         return INF
-    D = as_hops(hop_distances(g, C))
+    at, D = _distance_rows(g, C)
     middle = [v for v in C if v != x and v != y]
     best = INF
     for perm in itertools.permutations(middle, j - 2):
         seq = (x, *perm, y)
-        total = 0
-        for a, b in zip(seq, seq[1:]):
-            d = int(D[C.index(a), b])
-            if d >= INF:
-                total = INF
-                break
-            total += d
-        best = min(best, total)
+        steps = [int(D[at[a], b]) for a, b in zip(seq, seq[1:])]
+        if max(steps) < INF:
+            best = min(best, sum(steps))
     return best
 
 
@@ -419,15 +420,10 @@ def _intra_component_hops(g: Graph, comp) -> np.ndarray:
     """H[a, b]: the lowest-id neighbour of comp[a] one step closer to comp[b]
     along shortest paths inside the component, -1 on the diagonal.  `comp`
     is a sorted colluder component of at least two members."""
-    comp = np.asarray(comp, np.int64)
-    sub = induced_subgraph(g, comp)
-    dist = hop_distances(sub, np.arange(comp.size)).astype(np.int64)
-    # per member, the least dist * c + index over its neighbours picks the
-    # closest one toward each member, lowest id on ties
-    key = dist[sub.indices] * comp.size + sub.indices[:, None]
-    hops = comp[np.minimum.reduceat(key, sub.indptr[:-1], axis=0) % comp.size]
-    np.fill_diagonal(hops, -1)
-    return hops
+    sub = induced_subgraph(g, comp)  # node a is comp[a], so ids keep their order
+    rows = _distance_rows(sub, range(sub.n))
+    hops = np.array([_closest_hop(sub, rows, a) for a in range(sub.n)])
+    return np.where(hops >= 0, np.asarray(comp)[hops], -1)
 
 
 def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
@@ -443,7 +439,6 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
     separated_strategy.
     """
     C, rows, broadcast, forward = _honest(g, C)
-    at = rows[0]
     comps = colluder_components(g, C)
     cnum = np.full(g.n, -1, np.int64)  # component index of each colluder
     for ci, comp in enumerate(comps):
@@ -513,10 +508,12 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
     # vertex w in closed form (see _closed_form_pass): with b the broadcast
     # so far (exits announce their plan value, every other colluder its true
     # distance), col[w] = min(D_{G-S}(w, t), min over x of b_x[t] + D_C(x, w)).
-    # Every w lies in N(S), which the rows of _distance_rows cover.
-    _, DS = _distance_rows(g, C, removed=C)
+    # D_{G-S} is symmetric, so D_{G-S}(w, t) is read in t's held block.
     has = exits >= 0
-    col = DS[at[wi], T]
+    col = np.empty(wi.shape, np.int64)
+    for Tb, DS in distance_blocks(g, C):
+        j = np.flatnonzero((T >= Tb[0]) & (T <= Tb[-1]))
+        col[:, j] = as_hops(DS[T[j] - Tb[0], wi[:, j]])
     for bx, dx in zip((broadcast[x][T] for x in C), as_hops(_honest_rows(g, C))):
         dxw = dx[wi]
         col = np.minimum(col, np.where((bx < INF) & (dxw < INF), bx + dxw, INF))
@@ -733,15 +730,13 @@ def minimal_admissible_bruteforce(g: Graph, C, t: int, budget: int = 10**6):
     dt = bfs(g.indptr, g.indices, t)
     ranges = [tuple(range(1, int(dt[x]) + 1)) if dt[x] < INF else (INF,)
               for x in C]
-    size = 1
-    for r in ranges:
-        size *= len(r)
-        if size > budget:
-            raise BudgetError(f"search space exceeds budget of {budget}")
+    if math.prod(map(len, ranges)) > budget:
+        raise BudgetError(f"search space exceeds budget of {budget}")
     k, inf = len(C), INF + 1
-    # with the colluders sealed, t's row is its distances in G - S
-    D = as_hops(hop_distances(g, (t, *C), sealed=C), inf=inf)
-    d, dc = D[0], D[1:]
+    # t's row of D_{G-S} and D_C, as the pass reads them
+    d = next(as_hops(D[t - T[0]], inf=inf)
+             for T, D in distance_blocks(g, C) if t <= T[-1])
+    dc = as_hops(_honest_rows(g, C), inf=inf)
     combos = itertools.product(*ranges)
     admissible = []
     while chunk := list(itertools.islice(combos, _COMBOS)):

@@ -92,6 +92,10 @@ class TestFromEdges:
                 G.from_edges(n, edges)
             assert str(got.value) == str(ref.value)
 
+    def test_negative_n(self):
+        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+            G.from_edges(-1, [])
+
     def test_generators_and_blow_up(self, monkeypatch):
         def build():
             gs = [G.erdos_renyi(80, 0.06, seed=1), G.pref_attach(80, 3, seed=2),

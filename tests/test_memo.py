@@ -1,4 +1,4 @@
-"""What a graph holds for its latest colluder set (`graph._slot`): the
+"""What a graph holds for its latest colluder set (`graph._memoized`): the
 builders, counts and checks on one (graph, colluder set) share their BFS
 results, and every result equals the one on a freshly built copy."""
 
@@ -12,7 +12,7 @@ from dvintercept import graph as G
 from dvintercept.interception import coverage_function, intercepted_pairs
 from dvintercept.protocol import synchronize
 
-from oracles import random_connected_graph
+from oracles import minimal_admissible_bruteforce_reference, random_connected_graph
 
 BUILDERS = (S.honest_strategy, S.independent_strategy, S.separated_strategy,
             S.adjacent_strategy)
@@ -106,7 +106,7 @@ def test_handed_out_arrays_are_read_only():
     g = G.erdos_renyi(300, 0.012, seed=4)
     C = [3, 50, 299]
     arrays = [G.component_labels(g), G._honest_rows(g, C),
-              *S._distance_rows(g, C), *S._distance_rows(g, C, removed=C)]
+              *S._distance_rows(g, C)]
     arrays += [a for block in G.distance_blocks(g, C) for a in block]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -118,7 +118,7 @@ def test_handed_out_arrays_are_read_only():
 
 def test_stopped_pass_is_not_held_as_complete():
     # a violation toward target 0 stops the check and the count in block 0;
-    # the next count on the same set must not take that block for the pass
+    # the next count on the same set must still pass over every block
     g = G.erdos_renyi(300, 0.012, seed=4)
     comp = G.component_labels(g)
     C = [int(v) for v in np.flatnonzero(comp == comp[0])[1:40:4]]
@@ -131,7 +131,6 @@ def test_stopped_pass_is_not_held_as_complete():
     assert verdict.violating_pair[1] == 0
     with pytest.raises(ValueError, match="inadmissible"):
         intercepted_pairs(g, bad)
-    assert "blocks" not in g._memo["slot"][1]
     assert intercepted_pairs(g, base, per_target=True) \
         == intercepted_pairs(fresh(g), base, per_target=True)
     blocks = g._memo["slot"][1]["blocks"]
@@ -189,3 +188,36 @@ def test_rho_star_plans_share_their_rows(monkeypatch):
     assert sum(calls.values()) == 1
     h = fresh(g)
     assert plans == [S.rho_star_plan(h, C, p.target) for p in plans]
+
+
+def test_each_distance_product_has_one_producer(monkeypatch):
+    # the brute force over every target of one set reads the held D_C and
+    # t's row of the held D_{G-S}: one sealed BFS and one block, however
+    # many targets
+    rng = np.random.default_rng(17)
+    g = random_connected_graph(rng, n_max=10, n_min=8)
+    C = sorted(int(v) for v in rng.choice(g.n, 3, replace=False))
+    targets = [t for t in range(g.n) if t not in C]
+    calls = counted_bfs(monkeypatch)
+    frontiers = [S.minimal_admissible_bruteforce(g, C, t) for t in targets]
+    sealed = G._pull_lists(g, sealed=C)[1].tobytes()
+    removed = G._pull_lists(g, C)[1].tobytes()
+    assert calls == {(sealed, tuple(C)): 1, (removed, tuple(range(g.n))): 1}
+    assert frontiers == [minimal_admissible_bruteforce_reference(g, C, t)
+                         for t in targets]
+
+    # a checked adjacent op with a multi-node component: the relay bound
+    # reads the blocks the check and the count read, so every BFS in G - S
+    # is one block's, run once
+    g = G.erdos_renyi(300, 0.012, seed=4)
+    x = next(v for v in range(g.n) if g.degree(v))
+    C = sorted({x, int(g.neighbors(x)[0]), 100, 200})
+    calls = counted_bfs(monkeypatch)
+    strat = S.adjacent_strategy(g, C)
+    assert S.check_admissible(g, strat)
+    intercepted_pairs(g, strat)
+    removed = G._pull_lists(g, C)[1].tobytes()
+    blocks = [tuple(range(lo, min(lo + G._BLOCK, g.n)))
+              for lo in range(0, g.n, G._BLOCK)]
+    assert {T: count for (pull, T), count in calls.items()
+            if pull == removed} == dict.fromkeys(blocks, 1)

@@ -509,6 +509,51 @@ class TestCheckAdmissible:
         assert verdict.trap_set == {4, 5, 6}
 
 
+class TestValidate:
+    """Faults a check would otherwise pass over or truncate."""
+
+    def test_repeated_colluder(self):
+        # (2, 2) passed the check and was counted, and its text then failed
+        # to parse as a repeated record
+        g = path_graph(5)
+        twice = replace(S.honest_strategy(g, [2]), colluders=(2, 2))
+        for call in (twice.validate, lambda g: S.check_admissible(g, twice),
+                     lambda g: intercepted_pairs(g, twice)):
+            with pytest.raises(ValueError, match="^colluder 2 is repeated$"):
+                call(g)
+
+    @pytest.mark.parametrize("field, t, value", [
+        ("broadcast", 4, 2.9), ("broadcast", 0, np.nan),
+        ("broadcast", 1, np.inf), ("forward", 0, 1.6)])
+    def test_non_integer_entry(self, field, t, value):
+        # truncated, 2.9 would be 2 and hop 1.6 the neighbour 1
+        g = path_graph(5)
+        strat = S.honest_strategy(g, [2])
+        vec = getattr(strat, field)[2].astype(float)
+        vec[t] = value
+        bad = replace(strat, **{field: {2: vec}})
+        message = rf"^{field}\(2,{t}\) = {value} is not an integer$"
+        calls = [bad.validate, lambda g: S.check_admissible(g, bad),
+                 lambda g: intercepted_pairs(g, bad)]
+        if field == "broadcast":
+            calls += [lambda g: P.validate_broadcasts(g.n, [2], bad.broadcast),
+                      lambda g: P.synchronize(g, [2], bad.broadcast)]
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call(g)
+
+    def test_integral_floats_and_inf_stay_valid(self):
+        # colluder 1 cannot reach 3 or 4, so its broadcast holds INF
+        g = G.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+        strat = S.separated_strategy(g, [1])
+        floats = replace(strat, broadcast={1: strat.broadcast[1].astype(float)},
+                         forward={1: strat.forward[1].astype(float)})
+        assert INF in strat.broadcast[1]
+        assert intercepted_pairs(g, floats) == intercepted_pairs(g, strat)
+        assert (P.synchronize(g, [1], floats.broadcast).rho
+                == P.synchronize(g, [1], strat.broadcast).rho).all()
+
+
 class TestIsBeneficial:
     def test_honest_never(self):
         g = cycle_graph(6)
