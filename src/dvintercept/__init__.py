@@ -46,6 +46,7 @@ from .selection import (
 from .strategy import (
     AdmissibilityVerdict,
     BudgetError,
+    InadmissibleError,
     RhoStarEntry,
     RhoStarPlan,
     Strategy,

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import inspect
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,12 +164,14 @@ def load_edge_list(path) -> Graph:
 
 
 def label_map_csv(g: Graph) -> str:
-    """Two-column CSV token,id for an ingested graph."""
+    """Two-column CSV token,id for an ingested graph; a token holding a
+    comma or a quote is quoted, so `csv.reader` reads it back whole."""
     if g.labels is None:
         raise ValueError("graph has no ingestion label map")
-    lines = ["token,id"]
-    lines += [f"{tok},{i}" for i, tok in enumerate(g.labels)]
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(
+        [("token", "id"), *((tok, i) for i, tok in enumerate(g.labels))])
+    return out.getvalue()
 
 
 @dataclass(frozen=True)
@@ -321,16 +325,13 @@ def as_hops(D, dtype=np.int64, inf: int = INF) -> np.ndarray:
 
 
 def _honest_rows(g: Graph, C):
-    """k x n: row i holds the hop distances from colluder C[i] through
-    honest nodes only (no path enters another colluder), from one
-    bit-parallel BFS with every colluder sealed.  The dtype is
+    """k x n: row i holds the hop distances from C's i-th member in id
+    order through honest nodes only (no path enters another colluder), from
+    one bit-parallel BFS with every colluder sealed.  The dtype is
     `hop_distances`' narrow one, its maximum where unreachable.  The rows
-    are held, read-only, in the slot of C's set; a C out of id order gets
-    them reordered in a copy."""
+    are held, read-only, in the slot of C's set."""
     S = _colluder_tuple(g.n, C)
-    D = _memoized(g, S, "honest", lambda: hop_distances(g, S, sealed=S))
-    C = np.asarray(C, np.int64).reshape(-1)
-    return D if C.tolist() == list(S) else D[np.searchsorted(S, C)]
+    return _memoized(g, S, "honest", lambda: hop_distances(g, S, sealed=S))
 
 
 def distance_blocks(g: Graph, removed=()):

@@ -54,25 +54,19 @@ class InterceptionResult:
 def intercepted_pairs(g: Graph, strat: Strategy, *,
                       per_target: bool = False) -> InterceptionResult:
     """Count intercepted pairs under the given strategy, checking its
-    admissibility in the same closed-form pass (ValueError at the first
-    target whose routing graph traps a node).  Memory: the intercept matrix
-    packed eight entries to a byte (n^2/8 bytes), the pass's O(n * block)
-    arrays, one byte per entry while every offer is below 127, and the
-    distances in G - S that the graph holds for the colluder set (n^2 bytes
-    while they fit in one byte; see `graph.distance_blocks`)."""
+    admissibility in the same closed-form pass (`InadmissibleError` at the
+    first target whose routing graph traps a node).  Memory: the intercept
+    matrix packed eight entries to a byte (n^2/8 bytes), the pass's
+    O(n * block) arrays, one byte per entry while every offer is below 127,
+    and the distances in G - S that the graph holds for the colluder set
+    (n^2 bytes while they fit in one byte; see `graph.distance_blocks`)."""
     comp = component_labels(g)
     sizes = np.bincount(comp)
     # bit s of packed row t: direction s -> t intercepted; only ever set on
     # same-component, off-diagonal entries
     packed = np.zeros((g.n, (g.n + 7) // 8), np.uint8)
     row = np.zeros(g.n, np.int64)
-    for T, icept, violation in _closed_form_pass(g, strat, comp):
-        if violation:
-            pair, trapped = violation
-            raise ValueError(
-                f"strategy is inadmissible: pair {pair} "
-                f"has no corresponding path (trapped nodes {trapped})"
-            )
+    for T, icept in _closed_form_pass(g, strat, comp):
         packed[T] = np.packbits(icept, axis=1)
         row[T] = np.count_nonzero(icept, axis=1)
     # both directions intercepted, by square tiles of the upper triangle,

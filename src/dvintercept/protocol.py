@@ -39,38 +39,34 @@ def _non_integer(vec, what: str, v):
     return None
 
 
-def validate_broadcasts(n: int, colluders, broadcasts) -> dict[int, np.ndarray]:
-    """Normalize and validate per-colluder broadcast vectors.
+def validate_broadcasts(n: int, colluders, broadcasts):
+    """(ids, b): the colluder set in id order and its broadcasts as a k x n
+    int64 array, row i the vector of ids[i].
 
     `broadcasts` maps each colluder to a length-n integer vector.  Requires
     exactly the colluder set as keys, ids in [0, n), a 0 self entry, and
-    every other entry an integer of at least 1 (INF allowed).
+    every other entry an integer of at least 1 (INF allowed).  Faults are
+    raised in id order, then at the lowest target.
     """
-    colluders = frozenset(_colluder_tuple(n, colluders))
-    if set(broadcasts) != colluders:
-        missing = colluders - set(broadcasts)
-        extra = set(broadcasts) - colluders
-        raise ValueError(
-            f"broadcast keys must equal the colluder set "
-            f"(missing {sorted(missing)}, extra {sorted(extra)})"
-        )
-    out = {}
-    for v, vec in broadcasts.items():
-        vec = np.asarray(vec)
+    ids = _colluder_tuple(n, colluders)
+    if (keys := set(broadcasts)) != set(ids):
+        raise ValueError("broadcast keys must equal the colluder set (missing "
+                         f"{sorted(set(ids) - keys)}, extra {sorted(keys - set(ids))})")
+    b = np.empty((len(ids), n), np.int64)
+    for i, v in enumerate(ids):
+        vec = np.asarray(broadcasts[v])
         if vec.shape != (n,):
             raise ValueError(f"broadcast vector for node {v} has shape {vec.shape}")
         if fault := _non_integer(vec, "broadcast", v):
             raise fault
-        vec = np.asarray(vec, np.int64)
-        if vec[v] != 0:
+        b[i] = vec
+        if b[i, v] != 0:
             raise BroadcastError("self distance must be 0", v, v)
-        bad = np.flatnonzero(vec < 1)
+        bad = np.flatnonzero(b[i] < 1)
         bad = bad[bad != v]
         if bad.size:
-            t = int(bad[0])
-            raise BroadcastError("broadcast distance must be >= 1", v, t)
-        out[int(v)] = vec
-    return out
+            raise BroadcastError("broadcast distance must be >= 1", v, int(bad[0]))
+    return ids, b
 
 
 @dataclass(frozen=True)
@@ -105,10 +101,8 @@ def synchronize(g: Graph, colluders, broadcasts) -> BeliefState:
     and an honest node settles in the round of the hop count from its
     nearest source attaining its belief: at most n - 1 rounds.
     """
-    broadcasts = validate_broadcasts(g.n, colluders, broadcasts)
-    ids = sorted(broadcasts)
+    ids, b = validate_broadcasts(g.n, colluders, broadcasts)
     inf = INF + 1  # sums up to INF stay finite, as in the iteration
-    b = np.array([broadcasts[v] for v in ids], np.int64).reshape(len(ids), g.n)
     dc = as_hops(_honest_rows(g, ids), inf=inf)
     rho = np.empty((g.n, g.n), np.int64)
     worst = 0
@@ -122,6 +116,6 @@ def synchronize(g: Graph, colluders, broadcasts) -> BeliefState:
         for bi, di in zip(bt, dc):
             hops = np.where(bi[:, None] + di == col, np.minimum(hops, di), hops)
         worst = max(worst, int(hops[col < INF].max(initial=0)))
-    rho[ids] = b
+    rho[list(ids)] = b
     return BeliefState(rho=rho, rounds_to_converge=worst,
                        colluders=frozenset(ids))

@@ -172,7 +172,7 @@ def translate_fraction(g: Graph, S, p) -> Fraction:
 
     Every unordered pair touching a new vertex is intercepted (new vertices
     all collude), so with q subdivided edges
-    p' = (p*C(n,2) + C(q,2) + q*n) / C(n+q,2).
+    p' = (p*C(n,2) + C(q,2) + q*n) / C(n+q,2), and 0 with no pair at all.
     """
     S = set(_colluder_tuple(g.n, S))
     p = Fraction(p)
@@ -180,5 +180,5 @@ def translate_fraction(g: Graph, S, p) -> Fraction:
     if not S:
         return p
     q = sum(1 for u, v in g.edges() if u in S or v in S)
-    num = p * comb(n, 2) + comb(q, 2) + q * n
-    return num / Fraction(comb(n + q, 2))
+    pairs = comb(n + q, 2)
+    return (p * comb(n, 2) + comb(q, 2) + q * n) / pairs if pairs else Fraction(0)

@@ -94,21 +94,22 @@ class Strategy:
     forward: dict[int, np.ndarray]
     label: str = "custom"
 
-    def validate(self, g: Graph) -> None:
-        """ValueError at the first fault, colluders in `colluders` order and
-        then the lowest target: a repeated colluder, a malformed broadcast,
-        a missing, misshapen or non-integer forward vector, or a hop that is
-        neither -1 nor a neighbour."""
+    def validate(self, g: Graph):
+        """(ids, b, hop): the colluders in id order and their broadcasts and
+        hops as k x n int64 arrays.  ValueError at the first fault, in id
+        order and then at the lowest target: a repeated colluder, a malformed
+        broadcast, a missing, misshapen or non-integer forward vector, or a
+        hop that is neither -1 nor a neighbour."""
         for v, count in Counter(self.colluders).items():
             if count > 1:
                 raise ValueError(f"colluder {v} is repeated")
-        protocol.validate_broadcasts(g.n, self.colluders, self.broadcast)
+        ids, b = protocol.validate_broadcasts(g.n, self.colluders, self.broadcast)
         n, fault = g.n, None
-        hops = np.full((len(self.colluders), n), -1, np.int64)
+        hops = np.full((len(ids), n), -1, np.int64)
         # nbr[i]: colluder i's neighbours; column n stands for every hop
         # outside [0, n)
-        nbr = np.zeros((len(self.colluders), n + 1), np.bool_)
-        for i, v in enumerate(self.colluders):
+        nbr = np.zeros((len(ids), n + 1), np.bool_)
+        for i, v in enumerate(ids):
             if v not in self.forward:
                 fault = ValueError(f"forward vector for node {v} is missing")
             elif np.shape(self.forward[v]) != (n,):
@@ -125,17 +126,22 @@ class Strategy:
                                   axis=1) & (hops != -1)
         if bad.any():
             i, t = np.argwhere(bad)[0]
-            raise ValueError(f"forward({self.colluders[i]},{t}) = {hops[i, t]} "
+            raise ValueError(f"forward({ids[i]},{t}) = {hops[i, t]} "
                              "is not a neighbour")
         if fault:
             raise fault
+        return ids, b, hops
 
 
 def strategy_to_text(strat: Strategy) -> str:
-    """One record per (colluder, target): `colluder target broadcast hop`."""
+    """One record per (colluder, target): `colluder target broadcast hop`;
+    ValueError at a non-integer entry, which the format cannot hold."""
     lines = [f"# label {strat.label}", f"# colluders {' '.join(map(str, strat.colluders))}"]
     for v in strat.colluders:
         bv, fv = strat.broadcast[v], strat.forward[v]
+        for what, vec in (("broadcast", bv), ("forward", fv)):
+            if fault := protocol._non_integer(vec, what, v):
+                raise fault
         for t in range(bv.shape[0]):
             b = "inf" if bv[t] >= INF else str(int(bv[t]))
             lines.append(f"{v} {t} {b} {int(fv[t])}")
@@ -540,6 +546,16 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
 # ---------------------------------------------------------------------------
 
 
+class InadmissibleError(ValueError):
+    """`trapped`: the nodes that cannot reach t, the first target whose
+    routing graph traps any; `pair` = (s, t), s the lowest of them."""
+
+    def __init__(self, pair: tuple[int, int], trapped):
+        self.pair, self.trapped = pair, frozenset(trapped)
+        super().__init__(f"strategy is inadmissible: pair {pair} has no "
+                         f"corresponding path (trapped nodes {sorted(trapped)})")
+
+
 @dataclass(frozen=True)
 class AdmissibilityVerdict:
     admissible: bool
@@ -566,11 +582,11 @@ def _int_dtype(bound: int):
 def _closed_form_pass(g: Graph, strat: Strategy, comp):
     """The pass shared by the admissibility check and the count, in closed
     form over blocks of targets T; `comp` is `component_labels(g)`, which
-    each caller computes once.  Yields (T, intercept, violation):
-    intercept is a |T| x n bool array marking s -> T[i] as intercepted at
-    [i, s]; violation is None, or ((s, t), trapped) for the block's first
-    target t with members of its component that cannot reach it in the
-    routing graph, listed in id order, s the first of them.
+    each caller computes once.  Reads the strategy only through
+    `Strategy.validate`'s arrays.  Yields (T, intercept): intercept is a
+    |T| x n bool array marking s -> T[i] as intercepted at [i, s].  Raises
+    InadmissibleError at the first target with members of its component
+    that cannot reach it in the routing graph.
 
     With D the hop distances in G minus every edge touching the colluders,
     D_C[x] the hop distances from colluder x through honest nodes only and
@@ -599,22 +615,16 @@ def _closed_form_pass(g: Graph, strat: Strategy, comp):
     target's component, where every delivering colluder lies too; so the
     component test is made only in the colluder columns and rows.
     """
-    strat.validate(g)
-    n, ids = g.n, np.asarray(strat.colluders, np.int64)
-    k = ids.size
-    smask = np.zeros(n, np.bool_)
-    smask[ids] = True
+    C, b, hop = strat.validate(g)
+    n, ids = g.n, np.asarray(C, np.int64)
     cidx = np.full(n, -1, np.int64)  # node id -> colluder index
-    cidx[ids] = np.arange(k)
+    cidx[ids] = np.arange(ids.size)
+    smask = cidx >= 0
     sizes = np.bincount(comp)
-    b = np.array([strat.broadcast[v] for v in strat.colluders],
-                 np.int64).reshape(k, n)
-    hop = np.array([strat.forward[v] for v in strat.colluders],
-                   np.int64).reshape(k, n)
     # an offer toward a target in another component reaches none of the
     # target's members, so such entries are dropped before sizing the dtype
     b[comp[ids][:, None] != comp] = INF
-    raw_dc = _honest_rows(g, ids)
+    raw_dc = _honest_rows(g, C)
     finite_b = b[b < INF]
     finite_dc = raw_dc[raw_dc < np.iinfo(raw_dc.dtype).max]
     cap = (int(finite_b.max()) if finite_b.size else 0) \
@@ -633,7 +643,7 @@ def _closed_form_pass(g: Graph, strat: Strategy, comp):
         out = out.astype(dtype, copy=False)
         return np.maximum(out, np.multiply(D == top, inf, dtype=dtype), out=out)
 
-    for T, dist in distance_blocks(g, ids.tolist()):
+    for T, dist in distance_blocks(g, C):
         j = np.arange(T.size)
         d = saturated(dist)
         del dist
@@ -680,23 +690,22 @@ def _closed_form_pass(g: Graph, strat: Strategy, comp):
         # of its component's size exactly when it traps a member
         bad = np.flatnonzero(np.count_nonzero(reached, axis=1)
                              < sizes[comp[T]])
-        violation = None
         if bad.size:
             i = bad[0]
-            nodes = np.flatnonzero((comp == comp[T[i]])
-                                   & ~reached[i]).tolist()
-            violation = (nodes[0], int(T[i])), nodes
+            trapped = np.flatnonzero((comp == comp[T[i]]) & ~reached[i]).tolist()
+            raise InadmissibleError((trapped[0], int(T[i])), trapped)
         del d, col, reached, attains  # not held through the next block's BFS
-        yield T, intercept, violation
+        yield T, intercept
 
 
 def check_admissible(g: Graph, strat: Strategy) -> AdmissibilityVerdict:
     """A strategy is admissible when, for every target, every node in the
     target's component can reach it in the per-target routing graph."""
-    for _, _, violation in _closed_form_pass(g, strat, component_labels(g)):
-        if violation:
-            pair, trapped = violation
-            return AdmissibilityVerdict(False, pair, frozenset(trapped))
+    try:
+        for _ in _closed_form_pass(g, strat, component_labels(g)):
+            pass
+    except InadmissibleError as e:
+        return AdmissibilityVerdict(False, e.pair, e.trapped)
     return AdmissibilityVerdict(True)
 
 

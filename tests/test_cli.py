@@ -77,8 +77,9 @@ class TestConfigParsing:
             parse_config("generate = erdos_renyi(9,0.5)\nno equals sign\nk = 1\n")
 
     def test_round_trip_through_serialize(self):
-        cfg = parse_config(CONFIG)
-        assert parse_config(serialize_config(cfg)) == cfg
+        for text in (CONFIG, "graph = a.edges\nk = 1\nout = rows.csv\n"):
+            cfg = parse_config(text)
+            assert parse_config(serialize_config(cfg)) == cfg
 
 
 class TestDeriveSeed:
@@ -241,10 +242,17 @@ class TestMain:
         (["--generate", "erdos_renyi(10,0.3)", "--k", "inf%,nan%"],
          "error: k: percentage 'inf%' is not finite; "
          "k: percentage 'nan%' is not finite\n"),
+        (["--generate", "erdos_renyi(10,0.3)", "--k", " , "],
+         "error: k: at least one sweep value is required\n"),
+        (["--generate", "erdos_renyi(10,0.3)", "--k", "2", "--trials", "0"],
+         "error: trials: must be >= 1\n"),
+        (["--generate", "erdos_renyi(10, 0.3)", "--k", "11"],
+         "error: sweep value '11' exceeds n=10\n"),
     ])
     def test_input_error_exit_code_and_message(self, capsys, argv, message):
         assert main(argv) == 1
-        assert capsys.readouterr().err == message
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", message)
 
     def test_exhaustive_budget_exit_code_and_message(self, capsys):
         rc = main(["--generate", "pref_attach(60, 2)", "--select", "exhaustive",

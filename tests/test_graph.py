@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +52,12 @@ class TestFromEdgeList:
     def test_label_map_csv(self):
         g = G.from_edge_list("left right")
         assert G.label_map_csv(g) == "token,id\nleft,0\nright,1\n"
+        # a comma or a quote in a token is quoted, so each row reads back whole
+        g = G.from_edge_list('a,b c\n"d" c')
+        text = G.label_map_csv(g)
+        assert text == 'token,id\n"a,b",0\nc,1\n"""d""",2\n'
+        assert list(csv.reader(io.StringIO(text))) == [
+            ["token", "id"], ["a,b", "0"], ["c", "1"], ['"d"', "2"]]
 
     def test_label_map_requires_ingestion(self):
         with pytest.raises(ValueError):
@@ -143,6 +152,7 @@ class TestComponentLabels:
             labels = G.component_labels(g)
             assert labels.dtype == np.int64
             assert labels.tolist() == _components(g)
+            assert G.is_connected(g) == (len(set(_components(g))) <= 1)
 
 
 class TestBfsDistances:

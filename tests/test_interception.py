@@ -279,8 +279,10 @@ def assert_pass_matches(g, strat, oracle=True):
         assert not verdict
         assert verdict.violating_pair == pair
         assert verdict.trap_set == frozenset(trapped)
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(S.InadmissibleError) as exc:
             intercepted_pairs(g, strat)
+        assert exc.value.pair == pair
+        assert exc.value.trapped == frozenset(trapped)
         assert str(exc.value) == (f"strategy is inadmissible: pair {pair} has "
                                   f"no corresponding path (trapped nodes {trapped})")
         if oracle:

@@ -90,6 +90,18 @@ class TestSynchronize:
         with pytest.raises(ValueError):
             P.synchronize(g, {1}, {})
 
+    def test_rejects_misshapen_vector(self):
+        with pytest.raises(ValueError,
+                           match=r"^broadcast vector for node 1 has shape \(2,\)$"):
+            P.validate_broadcasts(3, {1}, {1: np.array([1, 0], np.int64)})
+
+    def test_returns_id_ordered_arrays(self):
+        # rows follow the colluder ids, whatever the order given
+        vecs = {2: np.array([2, 1, 0], np.int64), 0: np.array([0, 1, 2], np.int64)}
+        ids, b = P.validate_broadcasts(3, (2, 0), vecs)
+        assert ids == (0, 2)
+        assert b.dtype == np.int64 and b.tolist() == [[0, 1, 2], [2, 1, 0]]
+
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**31 - 1))

@@ -81,16 +81,17 @@ class TestTranslateFraction:
 
     def test_direct_matches_engine(self):
         rng = np.random.default_rng(47)
+        cases = [(G.from_edges(1, []), [0])]  # no pair at all: 0, not 0 / 0
         for _ in range(10):
             g = random_connected_graph(rng, n_max=9)
             k = int(rng.integers(1, max(2, g.n // 3 + 1)))
-            C = sorted(int(v) for v in rng.permutation(g.n)[:k])
+            cases.append((g, sorted(int(v) for v in rng.permutation(g.n)[:k])))
+        for g, C in cases:
             nu = uniform_as_nonuniform(g, S.independent_strategy(g, C))
             pairs = nonuniform_intercepted(g, nu)
-            p = Fraction(
-                sum(1 for (a, b) in pairs if a < b and (b, a) in pairs),
-                g.n * (g.n - 1) // 2,
-            )
+            total = g.n * (g.n - 1) // 2
+            p = Fraction(sum(1 for (a, b) in pairs if a < b and (b, a) in pairs),
+                         total) if total else Fraction(0)
             bm = R.blow_up(g, C)
             lifted = R.lift_strategy(bm, nu)
             measured = intercepted_pairs(bm.blown, lifted).fraction_unordered
@@ -204,6 +205,8 @@ class TestLiftCollapse:
         bm = R.blow_up(g, [0])
         with pytest.raises(ValueError):
             R.lift_strategy(bm, R.honest_nonuniform(g, [1]))
+        with pytest.raises(ValueError, match="^uniform strategy colluders do not match"):
+            R.collapse_strategy(bm, S.honest_strategy(bm.blown, [1]))
 
 
 class TestGenuinelyNonuniform:

@@ -149,8 +149,23 @@ class TestGreedyMin:
                     break
             assert len(nodes) <= (1 + math.log(g.n)) * max(opt, 1)
 
+    @pytest.mark.parametrize("g, p, message", [
+        (star(6), -0.1, r"p must lie in \[0, 1\]"),
+        (star(6), 1.5, r"p must lie in \[0, 1\]"),
+        (G.from_edges(0, []), 0.5, "unachievable coverage target on an empty graph"),
+        (G.from_edges(2, []), 0.5, r"coverage target 0.5 unachievable \(max 0.0\)")],
+        ids=["below-0", "above-1", "empty-graph", "no-pairs"])
+    def test_rejects_p(self, g, p, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sel.greedy_min_spds(g, p)
+
 
 class TestExhaustive:
+    @pytest.mark.parametrize("k", [-1, 6])
+    def test_k_range(self, k):
+        with pytest.raises(ValueError, match=f"^k={k} out of range for n=5$"):
+            sel.exhaustive_opt(star(5), k)
+
     def test_full_set(self):
         g = star(5)
         nodes, value = sel.exhaustive_opt(g, g.n)
@@ -191,6 +206,10 @@ class TestSelect:
 
     def test_k_zero(self):
         assert sel.select(star(4), sel.SelectionSpec(method="greedy_max", k=0)) == []
+
+    def test_greedy_max_dispatch(self):
+        got = sel.select(star(6), sel.SelectionSpec(method="greedy_max", k=1))
+        assert got == [0]
 
     def test_greedy_min_dispatch(self):
         got = sel.select(star(6), sel.SelectionSpec(method="greedy_min", p=1.0))
@@ -326,3 +345,5 @@ class TestCoverageEvaluator:
 def test_selection_to_text_labels():
     g = G.from_edge_list("alpha beta\nbeta gamma\n")
     assert sel.selection_to_text(g, [2, 0]) == "gamma\nalpha\n"
+    # a generated graph has no labels: its ids are the tokens
+    assert sel.selection_to_text(star(4), [3, 0]) == "3\n0\n"

@@ -102,6 +102,15 @@ class TestColludingDistance:
     def test_j_exceeds_set(self):
         g = path_graph(7)
         assert S.colluding_distance(g, {1, 4}, 1, 4, 3) == INF
+        # a sequence of two or more distinct colluders never returns to x
+        assert S.colluding_distance(g, {1, 4}, 1, 1, 2) == INF
+
+    @pytest.mark.parametrize("x, y, j, message", [
+        (2, 4, 2, "x and y must be colluders"), (1, 3, 2, "x and y must be colluders"),
+        (1, 4, 0, "j must be >= 1")])
+    def test_argument_errors(self, x, y, j, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            S.colluding_distance(path_graph(7), {1, 4}, x, y, j)
 
     def test_permutation_minimum(self):
         rng = np.random.default_rng(77)
@@ -157,6 +166,23 @@ class TestRhoStarPlan:
         g = path_graph(4)
         with pytest.raises(ValueError, match="separated"):
             S.rho_star_plan(g, {1, 2}, 3)
+
+    def test_value_reads_the_entry(self):
+        plan = S.rho_star_plan(path_graph(7), {1, 4}, 6)
+        assert [plan.value(x) for x in (1, 4)] == [2, 1]
+
+    @pytest.mark.parametrize("order", [[1], [1, 1, 4], [1, 3]])
+    def test_order_must_permute_colluders(self, order):
+        with pytest.raises(ValueError,
+                           match="^order must be a permutation of the colluder set$"):
+            S.rho_star_plan(path_graph(7), {1, 4}, 6, order=order)
+
+    @pytest.mark.parametrize("call", [
+        lambda g: S.rho_star_plan(g, {1, 4}, 4),
+        lambda g: S.minimal_admissible_bruteforce(g, [1, 4], 4)])
+    def test_refuses_colluder_target(self, call):
+        with pytest.raises(ValueError, match="^target must not be a colluder$"):
+            call(path_graph(7))
 
     def test_refuses_colluding_target(self):
         g = path_graph(4)
@@ -429,6 +455,9 @@ class TestAdjacentStrategy:
                            ([(0, 1), 3], 1)):
             with pytest.raises(ValueError, match=f": {bad} is not a colluder"):
                 S.adjacent_strategy(g, [0, 3], component_order=order)
+        with pytest.raises(ValueError,
+                           match=r"^order item \(0, 3\) spans multiple components$"):
+            S.adjacent_strategy(g, [0, 3], component_order=[(0, 3)])
 
 
 class TestCheckAdmissible:
@@ -476,6 +505,14 @@ class TestCheckAdmissible:
         with pytest.raises(ValueError, match="^forward vector for node 1 is missing$"):
             strat.validate(g)
 
+    def test_rejects_misshapen_forward_vector(self):
+        g = path_graph(5)
+        strat = S.honest_strategy(g, [1, 3])
+        strat.forward[3] = strat.forward[3][:4]
+        with pytest.raises(ValueError,
+                           match=r"^forward vector for node 3 has shape \(4,\)$"):
+            strat.validate(g)
+
     def test_first_fault_in_colluder_order(self):
         # colluder 1 faults at targets 3 and 4, colluder 3 at the lower target 0
         g = path_graph(5)
@@ -484,6 +521,9 @@ class TestCheckAdmissible:
         strat.forward[3][0] = 0
         with pytest.raises(ValueError, match=r"^forward\(1,3\) = 4 is not a neighbour$"):
             strat.validate(g)
+        # the order is that of the ids, not of the colluders tuple
+        with pytest.raises(ValueError, match=r"^forward\(1,3\) = 4 is not a neighbour$"):
+            replace(strat, colluders=(3, 1)).validate(g)
         # a later colluder's missing vector does not hide an earlier bad hop
         del strat.forward[3]
         with pytest.raises(ValueError, match=r"^forward\(1,3\) = 4 is not a neighbour$"):
@@ -534,13 +574,36 @@ class TestValidate:
         bad = replace(strat, **{field: {2: vec}})
         message = rf"^{field}\(2,{t}\) = {value} is not an integer$"
         calls = [bad.validate, lambda g: S.check_admissible(g, bad),
-                 lambda g: intercepted_pairs(g, bad)]
+                 lambda g: intercepted_pairs(g, bad),
+                 lambda g: S.strategy_to_text(bad)]
         if field == "broadcast":
             calls += [lambda g: P.validate_broadcasts(g.n, [2], bad.broadcast),
                       lambda g: P.synchronize(g, [2], bad.broadcast)]
         for call in calls:
             with pytest.raises(ValueError, match=message):
                 call(g)
+
+    def test_text_refuses_non_integer_broadcast(self):
+        # the text format holds integers only: 2.9 is refused, not truncated
+        strat = S.honest_strategy(path_graph(3), [1])
+        strat.broadcast[1] = np.array([2.9, 0, 1])
+        with pytest.raises(ValueError,
+                           match=r"^broadcast\(1,0\) = 2.9 is not an integer$"):
+            S.strategy_to_text(strat)
+
+    def test_colluders_out_of_id_order(self):
+        # a hand-built (3, 1) validates to id-ordered arrays and is checked
+        # and counted as the sorted strategy is
+        g = G.erdos_renyi(12, 0.3, seed=5)
+        strat = S.adjacent_strategy(g, [1, 3])
+        swapped = replace(strat, colluders=(3, 1))
+        ids, b, hop = swapped.validate(g)
+        assert ids == (1, 3)
+        assert (b == [strat.broadcast[v] for v in ids]).all()
+        assert (hop == [strat.forward[v] for v in ids]).all()
+        assert S.check_admissible(g, swapped) == S.check_admissible(g, strat)
+        assert intercepted_pairs(g, swapped, per_target=True) \
+            == intercepted_pairs(g, strat, per_target=True)
 
     def test_integral_floats_and_inf_stay_valid(self):
         # colluder 1 cannot reach 3 or 4, so its broadcast holds INF
