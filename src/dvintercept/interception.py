@@ -68,7 +68,9 @@ def intercepted_pairs(g: Graph, strat: Strategy, *,
     row = np.zeros(g.n, np.int64)
     for T, icept in _closed_form_pass(g, strat, comp):
         packed[T] = np.packbits(icept, axis=1)
-        row[T] = np.count_nonzero(icept, axis=1)
+        # a sum in the narrowest dtype that holds n, several times faster
+        # than a per-row count_nonzero
+        row[T] = icept.sum(axis=1, dtype=np.min_scalar_type(g.n))
     # both directions intercepted, by square tiles of the upper triangle,
     # each unpacked with its mirror; _BLOCK is a multiple of 8, so a tile's
     # columns are whole bytes

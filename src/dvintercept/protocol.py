@@ -39,6 +39,39 @@ def _non_integer(vec, what: str, v):
     return None
 
 
+def _int_rows(vectors, ids, n: int, what: str):
+    """(a, fault): the `what` vectors of the colluders ids, in order, as the
+    rows of a new int64 array, up to the first row that has a fault of its
+    own, and that fault as a ValueError (None when there is none).  A row's
+    own faults are, in order: a missing vector, a shape other than (n,)
+    (both tested per row in Python) and a non-integer entry, tested at once
+    over the rows whose dtype is not an integer one.  The caller tests the
+    values of a, whose faults come before `fault`."""
+    rows, fault = [], None
+    for v in ids:
+        if v not in vectors:
+            fault = ValueError(f"{what} vector for node {v} is missing")
+            break
+        vec = vectors[v]
+        if not isinstance(vec, np.ndarray):
+            vec = np.asarray(vec)
+        if vec.shape != (n,):
+            fault = ValueError(f"{what} vector for node {v} has shape {vec.shape}")
+            break
+        rows.append(vec)
+    odd = [i for i, vec in enumerate(rows) if vec.dtype.kind not in "biu"]
+    if odd:
+        x = np.array([rows[i] for i in odd])
+        with np.errstate(invalid="ignore"):  # NaN and infinities fail it
+            bad = x.astype(np.int64) != x
+        r = np.flatnonzero(bad.any(axis=1))
+        if r.size:
+            i = odd[r[0]]
+            fault = _non_integer(rows[i], what, ids[i])
+            del rows[i:]
+    return np.array(rows, np.int64).reshape(len(rows), n), fault
+
+
 def validate_broadcasts(n: int, colluders, broadcasts):
     """(ids, b): the colluder set in id order and its broadcasts as a k x n
     int64 array, row i the vector of ids[i].
@@ -46,26 +79,27 @@ def validate_broadcasts(n: int, colluders, broadcasts):
     `broadcasts` maps each colluder to a length-n integer vector.  Requires
     exactly the colluder set as keys, ids in [0, n), a 0 self entry, and
     every other entry an integer of at least 1 (INF allowed).  Faults are
-    raised in id order, then at the lowest target.
+    raised in id order; within a row the shape comes first, then a
+    non-integer entry, the self entry and the lowest target below 1.
     """
     ids = _colluder_tuple(n, colluders)
     if (keys := set(broadcasts)) != set(ids):
         raise ValueError("broadcast keys must equal the colluder set (missing "
                          f"{sorted(set(ids) - keys)}, extra {sorted(keys - set(ids))})")
-    b = np.empty((len(ids), n), np.int64)
-    for i, v in enumerate(ids):
-        vec = np.asarray(broadcasts[v])
-        if vec.shape != (n,):
-            raise ValueError(f"broadcast vector for node {v} has shape {vec.shape}")
-        if fault := _non_integer(vec, "broadcast", v):
-            raise fault
-        b[i] = vec
-        if b[i, v] != 0:
+    b, fault = _int_rows(broadcasts, ids, n, "broadcast")
+    diag = (np.arange(len(b)), np.asarray(ids[:len(b)], np.int64))
+    not_self = b[diag] != 0
+    low = b < 1
+    low[diag] = False
+    bad = not_self | low.any(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        v = ids[i]
+        if not_self[i]:
             raise BroadcastError("self distance must be 0", v, v)
-        bad = np.flatnonzero(b[i] < 1)
-        bad = bad[bad != v]
-        if bad.size:
-            raise BroadcastError("broadcast distance must be >= 1", v, int(bad[0]))
+        raise BroadcastError("broadcast distance must be >= 1", v, int(low[i].argmax()))
+    if fault:
+        raise fault
     return ids, b
 
 

@@ -32,9 +32,11 @@ class NonuniformStrategy:
 
 
 def honest_nonuniform(g: Graph, S) -> NonuniformStrategy:
-    S, _, honest, forward = _honest(g, S)
-    broadcast = {v: {int(u): honest[v].copy() for u in g.neighbors(v)} for v in S}
-    return NonuniformStrategy(colluders=S, broadcast=broadcast, forward=forward)
+    S, _, honest, hop = _honest(g, S)
+    broadcast = {v: {int(u): row.copy() for u in g.neighbors(v)}
+                 for v, row in zip(S, honest)}
+    return NonuniformStrategy(colluders=S, broadcast=broadcast,
+                              forward=dict(zip(S, hop)))
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,8 @@ def lift_strategy(bm: BlowupMap, nonuniform: NonuniformStrategy) -> Strategy:
     if tuple(nonuniform.colluders) != bm.S:
         raise ValueError("nonuniform strategy colluders do not match the blowup")
     n = bm.original.n
-    _, _, broadcast, forward = _honest(bm.blown, bm.S_prime)
+    S_prime, _, b, f = _honest(bm.blown, bm.S_prime)
+    broadcast, forward = dict(zip(S_prime, b)), dict(zip(S_prime, f))
     sset = set(bm.S)
     # the original honest targets, the only columns that carry the lie
     lied = np.ones(n, np.bool_)

@@ -51,33 +51,90 @@ def _distance_rows(g: Graph, S):
     return _memoized(g, S, "rows", rows)
 
 
-def _closest_hop(g: Graph, rows, v: int):
-    """Per target, the lowest-id neighbour of v minimizing true distance to
-    it; -1 at v itself, at unreachable targets and everywhere when v has no
-    neighbours.  `rows` = (at, D) as from `_distance_rows` and must cover
-    v's neighbours."""
+def _runs(g: Graph, V):
+    """(nbrs, deg): the neighbour lists of the nodes V, one CSR run each,
+    concatenated in the order of V, and their lengths."""
+    V = np.asarray(V, np.int64).reshape(-1)
+    lo, deg = g.indptr[V], g.indptr[V + 1] - g.indptr[V]
+    return g.indices[np.repeat(lo - (np.cumsum(deg) - deg), deg)
+                     + np.arange(deg.sum())], deg
+
+
+def _closest_hops(g: Graph, rows, V) -> np.ndarray:
+    """|V| x n int64: row i holds, per target, the lowest-id neighbour of
+    V[i] minimizing true distance to it; -1 at V[i] itself, at unreachable
+    targets and everywhere when V[i] has no neighbours.  `rows` = (at, D) as
+    from `_distance_rows` and must cover the neighbours of V.
+
+    Each neighbour's row is keyed min(d, n) * n + its id, so the least key
+    of a node's neighbours gives the least distance and, among the
+    neighbours attaining it, the lowest id; a key of n * n or more is an
+    unreachable target.  The nodes are ranked by decreasing degree, so that
+    the p-th neighbours of the nodes with more than p are the first c; in
+    that position-major order the keys of as many whole positions as fit
+    are gathered into one |V| x n buffer at a time, and each position's
+    c rows are minimized into the first c rows of the result in place.  The
+    transient is thus two |V| x n arrays, whatever the degrees of V
+    (`np.minimum.reduceat` along the rows, which loops per column in C, ran
+    2-4 times slower at n = 2000).
+    """
     at, D = rows
-    nbrs = g.neighbors(v)
-    vals = D[at[nbrs]]
-    if nbrs.size:
-        # neighbour lists are sorted, so argmin's first minimum is the lowest id
-        hop = np.where(vals.min(axis=0) < INF, nbrs[vals.argmin(axis=0)], -1)
-    else:
-        hop = np.full(g.n, -1, np.int64)
-    hop[v] = -1
+    n = g.n
+    V = np.asarray(V, np.int64).reshape(-1)
+    deg = g.indptr[V + 1] - g.indptr[V]
+    rank = np.argsort(-deg, kind="stable")
+    lo, deg = g.indptr[V[rank]], deg[rank]
+    # has[p, i]: the i-th ranked node has a p-th neighbour
+    has = deg > np.arange(deg.max(initial=0))[:, None]
+    nbrs = g.indices[(lo + np.arange(has.shape[0])[:, None])[has]]
+    counts = has.sum(axis=1).tolist()
+    # position p's keys are rows first[p]:first[p + 1] of the whole order
+    first = np.cumsum([0] + counts).tolist()
+    best = np.full((counts[0] if counts else 0, n), n * n, np.int64)
+    buf = np.empty_like(best)
+
+    def minimize(p, q):
+        """Minimize the keys of positions p to q - 1, gathered into buf,
+        into best."""
+        nb = nbrs[first[p]:first[q]]
+        key = buf[:nb.size]
+        # mode="raise" would gather through a hidden buffer of key's size
+        np.take(D, at[nb], axis=0, out=key, mode="clip")
+        np.minimum(key, n, out=key)
+        key *= n
+        key += nb[:, None]
+        for c, r in zip(counts[p:q], first[p:q]):
+            r -= first[p]
+            np.minimum(best[:c], key[r:r + c], out=best[:c])
+
+    p = 0
+    while p < len(counts):
+        q = p + 1  # positions p to q - 1 fill the buffer
+        while q < len(counts) and first[q + 1] - first[p] <= len(buf):
+            q += 1
+        minimize(p, q)
+        p = q
+    del buf
+    unreached = best >= n * n
+    best %= n
+    best[unreached] = -1
+    hop = np.full((V.size, n), -1, np.int64)
+    hop[rank[:len(best)]] = best
+    hop[np.arange(V.size), V] = -1
     return hop
 
 
 def _honest(g: Graph, S):
-    """(S, rows, broadcast, forward): S as `_colluder_tuple`, the distance
-    rows of S and its neighbours as from `_distance_rows`, and per colluder a
-    fresh copy of its true distances and of its `_closest_hop` array, which
-    every builder starts from and edits where it lies."""
+    """(S, rows, b, hop): S as `_colluder_tuple`, the distance rows of S and
+    its neighbours as from `_distance_rows`, and k x n int64 arrays in id
+    order: fresh copies of the colluders' true distances and their
+    `_closest_hops`, which every builder starts from and edits where it
+    lies.  `_strategy` hands their rows out as the strategy's vectors."""
     S = _colluder_tuple(g.n, S)
     rows = at, D = _distance_rows(g, S)
-    broadcast = {v: D[at[v]].copy() for v in S}
-    forward = {v: _closest_hop(g, rows, v) for v in S}
-    return S, rows, broadcast, forward
+    ids = np.asarray(S, np.int64)
+    hop = _closest_hops(g, rows, ids)
+    return S, rows, D[at[ids]], hop
 
 
 @dataclass(frozen=True)
@@ -96,41 +153,42 @@ class Strategy:
 
     def validate(self, g: Graph):
         """(ids, b, hop): the colluders in id order and their broadcasts and
-        hops as k x n int64 arrays.  ValueError at the first fault, in id
-        order and then at the lowest target: a repeated colluder, a malformed
-        broadcast, a missing, misshapen or non-integer forward vector, or a
-        hop that is neither -1 nor a neighbour."""
+        hops as k x n int64 arrays.  ValueError at the first fault: a
+        repeated colluder, a malformed broadcast (see
+        `protocol.validate_broadcasts`), then per colluder in id order a
+        missing, misshapen or non-integer forward vector, or at its lowest
+        target a hop that is neither -1 nor a neighbour."""
         for v, count in Counter(self.colluders).items():
             if count > 1:
                 raise ValueError(f"colluder {v} is repeated")
         ids, b = protocol.validate_broadcasts(g.n, self.colluders, self.broadcast)
-        n, fault = g.n, None
-        hops = np.full((len(ids), n), -1, np.int64)
-        # nbr[i]: colluder i's neighbours; column n stands for every hop
-        # outside [0, n)
-        nbr = np.zeros((len(ids), n + 1), np.bool_)
-        for i, v in enumerate(ids):
-            if v not in self.forward:
-                fault = ValueError(f"forward vector for node {v} is missing")
-            elif np.shape(self.forward[v]) != (n,):
-                fault = ValueError(f"forward vector for node {v} has shape "
-                                   f"{np.shape(self.forward[v])}")
-            else:
-                fault = protocol._non_integer(self.forward[v], "forward", v)
-            if fault:
-                break
-            hops[i] = self.forward[v]
-            nbr[i, g.neighbors(v)] = True
-        # one lookup of every hop in its colluder's row
-        bad = ~np.take_along_axis(nbr, np.where((hops >= 0) & (hops < n), hops, n),
-                                  axis=1) & (hops != -1)
-        if bad.any():
-            i, t = np.argwhere(bad)[0]
-            raise ValueError(f"forward({ids[i]},{t}) = {hops[i, t]} "
+        hop, fault = protocol._int_rows(self.forward, ids, g.n, "forward")
+        # ok[i, h + 1]: hop h is -1 or a neighbour of colluder i; column
+        # n + 1 stands for every hop outside [-1, n), the uint64 view
+        # sending those below -1 above n.  One flat lookup of every hop.
+        k, w = len(hop), g.n + 2
+        nbrs, deg = _runs(g, ids[:k])
+        ok = np.zeros((k, w), np.bool_)
+        ok[:, 0] = True
+        ok[np.repeat(np.arange(k), deg), nbrs + 1] = True
+        at = (hop + 1).view(np.uint64)
+        np.minimum(at, w - 1, out=at)
+        at += np.arange(0, k * w, w, dtype=np.uint64)[:, None]
+        good = ok.take(at.view(np.int64))
+        if not good.all():
+            i, t = np.argwhere(~good)[0]
+            raise ValueError(f"forward({ids[i]},{t}) = {hop[i, t]} "
                              "is not a neighbour")
         if fault:
             raise fault
-        return ids, b, hops
+        return ids, b, hop
+
+
+def _strategy(S, b, hop, label: str) -> Strategy:
+    """The strategy of S whose vectors are the rows of the k x n arrays b
+    and hop (views: an edit to either shows in both)."""
+    return Strategy(colluders=S, broadcast=dict(zip(S, b)),
+                    forward=dict(zip(S, hop)), label=label)
 
 
 def strategy_to_text(strat: Strategy) -> str:
@@ -199,20 +257,17 @@ def strategy_from_text(text: str, n: int) -> Strategy:
 
 def honest_strategy(g: Graph, S) -> Strategy:
     """Everyone announces true distances and forwards to a closest neighbour."""
-    S, _, broadcast, forward = _honest(g, S)
-    return Strategy(colluders=S, broadcast=broadcast, forward=forward, label="honest")
+    S, _, b, hop = _honest(g, S)
+    return _strategy(S, b, hop, "honest")
 
 
 def independent_strategy(g: Graph, S) -> Strategy:
     """Each colluder lies on its own: announce max(1, d(v,t)-2) per target and
     forward to a true-closest neighbour."""
-    S, _, broadcast, forward = _honest(g, S)
-    for v, d in broadcast.items():
-        finite = d < INF
-        d[finite] = np.maximum(1, d[finite] - 2)
-        d[v] = 0
-    return Strategy(colluders=S, broadcast=broadcast, forward=forward,
-                    label="independent")
+    S, _, b, hop = _honest(g, S)
+    np.copyto(b, np.maximum(1, b - 2), where=b < INF)
+    b[np.arange(len(S)), np.asarray(S, np.int64)] = 0
+    return _strategy(S, b, hop, "independent")
 
 
 # ---------------------------------------------------------------------------
@@ -270,21 +325,33 @@ class RhoStarPlan:
         return self.entries[x].value
 
 
+def _colluder_arcs(g: Graph, C):
+    """(src, dst): the arcs joining two members of the colluder set C, in
+    CSR order, read from the colluders' own runs."""
+    ids = np.asarray(_colluder_tuple(g.n, C), np.int64)
+    nbrs, deg = _runs(g, ids)
+    cmask = np.zeros(g.n, np.bool_)
+    cmask[ids] = True
+    close = cmask[nbrs]
+    return np.repeat(ids, deg)[close], nbrs[close]
+
+
 def _check_separated(g: Graph, C) -> None:
     """ValueError naming the least adjacent colluder pair (x, y), x < y.  It
     is the first arc between two colluders in CSR order: its source x is the
     least colluder with a colluder neighbour, so each such neighbour is
     above x."""
-    cmask = np.zeros(g.n, np.bool_)
-    cmask[list(_colluder_tuple(g.n, C))] = True
-    esrc = np.repeat(np.arange(g.n), g.degrees())
-    close = np.flatnonzero(cmask[esrc] & cmask[g.indices])
-    if close.size:
-        x, y = esrc[close[0]], g.indices[close[0]]
+    src, dst = _colluder_arcs(g, C)
+    if src.size:
+        x, y = src[0], dst[0]
         raise ValueError(
             f"colluders {x} and {y} are not separated "
             "(distance < 2); use adjacent_strategy"
         )
+
+
+# the rho* kernel's INF; hop distances, and sums of two of them, stay below
+_PLAN_INF = 1 << 29
 
 
 def _rho_star_plans(g: Graph, C, rows, hops, order=None, targets=None):
@@ -292,8 +359,8 @@ def _rho_star_plans(g: Graph, C, rows, hops, order=None, targets=None):
 
     C is the sorted tuple of a colluder set with no two members adjacent,
     `rows` = (at, D) as from `_distance_rows` (covering C and its
-    neighbours), `hops` C's `_closest_hop` arrays and `targets` defaults to
-    every non-colluder.  Returns (T, val, fn, pred, hop), each of the last four a
+    neighbours), `hops` C's `_closest_hops` and `targets` defaults to every
+    non-colluder.  Returns (T, val, fn, pred, hop), each of the last four a
     k x |T| int64 array indexed [colluder index, target index]: the plan
     value, forwarding number, index of the predecessor on the witness chain
     (-1 for none) and exit hop (-1 where the value is INF).
@@ -303,6 +370,14 @@ def _rho_star_plans(g: Graph, C, rows, hops, order=None, targets=None):
     every unsettled colluder z to max(1, d(x, z) - 2 + val); only a strict
     improvement makes x the predecessor of z.  The exit hop is the closest
     hop toward the predecessor, or toward the target when there is none.
+
+    The state is |T| x (k + 1) int32, one row per target, read and written
+    through flat indices.  A settled entry holds -1, which no candidate
+    beats and which argmin over the uint32 view never picks.  INF is
+    _PLAN_INF, and an INF distance between colluders is _PLAN_INF + 2:
+    colluders are at least 2 apart, so every candidate through an INF is at
+    least _PLAN_INF and never strictly improves.  Column k stands for "no
+    predecessor", with forwarding number 0.
     """
     at, D = rows
     ids = np.asarray(C, np.int64)
@@ -314,35 +389,46 @@ def _rho_star_plans(g: Graph, C, rows, hops, order=None, targets=None):
         if sorted(order) != list(C):
             raise ValueError("order must be a permutation of the colluder set")
         order = np.searchsorted(ids, order)
+    inf, w = _PLAN_INF, k + 1
     DC = D[at[ids]]
-    dcc = DC[:, ids]
-    d = DC[:, T]
-    tent = np.where(d < INF, np.maximum(1, d - 2), INF)
-    via = np.full(tent.shape, -1, np.int64)
-    settled = np.zeros(tent.shape, np.bool_)
-    val = np.empty_like(tent)
-    fn = np.empty_like(tent)
-    pred = np.empty_like(tent)
-    j = np.arange(T.size)
+    # row x: the distances from colluder x to every colluder; column k, which
+    # stands for no colluder, is never relaxed, its entries being settled
+    dcc = np.full((k, w), inf + 2, np.int64)
+    dcc[:, :k] = np.where(DC[:, ids] < INF, DC[:, ids], inf + 2)
+    dcc = dcc.astype(np.int32)
+    d = DC[:, T].T
+    tent = np.full((T.size, w), -1, np.int32)
+    tent[:, :k] = np.where(d < INF, np.maximum(1, d - 2), inf)
+    via = np.full((T.size, w), k, np.int32)
+    fn = np.zeros((T.size, w), np.int32)
+    val = np.empty((T.size, w), np.int32)
+    base = np.arange(T.size) * w
     for step in range(k):
         if order is None:
             # argmin's first minimum is the lowest id, C being sorted
-            x = np.where(settled, INF + 1, tent).argmin(axis=0)
+            x = tent.view(np.uint32).argmin(axis=1)
         else:
             x = np.full(T.size, order[step])
-        settled[x, j] = True
-        v, p = tent[x, j], via[x, j]
-        val[x, j], pred[x, j] = v, p
-        fn[x, j] = np.where(p >= 0, fn[np.maximum(p, 0), j], 0) + 1
-        dxz = dcc[x].T
-        cand = np.maximum(1, dxz - 2 + v)
-        better = (cand < tent) & (dxz < INF) & (v < INF) & ~settled
-        tent = np.where(better, cand, tent)
-        via = np.where(better, x, via)
+        flat = base + x
+        v = tent.take(flat)
+        val.put(flat, v)
+        tent.put(flat, -1)
+        fn.put(flat, fn.take(base + via.take(flat)) + 1)
+        cand = dcc.take(x, axis=0)
+        cand += (v - 2)[:, None]
+        np.maximum(cand, 1, out=cand)
+        better = cand < tent
+        np.copyto(tent, cand, where=better)
+        np.copyto(via, x[:, None], where=better)
+    # widened before INF is written, which int32 cannot hold
+    val = val[:, :k].T.astype(np.int64)
+    val[val >= inf] = INF
+    pred = via[:, :k].T.astype(np.int64)
+    pred[pred == k] = -1
+    toward = np.where(pred >= 0, ids[pred], T)
     hops = np.asarray(hops, np.int64).reshape(k, g.n)
-    toward = np.where(pred >= 0, ids[np.maximum(pred, 0)], T)
-    hop = np.where(val < INF, hops[np.arange(k)[:, None], toward], -1)
-    return T, val, fn, pred, hop
+    hop = np.where(val < INF, hops.take(np.arange(k)[:, None] * g.n + toward), -1)
+    return T, val, fn[:, :k].T.astype(np.int64), pred, hop
 
 
 def rho_star_plan(g: Graph, C, t: int, *, order=None) -> RhoStarPlan:
@@ -361,7 +447,7 @@ def rho_star_plan(g: Graph, C, t: int, *, order=None) -> RhoStarPlan:
     _check_separated(g, C)
     rows = _distance_rows(g, C)
     _, val, fn, pred, hop = _rho_star_plans(
-        g, C, rows, [_closest_hop(g, rows, x) for x in C], order=order, targets=[t])
+        g, C, rows, _closest_hops(g, rows, C), order=order, targets=[t])
     entries = {}
     for i, x in enumerate(C):
         witness = [x]
@@ -393,8 +479,11 @@ def separated_strategy(g: Graph, C) -> Strategy:
 def colluder_components(g: Graph, C) -> list[tuple[int, ...]]:
     """Connected components of the subgraph induced on the colluder set,
     ordered by lowest member id: `component_labels` of that subgraph, whose
-    labels count up from the component of its lowest member."""
+    labels count up from the component of its lowest member.  With no arc
+    between two colluders every component is a single colluder."""
     C = _colluder_tuple(g.n, C)
+    if not _colluder_arcs(g, C)[0].size:
+        return [(v,) for v in C]
     comps: list[list[int]] = [[] for _ in C]
     for v, label in zip(C, component_labels(induced_subgraph(g, C)).tolist()):
         comps[label].append(v)
@@ -428,8 +517,15 @@ def _intra_component_hops(g: Graph, comp) -> np.ndarray:
     is a sorted colluder component of at least two members."""
     sub = induced_subgraph(g, comp)  # node a is comp[a], so ids keep their order
     rows = _distance_rows(sub, range(sub.n))
-    hops = np.array([_closest_hop(sub, rows, a) for a in range(sub.n)])
+    hops = _closest_hops(sub, rows, np.arange(sub.n))
     return np.where(hops >= 0, np.asarray(comp)[hops], -1)
+
+
+def _narrow(a):
+    """a in the narrowest integer dtype that holds its values."""
+    lo, hi = int(a.min(initial=0)), int(a.max(initial=0))
+    return a.astype(np.min_scalar_type(min(lo, -1 - hi)) if lo < 0
+                    else np.min_scalar_type(hi))
 
 
 def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
@@ -442,23 +538,24 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
     safe lower bound derived from already-perceived distances, and internal
     traffic is relayed to the exit.  With no two colluders adjacent every
     component is one colluder and the quotient is g itself; that case is
-    separated_strategy.
+    separated_strategy.  The plan of the default order is held in the slot
+    of C's set (`graph._memoized`), so that a separated and an adjacent
+    build on one set run one label setting.
     """
-    C, rows, broadcast, forward = _honest(g, C)
+    C, rows, b, hop = _honest(g, C)
+    ids = np.asarray(C, np.int64)
     comps = colluder_components(g, C)
+    sizes = [len(comp) for comp in comps]
     cnum = np.full(g.n, -1, np.int64)  # component index of each colluder
-    for ci, comp in enumerate(comps):
-        cnum[list(comp)] = ci
+    cnum[list(itertools.chain(*comps))] = np.repeat(np.arange(len(comps)), sizes)
     # relay bounds (multi-node components only) need the synchronized column
-    relays = any(len(comp) > 1 for comp in comps)
+    relays = any(size > 1 for size in sizes)
     if relays:
         gq, qid, honest_of, comp_qid = _quotient(g, comps)
-        qrows = _distance_rows(gq, comp_qid)
-        qhops = [_closest_hop(gq, qrows, q) for q in comp_qid]
     else:
         # quotient ids follow original-id order, so with every component a
         # singleton the quotient is g itself with the same ids and hops
-        gq, qrows, comp_qid, qhops = g, rows, list(C), [forward[x] for x in C]
+        gq, comp_qid = g, list(C)
         qid = honest_of = np.arange(g.n)
 
     qorder = None
@@ -478,37 +575,51 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
         qorder = [comp_qid[ci] for ci in seen_ci]
 
     T = np.flatnonzero(~np.isin(np.arange(g.n), C))
-    _, val, fn, _, qhop = _rho_star_plans(gq, tuple(comp_qid), qrows, qhops,
-                                          order=qorder, targets=qid[T])
+
+    def plan():
+        """(value, forwarding number, exit hop) per (component, target in
+        T), each in the narrowest dtype that holds it; the value is kept
+        only where the exit hop is not -1, the entries with a finite value,
+        and is 0 elsewhere."""
+        qrows, qhops = rows, hop
+        if relays:
+            qrows = _distance_rows(gq, comp_qid)
+            qhops = _closest_hops(gq, qrows, comp_qid)
+        _, val, fn, _, qhop = _rho_star_plans(gq, tuple(comp_qid), qrows, qhops,
+                                              order=qorder, targets=qid[T])
+        return _narrow(np.where(qhop >= 0, val, 0)), _narrow(fn), _narrow(qhop)
+
+    val, fn, qhop = plan() if qorder is not None else _memoized(g, C, "plan", plan)
     # colluder targets and components without a finite plan value keep the
     # honest broadcast and hop
-    live = (val < INF) & (qhop >= 0)
+    live = qhop >= 0
     w = np.where(live, honest_of[np.maximum(qhop, 0)], -1)  # first honest vertex
     wi = np.maximum(w, 0)  # read only where live
     # the exit member per (component, target) is the lowest-id member
     # adjacent to w: lowest[ci, u] is that member for node u, n for none
-    esrc = np.repeat(np.arange(g.n), g.degrees())
-    arc = cnum[esrc] >= 0
+    nbrs, deg = _runs(g, ids)
+    src = np.repeat(ids, deg)
     lowest = np.full((len(comps), g.n), g.n, np.int64)
-    np.minimum.at(lowest, (cnum[esrc[arc]], g.indices[arc]), esrc[arc])
+    np.minimum.at(lowest, (cnum[src], nbrs), src)
     exits = lowest[np.arange(len(comps))[:, None], wi]
     exits[~live | (exits == g.n)] = -1
+    # each colluder announces its component's plan value, and forwards to w,
+    # toward the targets where it is the exit
+    mine = exits[cnum[ids]] == ids[:, None]
+    for a, planned in ((b, val), (hop, w)):
+        cols = a[:, T]
+        np.copyto(cols, planned[cnum[ids]], where=mine)
+        a[:, T] = cols
     for ci, comp in enumerate(comps):
-        for x in comp:
-            sel = exits[ci] == x
-            broadcast[x][T[sel]] = val[ci, sel]
-            forward[x][T[sel]] = w[ci, sel]
         if len(comp) > 1:
             # internal traffic is relayed toward the exit, which keeps w
             sel = exits[ci] >= 0
-            hops = _intra_component_hops(g, comp)[
+            inner = _intra_component_hops(g, comp)[
                 :, np.searchsorted(comp, exits[ci, sel])]
-            for a, y in enumerate(comp):
-                other = hops[a] >= 0
-                forward[y][T[sel][other]] = hops[a, other]
+            at = np.ix_(np.searchsorted(ids, comp), T[sel])
+            hop[at] = np.where(inner >= 0, inner, hop[at])
     if not relays:
-        return Strategy(colluders=C, broadcast=broadcast, forward=forward,
-                        label="adjacent_general")
+        return _strategy(C, b, hop, "adjacent_general")
 
     # Relay bounds read the synchronized column at each exit's first honest
     # vertex w in closed form (see _closed_form_pass): with b the broadcast
@@ -520,7 +631,7 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
     for Tb, DS in distance_blocks(g, C):
         j = np.flatnonzero((T >= Tb[0]) & (T <= Tb[-1]))
         col[:, j] = as_hops(DS[T[j] - Tb[0], wi[:, j]])
-    for bx, dx in zip((broadcast[x][T] for x in C), as_hops(_honest_rows(g, C))):
+    for bx, dx in zip(b[:, T], as_hops(_honest_rows(g, C))):
         dxw = dx[wi]
         col = np.minimum(col, np.where((bx < INF) & (dxw < INF), bx + dxw, INF))
     # Per member x of a multi-node component ci, the bound is the largest
@@ -534,11 +645,11 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
         dwx = as_hops(hop_distances(g, X, sealed=comps[cj])[:, wi[cj]])
         ok = has[cj] & (fn[cj] <= fn[ci_of]) & (dwx < INF)
         best = np.where(ok, np.maximum(best, col[cj] - dwx), best)
-    for x, ci, bound in zip(X.tolist(), ci_of, best):
-        sel = has[ci] & (exits[ci] != x)
-        broadcast[x][T[sel]] = np.maximum(1, bound[sel])
-    return Strategy(colluders=C, broadcast=broadcast, forward=forward,
-                    label="adjacent_general")
+    # every member but the exit announces its bound
+    at = np.ix_(np.searchsorted(ids, X), T)
+    b[at] = np.where(has[ci_of] & (exits[ci_of] != X[:, None]),
+                     np.maximum(1, best), b[at])
+    return _strategy(C, b, hop, "adjacent_general")
 
 
 # ---------------------------------------------------------------------------
@@ -687,11 +798,11 @@ def _closed_form_pass(g: Graph, strat: Strategy, comp):
         reached[:, ids] = deliver.T
         reached[j, T] = True
         # reached lies within each target's component, so a row falls short
-        # of its component's size exactly when it traps a member
-        bad = np.flatnonzero(np.count_nonzero(reached, axis=1)
-                             < sizes[comp[T]])
-        if bad.size:
-            i = bad[0]
+        # of its component's size exactly when it traps a member, and the
+        # block short of their sum exactly when a row does
+        need = sizes[comp[T]]
+        if np.count_nonzero(reached) < need.sum():
+            i = np.flatnonzero(np.count_nonzero(reached, axis=1) < need)[0]
             trapped = np.flatnonzero((comp == comp[T[i]]) & ~reached[i]).tolist()
             raise InadmissibleError((trapped[0], int(T[i])), trapped)
         del d, col, reached, attains  # not held through the next block's BFS

@@ -465,6 +465,24 @@ def target_pass_reference(g, strat):
     return None, None, counts, per_target
 
 
+def _closest_hop(g, rows, v: int):
+    """`strategy._closest_hops` for the one node v: per target, the
+    lowest-id neighbour of v minimizing true distance to it; -1 at v itself,
+    at unreachable targets and everywhere when v has no neighbours.  `rows`
+    = (at, D) as from `strategy._distance_rows` and must cover v's
+    neighbours."""
+    at, D = rows
+    nbrs = g.neighbors(v)
+    vals = D[at[nbrs]]
+    if nbrs.size:
+        # neighbour lists are sorted, so argmin's first minimum is the lowest id
+        hop = np.where(vals.min(axis=0) < INF, nbrs[vals.argmin(axis=0)], -1)
+    else:
+        hop = np.full(g.n, -1, np.int64)
+    hop[v] = -1
+    return hop
+
+
 def rho_star_plan_reference(g, C, t, *, order=None):
     """The per-target label setting `strategy.rho_star_plan` ran before the
     all-targets pass: a Python loop over the colluders toward one target t,
@@ -479,8 +497,7 @@ def _plan_on_rows(g, C, t, rows, order=None):
     """`rho_star_plan_reference` on the sorted colluder tuple C, reading the
     distance rows (at, D) of C and its neighbours from `rows`, so that the
     per-target loops below compute them once."""
-    from dvintercept.strategy import (RhoStarEntry, RhoStarPlan,
-                                      _check_separated, _closest_hop)
+    from dvintercept.strategy import RhoStarEntry, RhoStarPlan, _check_separated
 
     if t in C:
         raise ValueError("target must not be a colluder")
@@ -555,7 +572,7 @@ def _plan_on_rows(g, C, t, rows, order=None):
 def separated_strategy_reference(g, C):
     """`strategy.separated_strategy` as one `rho_star_plan_reference` per
     honest target."""
-    from dvintercept.strategy import Strategy, _closest_hop, _distance_rows
+    from dvintercept.strategy import Strategy, _distance_rows
 
     C = tuple(sorted(set(int(v) for v in C)))
     rows = at, D = _distance_rows(g, C)
@@ -655,7 +672,7 @@ def adjacent_strategy_reference(g, C, component_order=None):
     all-targets plan: per honest target one quotient `rho_star_plan_reference`,
     the exits and intra-component hops, then for multi-node components one
     `kernels.sync_column` and the relay bounds."""
-    from dvintercept.strategy import (Strategy, _closest_hop, _distance_rows,
+    from dvintercept.strategy import (Strategy, _distance_rows,
                                       colluder_components)
 
     C = tuple(sorted(set(int(v) for v in C)))

@@ -10,7 +10,8 @@ from dvintercept import graph as G
 from dvintercept.interception import coverage_function, intercepted_pairs
 from dvintercept.kernels import INF
 
-from oracles import (adjacent_strategy_reference, coverage_function_reference,
+from oracles import (_closest_hop, adjacent_strategy_reference,
+                     coverage_function_reference,
                      deliverable, intercepted_pairs_oracle,
                      random_connected_graph, simulate_strategy,
                      target_pass_reference)
@@ -59,7 +60,7 @@ class TestInterceptedPairs:
         g = path_graph(5)
         b = G.bfs_distances(g, 2).dist.copy()
         b[4] = 1
-        f = S._closest_hop(g, S._distance_rows(g, [2]), 2)
+        f = _closest_hop(g, S._distance_rows(g, [2]), 2)
         f[4] = 1
         bad = S.Strategy(colluders=(2,), broadcast={2: b}, forward={2: f})
         verdict = S.check_admissible(g, bad)

@@ -108,6 +108,8 @@ def test_handed_out_arrays_are_read_only():
     arrays = [G.component_labels(g), G._honest_rows(g, C),
               *S._distance_rows(g, C)]
     arrays += [a for block in G.distance_blocks(g, C) for a in block]
+    S.adjacent_strategy(g, C)
+    arrays += g._memo["slot"][1]["plan"]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[:1] = 0
@@ -218,3 +220,47 @@ def test_each_distance_product_has_one_producer(monkeypatch):
               for lo in range(0, g.n, G._BLOCK)]
     assert {T: count for (pull, T), count in calls.items()
             if pull == removed} == dict.fromkeys(blocks, 1)
+
+
+def vectors(strat):
+    return [(v, strat.broadcast[v].tolist(), strat.forward[v].tolist())
+            for v in strat.colluders]
+
+
+def test_one_plan_per_colluder_set(monkeypatch):
+    # a separated and an adjacent build on one set run one label setting; a
+    # build with a component order runs its own and leaves the held plan
+    calls, plans = [], S._rho_star_plans
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("order"))
+        return plans(*args, **kwargs)
+
+    monkeypatch.setattr(S, "_rho_star_plans", counted)
+    g = G.erdos_renyi(300, 0.012, seed=4)
+    C = sorted(colluder_sets(g, np.random.default_rng(4))[0])
+    sep, adj = S.separated_strategy(g, C), S.adjacent_strategy(g, C)
+    assert calls == [None]
+    held = g._memo["slot"][1]["plan"]
+    # value, forwarding number and exit hop, as narrow as they fit
+    assert [a.dtype for a in held] == [np.uint8, np.uint8, np.int16]
+    assert all(a.shape == (len(C), g.n - len(C)) for a in held)
+    ordered = S.adjacent_strategy(g, C, component_order=C[::-1])
+    assert calls == [None, C[::-1]]
+    assert g._memo["slot"][1]["plan"] is held
+    assert vectors(S.adjacent_strategy(g, C)) == vectors(adj)
+    assert len(calls) == 2
+    h = fresh(g)
+    assert vectors(sep) == vectors(S.separated_strategy(h, C))
+    assert vectors(adj) == vectors(S.adjacent_strategy(h, C))
+    assert vectors(ordered) == \
+        vectors(S.adjacent_strategy(h, C, component_order=C[::-1]))
+
+    # a multi-node component: the plan on the quotient is held alike
+    x = next(v for v in range(g.n) if g.degree(v))
+    C = sorted({x, int(g.neighbors(x)[0]), 100, 200})
+    calls.clear()
+    adj = S.adjacent_strategy(g, C)
+    assert vectors(S.adjacent_strategy(g, C)) == vectors(adj)
+    assert calls == [None]
+    assert vectors(adj) == vectors(S.adjacent_strategy(fresh(g), C))

@@ -13,7 +13,8 @@ from dvintercept import reduction as R
 from dvintercept.interception import intercepted_pairs
 from dvintercept.kernels import INF
 
-from oracles import (adjacent_strategy_reference, check_separated_reference,
+from oracles import (_closest_hop, adjacent_strategy_reference,
+                     check_separated_reference,
                      colluder_components_reference,
                      minimal_admissible_bruteforce_reference,
                      random_connected_graph, rho_star_plan_reference,
@@ -471,7 +472,7 @@ class TestCheckAdmissible:
     def _path_strategy(self, g, fwd4):
         b = G.bfs_distances(g, 2).dist.copy()
         b[4] = 1
-        f = S._closest_hop(g, S._distance_rows(g, [2]), 2)
+        f = _closest_hop(g, S._distance_rows(g, [2]), 2)
         f[4] = fwd4
         return S.Strategy(colluders=(2,), broadcast={2: b}, forward={2: f})
 
@@ -540,7 +541,7 @@ class TestCheckAdmissible:
         def strat(claim):
             b = G.bfs_distances(g, 6).dist.copy()
             b[0] = claim
-            f = S._closest_hop(g, S._distance_rows(g, [6]), 6)
+            f = _closest_hop(g, S._distance_rows(g, [6]), 6)
             return S.Strategy(colluders=(6,), broadcast={6: b}, forward={6: f})
 
         assert S.check_admissible(g, strat(3)).admissible  # d - 2
@@ -582,6 +583,39 @@ class TestValidate:
         for call in calls:
             with pytest.raises(ValueError, match=message):
                 call(g)
+
+    def test_fault_order_across_and_within_rows(self):
+        # rows in id order; within a row: shape, non-integer, self entry,
+        # lowest target; a value fault in an earlier row wins over a shape
+        # fault in a later one
+        g = path_graph(5)
+        strat = S.honest_strategy(g, [1, 3])
+        b, f = strat.broadcast, strat.forward
+        cases = [
+            ({1: [1, 0, 1, 2, 0], 3: [3, 2, 1]}, f,
+             r"^broadcast distance must be >= 1 \(node 1, target 4\)$"),
+            ({1: [1, 0, 1, 2, 2.5], 3: [3, 2, 1]}, f,
+             r"^broadcast\(1,4\) = 2.5 is not an integer$"),
+            ({1: [0, 1, 1, 2, 3], 3: b[3]}, f,
+             r"^self distance must be 0 \(node 1, target 1\)$"),
+            ({1: [0, 1, 1, 2, 3.5], 3: b[3]}, f,
+             r"^broadcast\(1,4\) = 3.5 is not an integer$"),
+            ({1: [1, 0, 1, 2], 3: [0, 2, 1, 0, 1]}, f,
+             r"^broadcast vector for node 1 has shape \(4,\)$"),
+            (b, {1: [0, -1, 2, 4, 2], 3: [4, 4]},
+             r"^forward\(1,3\) = 4 is not a neighbour$"),
+            (b, {1: [0, -1, 2, 4, 2.5], 3: f[3]},
+             r"^forward\(1,4\) = 2.5 is not an integer$"),
+            (b, {1: [0, -1, 2, 2], 3: [7, 4, 4, 4, -1]},
+             r"^forward vector for node 1 has shape \(4,\)$"),
+        ]
+        for broadcast, forward, message in cases:
+            bad = S.Strategy(colluders=(1, 3), broadcast=dict(broadcast),
+                             forward=dict(forward))
+            with pytest.raises(ValueError, match=message):
+                bad.validate(g)
+            with pytest.raises(ValueError, match=message):
+                intercepted_pairs(g, bad)
 
     def test_text_refuses_non_integer_broadcast(self):
         # the text format holds integers only: 2.9 is refused, not truncated
@@ -639,7 +673,7 @@ class TestIsBeneficial:
         g = path_graph(5)
         b = G.bfs_distances(g, 2).dist.copy()
         b[4] = 1
-        f = S._closest_hop(g, S._distance_rows(g, [2]), 2)
+        f = _closest_hop(g, S._distance_rows(g, [2]), 2)
         f[4] = 1
         bad = S.Strategy(colluders=(2,), broadcast={2: b}, forward={2: f})
         with pytest.raises(ValueError):
@@ -913,7 +947,7 @@ def test_plans_match_per_target_reference(seed):
     order = separated_subset(g, rng)[: int(rng.integers(0, 9))]
     C = tuple(sorted(order))
     rows = S._distance_rows(g, C)
-    hops = [S._closest_hop(g, rows, x) for x in C]
+    hops = [_closest_hop(g, rows, x) for x in C]
     for o in (None, order):
         T, val, fn, pred, hop = S._rho_star_plans(g, C, rows, hops, order=o)
         assert list(T) == [t for t in range(g.n) if t not in C]
@@ -955,3 +989,26 @@ def test_builders_match_per_target_reference(seed):
         for v in ref.colluders:
             assert np.array_equal(got.broadcast[v], ref.broadcast[v])
             assert np.array_equal(got.forward[v], ref.forward[v])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_closest_hops_match_reference(seed):
+    # two components and up to two isolated nodes: the rows of every node,
+    # and those of a random set and its neighbours, hold INF entries
+    rng = np.random.default_rng(seed)
+    a = random_connected_graph(rng, n_max=14, n_min=1)
+    b = random_connected_graph(rng, n_max=6, n_min=1)
+    g = G.from_edges(a.n + b.n + int(rng.integers(0, 3)),
+                     list(a.edges()) + [(a.n + u, a.n + v) for u, v in b.edges()])
+    every = S._distance_rows(g, range(g.n))
+    assert (every[1] >= INF).any()
+    V = [int(v) for v in rng.permutation(g.n)]
+    assert S._closest_hops(g, every, V).tolist() == \
+        [_closest_hop(g, every, v).tolist() for v in V]
+    C = sorted(int(v) for v in rng.choice(g.n, int(rng.integers(0, g.n + 1)),
+                                          replace=False))
+    rows = S._distance_rows(g, C)
+    hops = S._closest_hops(g, rows, C)
+    assert hops.shape == (len(C), g.n) and hops.dtype == np.int64
+    assert hops.tolist() == [_closest_hop(g, rows, v).tolist() for v in C]
