@@ -43,10 +43,10 @@ def _int_rows(vectors, ids, n: int, what: str):
     """(a, fault): the `what` vectors of the colluders ids, in order, as the
     rows of a new int64 array, up to the first row that has a fault of its
     own, and that fault as a ValueError (None when there is none).  A row's
-    own faults are, in order: a missing vector, a shape other than (n,)
-    (both tested per row in Python) and a non-integer entry, tested at once
-    over the rows whose dtype is not an integer one.  The caller tests the
-    values of a, whose faults come before `fault`."""
+    own faults are, in order: a missing vector, a shape other than (n,) and
+    a non-integer entry (`_non_integer`, which passes an integer dtype
+    untested).  The caller tests the values of a, whose faults come before
+    `fault`."""
     rows, fault = [], None
     for v in ids:
         if v not in vectors:
@@ -58,17 +58,9 @@ def _int_rows(vectors, ids, n: int, what: str):
         if vec.shape != (n,):
             fault = ValueError(f"{what} vector for node {v} has shape {vec.shape}")
             break
+        if fault := _non_integer(vec, what, v):
+            break
         rows.append(vec)
-    odd = [i for i, vec in enumerate(rows) if vec.dtype.kind not in "biu"]
-    if odd:
-        x = np.array([rows[i] for i in odd])
-        with np.errstate(invalid="ignore"):  # NaN and infinities fail it
-            bad = x.astype(np.int64) != x
-        r = np.flatnonzero(bad.any(axis=1))
-        if r.size:
-            i = odd[r[0]]
-            fault = _non_integer(rows[i], what, ids[i])
-            del rows[i:]
     return np.array(rows, np.int64).reshape(len(rows), n), fault
 
 

@@ -8,13 +8,14 @@ targets, so which original pairs get intercepted is preserved exactly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 
-from .graph import Graph, _colluder_tuple, from_edges
+from .graph import Graph, _colluder_tuple, component_labels, from_edges
 from .strategy import Strategy, _honest
 
 
@@ -173,15 +174,16 @@ def collapse_strategy(bm: BlowupMap, uniform: Strategy) -> NonuniformStrategy:
 def translate_fraction(g: Graph, S, p) -> Fraction:
     """Interception fraction carried across the blowup.
 
-    Every unordered pair touching a new vertex is intercepted (new vertices
-    all collude), so with q subdivided edges
-    p' = (p*C(n,2) + C(q,2) + q*n) / C(n+q,2), and 0 with no pair at all.
+    p is the unordered fraction as `intercepted_pairs` reports it, over the
+    pairs within one component.  A new vertex joins its edge's component,
+    and all its pairs are intercepted (new vertices all collude).  So with
+    n_c nodes and q_c subdivided edges in component c, P = sum C(n_c, 2),
+    P' = sum C(n_c + q_c, 2) and p' = (p*P + P' - P) / P', 0 with no pair.
     """
     S = set(_colluder_tuple(g.n, S))
-    p = Fraction(p)
-    n = g.n
-    if not S:
-        return p
-    q = sum(1 for u, v in g.edges() if u in S or v in S)
-    pairs = comb(n + q, 2)
-    return (p * comb(n, 2) + comb(q, 2) + q * n) / pairs if pairs else Fraction(0)
+    comp = component_labels(g).tolist()
+    q = Counter(comp[u] for u, v in g.edges() if u in S or v in S)
+    sizes = Counter(comp)
+    pairs = sum(comb(m, 2) for m in sizes.values())
+    blown = sum(comb(m + q[c], 2) for c, m in sizes.items())
+    return (Fraction(p) * pairs + blown - pairs) / blown if blown else Fraction(0)

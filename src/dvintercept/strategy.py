@@ -22,7 +22,7 @@ from . import protocol
 # perfbench/tracing.py patches this name
 from .graph import (INF, Graph, ParseError, distance_avoiding,  # noqa: F401
                     _colluder_tuple, _csr, _honest_rows, _memoized, _node_id,
-                    as_hops, bfs, component_labels, distance_blocks,
+                    as_hops, component_labels, distance_blocks,
                     hop_distances, induced_subgraph)
 from .protocol import _min_plus
 
@@ -34,9 +34,9 @@ class BudgetError(RuntimeError):
 def _distance_rows(g: Graph, S):
     """(at, D): D holds the int64 hop-distance rows of S and its neighbours
     in g, INF where unreachable.  Node v's row is D[at[v]]; at[v] = -1 for
-    nodes not covered.  The builders read nothing else of g's distances but
-    D_C and D_{G-S}; the rows are held, read-only, in the slot of S's set
-    (`graph._memoized`)."""
+    nodes not covered.  Every true distance that a build or the brute
+    force's ranges read comes from these rows, held read-only in the slot
+    of S's set (`graph._memoized`)."""
     S = _colluder_tuple(g.n, S)
 
     def rows():
@@ -622,15 +622,15 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
         return _strategy(C, b, hop, "adjacent_general")
 
     # Relay bounds read the synchronized column at each exit's first honest
-    # vertex w in closed form (see _closed_form_pass): with b the broadcast
-    # so far (exits announce their plan value, every other colluder its true
-    # distance), col[w] = min(D_{G-S}(w, t), min over x of b_x[t] + D_C(x, w)).
-    # D_{G-S} is symmetric, so D_{G-S}(w, t) is read in t's held block.
+    # vertex w, min(D_{G-S}(w, t), min over x of b_x[t] + D_C(x, w)), with
+    # D_G(w, t) from the held rows (w neighbours its component) in place of
+    # D_{G-S}(w, t): a shortest w-t path avoids S or first meets a colluder x
+    # through honest nodes, so D_G(w, t) = min(D_{G-S}(w, t), min over x of
+    # D_C(x, w) + D_G(x, t)), and each b_x[t] <= D_G(x, t) (exits announce
+    # plan values, at most max(1, D_G(exit, t) - 2) as quotient distances
+    # never exceed true ones; the rest their true distance).
     has = exits >= 0
-    col = np.empty(wi.shape, np.int64)
-    for Tb, DS in distance_blocks(g, C):
-        j = np.flatnonzero((T >= Tb[0]) & (T <= Tb[-1]))
-        col[:, j] = as_hops(DS[T[j] - Tb[0], wi[:, j]])
+    col = rows[1][np.maximum(rows[0][wi], 0), T]  # clamped where no exit
     for bx, dx in zip(b[:, T], as_hops(_honest_rows(g, C))):
         dxw = dx[wi]
         col = np.minimum(col, np.where((bx < INF) & (dxw < INF), bx + dxw, INF))
@@ -779,8 +779,8 @@ def _closed_form_pass(g: Graph, strat: Strategy, comp):
         live = (ht >= 0) & ~smask[h] & (hcol < inf)
         direct = d[j, h] == hcol
         # attains[i, y, j]: colluder y's offer sets the column at i's hop
-        attains = np.minimum(bt[None] + dc[:, h].transpose(1, 0, 2), inf) \
-            == hcol[:, None]
+        # (unclamped: read only where live, hcol < inf, and 2 * inf fits)
+        attains = bt[None] + dc[:, h].transpose(1, 0, 2) == hcol[:, None]
         deliver = (ht == T) | (ids[:, None] == T)
         while True:
             grown = deliver | (via_hop & deliver[np.maximum(hc, 0), j]) \
@@ -847,9 +847,9 @@ def minimal_admissible_bruteforce(g: Graph, C, t: int, budget: int = 10**6):
     t = _node_id(g.n, t, "target")
     if t in C:
         raise ValueError("target must not be a colluder")
-    dt = bfs(g.indptr, g.indices, t)
-    ranges = [tuple(range(1, int(dt[x]) + 1)) if dt[x] < INF else (INF,)
-              for x in C]
+    at, DG = _distance_rows(g, C)  # the ranges run up to D_G(x, t)
+    ranges = [tuple(range(1, d + 1)) if d < INF else (INF,)
+              for d in DG[at[list(C)], t].tolist()]
     if math.prod(map(len, ranges)) > budget:
         raise BudgetError(f"search space exceeds budget of {budget}")
     k, inf = len(C), INF + 1
@@ -857,6 +857,7 @@ def minimal_admissible_bruteforce(g: Graph, C, t: int, budget: int = 10**6):
     d = next(as_hops(D[t - T[0]], inf=inf)
              for T, D in distance_blocks(g, C) if t <= T[-1])
     dc = as_hops(_honest_rows(g, C), inf=inf)
+    comp = component_labels(g)
     combos = itertools.product(*ranges)
     admissible = []
     while chunk := list(itertools.islice(combos, _COMBOS)):
@@ -874,7 +875,7 @@ def minimal_admissible_bruteforce(g: Graph, C, t: int, budget: int = 10**6):
             good = direct | (attains & deliver[:, :, None]).any(axis=0)
             deliver = np.array([good[:, g.neighbors(x)].any(axis=1) for x in C],
                                np.bool_).reshape(bt.shape)
-        ok = good[:, dt < INF].all(axis=1)
+        ok = good[:, comp == comp[t]].all(axis=1)
         admissible += [combo for combo, a in zip(chunk, ok) if a]
     frontier = [a for a in admissible
                 if not any(b != a and all(bi <= ai for bi, ai in zip(b, a))

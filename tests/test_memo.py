@@ -12,7 +12,8 @@ from dvintercept import graph as G
 from dvintercept.interception import coverage_function, intercepted_pairs
 from dvintercept.protocol import synchronize
 
-from oracles import minimal_admissible_bruteforce_reference, random_connected_graph
+from oracles import (adjacent_strategy_reference,
+                     minimal_admissible_bruteforce_reference, random_connected_graph)
 
 BUILDERS = (S.honest_strategy, S.independent_strategy, S.separated_strategy,
             S.adjacent_strategy)
@@ -190,24 +191,28 @@ def test_rho_star_plans_share_their_rows(monkeypatch):
 
 
 def test_each_distance_product_has_one_producer(monkeypatch):
-    # the brute force over every target of one set reads the held D_C and
-    # t's row of the held D_{G-S}: one sealed BFS and one block, however
+    # the brute force over every target of one set reads the held D_C, the
+    # held rows of C and its neighbours (its search ranges) and t's row of
+    # the held D_{G-S}: one sealed BFS, one rows BFS and one block, however
     # many targets
     rng = np.random.default_rng(17)
     g = random_connected_graph(rng, n_max=10, n_min=8)
     C = sorted(int(v) for v in rng.choice(g.n, 3, replace=False))
     targets = [t for t in range(g.n) if t not in C]
+    near = tuple(np.flatnonzero(S._distance_rows(fresh(g), C)[0] >= 0).tolist())
     calls = counted_bfs(monkeypatch)
     frontiers = [S.minimal_admissible_bruteforce(g, C, t) for t in targets]
     sealed = G._pull_lists(g, sealed=C)[1].tobytes()
     removed = G._pull_lists(g, C)[1].tobytes()
-    assert calls == {(sealed, tuple(C)): 1, (removed, tuple(range(g.n))): 1}
+    plain = G._pull_lists(g)[1].tobytes()
+    assert calls == {(sealed, tuple(C)): 1, (plain, near): 1,
+                     (removed, tuple(range(g.n))): 1}
     assert frontiers == [minimal_admissible_bruteforce_reference(g, C, t)
                          for t in targets]
 
-    # a checked adjacent op with a multi-node component: the relay bound
-    # reads the blocks the check and the count read, so every BFS in G - S
-    # is one block's, run once
+    # a checked adjacent op with a multi-node component: the build reads no
+    # block (its relay bound takes true distances from the held rows), so
+    # every BFS in G - S is one block's, run once by the check
     g = G.erdos_renyi(300, 0.012, seed=4)
     x = next(v for v in range(g.n) if g.degree(v))
     C = sorted({x, int(g.neighbors(x)[0]), 100, 200})
@@ -225,6 +230,32 @@ def test_each_distance_product_has_one_producer(monkeypatch):
 def vectors(strat):
     return [(v, strat.broadcast[v].tolist(), strat.forward[v].tolist())
             for v in strat.colluders]
+
+
+def test_adjacent_build_reads_no_distances_in_g_minus_s(monkeypatch):
+    # a multi-node component on a two-block graph: the relay bound takes
+    # true distances from the held rows of C and its neighbours, so the
+    # build reads no block of D_{G-S} and runs no BFS in G - S
+    g = G.erdos_renyi(300, 0.012, seed=4)
+    x = next(v for v in range(g.n) if g.degree(v))
+    C = sorted({x, int(g.neighbors(x)[0]), 100, 200})
+    assert g.n > G._BLOCK and max(map(len, S.colluder_components(g, C))) > 1
+    calls = counted_bfs(monkeypatch)
+
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("the build read D_{G-S}")
+
+    with monkeypatch.context() as m:
+        m.setattr(S, "distance_blocks", no_blocks)
+        strat = S.adjacent_strategy(g, C)
+    removed = G._pull_lists(g, C)[1].tobytes()
+    assert calls and not any(pull == removed for pull, _ in calls)
+    assert S.check_admissible(g, strat)
+    h = fresh(g)
+    assert vectors(strat) == vectors(S.adjacent_strategy(h, C))
+    assert vectors(strat) == vectors(adjacent_strategy_reference(h, C))
+    assert intercepted_pairs(g, strat, per_target=True) \
+        == intercepted_pairs(h, strat, per_target=True)
 
 
 def test_one_plan_per_colluder_set(monkeypatch):

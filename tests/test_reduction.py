@@ -80,16 +80,24 @@ class TestTranslateFraction:
             translate_fraction_closed_form(g, [1], Fraction(0))
 
     def test_direct_matches_engine(self):
+        # connected graphs, disconnected ones and isolated nodes: p, like
+        # the engine's fraction, is over the pairs within one component
         rng = np.random.default_rng(47)
-        cases = [(G.from_edges(1, []), [0])]  # no pair at all: 0, not 0 / 0
-        for _ in range(10):
+        cases = [(G.from_edges(1, []), [0]),  # no pair at all: 0, not 0 / 0
+                 (G.from_edges(4, [(0, 1), (2, 3)]), [0])]  # 1/2 -> 3/4
+        for i in range(16):
             g = random_connected_graph(rng, n_max=9)
+            if i % 2:
+                h = random_connected_graph(rng, n_max=6, n_min=1)
+                g = G.from_edges(g.n + h.n + i % 4 // 2, list(g.edges()) + [
+                    (g.n + u, g.n + v) for u, v in h.edges()])
             k = int(rng.integers(1, max(2, g.n // 3 + 1)))
             cases.append((g, sorted(int(v) for v in rng.permutation(g.n)[:k])))
         for g, C in cases:
             nu = uniform_as_nonuniform(g, S.independent_strategy(g, C))
             pairs = nonuniform_intercepted(g, nu)
-            total = g.n * (g.n - 1) // 2
+            total = sum(m * (m - 1) // 2
+                        for m in np.bincount(G.component_labels(g)).tolist())
             p = Fraction(sum(1 for (a, b) in pairs if a < b and (b, a) in pairs),
                          total) if total else Fraction(0)
             bm = R.blow_up(g, C)
