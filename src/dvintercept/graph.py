@@ -5,6 +5,9 @@ from __future__ import annotations
 import csv
 import inspect
 import io
+import itertools
+import os
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,14 +93,20 @@ def _read_only(a):
     return a
 
 
-def _memoized(g: Graph, S, key, compute):
-    """compute(), made read-only and held under `key` in the slot of the
-    colluder set S (as `_colluder_tuple` gives it): the distances every
-    build, count and check on (g, S) reads.  g holds one slot at a time;
-    naming another set drops the last one's values before compute runs."""
+def _slot(g: Graph, S) -> dict:
+    """The values g holds for the colluder set S (as `_colluder_tuple` gives
+    it): the distances every build, count and check on (g, S) reads.  g
+    holds one slot at a time; naming another set drops the last one's."""
     if g._memo.get("slot", (None,))[0] != S:
         g._memo["slot"] = (S, {})
-    slot = g._memo["slot"][1]
+    return g._memo["slot"][1]
+
+
+def _memoized(g: Graph, S, key, compute):
+    """compute(), made read-only and held under `key` in the slot of the
+    colluder set S (`_slot`, which drops another set's values before
+    compute runs)."""
+    slot = _slot(g, S)
     if key not in slot:
         slot[key] = _read_only(compute())
     return slot[key]
@@ -240,6 +249,49 @@ def distance_avoiding(g: Graph, removed, x: int, y: int) -> int:
 # target ids per distance block; per-block arrays take O(n * _BLOCK) memory
 _BLOCK = 256
 
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_blocks(g: Graph, fn, items):
+    """Yield fn(x) for each x of `items`, one per distance block of g, in
+    order and lazily: fn is called on an item only as the results before it
+    are consumed.
+
+    With two or more blocks and two or more usable CPUs the calls run on a
+    pool of min(blocks, CPUs) threads, at most one item per thread ahead of
+    the consumer, so per-block transients are held up to threads + 1 times.
+    fn reads arrays that no one writes while it runs and writes nothing
+    that another call reads; most of its time is in numpy calls that
+    release the GIL.  An exception from fn is raised when its result is
+    reached, so results and errors come in item order.  The pool starts at
+    the first item and is shut down, its pending calls cancelled, when the
+    generator is exhausted or closed: no thread outlives it.  Otherwise the
+    calls run inline and no thread starts."""
+    workers = min(-(-g.n // _BLOCK), _cpus())
+    if workers < 2:
+        yield from map(fn, items)
+        return
+    # imported where a pool starts: a process whose passes all run inline
+    # need not load it (about 7 ms, where no other module has)
+    from concurrent.futures import ThreadPoolExecutor
+
+    items = iter(items)
+    pool = ThreadPoolExecutor(workers)
+    try:
+        ahead = deque(pool.submit(fn, x) for x in itertools.islice(items, workers))
+        while ahead:
+            result = ahead.popleft().result()
+            ahead.extend(pool.submit(fn, x) for x in itertools.islice(items, 1))
+            yield result
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 # distance dtypes in widening order; each one's maximum marks unreached entries
 _HOP_DTYPES = (np.uint8, np.uint16, np.uint32)
 
@@ -342,18 +394,36 @@ def distance_blocks(g: Graph, removed=()):
     distances stay below 255, the dtype's maximum where unreachable.  The
     graph is undirected, so the rows D are also the columns D[:, T].
 
-    Every block is computed on first use and held, read-only, in the slot
-    of the set `removed`, so later passes and single-row reads over it run
-    no BFS: n^2 bytes while the distances fit in one byte."""
+    Blocks are computed as they are read (`_over_blocks`).  Once a pass has
+    read every block, they are held, read-only, in the slot of the set
+    `removed`, so later passes and single-row reads over it run no BFS:
+    n^2 bytes while the distances fit in one byte.  A pass that stops early
+    leaves nothing held."""
+    return _over_blocks(g, removed, lambda T, D: (T, D))
+
+
+def _over_blocks(g: Graph, removed, fn):
+    """Yield fn(T, D) for each block (T, D) of `distance_blocks(g,
+    removed)`, in order, through `_map_blocks`: a block that is not yet
+    held has its BFS run in the same call, just before fn, and the blocks
+    are held once the last one is in.  fn must only read T and D."""
     S = _colluder_tuple(g.n, removed)
+    held = _slot(g, S).get("blocks")
+    if held is not None:
+        yield from _map_blocks(g, lambda block: fn(*block), held)
+        return
+    pull = _pull_lists(g, S)
 
-    def blocks():
-        pull = _pull_lists(g, S)
-        return tuple((T, _bit_bfs(pull, T)) for T in
-                     (np.arange(lo, min(lo + _BLOCK, g.n))
-                      for lo in range(0, g.n, _BLOCK)))
+    def block(T):
+        D = _bit_bfs(pull, T)
+        return T, D, fn(T, D)
 
-    yield from _memoized(g, S, "blocks", blocks)
+    done = []
+    for T, D, out in _map_blocks(g, block, (np.arange(lo, min(lo + _BLOCK, g.n))
+                                            for lo in range(0, g.n, _BLOCK))):
+        done.append(_read_only((T, D)))
+        yield out
+    _memoized(g, S, "blocks", lambda: tuple(done))
 
 
 def component_labels(g: Graph) -> np.ndarray:

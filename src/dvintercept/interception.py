@@ -58,27 +58,30 @@ def intercepted_pairs(g: Graph, strat: Strategy, *,
     first target whose routing graph traps a node).  Memory: the intercept
     matrix packed eight entries to a byte (n^2/8 bytes), the pass's
     O(n * block) arrays, one byte per entry while every offer is below 127,
-    and the distances in G - S that the graph holds for the colluder set
-    (n^2 bytes while they fit in one byte; see `graph.distance_blocks`)."""
+    for up to threads + 1 blocks at once (`graph._map_blocks`), and the
+    distances in G - S that the graph holds for the colluder set (n^2 bytes
+    while they fit in one byte; see `graph.distance_blocks`)."""
     comp = component_labels(g)
     sizes = np.bincount(comp)
     # bit s of packed row t: direction s -> t intercepted; only ever set on
     # same-component, off-diagonal entries
     packed = np.zeros((g.n, (g.n + 7) // 8), np.uint8)
     row = np.zeros(g.n, np.int64)
+    both = 0
     for T, icept in _closed_form_pass(g, strat, comp):
+        b = int(T[0])
         packed[T] = np.packbits(icept, axis=1)
         # a sum in the narrowest dtype that holds n, several times faster
         # than a per-row count_nonzero
         row[T] = icept.sum(axis=1, dtype=np.min_scalar_type(g.n))
-    # both directions intercepted, by square tiles of the upper triangle,
-    # each unpacked with its mirror; _BLOCK is a multiple of 8, so a tile's
-    # columns are whole bytes
-    both = 0
-    for a in range(0, g.n, _BLOCK):
-        for b in range(a, g.n, _BLOCK):
-            tile = np.count_nonzero(_unpack(packed[a:a + _BLOCK], b, g.n)
-                                    & _unpack(packed[b:b + _BLOCK], a, g.n).T)
+        # both directions intercepted, by square tiles of this block's rows
+        # and the columns of every block a up to it, each against block a's
+        # rows unpacked at this block's columns (_BLOCK is a multiple of 8,
+        # so those are whole bytes); counted while the next blocks' passes
+        # run
+        for a in range(0, b + 1, _BLOCK):
+            tile = np.count_nonzero(icept[:, a:a + _BLOCK]
+                                    & _unpack(packed[a:a + _BLOCK], b, g.n).T)
             both += tile if a == b else 2 * tile
     counts = None
     if per_target:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import (INF, Graph, _colluder_tuple, _honest_rows, as_hops,
-                    distance_blocks)
+from .graph import (INF, Graph, _colluder_tuple, _honest_rows, _over_blocks,
+                    as_hops)
 
 
 class BroadcastError(ValueError):
@@ -131,8 +131,9 @@ def synchronize(g: Graph, colluders, broadcasts) -> BeliefState:
     inf = INF + 1  # sums up to INF stay finite, as in the iteration
     dc = as_hops(_honest_rows(g, ids), inf=inf)
     rho = np.empty((g.n, g.n), np.int64)
-    worst = 0
-    for T, D in distance_blocks(g, ids):
+
+    def block(T, D):
+        """Write the columns T of rho; the rounds their nodes take."""
         d = as_hops(D, inf=inf)
         bt = np.where(b[:, T] < INF, b[:, T], inf)
         col = np.minimum(d, _min_plus(bt, dc, inf))
@@ -141,7 +142,10 @@ def synchronize(g: Graph, colluders, broadcasts) -> BeliefState:
         hops = np.where(d == col, d, inf)
         for bi, di in zip(bt, dc):
             hops = np.where(bi[:, None] + di == col, np.minimum(hops, di), hops)
-        worst = max(worst, int(hops[col < INF].max(initial=0)))
+        return int(hops[col < INF].max(initial=0))
+
+    # the blocks' columns of rho are disjoint, so each writes its own
+    worst = max(_over_blocks(g, ids, block), default=0)
     rho[list(ids)] = b
     return BeliefState(rho=rho, rounds_to_converge=worst,
                        colluders=frozenset(ids))

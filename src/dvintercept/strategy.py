@@ -21,9 +21,9 @@ from . import protocol
 # distance_avoiding is not called here but stays importable because
 # perfbench/tracing.py patches this name
 from .graph import (INF, Graph, ParseError, distance_avoiding,  # noqa: F401
-                    _colluder_tuple, _csr, _honest_rows, _memoized, _node_id,
-                    as_hops, component_labels, distance_blocks,
-                    hop_distances, induced_subgraph)
+                    _colluder_tuple, _csr, _honest_rows, _over_blocks,
+                    _memoized, _node_id, as_hops, component_labels,
+                    distance_blocks, hop_distances, induced_subgraph)
 from .protocol import _min_plus
 
 
@@ -697,7 +697,9 @@ def _closed_form_pass(g: Graph, strat: Strategy, comp):
     `Strategy.validate`'s arrays.  Yields (T, intercept): intercept is a
     |T| x n bool array marking s -> T[i] as intercepted at [i, s].  Raises
     InadmissibleError at the first target with members of its component
-    that cannot reach it in the routing graph.
+    that cannot reach it in the routing graph.  Each block, with its BFS,
+    is one call of `graph._over_blocks`, which may run the next blocks on
+    other threads; results and the error still come in target order.
 
     With D the hop distances in G minus every edge touching the colluders,
     D_C[x] the hop distances from colluder x through honest nodes only and
@@ -754,10 +756,10 @@ def _closed_form_pass(g: Graph, strat: Strategy, comp):
         out = out.astype(dtype, copy=False)
         return np.maximum(out, np.multiply(D == top, inf, dtype=dtype), out=out)
 
-    for T, dist in distance_blocks(g, C):
+    def block(T, dist):
+        """(T, intercept) for one block of targets, or InadmissibleError."""
         j = np.arange(T.size)
         d = saturated(dist)
-        del dist
         bt = b[:, T]
         offer = _min_plus(bt, dc, inf)
         col = np.minimum(d, offer)
@@ -770,24 +772,38 @@ def _closed_form_pass(g: Graph, strat: Strategy, comp):
         intercept[ct] = comp[T[ct]][:, None] == comp
         intercept[j, T] = False
 
-        # delivering colluders: a k x |T| fixpoint read at the colluders' hops
+        # delivering colluders: a k x |T| least fixpoint read at the
+        # colluders' hops.  An entry toward t delivers at once when t is the
+        # colluder or its hop, or its hop is honest and live and attained by
+        # t's own distance; only the others, whose hop is a colluder or
+        # another live honest node, are iterated, by flat index into deliver
         ht = hop[:, T]
         h = np.maximum(ht, 0)
-        hc = cidx[h]
-        via_hop = (ht >= 0) & (hc >= 0)
         hcol = col[j, h]
         live = (ht >= 0) & ~smask[h] & (hcol < inf)
-        direct = d[j, h] == hcol
-        # attains[i, y, j]: colluder y's offer sets the column at i's hop
-        # (unclamped: read only where live, hcol < inf, and 2 * inf fits)
-        attains = bt[None] + dc[:, h].transpose(1, 0, 2) == hcol[:, None]
-        deliver = (ht == T) | (ids[:, None] == T)
-        while True:
-            grown = deliver | (via_hop & deliver[np.maximum(hc, 0), j]) \
-                | (live & (direct | (attains & deliver).any(axis=1)))
-            if (grown == deliver).all():
-                break
-            deliver = grown
+        deliver = (ht == T) | (ids[:, None] == T) | (live & (d[j, h] == hcol))
+        flat = deliver.reshape(-1)
+        # an entry with a colluder hop delivers when the hop's entry does;
+        # one with a live honest hop when a delivering colluder y's offer
+        # sets the column there, attains[y, e] (unclamped: hcol < inf, and
+        # 2 * inf fits)
+        via = np.flatnonzero(~deliver & (ht >= 0) & smask[h])
+        src = cidx[h.flat[via]] * T.size + via % T.size
+        off = np.flatnonzero(~deliver & live)
+        oj = off % T.size
+        if off.size:
+            attains = bt[:, oj] + dc[:, h.flat[off]] == hcol.flat[off]
+        grown = True
+        while grown:
+            grown = False
+            if via.size and (got := flat[src]).any():
+                flat[via[got]] = True
+                via, src = via[~got], src[~got]
+                grown = True
+            if off.size and (got := (attains & deliver[:, oj]).any(axis=0)).any():
+                flat[off[got]] = True
+                off, oj, attains = off[~got], oj[~got], attains[:, ~got]
+                grown = True
 
         reached = col < inf
         # targets where a colluder that does not deliver offers something
@@ -805,8 +821,9 @@ def _closed_form_pass(g: Graph, strat: Strategy, comp):
             i = np.flatnonzero(np.count_nonzero(reached, axis=1) < need)[0]
             trapped = np.flatnonzero((comp == comp[T[i]]) & ~reached[i]).tolist()
             raise InadmissibleError((trapped[0], int(T[i])), trapped)
-        del d, col, reached, attains  # not held through the next block's BFS
-        yield T, intercept
+        return T, intercept
+
+    yield from _over_blocks(g, C, block)
 
 
 def check_admissible(g: Graph, strat: Strategy) -> AdmissibilityVerdict:
@@ -853,9 +870,11 @@ def minimal_admissible_bruteforce(g: Graph, C, t: int, budget: int = 10**6):
     if math.prod(map(len, ranges)) > budget:
         raise BudgetError(f"search space exceeds budget of {budget}")
     k, inf = len(C), INF + 1
-    # t's row of D_{G-S} and D_C, as the pass reads them
-    d = next(as_hops(D[t - T[0]], inf=inf)
-             for T, D in distance_blocks(g, C) if t <= T[-1])
+    # t's row of D_{G-S} and D_C, as the pass reads them; every block is
+    # read, so that the graph holds them for the set's other targets
+    for T, D in distance_blocks(g, C):
+        if T[0] <= t <= T[-1]:
+            d = as_hops(D[t - T[0]], inf=inf)
     dc = as_hops(_honest_rows(g, C), inf=inf)
     comp = component_labels(g)
     combos = itertools.product(*ranges)

@@ -2,6 +2,7 @@
 builders, counts and checks on one (graph, colluder set) share their BFS
 results, and every result equals the one on a freshly built copy."""
 
+import threading
 from collections import Counter
 
 import numpy as np
@@ -140,11 +141,14 @@ def test_stopped_pass_is_not_held_as_complete():
 
 def counted_bfs(monkeypatch):
     """Patch `graph._bit_bfs`; return the Counter of its (pull, sources)
-    calls, a pull told apart by its arc starts."""
-    calls, bit_bfs = Counter(), G._bit_bfs
+    calls, a pull told apart by its arc starts.  Blocks run their BFS on the
+    pool's threads, so the count is taken under a lock."""
+    calls, bit_bfs, lock = Counter(), G._bit_bfs, threading.Lock()
 
     def counted(pull, sources):
-        calls[pull[1].tobytes(), tuple(np.asarray(sources).tolist())] += 1
+        key = pull[1].tobytes(), tuple(np.asarray(sources).tolist())
+        with lock:
+            calls[key] += 1
         return bit_bfs(pull, sources)
 
     monkeypatch.setattr(G, "_bit_bfs", counted)
