@@ -406,7 +406,7 @@ def _over_blocks(g: Graph, removed, fn):
     """Yield fn(T, D) for each block (T, D) of `distance_blocks(g,
     removed)`, in order, through `_map_blocks`: a block that is not yet
     held has its BFS run in the same call, just before fn, and the blocks
-    are held once the last one is in.  fn must only read T and D."""
+    are held once the last one is in.  fn must not write T or D."""
     S = _colluder_tuple(g.n, removed)
     held = _slot(g, S).get("blocks")
     if held is not None:
