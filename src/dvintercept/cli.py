@@ -86,7 +86,7 @@ def _parse_kv(text: str) -> dict[str, str]:
 
 
 def _names(key: str, value: str, what: str, errors: list) -> tuple[str, ...]:
-    """The comma-separated names of `value`; a violation in `errors` when
+    """The comma-separated entries of `value`; a violation in `errors` when
     there is none or one repeats, since each would repeat its rows."""
     names = tuple(s.strip() for s in value.split(",") if s.strip())
     if not names:
@@ -120,9 +120,7 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
         if s not in _STRATEGIES:
             errors.append(f"strategy: unknown name {s!r}")
 
-    sweep = tuple(s.strip() for s in merged.get("k", "").split(",") if s.strip())
-    if not sweep:
-        errors.append("k: at least one sweep value is required")
+    sweep = _names("k", merged.get("k", ""), "sweep value", errors)
     for tok in sweep:
         try:
             value = float(tok[:-1]) if tok.endswith("%") else int(tok)
@@ -189,7 +187,10 @@ def derive_seed(master: int, *parts) -> int:
 
 
 def _resolve_sweep(sweep, n: int) -> list[int]:
-    sizes = []
+    """The set size of each sweep value at n; ConfigError at the first that
+    exceeds n or gives the size of an earlier one, whose rows it would
+    repeat."""
+    sizes: dict[int, str] = {}  # size -> the value that gave it
     for tok in sweep:
         if tok.endswith("%"):
             k = round(n * float(tok[:-1]) / 100.0)
@@ -197,8 +198,11 @@ def _resolve_sweep(sweep, n: int) -> list[int]:
             k = int(tok)
         if k > n:
             raise ConfigError(f"sweep value {tok!r} exceeds n={n}")
-        sizes.append(k)
-    return sizes
+        if k in sizes:
+            raise ConfigError(f"sweep values {sizes[k]!r} and {tok!r} both "
+                              f"give k={k} at n={n}")
+        sizes[k] = tok
+    return list(sizes)
 
 
 def build_strategy(g: Graph, name: str, S) -> tuple[Strategy, str]:

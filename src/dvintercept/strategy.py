@@ -183,21 +183,20 @@ class Strategy:
         repeated colluder, a malformed broadcast (see
         `protocol.validate_broadcasts`), then per colluder in id order a
         missing, misshapen or non-integer forward vector, or at its lowest
-        target a hop that is neither -1 nor a neighbour.  Once every row is
-        read, the neighbour table of the set is held in its slot
-        (`graph._memoized`), so validating a strategy of another set drops
-        the set the graph held."""
+        target a hop that is neither -1 nor a neighbour.  Once the
+        broadcasts pass, the k x (n + 2) neighbour table of the whole set is
+        held in its slot (`graph._memoized`), also when a forward vector's
+        fault stops the reading early, so validating a strategy of another
+        set drops the set the graph held."""
         for v, count in Counter(self.colluders).items():
             if count > 1:
                 raise ValueError(f"colluder {v} is repeated")
         ids, b = protocol.validate_broadcasts(g.n, self.colluders, self.broadcast)
         hop, fault = protocol._int_rows(self.forward, ids, g.n, "forward")
-        # one flat lookup of every hop in `_hop_table`, the uint64 view
-        # sending the hops below -1 above n; the table of a whole set is
-        # held in its slot
+        # one flat lookup of every hop read in `_hop_table`, the uint64 view
+        # sending the hops below -1 above n
         k, w = len(hop), g.n + 2
-        ok = (_memoized(g, ids, "hop_table", lambda: _hop_table(g, ids))
-              if k == len(ids) else _hop_table(g, ids[:k]))
+        ok = _memoized(g, ids, "hop_table", lambda: _hop_table(g, ids))[:k]
         at = (hop + 1).view(np.uint64)
         np.minimum(at, w - 1, out=at)
         at += np.arange(0, k * w, w, dtype=np.uint64)[:, None]
@@ -220,7 +219,10 @@ def _strategy(S, b, hop, label: str) -> Strategy:
 
 def strategy_to_text(strat: Strategy) -> str:
     """One record per (colluder, target): `colluder target broadcast hop`;
-    ValueError at a non-integer entry, which the format cannot hold."""
+    ValueError at what the format cannot hold: an empty label or one with
+    whitespace, then a non-integer entry."""
+    if strat.label.split() != [strat.label]:
+        raise ValueError(f"label {strat.label!r} is empty or holds whitespace")
     lines = [f"# label {strat.label}", f"# colluders {' '.join(map(str, strat.colluders))}"]
     for v in strat.colluders:
         bv, fv = strat.broadcast[v], strat.forward[v]
@@ -560,24 +562,6 @@ def colluder_components(g: Graph, C) -> list[tuple[int, ...]]:
     return [tuple(comp) for comp in comps if comp]
 
 
-def _exit_table(g: Graph, C) -> np.ndarray:
-    """lowest[ci, u]: the lowest-id member of C's component ci adjacent to
-    node u, n where none is.  Held read-only in the slot of C's set, in the
-    narrowest dtype that holds it."""
-    C = _colluder_tuple(g.n, C)
-    index = _component_index(g, C)
-
-    def lowest():
-        ids = np.asarray(C, np.int64)
-        nbrs, deg = _runs(g, ids)
-        comps = int(index.max()) + 1 if index.size else 0
-        out = np.full((comps, g.n), g.n, np.int64)
-        np.minimum.at(out, (np.repeat(index, deg), nbrs), np.repeat(ids, deg))
-        return _narrow(out)
-
-    return _memoized(g, C, "exits", lowest)
-
-
 def _quotient(g: Graph, comps):
     """Contract each colluder component to one node.
 
@@ -624,9 +608,9 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
     Without a `component_order` the broadcasts and hops are held in the slot
     of C's set (`graph._memoized`), in the narrowest dtypes that hold them
     (-1 standing for INF), so that a separated and an adjacent build on one
-    set build once; each call hands out fresh int64 copies.  The plan of the
-    default order, the components and the exit table are held there too, so
-    that a build with a `component_order` reads all but its plan.
+    set run one label setting; each call hands out fresh int64 copies.  A
+    build with a `component_order` reads the set's held distance rows,
+    closest hops and components, and holds nothing of its own.
     """
     if component_order is not None:
         C, b, hop = _adjacent(g, C, component_order)
@@ -680,29 +664,23 @@ def _adjacent(g: Graph, C, component_order=None):
     honest = np.ones(g.n, np.bool_)
     honest[ids] = False
     T = np.flatnonzero(honest)
-
-    def plan():
-        """(value, forwarding number, exit hop) per (component, target in
-        T), each in the narrowest dtype that holds it; the value is kept
-        only where the exit hop is not -1, the entries with a finite value,
-        and is 0 elsewhere."""
-        qrows, qhops = rows, hop
-        if relays:
-            qrows = _distance_rows(gq, comp_qid)
-            qhops = _closest_hops(gq, qrows, comp_qid)
-        _, val, fn, _, qhop = _rho_star_plans(gq, tuple(comp_qid), qrows, qhops,
-                                              order=qorder, targets=qid[T])
-        return _narrow(np.where(qhop >= 0, val, 0)), _narrow(fn), _narrow(qhop)
-
-    val, fn, qhop = plan() if qorder is not None else _memoized(g, C, "plan", plan)
+    qrows, qhops = rows, hop
+    if relays:
+        qrows = _distance_rows(gq, comp_qid)
+        qhops = _closest_hops(gq, qrows, comp_qid)
+    _, val, fn, _, qhop = _rho_star_plans(gq, tuple(comp_qid), qrows, qhops,
+                                          order=qorder, targets=qid[T])
     # colluder targets and components without a finite plan value keep the
     # honest broadcast and hop
     live = qhop >= 0
     w = np.where(live, honest_of[np.maximum(qhop, 0)], -1)  # first honest vertex
     wi = np.maximum(w, 0)  # read only where live
     # the exit member per (component, target) is the lowest-id member
-    # adjacent to w
-    exits = _exit_table(g, C)[np.arange(len(comps))[:, None], wi].astype(np.int64)
+    # adjacent to w: lowest[ci, u] for each node u, n where none is
+    nbrs, deg = _runs(g, ids)
+    lowest = np.full((len(comps), g.n), g.n, np.int64)
+    np.minimum.at(lowest, (np.repeat(cnum[ids], deg), nbrs), np.repeat(ids, deg))
+    exits = lowest[np.arange(len(comps))[:, None], wi]
     exits[~live | (exits == g.n)] = -1
     # each colluder announces its component's plan value, and forwards to w,
     # toward the targets where it is the exit

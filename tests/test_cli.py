@@ -77,6 +77,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=message):
             parse_config("generate = erdos_renyi(9,0.5)\nk = 1\n" + text)
 
+    def test_repeated_sweep_value(self):
+        # each copy of a value wrote its rows again
+        with pytest.raises(ConfigError) as exc:
+            parse_config("generate = erdos_renyi(9,0.5)\nk = 4, 2%, 4, 2%, 5\n")
+        assert str(exc.value) == ("k: sweep value '2%' is repeated; "
+                                  "k: sweep value '4' is repeated")
+
     def test_repeated_key(self):
         # k = 3 silently won over k = 2
         with pytest.raises(ConfigError) as exc:
@@ -191,6 +198,17 @@ class TestRunExperiment:
         f = csv_text.strip().splitlines()[1].split(",")
         assert int(f[5]) == 4
 
+    @pytest.mark.parametrize("k, message", [
+        ("10%, 3, 12", "sweep values '10%' and '3' both give k=3 at n=30"),
+        ("0%, 0", "sweep values '0%' and '0' both give k=0 at n=30"),
+    ])
+    def test_sweep_values_giving_one_size(self, k, message):
+        # each value giving one k wrote the same rows again per (selection,
+        # trial)
+        cfg = parse_config(f"generate = erdos_renyi(30,0.1)\nk = {k}\n")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            run_experiment(cfg)
+
     def test_sweep_value_exceeding_n(self):
         cfg = parse_config("generate = erdos_renyi(10,0.5)\nk = 99\ntrials = 1\n")
         with pytest.raises(ConfigError, match="exceeds"):
@@ -272,6 +290,10 @@ class TestMain:
          "error: trials: must be >= 1\n"),
         (["--generate", "erdos_renyi(10, 0.3)", "--k", "11"],
          "error: sweep value '11' exceeds n=10\n"),
+        (["--generate", "erdos_renyi(30, 0.1)", "--k", "4,4,10%,13%"],
+         "error: k: sweep value '4' is repeated\n"),
+        (["--generate", "erdos_renyi(30, 0.1)", "--k", "4,13%"],
+         "error: sweep values '4' and '13%' both give k=4 at n=30\n"),
     ])
     def test_input_error_exit_code_and_message(self, capsys, argv, message):
         assert main(argv) == 1

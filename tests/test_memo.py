@@ -282,8 +282,9 @@ def test_adjacent_build_reads_no_distances_in_g_minus_s(monkeypatch):
 
 
 def test_one_plan_per_colluder_set(monkeypatch):
-    # a separated and an adjacent build on one set run one label setting; a
-    # build with a component order runs its own and leaves the held plan
+    # a separated and an adjacent build on one set run one label setting,
+    # the second reading the held adjacent arrays; a build with a component
+    # order runs its own and leaves them held
     calls, plans = [], S._rho_star_plans
 
     def counted(*args, **kwargs):
@@ -295,13 +296,8 @@ def test_one_plan_per_colluder_set(monkeypatch):
     C = sorted(colluder_sets(g, np.random.default_rng(4))[0])
     sep, adj = S.separated_strategy(g, C), S.adjacent_strategy(g, C)
     assert calls == [None]
-    held = g._memo["slot"][1]["plan"]
-    # value, forwarding number and exit hop, as narrow as they fit
-    assert [a.dtype for a in held] == [np.uint8, np.uint8, np.int16]
-    assert all(a.shape == (len(C), g.n - len(C)) for a in held)
     ordered = S.adjacent_strategy(g, C, component_order=C[::-1])
     assert calls == [None, C[::-1]]
-    assert g._memo["slot"][1]["plan"] is held
     assert vectors(S.adjacent_strategy(g, C)) == vectors(adj)
     assert len(calls) == 2
     h = fresh(g)
@@ -310,7 +306,7 @@ def test_one_plan_per_colluder_set(monkeypatch):
     assert vectors(ordered) == \
         vectors(S.adjacent_strategy(h, C, component_order=C[::-1]))
 
-    # a multi-node component: the plan on the quotient is held alike
+    # a multi-node component: its adjacent arrays are held alike
     x = next(v for v in range(g.n) if g.degree(v))
     C = sorted({x, int(g.neighbors(x)[0]), 100, 200})
     calls.clear()
@@ -324,8 +320,9 @@ def test_sweep_cell_computes_each_set_product_once(monkeypatch):
     # the four strategies of a CLI cell, built and counted: every product
     # the strategy module holds for the set is computed once, among them
     # the colluders' closest hops (one `_closest_hops` on g), the labelling
-    # of the colluder subgraph (none for a separated set), the exit table,
-    # the validation table and the pass's per-set arrays, in narrow dtypes
+    # of the colluder subgraph (none for a separated set), the adjacent
+    # arrays, the validation table and the pass's per-set arrays, in narrow
+    # dtypes
     computed, work = Counter(), Counter()
     memoized, closest_hops, labels = S._memoized, S._closest_hops, S.component_labels
 
@@ -358,9 +355,9 @@ def test_sweep_cell_computes_each_set_product_once(monkeypatch):
             intercepted_pairs(g, strat)
         assert work == Counter(closest_hops=1, labelling=labelled)
         assert computed == Counter(dict.fromkeys(
-            ["rows", "hops", "components", "exits", "plan", "adjacent",
-             "hop_table", "pass", ("dc", "|u1")], 1))
+            ["rows", "hops", "components", "adjacent", "hop_table", "pass",
+             ("dc", "|u1")], 1))
         held = g._memo["slot"][1]
-        assert [held[key].dtype for key in ("hops", "components", "exits")] \
-            == [np.int16, np.uint8, np.uint16]
+        assert [held[key].dtype for key in ("hops", "components")] \
+            == [np.int16, np.uint8]
         assert held["hop_table"].shape == (len(C), g.n + 2)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -624,6 +625,32 @@ class TestValidate:
         with pytest.raises(ValueError,
                            match=r"^broadcast\(1,0\) = 2.9 is not an integer$"):
             S.strategy_to_text(strat)
+
+    @pytest.mark.parametrize("label", ["my label", "", "tab\there", "end\n"])
+    def test_text_refuses_label_it_cannot_hold(self, label):
+        # "my label" was read back as "my", and "" wrote a label line that
+        # strategy_from_text rejects
+        strat = replace(S.honest_strategy(path_graph(3), [1]), label=label)
+        with pytest.raises(ValueError,
+                           match=rf"^label {re.escape(repr(label))} is empty "
+                                 "or holds whitespace$"):
+            S.strategy_to_text(strat)
+
+    def test_forward_fault_before_the_last_row(self):
+        # the fault of colluder 3's forward vector stops the reading at row
+        # 1 of 3; the hops read are checked against the whole set's table,
+        # which is held
+        g = path_graph(6)
+        strat = S.honest_strategy(g, [1, 3, 5])
+        forward = {1: strat.forward[1].copy(), 3: strat.forward[3][:4]}
+        for hops, message in [
+                (forward, r"^forward vector for node 3 has shape \(4,\)$"),
+                ({**forward, 1: np.where(np.arange(6) == 4, 4, forward[1])},
+                 r"^forward\(1,4\) = 4 is not a neighbour$")]:
+            h = G.from_edges(g.n, list(g.edges()))
+            with pytest.raises(ValueError, match=message):
+                replace(strat, forward=hops).validate(h)
+            assert h._memo["slot"][1]["hop_table"].shape == (3, g.n + 2)
 
     def test_colluders_out_of_id_order(self):
         # a hand-built (3, 1) validates to id-ordered arrays and is checked
