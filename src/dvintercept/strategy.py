@@ -64,64 +64,28 @@ def _closest_hops(g: Graph, rows, V) -> np.ndarray:
     """|V| x n int64: row i holds, per target, the lowest-id neighbour of
     V[i] minimizing true distance to it; -1 at V[i] itself, at unreachable
     targets and everywhere when V[i] has no neighbours.  `rows` = (at, D) as
-    from `_distance_rows` and must cover the neighbours of V.
+    from `_distance_rows` and must cover V and its neighbours.
 
-    Each neighbour's row is keyed min(d, n) * n + its id, so the least key
-    of a node's neighbours gives the least distance and, among the
-    neighbours attaining it, the lowest id; a key of n * n or more is an
-    unreachable target.  The nodes are ranked by decreasing degree, so that
-    the p-th neighbours of the nodes with more than p are the first c; in
-    that position-major order the keys of as many whole positions as fit
-    are gathered into one |V| x n buffer at a time, and each position's
-    c rows are minimized into the first c rows of the result in place.  The
-    transient is thus two |V| x n arrays, whatever the degrees of V
-    (`np.minimum.reduceat` along the rows, which loops per column in C, ran
-    2-4 times slower at n = 2000).
+    A neighbour u of v is closest to t exactly when d(u, t) = d(v, t) - 1
+    (never at t = v or an unreachable t), and neighbour lists are sorted,
+    so the hop is the first such u.  With the nodes ranked by decreasing
+    degree, the p-th neighbours of the nodes with more than p are the first
+    c; positions are taken from last to first, each one masked copy.  The
+    transient is about three |V| x n int64 arrays, whatever the degrees.
     """
     at, D = rows
-    n = g.n
     V = np.asarray(V, np.int64).reshape(-1)
     deg = g.indptr[V + 1] - g.indptr[V]
     rank = np.argsort(-deg, kind="stable")
     lo, deg = g.indptr[V[rank]], deg[rank]
-    # has[p, i]: the i-th ranked node has a p-th neighbour
-    has = deg > np.arange(deg.max(initial=0))[:, None]
-    nbrs = g.indices[(lo + np.arange(has.shape[0])[:, None])[has]]
-    counts = has.sum(axis=1).tolist()
-    # position p's keys are rows first[p]:first[p + 1] of the whole order
-    first = np.cumsum([0] + counts).tolist()
-    best = np.full((counts[0] if counts else 0, n), n * n, np.int64)
-    buf = np.empty_like(best)
-
-    def minimize(p, q):
-        """Minimize the keys of positions p to q - 1, gathered into buf,
-        into best."""
-        nb = nbrs[first[p]:first[q]]
-        key = buf[:nb.size]
-        # mode="raise" would gather through a hidden buffer of key's size
-        np.take(D, at[nb], axis=0, out=key, mode="clip")
-        np.minimum(key, n, out=key)
-        key *= n
-        key += nb[:, None]
-        for c, r in zip(counts[p:q], first[p:q]):
-            r -= first[p]
-            np.minimum(best[:c], key[r:r + c], out=best[:c])
-
-    p = 0
-    while p < len(counts):
-        q = p + 1  # positions p to q - 1 fill the buffer
-        while q < len(counts) and first[q + 1] - first[p] <= len(buf):
-            q += 1
-        minimize(p, q)
-        p = q
-    del buf
-    unreached = best >= n * n
-    best %= n
-    best[unreached] = -1
-    hop = np.full((V.size, n), -1, np.int64)
-    hop[rank[:len(best)]] = best
-    hop[np.arange(V.size), V] = -1
-    return hop
+    want = D[at[V[rank]]] - 1
+    hop = np.full((V.size, g.n), -1, np.int64)
+    for p in range(deg.max(initial=0) - 1, -1, -1):
+        c = np.count_nonzero(deg > p)
+        u = g.indices[lo[:c] + p]
+        np.copyto(hop[:c], u[:, None], where=D[at[u]] == want[:c])
+    del want
+    return hop[np.argsort(rank)]
 
 
 def _narrow(a):
@@ -237,11 +201,11 @@ def strategy_to_text(strat: Strategy) -> str:
 
 def strategy_from_text(text: str, n: int) -> Strategy:
     """Parse `strategy_to_text`'s format.  ParseError at the first malformed
-    or repeated (colluder, target) record; then, at the line of its first
+    or repeated record or label line; then, at the line of its first
     record, at the first colluder in id order that lacks a record for some
     target, naming the lowest such target; then at a `# colluders` header
     that does not list exactly the colluders with records."""
-    label = "custom"
+    label, labelled = "custom", 0  # the label and the line giving it
     header = None  # (line, the colluders it lists)
     broadcast: dict[int, np.ndarray] = {}
     forward: dict[int, np.ndarray] = {}
@@ -256,7 +220,12 @@ def strategy_from_text(text: str, n: int) -> Strategy:
             if parts and parts[0] == "label":
                 if len(parts) < 2:
                     raise ParseError("label line without a label", lineno)
-                label = parts[1]
+                if len(parts) > 2:
+                    raise ParseError(f"label line holds {len(parts) - 1} "
+                                     "tokens, not one", lineno)
+                if labelled:
+                    raise ParseError(f"label line repeats line {labelled}", lineno)
+                labelled, label = lineno, parts[1]
             elif parts and parts[0] == "colluders":
                 if header is not None:
                     raise ParseError(f"colluders header repeats line {header[0]}",
@@ -800,6 +769,9 @@ def _closed_form_pass(g: Graph, strat: Strategy, comp):
     t or by a delivering colluder.  The delivering colluders Del_t are a
     least fixpoint over the colluders: x delivers when x = t or its hop
     toward t is t, a delivering colluder, or an honest node that reaches t.
+    An honest hop reaches t when its belief is finite and attained by t or
+    by a delivering colluder's offer, so the fixpoint is one list of
+    (parent, child) entries, marking children until none is new.
 
     The integers are sized by the offers, not by n.  With cap the largest
     finite b_x[t] (x and t in one component) plus the largest finite D_C
@@ -807,8 +779,8 @@ def _closed_form_pass(g: Graph, strat: Strategy, comp):
     every minimum of offers.  D is saturated at c = min(cap, inf - 1), inf
     where unreached.  For a distance d >= c and any such offer o, o < d iff
     o < c (o < cap <= d, or o = inf), and min(d, o) is o, or at least c
-    when o is inf; so intercept, col < inf, hcol, direct, attains and the
-    odel test come out as for the true distance.  (With cap > inf - 1, in
+    when o is inf; so intercept, col < inf, hcol and the delivery and reach
+    tests come out as for the true distance.  (With cap > inf - 1, in
     int64 only, c = INF exceeds every hop distance and nothing saturates.)
     uint8 thus serves whenever every offer is below 127, however long the
     paths in G - S.
@@ -864,38 +836,26 @@ def _closed_form_pass(g: Graph, strat: Strategy, comp):
         intercept[ct] = comp[T[ct]][:, None] == comp
         intercept[j, T] = False
 
-        # delivering colluders: a k x |T| least fixpoint read at the
-        # colluders' hops.  An entry toward t delivers at once when t is the
-        # colluder or its hop, or its hop is honest and live and attained by
-        # t's own distance; only the others, whose hop is a colluder or
-        # another live honest node, are iterated, by flat index into deliver
+        # delivering colluders, k x |T|: (x, t) delivers at once when t is x
+        # or its hop, or its hop is honest, live and attained by t's own
+        # distance; else once a parent (y, t) does: y is x's colluder hop, or
+        # y's offer sets the column at x's live honest hop (the sum is
+        # unclamped: hcol < inf and 2 * inf fits).  Entries index deliver flat
         ht = hop[:, T]
         h = np.maximum(ht, 0)
         hcol = col[j, h]
         live = (ht >= 0) & ~smask[h] & (hcol < inf)
         deliver = (ht == T) | (ids[:, None] == T) | (live & (d[j, h] == hcol))
         flat = deliver.reshape(-1)
-        # an entry with a colluder hop delivers when the hop's entry does;
-        # one with a live honest hop when a delivering colluder y's offer
-        # sets the column there, attains[y, e] (unclamped: hcol < inf, and
-        # 2 * inf fits)
         via = np.flatnonzero(~deliver & (ht >= 0) & smask[h])
-        src = cidx[h.flat[via]] * T.size + via % T.size
         off = np.flatnonzero(~deliver & live)
         oj = off % T.size
-        if off.size:
-            attains = bt[:, oj] + dc[:, h.flat[off]] == hcol.flat[off]
-        grown = True
-        while grown:
-            grown = False
-            if via.size and (got := flat[src]).any():
-                flat[via[got]] = True
-                via, src = via[~got], src[~got]
-                grown = True
-            if off.size and (got := (attains & deliver[:, oj]).any(axis=0)).any():
-                flat[off[got]] = True
-                off, oj, attains = off[~got], oj[~got], attains[:, ~got]
-                grown = True
+        y, m = np.nonzero(bt[:, oj] + dc[:, h.flat[off]] == hcol.flat[off])
+        parent = np.concatenate((cidx[h.flat[via]] * T.size + via % T.size,
+                                 y * T.size + oj[m]))
+        child = np.concatenate((via, off[m]))
+        while (new := child[flat[parent] & ~flat[child]]).size:
+            flat[new] = True
 
         reached = col < inf
         # targets where a colluder that does not deliver offers something

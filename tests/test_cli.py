@@ -1,5 +1,7 @@
 """Config parsing and the experiment runner."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,17 @@ trials = 2
 seed = 11
 metric = ordered
 """
+
+# the sweep whose CSV, apart from the runtime column, is recorded in GOLDEN
+GOLDEN_CONFIG = """\
+generate = pref_attach(300, 2)
+select = random, top_degree, greedy_max
+strategy = honest, independent, separated, adjacent
+k = 2, 4, 8, 16
+trials = 2
+"""
+GOLDEN = os.path.join(os.path.dirname(__file__), "data",
+                      "golden_pref_attach_300.csv")
 
 
 class TestConfigParsing:
@@ -230,6 +243,20 @@ class TestRunExperiment:
             assert float(f[8]) == pytest.approx(float(coverage_function(g, best)),
                                                 abs=5e-7)
         assert rows[0][8] == "0.714286"
+
+    def test_golden_sweep(self):
+        # every strategy and kernel behind the CLI at once: n = 300 is two
+        # blocks of targets, and every top-degree and greedy set (and the
+        # random sets of 16) has adjacent colluders, so separated falls back
+        # to the adjacent build; every column but the runtime equals the
+        # recorded CSV
+        csv_text, _ = run_experiment(parse_config(GOLDEN_CONFIG))
+        got = [ln.rsplit(",", 1)[0] for ln in csv_text.splitlines()]
+        with open(GOLDEN) as f:
+            want = f.read().splitlines()
+        assert len(got) == 1 + 96
+        assert sum(",separated->adjacent_general," in ln for ln in got) == 18
+        assert got == want
 
     def test_graph_file_input(self, tmp_path):
         path = tmp_path / "tiny.edges"

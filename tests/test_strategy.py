@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dvintercept.strategy as S
@@ -836,10 +836,13 @@ class TestSerialization:
         ("1 0 1 -2", "hop -2 out of range"),
         ("# label", "label line without a label"),
         ("1 1 2 0", "record for colluder 1, target 1 repeats line 2"),
+        # these two were read back as label "my" and as label "b"
+        ("# label my label", "label line holds 2 tokens, not one"),
+        ("# label b", "label line repeats line 1"),
     ], ids=["too-few-tokens", "too-many-tokens", "non-integer-id",
             "non-integer-broadcast", "negative-target", "colluder-out-of-range",
             "target-out-of-range", "hop-below-minus-one", "label-missing",
-            "repeated-record"])
+            "repeated-record", "label-of-two-tokens", "repeated-label"])
     def test_rejects_malformed_record(self, record, message):
         text = f"# label custom\n1 1 0 -1\n\n{record}\n"
         with pytest.raises(G.ParseError, match=f"line 4: {message}") as exc:
@@ -1064,23 +1067,32 @@ def test_builders_match_per_target_reference(seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**31 - 1))
-def test_closest_hops_match_reference(seed):
+@given(st.integers(0, 2**31 - 1), st.just(False))
+@example(0, True)
+def test_closest_hops_match_reference(seed, hubs):
     # two components and up to two isolated nodes: the rows of every node,
-    # and those of a random set and its neighbours, hold INF entries
+    # and those of a random set and its neighbours, hold INF entries.  Those
+    # graphs never pass degree 13; with hubs, the set is the 20 top-degree
+    # nodes of pref_attach(600, 2), of degrees 13 to 71
     rng = np.random.default_rng(seed)
-    a = random_connected_graph(rng, n_max=14, n_min=1)
-    b = random_connected_graph(rng, n_max=6, n_min=1)
-    g = G.from_edges(a.n + b.n + int(rng.integers(0, 3)),
-                     list(a.edges()) + [(a.n + u, a.n + v) for u, v in b.edges()])
-    every = S._distance_rows(g, range(g.n))
-    assert (every[1] >= INF).any()
-    V = [int(v) for v in rng.permutation(g.n)]
-    assert S._closest_hops(g, every, V).tolist() == \
-        [_closest_hop(g, every, v).tolist() for v in V]
-    C = sorted(int(v) for v in rng.choice(g.n, int(rng.integers(0, g.n + 1)),
-                                          replace=False))
+    if hubs:
+        g = G.pref_attach(600, 2, seed=seed)
+        C = sorted(np.argsort(-g.degrees(), kind="stable")[:20].tolist())
+        assert g.degrees()[C].max() > 50
+    else:
+        a = random_connected_graph(rng, n_max=14, n_min=1)
+        b = random_connected_graph(rng, n_max=6, n_min=1)
+        g = G.from_edges(a.n + b.n + int(rng.integers(0, 3)), list(a.edges())
+                         + [(a.n + u, a.n + v) for u, v in b.edges()])
+        every = S._distance_rows(g, range(g.n))
+        assert (every[1] >= INF).any()
+        V = [int(v) for v in rng.permutation(g.n)]
+        assert S._closest_hops(g, every, V).tolist() == \
+            [_closest_hop(g, every, v).tolist() for v in V]
+        C = sorted(int(v) for v in
+                   rng.choice(g.n, int(rng.integers(0, g.n + 1)), replace=False))
     rows = S._distance_rows(g, C)
     hops = S._closest_hops(g, rows, C)
     assert hops.shape == (len(C), g.n) and hops.dtype == np.int64
     assert hops.tolist() == [_closest_hop(g, rows, v).tolist() for v in C]
+
