@@ -374,10 +374,6 @@ def _check_separated(g: Graph, C) -> None:
         )
 
 
-# the rho* kernel's INF; hop distances, and sums of two of them, stay below
-_PLAN_INF = 1 << 29
-
-
 def _rho_star_plans(g: Graph, C, rows, hops, order=None, targets=None):
     """The rho* label setting toward every target at once.
 
@@ -395,13 +391,27 @@ def _rho_star_plans(g: Graph, C, rows, hops, order=None, targets=None):
     improvement makes x the predecessor of z.  The exit hop is the closest
     hop toward the predecessor, or toward the target when there is none.
 
-    The state is |T| x (k + 1) int32, one row per target, read and written
-    through flat indices.  A settled entry holds -1, which no candidate
-    beats and which argmin over the uint32 view never picks.  INF is
-    _PLAN_INF, and an INF distance between colluders is _PLAN_INF + 2:
-    colluders are at least 2 apart, so every candidate through an INF is at
-    least _PLAN_INF and never strictly improves.  Column k stands for "no
-    predecessor", with forwarding number 0.
+    The state is colluder-major, one column per target, and each entry is
+    one integer key, value << 3b | id << 2b | step << b | fn with 2^b > k:
+    the id of its colluder z, then 0 for its own lie or i + 1 when colluder
+    seq[i + 1] set it at step i (seq[0] is k, "none"), then its forwarding
+    number.  Settling takes the minimum over axis 0, the least (value, id).
+    Relaxing takes the entrywise minimum with the keys through x, each
+    carrying x's forwarding number plus one: the steps of competing keys
+    differ, so a tie in value keeps the earlier key, only a strict
+    improvement wins, and its step names the predecessor.  Between
+    distinct separated colluders d(x, z) - 2 + val is at least 1, so no
+    clamp is needed.  The key through x of x itself is below -2^(bits - 2),
+    so relaxing settles x: the minimum keeps it, and the minimum over the
+    unsigned view never picks it.
+
+    Hop distances are below n, so every finite value, and every finite
+    candidate, is below 2n; INF is the least power of two above that, and
+    an INF distance between colluders is INF + 2: colluders are at least 2
+    apart, so every candidate through an INF is at least INF and never
+    strictly improves.  A candidate is at most 2 INF, so the keys are int32
+    while that and the three b-bit fields fit 31 bits (the minima then run
+    on 32-bit lanes), else int64.
     """
     at, D = rows
     ids = np.asarray(C, np.int64)
@@ -417,46 +427,48 @@ def _rho_star_plans(g: Graph, C, rows, hops, order=None, targets=None):
         if sorted(order) != list(C):
             raise ValueError("order must be a permutation of the colluder set")
         order = np.searchsorted(ids, order)
-    inf, w = _PLAN_INF, k + 1
+    inf, b = 1 << (2 * g.n).bit_length(), k.bit_length()
+    bits = inf.bit_length() + 1 + 3 * b
+    if bits > 63:
+        raise ValueError(f"{k} colluders on {g.n} nodes exceed the "
+                         "label setting's 63-bit keys")
+    dtype, unsigned = (np.int32, np.uint32) if bits <= 31 else (np.int64, np.uint64)
+    mask = (1 << b) - 1
+    keep = ~(mask << 2 * b | mask << b)  # a key less its id and step
     DC = D[at[ids]]
-    # row x: the distances from colluder x to every colluder; column k, which
-    # stands for no colluder, is never relaxed, its entries being settled
-    dcc = np.full((k, w), inf + 2, np.int64)
-    dcc[:, :k] = np.where(DC[:, ids] < INF, DC[:, ids], inf + 2)
-    dcc = dcc.astype(np.int32)
-    d = DC[:, T].T
-    tent = np.full((T.size, w), -1, np.int32)
-    tent[:, :k] = np.where(d < INF, np.maximum(1, d - 2), inf)
-    via = np.full((T.size, w), k, np.int32)
-    fn = np.zeros((T.size, w), np.int32)
-    val = np.empty((T.size, w), np.int32)
-    base = np.arange(T.size) * w
+    # field: z's id, less 2 in the value, so that (d << 3b) + field is the
+    # key of value d - 2
+    field = np.arange(k)[:, None] << 2 * b
+    field -= 2 << 3 * b
+    # rel[z, x]: the key of z through x, less x's value and forwarding
+    # number (least & keep) and the step
+    rel = (np.minimum(DC[:, ids], inf + 2) << 3 * b) + field
+    rel.flat[::k + 1] = -1 << bits - 1
+    rel = rel.astype(dtype)
+    lie = np.minimum(np.maximum(DC[:, T], 3), inf + 2) << 3 * b
+    key = (lie + field + 1).astype(dtype, order="C")
+    done = np.empty((k, T.size), np.int64)  # the settled keys
+    seq = np.full((k + 1, T.size), k, np.int64)
+    offset, cols = np.arange(k) * T.size, np.arange(T.size)
     for step in range(k):
         if order is None:
-            # argmin's first minimum is the lowest id, C being sorted
-            x = tent.view(np.uint32).argmin(axis=1)
+            least = key.view(unsigned).min(axis=0).view(dtype)
         else:
-            x = np.full(T.size, order[step])
-        flat = base + x
-        v = tent.take(flat)
-        val.put(flat, v)
-        tent.put(flat, -1)
-        fn.put(flat, fn.take(base + via.take(flat)) + 1)
-        cand = dcc.take(x, axis=0)
-        cand += (v - 2)[:, None]
-        np.maximum(cand, 1, out=cand)
-        better = cand < tent
-        np.copyto(tent, cand, where=better)
-        np.copyto(via, x[:, None], where=better)
-    # widened before INF is written, which int32 cannot hold
-    val = val[:, :k].T.astype(np.int64)
+            least = key[order[step]]
+        seq[step + 1] = x = least >> 2 * b & mask
+        done.put(offset.take(x) + cols, least)
+        cand = rel.take(x, axis=1)
+        cand += (least & keep) + ((step + 1 << b) + 1)
+        np.minimum(key, cand, out=key)
+    val, fn = done >> 3 * b, done & mask
     val[val >= inf] = INF
-    pred = via[:, :k].T.astype(np.int64)
+    pred = seq.take((done >> b & mask) * T.size + cols)
     pred[pred == k] = -1
     toward = np.where(pred >= 0, ids[pred], T)
     hops = np.asarray(hops, np.int64).reshape(k, g.n)
-    hop = np.where(val < INF, hops.take(np.arange(k)[:, None] * g.n + toward), -1)
-    return T, val, fn[:, :k].T.astype(np.int64), pred, hop
+    hop = np.where(val < INF,
+                   hops.take(np.arange(k)[:, None] * g.n + toward), -1)
+    return T, val, fn, pred, hop
 
 
 def rho_star_plan(g: Graph, C, t: int, *, order=None) -> RhoStarPlan:
@@ -748,16 +760,17 @@ def _pass_setup(g: Graph, C, comp):
     return comp[ids][:, None] != comp, np.array(finite.max(initial=0))
 
 
-def _closed_form_pass(g: Graph, strat: Strategy, comp):
+def _closed_form_pass(g: Graph, arrays, comp):
     """The pass shared by the admissibility check and the count, in closed
-    form over blocks of targets T; `comp` is `component_labels(g)`, which
-    each caller computes once.  Reads the strategy only through
-    `Strategy.validate`'s arrays.  Yields (T, intercept): intercept is a
-    |T| x n bool array marking s -> T[i] as intercepted at [i, s].  Raises
-    InadmissibleError at the first target with members of its component
-    that cannot reach it in the routing graph.  Each block, with its BFS,
-    is one call of `graph._over_blocks`, which may run the next blocks on
-    other threads; results and the error still come in target order.
+    form over blocks of targets T; `arrays` = (C, b, hop) as from
+    `Strategy.validate`, which it does not write, and `comp` is
+    `component_labels(g)`, which each caller computes once.  Yields
+    (T, intercept): intercept is a |T| x n bool array marking s -> T[i] as
+    intercepted at [i, s].  Raises InadmissibleError at the first target
+    with members of its component that cannot reach it in the routing
+    graph.  Each block, with its BFS, is one call of `graph._over_blocks`,
+    which may run the next blocks on other threads; results and the error
+    still come in target order.
 
     With D the hop distances in G minus every edge touching the colluders,
     D_C[x] the hop distances from colluder x through honest nodes only and
@@ -793,7 +806,7 @@ def _closed_form_pass(g: Graph, strat: Strategy, comp):
     held in its slot, written here on the calling thread before
     `_over_blocks` starts its pool.
     """
-    C, b, hop = strat.validate(g)
+    C, b, hop = arrays
     n, ids = g.n, np.asarray(C, np.int64)
     cidx = np.full(n, -1, np.int64)  # node id -> colluder index
     cidx[ids] = np.arange(ids.size)
@@ -802,11 +815,10 @@ def _closed_form_pass(g: Graph, strat: Strategy, comp):
     away, top = _memoized(g, C, "pass", lambda: _pass_setup(g, C, comp))
     # an offer toward a target in another component reaches none of the
     # target's members, so such entries are dropped before sizing the dtype
-    b[away] = INF
-    finite_b = b[b < INF]
-    cap = (int(finite_b.max()) if finite_b.size else 0) + int(top) + 1
+    finite = (b < INF) & ~away
+    cap = int(b.max(where=finite, initial=0)) + int(top) + 1
     dtype, inf = _int_dtype(cap)
-    b = np.where(b < INF, b, inf).astype(dtype)
+    b = np.where(finite, b, inf).astype(dtype)
     dc = _memoized(g, C, ("dc", np.dtype(dtype).str),
                    lambda: as_hops(_honest_rows(g, C), dtype, inf))
 
@@ -881,8 +893,9 @@ def _closed_form_pass(g: Graph, strat: Strategy, comp):
 def check_admissible(g: Graph, strat: Strategy) -> AdmissibilityVerdict:
     """A strategy is admissible when, for every target, every node in the
     target's component can reach it in the per-target routing graph."""
+    arrays = strat.validate(g)
     try:
-        for _ in _closed_form_pass(g, strat, component_labels(g)):
+        for _ in _closed_form_pass(g, arrays, component_labels(g)):
             pass
     except InadmissibleError as e:
         return AdmissibilityVerdict(False, e.pair, e.trapped)

@@ -569,6 +569,60 @@ def _plan_on_rows(g, C, t, rows, order=None):
     return RhoStarPlan(target=t, entries=entries)
 
 
+def rho_star_plans_reference(g, C, rows, hops, order=None, targets=None):
+    """`strategy._rho_star_plans` as it was before its state went colluder-
+    major: one row of k + 1 int32 entries per target, read and written
+    through flat indices, settling by argmin over the rows' uint32 view
+    (a settled entry holds -1); column k stands for "no predecessor"."""
+    at, D = rows
+    ids = np.asarray(C, np.int64)
+    k = ids.size
+    if targets is None:
+        honest = np.ones(g.n, np.bool_)
+        honest[ids] = False
+        T = np.flatnonzero(honest)
+    else:
+        T = np.asarray(targets, np.int64).reshape(-1)
+    if order is not None:
+        order = np.searchsorted(ids, [int(v) for v in order])
+    inf, w = 1 << 29, k + 1
+    DC = D[at[ids]]
+    dcc = np.full((k, w), inf + 2, np.int64)
+    dcc[:, :k] = np.where(DC[:, ids] < INF, DC[:, ids], inf + 2)
+    dcc = dcc.astype(np.int32)
+    d = DC[:, T].T
+    tent = np.full((T.size, w), -1, np.int32)
+    tent[:, :k] = np.where(d < INF, np.maximum(1, d - 2), inf)
+    via = np.full((T.size, w), k, np.int32)
+    fn = np.zeros((T.size, w), np.int32)
+    val = np.empty((T.size, w), np.int32)
+    base = np.arange(T.size) * w
+    for step in range(k):
+        if order is None:
+            x = tent.view(np.uint32).argmin(axis=1)
+        else:
+            x = np.full(T.size, order[step])
+        flat = base + x
+        v = tent.take(flat)
+        val.put(flat, v)
+        tent.put(flat, -1)
+        fn.put(flat, fn.take(base + via.take(flat)) + 1)
+        cand = dcc.take(x, axis=0)
+        cand += (v - 2)[:, None]
+        np.maximum(cand, 1, out=cand)
+        better = cand < tent
+        np.copyto(tent, cand, where=better)
+        np.copyto(via, x[:, None], where=better)
+    val = val[:, :k].T.astype(np.int64)
+    val[val >= inf] = INF
+    pred = via[:, :k].T.astype(np.int64)
+    pred[pred == k] = -1
+    toward = np.where(pred >= 0, ids[pred], T)
+    hops = np.asarray(hops, np.int64).reshape(k, g.n)
+    hop = np.where(val < INF, hops.take(np.arange(k)[:, None] * g.n + toward), -1)
+    return T, val, fn[:, :k].T.astype(np.int64), pred, hop
+
+
 def separated_strategy_reference(g, C):
     """`strategy.separated_strategy` as one `rho_star_plan_reference` per
     honest target."""

@@ -4,16 +4,21 @@ results, and every result equals the one on a freshly built copy."""
 
 import threading
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dvintercept.interception as I
 import dvintercept.strategy as S
 from dvintercept import cli, graph as G
 from dvintercept.interception import coverage_function, intercepted_pairs
+from dvintercept.graph import INF
 from dvintercept.protocol import synchronize
 
-from oracles import (adjacent_strategy_reference,
+from oracles import (adjacent_strategy_reference, intercepted_pairs_oracle,
                      minimal_admissible_bruteforce_reference, random_connected_graph)
 
 BUILDERS = (S.honest_strategy, S.independent_strategy, S.separated_strategy,
@@ -318,7 +323,9 @@ def test_one_plan_per_colluder_set(monkeypatch):
 
 def test_sweep_cell_computes_each_set_product_once(monkeypatch):
     # the four strategies of a CLI cell, built and counted: every product
-    # the strategy module holds for the set is computed once, among them
+    # the strategy and interception modules hold for the set is computed
+    # once, but for the held count, which each distinct strategy computes;
+    # among them are
     # the colluders' closest hops (one `_closest_hops` on g), the labelling
     # of the colluder subgraph (none for a separated set), the adjacent
     # arrays, the validation table and the pass's per-set arrays, in narrow
@@ -341,6 +348,7 @@ def test_sweep_cell_computes_each_set_product_once(monkeypatch):
         return labels(h)
 
     monkeypatch.setattr(S, "_memoized", counted_memo)
+    monkeypatch.setattr(I, "_memoized", counted_memo)
     monkeypatch.setattr(S, "_closest_hops", counted_hops)
     monkeypatch.setattr(S, "component_labels", counted_labels)
     g = G.erdos_renyi(300, 0.012, seed=4)
@@ -354,10 +362,184 @@ def test_sweep_cell_computes_each_set_product_once(monkeypatch):
             strat, _ = cli.build_strategy(g, name, C)
             intercepted_pairs(g, strat)
         assert work == Counter(closest_hops=1, labelling=labelled)
+        # the held count is computed for honest, independent and the first
+        # of the separated/adjacent pair, and read for the second
         assert computed == Counter(dict.fromkeys(
             ["rows", "hops", "components", "adjacent", "hop_table", "pass",
-             ("dc", "|u1")], 1))
+             ("dc", "|u1")], 1)) + Counter(count=3)
         held = g._memo["slot"][1]
         assert [held[key].dtype for key in ("hops", "components")] \
             == [np.int16, np.uint8]
         assert held["hop_table"].shape == (len(C), g.n + 2)
+
+
+def counted_passes(monkeypatch):
+    """Patch the pass's `_over_blocks`; return the Counter of its entries
+    ("passes") and of the block function's calls ("blocks")."""
+    calls, over_blocks, lock = Counter(), S._over_blocks, threading.Lock()
+
+    def counted(g, removed, fn):
+        calls["passes"] += 1
+
+        def block(T, D):
+            with lock:
+                calls["blocks"] += 1
+            return fn(T, D)
+
+        return over_blocks(g, removed, block)
+
+    monkeypatch.setattr(S, "_over_blocks", counted)
+    return calls
+
+
+def fraction_pair(res):
+    return res.fraction_ordered, res.fraction_unordered
+
+
+@pytest.mark.parametrize("n, p", [(120, 0.03), (300, 0.012)])
+def test_sweep_cell_runs_three_passes(monkeypatch, n, p):
+    # a CLI cell's four strategies, in either order, on a one-block and a
+    # two-block graph and on a separated and a multi-node set: the separated
+    # and adjacent strategies have equal arrays, so the second of them is
+    # read from the held count; every result equals the one of a count
+    # alone on a fresh graph
+    # (honest and independent strategies are equal too, and counted once,
+    # when no colluder has a target at distance 2 or more, so the sets are
+    # drawn from the largest component)
+    g = G.erdos_renyi(n, p, seed=4)
+    comp = G.component_labels(g)
+    big = np.flatnonzero(comp == np.bincount(comp).argmax())
+    spread = []
+    for v in big.tolist():
+        if all(not g.has_edge(v, u) for u in spread):
+            spread.append(v)
+    x, y = big[0], g.neighbors(big[0])[0]
+    blocks = -(-g.n // G._BLOCK)
+    for C in (spread[::7][:6], sorted({int(x), int(y), *big[[20, 40]].tolist()})):
+        expect = {}
+        for name in cli._STRATEGIES:
+            h = fresh(g)
+            expect[name] = intercepted_pairs(h, cli.build_strategy(h, name, C)[0])
+        for names in (cli._STRATEGIES, cli._STRATEGIES[::-1]):
+            h = fresh(g)
+            with monkeypatch.context() as m:
+                calls = counted_passes(m)
+                got = {name: intercepted_pairs(h, cli.build_strategy(h, name, C)[0])
+                       for name in names}
+            assert calls == Counter(passes=3, blocks=3 * blocks)
+            assert got == expect
+        assert expect["separated"] == expect["adjacent"]
+
+
+def edited(strat, broadcast=None, forward=None):
+    """A strategy with copies of strat's vectors, one entry of each given
+    (colluder, target, value) written."""
+    b = {v: a.copy() for v, a in strat.broadcast.items()}
+    f = {v: a.copy() for v, a in strat.forward.items()}
+    for vectors, entry in ((b, broadcast), (f, forward)):
+        if entry is not None:
+            v, t, value = entry
+            vectors[v][t] = value
+    return S.Strategy(strat.colluders, b, f, strat.label)
+
+
+def outcome(g, strat):
+    """The per-target count, or the violation (pair, trapped) it raises."""
+    try:
+        return intercepted_pairs(g, strat, per_target=True)
+    except S.InadmissibleError as e:
+        return e.pair, e.trapped
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_edited_strategy_is_recounted(seed):
+    # after a held count, a strategy differing in one broadcast entry or
+    # one hop, or the counted strategy edited in place, runs a pass of its
+    # own: its outcome equals a fresh graph's, and an admissible one's count
+    # equals the oracle's
+    # (a second component and an isolated node hold INF broadcasts, half
+    # of the edits are of one, and the count does not read them: only the
+    # pass it runs tells the recount)
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n_max=11, n_min=4)
+    C = sorted(int(v) for v in rng.choice(g.n, int(rng.integers(1, 4)),
+                                          replace=False))
+    g = G.from_edges(g.n + 3, list(g.edges()) + [(g.n, g.n + 1)])
+    base = S.adjacent_strategy(g, C)
+    v = C[int(rng.integers(len(C)))]
+    far = base.broadcast[v] >= INF
+    t = int(rng.choice(np.flatnonzero(far if rng.random() < 0.5 else
+                                      np.arange(g.n) != v)))
+    raised = int(base.broadcast[v][t]) + 1 if base.broadcast[v][t] < INF else 1
+    hops = [-1, *g.neighbors(v).tolist()]
+    hops.remove(int(base.forward[v][t]))
+    hop = int(rng.choice(hops))
+    with pytest.MonkeyPatch.context() as m:
+        calls = counted_passes(m)
+        held = outcome(g, base)
+        assert outcome(g, edited(base)) == held
+        assert calls["passes"] == 1
+        for strat in (edited(base, broadcast=(v, t, raised)),
+                      edited(base, forward=(v, t, hop)), base):
+            if strat is base:
+                base.broadcast[v][t] = raised
+                base.forward[v][t] = hop
+            before = calls["passes"]
+            got = outcome(g, strat)
+            assert calls["passes"] == before + 1
+            assert got == outcome(fresh(g), strat)
+            if isinstance(got, I.InterceptionResult):
+                pairs = intercepted_pairs_oracle(g, strat)
+                assert got.intercepted_ordered == len(pairs)
+                assert got.per_target_counts == {
+                    u: (sum(1 for (_, w) in pairs if w == u),
+                        got.per_target_counts[u][1]) for u in range(g.n)}
+
+
+def test_interleaved_sets_recount(monkeypatch):
+    # S1, S2, S1: naming S2 drops S1's held count with its slot, so the
+    # last count runs a pass; the results equal fresh graphs'
+    g = G.erdos_renyi(300, 0.012, seed=4)
+    S1, S2 = (sorted(C) for C in colluder_sets(g, np.random.default_rng(4)))
+    expect = [outcome(fresh(g), S.adjacent_strategy(g, C)) for C in (S1, S2, S1)]
+    calls = counted_passes(monkeypatch)
+    assert [outcome(g, S.adjacent_strategy(g, C)) for C in (S1, S2, S1)] == expect
+    assert calls["passes"] == 3
+    assert outcome(g, S.adjacent_strategy(g, S1)) == expect[0]
+    assert calls["passes"] == 3
+
+
+def test_per_target_from_the_held_count(monkeypatch):
+    g = G.erdos_renyi(300, 0.012, seed=4)
+    C = sorted(colluder_sets(g, np.random.default_rng(4))[0])
+    expect = intercepted_pairs(fresh(g), S.adjacent_strategy(g, C),
+                               per_target=True)
+    calls = counted_passes(monkeypatch)
+    plain = intercepted_pairs(g, S.separated_strategy(g, C))
+    per_target = intercepted_pairs(g, S.adjacent_strategy(g, C), per_target=True)
+    assert calls["passes"] == 1
+    assert per_target == expect
+    assert replace(per_target, per_target_counts=None) == plain
+
+
+def test_inadmissible_strategy_is_not_held():
+    # a violation toward target 0 raises the same error on each call, and
+    # the slot holds no count after it, also where one was held before
+    g = G.erdos_renyi(300, 0.012, seed=4)
+    comp = G.component_labels(g)
+    C = [int(v) for v in np.flatnonzero(comp == comp[0])[1:40:4]]
+    base = S.adjacent_strategy(g, C)
+    bad = edited(base, forward=(C[0], 0, -1))
+    intercepted_pairs(g, base)
+    assert "count" in g._memo["slot"][1]
+    errors = []
+    for _ in range(2):
+        with pytest.raises(S.InadmissibleError) as e:
+            intercepted_pairs(g, bad)
+        errors.append((e.value.pair, e.value.trapped))
+        assert "count" not in g._memo["slot"][1]
+    assert errors[0] == errors[1] and errors[0][0][1] == 0
+    h = fresh(g)
+    verdict = S.check_admissible(h, bad)
+    assert (verdict.violating_pair, verdict.trap_set) == errors[0]

@@ -19,7 +19,8 @@ from oracles import (_closest_hop, adjacent_strategy_reference,
                      colluder_components_reference,
                      minimal_admissible_bruteforce_reference,
                      random_connected_graph, rho_star_plan_reference,
-                     separated_strategy_reference, simulate_strategy)
+                     rho_star_plans_reference, separated_strategy_reference,
+                     simulate_strategy)
 
 
 def path_graph(n):
@@ -1096,3 +1097,69 @@ def test_closest_hops_match_reference(seed, hubs):
     assert hops.shape == (len(C), g.n) and hops.dtype == np.int64
     assert hops.tolist() == [_closest_hop(g, rows, v).tolist() for v in C]
 
+
+
+def assert_plans_equal(got, ref):
+    for a, b in zip(got, ref, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(0, 9))
+@example(0, 1)
+@example(3, 1)
+def test_plans_match_row_layout_reference(seed, k):
+    # two components and up to two isolated nodes, the separated set drawn
+    # from both, so that some targets are unreachable from some colluders;
+    # the set in random order is also the order
+    rng = np.random.default_rng(seed)
+    a = random_connected_graph(rng, n_max=14, n_min=1)
+    b = random_connected_graph(rng, n_max=7, n_min=1)
+    g = G.from_edges(a.n + b.n + int(rng.integers(0, 3)), list(a.edges())
+                     + [(a.n + u, a.n + v) for u, v in b.edges()])
+    order = separated_subset(g, rng)[:k]
+    C = tuple(sorted(order))
+    rows = S._distance_rows(g, C)
+    hops = S._closest_hops(g, rows, C)
+    if len(C) > 1 and len({int(c) for c in G.component_labels(g)[list(C)]}) > 1:
+        assert (rows[1][rows[0][list(C)]] >= INF).any()
+    targets = [t for t in rng.permutation(g.n).tolist() if t not in C][:5]
+    for o in (None, order):
+        assert_plans_equal(S._rho_star_plans(g, C, rows, hops, order=o),
+                           rho_star_plans_reference(g, C, rows, hops, order=o))
+        assert_plans_equal(
+            S._rho_star_plans(g, C, rows, hops, order=o, targets=targets),
+            rho_star_plans_reference(g, C, rows, hops, order=o,
+                                     targets=targets))
+
+
+def test_plans_with_int64_keys():
+    # 550 colluders need 10-bit key fields, which with n = 1100 pass 31 bits
+    g = path_graph(1100)
+    C = tuple(range(0, 1100, 2))
+    rows = S._distance_rows(g, C)
+    hops = S._colluder_hops(g, C)
+    targets = [1, 3, 547, 1097, 1099]
+    for o in (None, C[::-1]):
+        assert_plans_equal(
+            S._rho_star_plans(g, C, rows, hops, order=o, targets=targets),
+            rho_star_plans_reference(g, C, rows, hops, order=o,
+                                     targets=targets))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_adjacent_multi_node_components_match_reference(seed):
+    # a set holding an edge and up to three more nodes, so that at least
+    # one component has two members and the plan runs on the quotient
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n_max=14, n_min=3)
+    if rng.random() < 0.4:
+        g = G.from_edges(g.n + 3, list(g.edges()) + [(g.n, g.n + 1)])
+    x, y = list(g.edges())[int(rng.integers(g.m))]
+    C = sorted({x, y, *rng.choice(g.n, int(rng.integers(0, 4))).tolist()})
+    assert max(map(len, S.colluder_components(g, C))) > 1
+    got, ref = S.adjacent_strategy(g, C), adjacent_strategy_reference(g, C)
+    for v in C:
+        assert np.array_equal(got.broadcast[v], ref.broadcast[v])
+        assert np.array_equal(got.forward[v], ref.forward[v])
