@@ -298,11 +298,14 @@ _HOP_DTYPES = (np.uint8, np.uint16, np.uint32)
 
 def _pull_lists(g: Graph, removed=(), sealed=()):
     """(n, starts, nbrs, mask): in a BFS level node v pulls the bits of
-    nbrs[starts[v]:starts[v + 1]].  Every arc touching `removed` is dropped,
-    and so is every arc into `sealed`.  `reduceat` gives a node with an
-    empty run the word at its start instead of zero, so such a node's `mask`
-    word is 0 (all ones otherwise); nbrs ends with one padding entry, and
-    starts with its index, so that every start is in range."""
+    nbrs[starts[v]:starts[v + 1]] and keeps those of mask[v].  Every arc
+    touching `removed` is dropped, and so is every arc into `sealed`.
+    `reduceat` gives a node with an empty run the word at its start instead
+    of zero, so such a node's `mask` word is 0 (all ones otherwise); nbrs
+    ends with one padding entry, and starts with its index, so that every
+    start is in range.  `mask` is n x 1, one word for every source word;
+    `_hop_families` widens it to one word per node and source word, 0 where
+    that word's sources are sealed off the node."""
     blocked = np.zeros(g.n, np.bool_)
     blocked[list(removed)] = True
     gives = ~blocked
@@ -320,17 +323,19 @@ def _bit_bfs(pull, sources) -> np.ndarray:
     """|sources| x n hop distances over `pull` (from `_pull_lists`), all
     sources at once: node v holds bit i of its uint64 words when sources[i]
     has reached it.  One level ORs the frontier words of each node's pulled
-    neighbours and keeps the bits not yet seen; every entry still unseen
-    before a level gains 1, so an entry reached at level d holds d.  The
-    result is uint8, widened to uint16 or uint32 when a level would reach
-    the dtype's maximum, which marks the unreached entries."""
+    neighbours and keeps the bits not yet seen and not masked (`mask` is
+    n x 1 or n x words); every entry still unseen before a level gains 1, so
+    an entry reached at level d holds d.  A source -1 starts nothing, and
+    its row is unreached.  The result is uint8, widened to uint16 or uint32
+    when a level would reach the dtype's maximum, which marks the unreached
+    entries."""
     n, starts, nbrs, mask = pull
     sources = np.asarray(sources, np.int64).reshape(-1)
     k = sources.size
     words = (k + 63) // 64
-    bit = np.arange(k)
+    bit = np.flatnonzero(sources >= 0)
     frontier = np.zeros((n, words), "<u8")
-    np.bitwise_or.at(frontier, (sources, bit >> 6),
+    np.bitwise_or.at(frontier, (sources[bit], bit >> 6),
                      np.left_shift(np.uint64(1), (bit & 63).astype(np.uint64)))
     seen = frontier.copy()
     dtypes = iter(_HOP_DTYPES)
@@ -365,6 +370,50 @@ def hop_distances(g: Graph, sources, removed=(), sealed=()) -> np.ndarray:
     else uint16 or uint32; np.iinfo(D.dtype).max marks unreached entries
     (see `as_hops`)."""
     return _bit_bfs(_pull_lists(g, removed, sealed), sources)
+
+
+# source words per `_hop_families` BFS: its per-level arrays take about
+# 200 bytes per node and word
+_WORDS = 32
+
+
+def _hop_families(g: Graph, families) -> list:
+    """[hop_distances(g, sources, sealed=sealed) for (sources, sealed) in
+    families], equal in values and dtype, from as few `_bit_bfs` calls as
+    possible: the families of one call take at most `_WORDS` source words
+    (a larger family runs alone).  Each family's sources start on a word of
+    their own, padded with -1, and the pull mask holds one word per node
+    and source word, 0 at the nodes its family seals.  A level runs while
+    any family's frontier is live, so the call's dtype is the widest its
+    families need; a family whose distances fit a narrower one is narrowed
+    to it, as its own call would return it."""
+    families = [(np.asarray(src, np.int64).reshape(-1),
+                 np.asarray(sealed, np.int64).reshape(-1))
+                for src, sealed in families]
+    n, starts, nbrs, mask = _pull_lists(g)
+    out, i = [], 0
+    while i < len(families):
+        # families i to j - 1, whose words start at lo
+        size = [-(-src.size // 64) for src, _ in families[i:]]
+        j = i + max(1, np.searchsorted(np.cumsum(size), _WORDS, "right"))
+        lo = np.cumsum([0] + size[:j - i])
+        sources = np.full(64 * lo[-1], -1, np.int64)
+        seal = np.repeat(mask, lo[-1], axis=1)
+        for (src, sealed), a, b in zip(families[i:j], lo, lo[1:]):
+            sources[64 * a:64 * a + src.size] = src
+            seal[sealed, a:b] = 0
+        D = _bit_bfs((n, starts, nbrs, seal), sources)
+        top = np.iinfo(D.dtype).max
+        for (src, _), a in zip(families[i:j], lo):
+            rows = D[64 * a:64 * a + src.size]
+            if D.dtype != np.uint8:
+                far = int(rows.max(initial=0, where=rows < top))
+                narrow = next(t for t in _HOP_DTYPES if far < np.iinfo(t).max)
+                rows = np.where(rows < top, rows,
+                                np.iinfo(narrow).max).astype(narrow)
+            out.append(rows.copy() if j - i > 1 else rows)
+        i = j
+    return out
 
 
 def as_hops(D, dtype=np.int64, inf: int = INF) -> np.ndarray:

@@ -46,7 +46,15 @@ def _int_rows(vectors, ids, n: int, what: str):
     own faults are, in order: a missing vector, a shape other than (n,) and
     a non-integer entry (`_non_integer`, which passes an integer dtype
     untested).  The caller tests the values of a, whose faults come before
-    `fault`."""
+    `fault`.  The vectors are stacked once: an integer k x n stack has no
+    row fault, and any other outcome reads the rows one by one to find the
+    first."""
+    try:
+        a = np.array([vectors[v] for v in ids])
+    except (KeyError, ValueError):  # a missing vector, or unequal shapes
+        a = None
+    if a is not None and a.shape == (len(ids), n) and a.dtype.kind in "biu":
+        return a.astype(np.int64, copy=False), None
     rows, fault = [], None
     for v in ids:
         if v not in vectors:

@@ -42,6 +42,13 @@ class SelectionSpec:
             raise ValueError(f"method {self.method!r} requires k >= 0")
 
 
+# entries of the B x m x m arrays of one evaluation: a batch of B
+# candidates of an m-node component keeps each float64 array at 256 KiB,
+# inside a 2 MiB L2 cache (a batch of every candidate, 8 MiB per array at
+# m = 100, ran slower than one candidate at a time)
+_BATCH = 1 << 15
+
+
 class _Coverage:
     """`shortest_path_coverage` of a growing prefix S, by successive group
     betweenness (Puzis, Elovici & Dolev, Phys. Rev. E 76, 056709, 2007).
@@ -59,6 +66,15 @@ class _Coverage:
     exact ties are decided by the last bits: one numpy sum per target over
     the other nodes of its component, in ascending order, then the targets'
     sums one by one in ascending order.
+
+    Every evaluation is one `_eval` on a batch of B candidates of one
+    component, written into buffers held per component: B x m x m float64
+    (sigma_{S+v}, then the shares), B x m x m of D's dtype and of bool (the
+    on-path test) and B x m x (m - 1) float64 (the off-diagonal shares, read
+    through a strided view of the shares, not a reshape copy), about
+    18 B m^2 bytes.  B is 1 once m^2 reaches `_BATCH` entries.  A single
+    candidate (`value_with`, `add`) runs on 2-D views of the first entries;
+    only the greedy's seed round (`seed_values`) fills a batch.
     """
 
     def __init__(self, g: Graph):
@@ -67,54 +83,80 @@ class _Coverage:
         self._pairs = int((sizes * (sizes - 1)).sum())
         self._nodes = [np.flatnonzero(self._comp == c) for c in range(sizes.size)]
         self._pos = np.zeros(g.n, np.int64)  # index of a node in its component
-        self._dist, self._sigma = [], []
+        self._dist, self._sigma, self._buffers = [], [], []
         for nodes in self._nodes:
-            self._pos[nodes] = np.arange(nodes.size)
+            m = nodes.size
+            self._pos[nodes] = np.arange(m)
             sub = induced_subgraph(g, nodes)
             a = csr_matrix((np.ones(sub.indices.size), sub.indices, sub.indptr),
-                           shape=(nodes.size, nodes.size))
-            D = hop_distances(sub, np.arange(nodes.size))
+                           shape=(m, m))
+            D = hop_distances(sub, np.arange(m))
             diameter = int(D.max())
             D = D.astype(np.min_scalar_type(2 * diameter))
             # sigma at distance d is A times sigma at distance d - 1
-            sigma = np.eye(nodes.size)
+            sigma = np.eye(m)
             for d in range(1, diameter + 1):
                 layer = D == d
                 sigma[layer] = (a @ np.where(D == d - 1, sigma, 0.0))[layer]
             self._dist.append(D)
             self._sigma.append(sigma)
+            batch = min(m, max(1, _BATCH // (m * m)))
+            out, off = np.empty((batch, m, m)), np.empty((batch, m, m - 1))
+            # the off-diagonal entries of each matrix of out, row by row, as
+            # a view: past the first diagonal entry, each run of m + 1 flat
+            # entries ends on the next one
+            out_off = out.reshape(batch, m * m)[:, 1:].reshape(
+                batch, m - 1, m + 1)[:, :, :-1]
+            self._buffers.append((out, np.empty((batch, m, m), D.dtype),
+                                  np.empty((batch, m, m), np.bool_), off,
+                                  out_off, off.reshape(batch, m - 1, m)))
         self._reset()
 
     def _reset(self):
         self.chosen: set[int] = set()
-        # sigma_S blocks are replaced, never written in place, so they can
-        # start as sigma's arrays
+        # a sigma_S block starts as sigma's array; the first add on its
+        # component copies it, later ones write the copy
         self._sigma_s = list(self._sigma)
         # per-target sum of covered shares; all are 0 when S is empty
         self._rows = np.zeros(self._comp.size)
 
-    def _with(self, v: int):
-        """(per-target sums, sigma_S block of v's component) for S + v."""
+    def _eval(self, c, at, block=None):
+        """The per-target sums of covered shares over component c for S plus
+        the candidate at position `at` of c (m entries; an int) or plus each
+        candidate of the positions `at` (B x m; a slice), from the held
+        buffers (m x m arrays, or B x m x m).  sigma_S of S plus the
+        candidate goes to the held buffer, or to `block`."""
+        D, sigma_s = self._dist[c], self._sigma_s[c]
+        held = 0 if isinstance(at, int) else slice(0, at.stop - at.start)
+        out, dsum, on, off, out_off, off_rows = (
+            buf[held] for buf in self._buffers[c])
+        # both matrices are symmetric: v's row is also its column.  As v is
+        # not in S, sigma_S(v, v) = 1, so this also zeroes v's row and column
+        r, d = sigma_s[at], D[at]
+        np.multiply(r[..., :, None], r[..., None, :], out=out)
+        np.add(d[..., :, None], d[..., None, :], out=dsum)
+        np.equal(dsum, D, out=on)
+        out *= on
+        block = out if block is None else block
+        np.subtract(sigma_s, out, out=block)
+        np.divide(block, self._sigma[c], out=out)
+        np.subtract(1.0, out_off, out=off_rows)
+        return off.sum(axis=-1)
+
+    def _check(self, v) -> int:
+        v = int(v)
         if not 0 <= v < self._comp.size:
             raise ValueError(f"node {v} out of range for n={self._comp.size}")
         if v in self.chosen:
             raise ValueError(f"node {v} is already chosen")
-        c, i = self._comp[v], self._pos[v]
-        D, sigma_s = self._dist[c], self._sigma_s[c]
-        # both matrices are symmetric: v's row is also its column.  As v is
-        # not in S, sigma_S(v, v) = 1, so this also zeroes v's row and column
-        out = np.outer(sigma_s[i], sigma_s[i])
-        out *= np.add.outer(D[i], D[i]) == D
-        np.subtract(sigma_s, out, out=out)
-        share = out / self._sigma[c]
-        np.subtract(1.0, share, out=share)
-        m = share.shape[0]
-        # off-diagonal entries row by row: past the first diagonal entry,
-        # each run of m + 1 flat entries ends on the next one
-        off = share.ravel()[1:].reshape(m - 1, m + 1)[:, :-1].reshape(m, m - 1)
+        return v
+
+    def _with(self, v: int, block=None):
+        """The per-target sums for S + v, from `_eval` of v alone."""
+        c = self._comp[v]
         rows = self._rows.copy()
-        rows[self._nodes[c]] = off.sum(axis=1)
-        return rows, out
+        rows[self._nodes[c]] = self._eval(c, int(self._pos[v]), block)
+        return rows
 
     def _value(self, rows) -> float:
         # cumsum adds left to right, as a running Python float does
@@ -126,12 +168,29 @@ class _Coverage:
 
     def value_with(self, v: int) -> float:
         """F(S + v); the prefix is unchanged."""
-        return self._value(self._with(int(v))[0])
+        return self._value(self._with(self._check(v)))
+
+    def seed_values(self) -> list[float]:
+        """[F({v}) for every node v], each component's nodes in batches of
+        its buffers' size; the prefix becomes empty."""
+        self._reset()
+        sums = np.zeros(self._comp.size)
+        for c, nodes in enumerate(self._nodes):
+            batch = len(self._buffers[c][0])
+            for lo in range(0, nodes.size, batch):
+                hi = min(lo + batch, nodes.size)
+                rows = np.zeros((hi - lo, self._comp.size))
+                rows[:, nodes] = self._eval(c, slice(lo, hi))
+                sums[nodes[lo:hi]] = np.cumsum(rows, axis=1)[:, -1]
+        return [float(x) / self._pairs if self._pairs else 0.0 for x in sums]
 
     def add(self, v: int) -> None:
         """Append v to the prefix."""
-        v = int(v)
-        self._rows, self._sigma_s[self._comp[v]] = self._with(v)
+        v = self._check(v)
+        c = self._comp[v]
+        if self._sigma_s[c] is self._sigma[c]:
+            self._sigma_s[c] = self._sigma[c].copy()
+        self._rows = self._with(v, self._sigma_s[c])
         self.chosen.add(v)
 
     def value_of(self, S) -> float:
@@ -162,7 +221,7 @@ def _lazy_greedy(g: Graph, stop):
     chosen: list[int] = []
     current = 0.0
     # heap entries: (-cached gain, node id, round the gain was computed in)
-    heap = [(-cover.value_with(v), v, 0) for v in range(g.n)]
+    heap = [(-value, v, 0) for v, value in enumerate(cover.seed_values())]
     heapq.heapify(heap)
     gains: list[float] = []
     while heap and not stop(chosen, current):

@@ -21,9 +21,9 @@ from . import protocol
 # distance_avoiding is not called here but stays importable because
 # perfbench/tracing.py patches this name
 from .graph import (INF, Graph, ParseError, distance_avoiding,  # noqa: F401
-                    _colluder_tuple, _csr, _honest_rows, _over_blocks,
-                    _memoized, _node_id, as_hops, component_labels,
-                    distance_blocks, hop_distances, induced_subgraph)
+                    _colluder_tuple, _csr, _honest_rows, _hop_families,
+                    _over_blocks, _memoized, _node_id, _slot, as_hops,
+                    component_labels, distance_blocks, hop_distances)
 from .protocol import _min_plus
 
 
@@ -31,24 +31,49 @@ class BudgetError(RuntimeError):
     """Exhaustive search would exceed its configured budget."""
 
 
+def _near(g: Graph, S):
+    """(ids, at): the nodes of S and their neighbours in id order, and at[v]
+    the index of node v among them, -1 for the others."""
+    cover = np.zeros(g.n, np.bool_)
+    cover[list(S)] = True
+    cover[g.indices[np.repeat(cover, g.degrees())]] = True
+    ids = np.flatnonzero(cover)
+    at = np.full(g.n, -1, np.int64)
+    at[ids] = np.arange(ids.size)
+    return ids, at
+
+
 def _distance_rows(g: Graph, S):
     """(at, D): D holds the int64 hop-distance rows of S and its neighbours
     in g, INF where unreachable.  Node v's row is D[at[v]]; at[v] = -1 for
     nodes not covered.  Every true distance that a build or the brute
     force's ranges read comes from these rows, held read-only in the slot
-    of S's set (`graph._memoized`)."""
+    of S's set (`graph._memoized`) and computed by `_set_distances`."""
+    return _set_distances(g, S)[0]
+
+
+def _set_distances(g: Graph, S, families=()):
+    """((at, D), Ds): `_distance_rows` of S and, per family (sources,
+    sealed), `hop_distances(g, sources, sealed=sealed)`, from one
+    `graph._hop_families` call that also computes whichever of the rows and
+    D_C (`graph._honest_rows`) the slot of S does not yet hold, and holds
+    them.  With both held and no family it runs no BFS."""
     S = _colluder_tuple(g.n, S)
-
-    def rows():
-        cover = np.zeros(g.n, np.bool_)
-        cover[list(S)] = True
-        cover[g.indices[np.repeat(cover, g.degrees())]] = True
-        ids = np.flatnonzero(cover)
-        at = np.full(g.n, -1, np.int64)
-        at[ids] = np.arange(ids.size)
-        return at, as_hops(hop_distances(g, ids))
-
-    return _memoized(g, S, "rows", rows)
+    slot = _slot(g, S)
+    wanted = list(families)
+    near = None if "rows" in slot else _near(g, S)
+    if near is not None:
+        wanted.append((near[0], ()))
+    dc = "honest" not in slot
+    if dc:
+        wanted.append((S, S))
+    Ds = _hop_families(g, wanted) if wanted else []
+    # D_C is the last family and the rows the one before, after `families`
+    if dc:
+        _memoized(g, S, "honest", Ds.pop)
+    if near is not None:
+        _memoized(g, S, "rows", lambda: (near[1], as_hops(Ds.pop())))
+    return slot["rows"], Ds
 
 
 def _runs(g: Graph, V):
@@ -360,11 +385,11 @@ def _colluder_arcs(g: Graph, C):
 
 def _check_separated(g: Graph, C) -> None:
     """ValueError naming the least adjacent colluder pair (x, y), x < y, when
-    the held components (`_component_index`) are not all single colluders.
+    the held components (`_colluder_graph`) are not all single colluders.
     It is the first arc between two colluders in CSR order: its source x is
     the least colluder with a colluder neighbour, so each such neighbour is
     above x."""
-    index = _component_index(g, C)
+    index = _colluder_graph(g, C)[0]
     if index.size and index[-1] < index.size - 1:
         src, dst = _colluder_arcs(g, C)
         x, y = src[0], dst[0]
@@ -516,29 +541,44 @@ def separated_strategy(g: Graph, C) -> Strategy:
 # ---------------------------------------------------------------------------
 
 
-def _component_index(g: Graph, C) -> np.ndarray:
-    """Per colluder of C in id order, the index of its component in the
-    subgraph induced on C: `component_labels` of that subgraph, whose labels
-    count up from the component of its lowest member, or 0 to k - 1 when no
-    arc joins two colluders.  Held read-only in the slot of C's set, in the
-    narrowest dtype that holds it."""
+def _colluder_graph(g: Graph, C):
+    """(index, hops) of the subgraph induced on the colluder set C, from one
+    BFS of it.  index: per colluder in id order the index of its component,
+    counting up from the component of its lowest member (each colluder's
+    lowest reachable member names its component); 0 to k - 1, with no BFS,
+    when no arc joins two colluders.  hops: over the members X of the
+    multi-node components in id order, hops[a, b] is the `_closest_hops`
+    hop of X[a] toward X[b] inside their component, -1 on the diagonal and
+    between components.  Held read-only in the slot of C's set, in the
+    narrowest dtypes that hold them; the BFS and hops take k^2 and a few
+    |X| k int64 entries."""
     C = _colluder_tuple(g.n, C)
 
-    def index():
-        if not _colluder_arcs(g, C)[0].size:
-            return _narrow(np.arange(len(C)))
-        return _narrow(component_labels(induced_subgraph(g, C)))
+    def compute():
+        ids = np.asarray(C, np.int64)
+        src, dst = (np.searchsorted(ids, a) for a in _colluder_arcs(g, C))
+        if not src.size:
+            return _narrow(np.arange(ids.size)), np.zeros((0, 0), np.int8)
+        sub = _csr(ids.size, src, dst)
+        D = hop_distances(sub, np.arange(ids.size))
+        low = (D < np.iinfo(D.dtype).max).argmax(axis=1)
+        index = (np.cumsum(low == np.arange(ids.size)) - 1)[low]
+        X = np.flatnonzero(np.bincount(index)[index] > 1)
+        at = np.full(ids.size, -1, np.int64)
+        at[X] = np.arange(X.size)
+        hops = _closest_hops(sub, (at, as_hops(D[X])), X)[:, X]
+        return _narrow(index), _narrow(np.where(hops >= 0, ids[hops], -1))
 
-    return _memoized(g, C, "components", index)
+    return _memoized(g, C, "components", compute)
 
 
 def colluder_components(g: Graph, C) -> list[tuple[int, ...]]:
     """Connected components of the subgraph induced on the colluder set,
-    ordered by lowest member id (`_component_index`).  With no arc between
+    ordered by lowest member id (`_colluder_graph`).  With no arc between
     two colluders every component is a single colluder."""
     C = _colluder_tuple(g.n, C)
     comps: list[list[int]] = [[] for _ in C]
-    for v, ci in zip(C, _component_index(g, C).tolist()):
+    for v, ci in zip(C, _colluder_graph(g, C)[0].tolist()):
         comps[ci].append(v)
     return [tuple(comp) for comp in comps if comp]
 
@@ -562,16 +602,6 @@ def _quotient(g: Graph, comps):
     gq = _csr(nodes.size, np.repeat(qid, g.degrees()), qid[g.indices])
     honest_of = np.where(colluder[nodes], -1, nodes)
     return gq, qid, honest_of, [int(qid[comp[0]]) for comp in comps]
-
-
-def _intra_component_hops(g: Graph, comp) -> np.ndarray:
-    """H[a, b]: the lowest-id neighbour of comp[a] one step closer to comp[b]
-    along shortest paths inside the component, -1 on the diagonal.  `comp`
-    is a sorted colluder component of at least two members."""
-    sub = induced_subgraph(g, comp)  # node a is comp[a], so ids keep their order
-    rows = _distance_rows(sub, range(sub.n))
-    hops = _closest_hops(sub, rows, np.arange(sub.n))
-    return np.where(hops >= 0, np.asarray(comp)[hops], -1)
 
 
 def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
@@ -610,12 +640,20 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
 
 def _adjacent(g: Graph, C, component_order=None):
     """(C, b, hop) of `adjacent_strategy`: C as `_colluder_tuple` and the
-    broadcasts and hops as k x n int64 arrays in id order."""
+    broadcasts and hops as k x n int64 arrays in id order.  The BFS on g
+    that computes the rows of C and its neighbours and D_C, when they are
+    not yet held, also gives the relay bound's rows (`_set_distances`)."""
+    C = _colluder_tuple(g.n, C)
+    comps = colluder_components(g, C)
+    # the members of multi-node components, and per component cj their
+    # distances avoiding cj's other members
+    X = np.array([x for comp in comps if len(comp) > 1 for x in comp], np.int64)
+    relay = _set_distances(g, C, [(X, comp) for comp in comps if X.size])[1]
     C, rows, b, hop = _honest(g, C)
     ids = np.asarray(C, np.int64)
-    comps = colluder_components(g, C)
     cnum = np.full(g.n, -1, np.int64)  # component index of each colluder
-    cnum[ids] = _component_index(g, C)
+    index, inner_hops = _colluder_graph(g, C)
+    cnum[ids] = index
     # relay bounds (multi-node components only) need the synchronized column
     relays = len(comps) < len(C)
     if relays:
@@ -647,7 +685,8 @@ def _adjacent(g: Graph, C, component_order=None):
     T = np.flatnonzero(honest)
     qrows, qhops = rows, hop
     if relays:
-        qrows = _distance_rows(gq, comp_qid)
+        near, at = _near(gq, comp_qid)
+        qrows = at, as_hops(hop_distances(gq, near))
         qhops = _closest_hops(gq, qrows, comp_qid)
     _, val, fn, _, qhop = _rho_star_plans(gq, tuple(comp_qid), qrows, qhops,
                                           order=qorder, targets=qid[T])
@@ -670,12 +709,13 @@ def _adjacent(g: Graph, C, component_order=None):
         cols = a[:, T]
         np.copyto(cols, planned[cnum[ids]], where=mine)
         a[:, T] = cols
+    members = np.sort(X)
     for ci, comp in enumerate(comps):
         if len(comp) > 1:
             # internal traffic is relayed toward the exit, which keeps w
             sel = exits[ci] >= 0
-            inner = _intra_component_hops(g, comp)[
-                :, np.searchsorted(comp, exits[ci, sel])]
+            inner = inner_hops[np.ix_(np.searchsorted(members, comp),
+                                      np.searchsorted(members, exits[ci, sel]))]
             at = np.ix_(np.searchsorted(ids, comp), T[sel])
             hop[at] = np.where(inner >= 0, inner, hop[at])
     if not relays:
@@ -697,12 +737,11 @@ def _adjacent(g: Graph, C, component_order=None):
     # Per member x of a multi-node component ci, the bound is the largest
     # col[w] - d(x, w), or 1 when there is none, over the components cj with
     # an exit and a forwarding number no larger than ci's, d avoiding cj's
-    # members but x: one BFS per cj from every such x, cj sealed.
-    X = np.array([x for comp in comps if len(comp) > 1 for x in comp], np.int64)
+    # members but x: the rows from every such x with cj sealed (`relay`).
     ci_of = cnum[X]
     best = np.full((X.size, T.size), -INF)
     for cj in np.flatnonzero(has.any(axis=1)):
-        dwx = as_hops(hop_distances(g, X, sealed=comps[cj])[:, wi[cj]])
+        dwx = as_hops(relay[cj][:, wi[cj]])
         ok = has[cj] & (fn[cj] <= fn[ci_of]) & (dwx < INF)
         best = np.where(ok, np.maximum(best, col[cj] - dwx), best)
     # every member but the exit announces its bound

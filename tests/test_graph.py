@@ -348,6 +348,38 @@ class TestHopDistances:
         assert (G.as_hops(G.hop_distances(g, sources, sealed=sealed))
                 == banned_rows(g, sources, sealed=sealed)).all()
 
+    @pytest.mark.parametrize("words", [1, 3, G._WORDS])
+    def test_families_match_their_own_calls(self, monkeypatch, words):
+        # each family of one merged BFS equals its own hop_distances call in
+        # values and dtype: disconnected graphs with isolated nodes, n <= 2,
+        # sealed sets holding every node, more than one word of sources, and
+        # a 300-node path whose unsealed family needs uint16 while a sealed
+        # one fits uint8; with `words` source words per call the families
+        # also split over several calls
+        monkeypatch.setattr(G, "_WORDS", words)
+        rng = np.random.default_rng(words)
+        graphs = [G.from_edges(n, e) for n, e in
+                  ((0, []), (1, []), (2, []), (2, [(0, 1)]))]
+        graphs += [G.erdos_renyi(90, 0.02, seed=s) for s in range(3)]
+        graphs += [sparse_graph(rng, 40), path_graph(300)]
+        for g in graphs:
+            nodes = np.arange(g.n)
+            families = [(nodes, ()), (nodes[:1], nodes), ([], nodes[:2]),
+                        (nodes, nodes), (nodes[::3], nodes[1::5])]
+            for _ in range(4):
+                src = rng.integers(g.n, size=int(rng.integers(0, 70))) if g.n else []
+                sealed = rng.permutation(g.n)[: int(rng.integers(0, g.n + 1))]
+                families.append((src, sealed))
+            if g.n == 300:
+                families.append(([0, 150], [5, 160]))
+            got = G._hop_families(g, families)
+            assert len(got) == len(families)
+            for (src, sealed), D in zip(families, got):
+                want = G.hop_distances(g, src, sealed=sealed)
+                assert D.dtype == want.dtype and np.array_equal(D, want)
+            if g.n == 300:
+                assert [D.dtype for D in got[-1:] + got[:1]] == [np.uint8, np.uint16]
+
     def test_as_hops_widens_before_the_sentinel(self):
         D = np.array([[0, 3, 255]], np.uint8)
         assert G.as_hops(D).tolist() == [[0, 3, INF]]

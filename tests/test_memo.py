@@ -179,33 +179,46 @@ def counted_bfs(monkeypatch):
     return calls
 
 
+def merged(g, *families):
+    """The key `counted_bfs` gives one `graph._hop_families` call on g over
+    the families' sources: each padded with -1 to whole words."""
+    sources = []
+    for src in families:
+        sources += list(src) + [-1] * (-len(src) % 64)
+    return G._pull_lists(g)[1].tobytes(), tuple(int(v) for v in sources)
+
+
 def test_sweep_cell_runs_each_bfs_once(monkeypatch):
-    # four builds and four counts on one separated set: D_C, the rows of S
-    # and its neighbours, and one BFS per block of D_{G-S}
+    # four builds and four counts on one separated set: one BFS for the
+    # rows of S and its neighbours together with D_C, and one BFS per block
+    # of D_{G-S}
     g = G.erdos_renyi(300, 0.012, seed=4)
     C = sorted(colluder_sets(g, np.random.default_rng(4))[0])
     calls = counted_bfs(monkeypatch)
     for build in BUILDERS:
         intercepted_pairs(g, build(g, C))
     blocks = -(-g.n // G._BLOCK)
-    assert sum(calls.values()) == 2 + blocks
+    assert sum(calls.values()) == 1 + blocks
     assert set(calls.values()) == {1}
-    dc = G._pull_lists(g, sealed=C)[1].tobytes(), tuple(C)
-    assert calls[dc] == 1
+    assert calls[merged(g, S._near(g, C)[0], C)] == 1
 
 
 def test_checked_adjacent_op_computes_d_c_once(monkeypatch):
     # the relay bounds of a multi-node component and the count read the same
-    # D_C rows; every BFS of the build and the checked count runs once
+    # D_C rows, computed in the build's one BFS on g with the relay rows (one
+    # family per component) and the rows of C and its neighbours; every BFS
+    # of the build and the checked count runs once
     g = G.erdos_renyi(300, 0.012, seed=4)
     x = next(v for v in range(g.n) if g.degree(v))
     C = sorted({x, int(g.neighbors(x)[0]), 100, 200})
+    comps = S.colluder_components(fresh(g), C)
+    X = [v for comp in comps if len(comp) > 1 for v in comp]
     calls = counted_bfs(monkeypatch)
     strat = S.adjacent_strategy(g, C)
     assert S.check_admissible(g, strat)
     intercepted_pairs(g, strat)
     assert set(calls.values()) == {1}
-    assert calls[G._pull_lists(g, sealed=C)[1].tobytes(), tuple(C)] == 1
+    assert calls[merged(g, *[X] * len(comps), S._near(g, C)[0], C)] == 1
 
 
 def test_rho_star_plans_share_their_rows(monkeypatch):
@@ -221,8 +234,8 @@ def test_rho_star_plans_share_their_rows(monkeypatch):
 def test_each_distance_product_has_one_producer(monkeypatch):
     # the brute force over every target of one set reads the held D_C, the
     # held rows of C and its neighbours (its search ranges) and t's row of
-    # the held D_{G-S}: one sealed BFS, one rows BFS and one block, however
-    # many targets
+    # the held D_{G-S}: one BFS for the rows and D_C together and one block,
+    # however many targets
     rng = np.random.default_rng(17)
     g = random_connected_graph(rng, n_max=10, n_min=8)
     C = sorted(int(v) for v in rng.choice(g.n, 3, replace=False))
@@ -230,11 +243,8 @@ def test_each_distance_product_has_one_producer(monkeypatch):
     near = tuple(np.flatnonzero(S._distance_rows(fresh(g), C)[0] >= 0).tolist())
     calls = counted_bfs(monkeypatch)
     frontiers = [S.minimal_admissible_bruteforce(g, C, t) for t in targets]
-    sealed = G._pull_lists(g, sealed=C)[1].tobytes()
     removed = G._pull_lists(g, C)[1].tobytes()
-    plain = G._pull_lists(g)[1].tobytes()
-    assert calls == {(sealed, tuple(C)): 1, (plain, near): 1,
-                     (removed, tuple(range(g.n))): 1}
+    assert calls == {merged(g, near, C): 1, (removed, tuple(range(g.n))): 1}
     assert frontiers == [minimal_admissible_bruteforce_reference(g, C, t)
                          for t in targets]
 
@@ -326,10 +336,14 @@ def test_sweep_cell_computes_each_set_product_once(monkeypatch):
     # the strategy and interception modules hold for the set is computed
     # once, but for the held count, which each distinct strategy computes;
     # among them are
-    # the colluders' closest hops (one `_closest_hops` on g), the labelling
-    # of the colluder subgraph (none for a separated set), the adjacent
-    # arrays, the validation table and the pass's per-set arrays, in narrow
-    # dtypes
+    # the colluders' closest hops (one `_closest_hops` on g), the components
+    # and intra-component hops of the colluder subgraph (one BFS of it, none
+    # for a separated set, and no scipy labelling), D_C with the rows, the
+    # adjacent arrays, the validation table and the pass's per-set arrays,
+    # in narrow dtypes.  The BFS calls: one on g for the rows and D_C, one
+    # per block, and for a multi-node set one of the colluder subgraph, one
+    # on g for the relay rows (the first build, honest, held the rows and
+    # D_C without them) and one of the quotient
     computed, work = Counter(), Counter()
     memoized, closest_hops, labels = S._memoized, S._closest_hops, S.component_labels
 
@@ -353,23 +367,31 @@ def test_sweep_cell_computes_each_set_product_once(monkeypatch):
     monkeypatch.setattr(S, "component_labels", counted_labels)
     g = G.erdos_renyi(300, 0.012, seed=4)
     x = next(v for v in range(g.n) if g.degree(v))
-    for labelled, C in enumerate([
+    blocks = -(-g.n // G._BLOCK)
+    for multi, C in enumerate([
             sorted(colluder_sets(g, np.random.default_rng(4))[0]),
             sorted({x, int(g.neighbors(x)[0]), 100, 200})]):
         computed.clear()
         work.clear()
-        for name in cli._STRATEGIES:
-            strat, _ = cli.build_strategy(g, name, C)
-            intercepted_pairs(g, strat)
-        assert work == Counter(closest_hops=1, labelling=labelled)
+        with monkeypatch.context() as m:
+            calls = counted_bfs(m)
+            for name in cli._STRATEGIES:
+                strat, _ = cli.build_strategy(g, name, C)
+                intercepted_pairs(g, strat)
+        assert work == Counter(closest_hops=1)
+        assert set(calls.values()) == {1}
+        assert sum(calls.values()) == 1 + blocks + 3 * multi
         # the held count is computed for honest, independent and the first
         # of the separated/adjacent pair, and read for the second
         assert computed == Counter(dict.fromkeys(
-            ["rows", "hops", "components", "adjacent", "hop_table", "pass",
-             ("dc", "|u1")], 1)) + Counter(count=3)
+            ["rows", "honest", "hops", "components", "adjacent", "hop_table",
+             "pass", ("dc", "|u1")], 1)) + Counter(count=3)
         held = g._memo["slot"][1]
-        assert [held[key].dtype for key in ("hops", "components")] \
-            == [np.int16, np.uint8]
+        index, inner = held["components"]
+        assert [held["hops"].dtype, index.dtype] == [np.int16, np.uint8]
+        # the two adjacent colluders are each other's hop
+        pair = sorted({x, int(g.neighbors(x)[0])})
+        assert inner.tolist() == ([[-1, pair[1]], [pair[0], -1]] if multi else [])
         assert held["hop_table"].shape == (len(C), g.n + 2)
 
 

@@ -309,6 +309,37 @@ class TestCoverageEvaluator:
         assert sel.greedy_max_spds(g, 10) == picks
         assert lazy_greedy_reference(g, lambda c, v: len(c) >= 10)[0] == picks
 
+    @pytest.mark.parametrize("batch", [1, 8, 18, 27, 48, 75, sel._BATCH])
+    def test_batches_match_reference(self, monkeypatch, batch):
+        # `_BATCH` entries per batch: an m-node component's candidates run
+        # in batches of max(1, batch // m^2), so components of sizes 1 to 5
+        # and 30 fall on either side of a batch boundary as `batch` varies
+        # (m = 3 is one batch at 27 and a batch of 2 and one of 1 at 18).
+        # The seed's batched values, single values and values after a
+        # prefix all equal the per-target reference
+        monkeypatch.setattr(sel, "_BATCH", batch)
+        rng = np.random.default_rng(batch)
+        parts = [G.pref_attach(30, 2, seed=batch), G.from_edges(1, []),
+                 G.from_edges(2, [(0, 1)]), G.from_edges(3, [(0, 1), (1, 2)]),
+                 G.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+                 G.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])]
+        edges, n = [], 0
+        for h in parts:
+            edges += [(n + a, n + b) for a, b in h.edges()]
+            n += h.n
+        perm = rng.permutation(n)
+        g = G.from_edges(n, [(int(perm[a]), int(perm[b])) for a, b in edges])
+        for h in [g] + DEGENERATE:
+            cover = sel._Coverage(h)
+            want = [shortest_path_coverage_reference(h, [v]) for v in range(h.n)]
+            assert cover.seed_values() == want
+            assert [cover.value_with(v) for v in range(h.n)] == want
+            S = [int(v) for v in rng.permutation(h.n)[: h.n // 3]]
+            cover.value_of(S)
+            for v in sorted(set(range(h.n)) - set(S)):
+                assert cover.value_with(v) == \
+                    shortest_path_coverage_reference(h, S + [v])
+
     @pytest.mark.parametrize("g", DEGENERATE, ids=[f"n{g.n}m{g.m}" for g in DEGENERATE])
     def test_degenerate_inputs(self, g):
         # without edges the pair count is 0, and every value must be 0.0

@@ -1,3 +1,4 @@
+import hashlib
 import re
 from dataclasses import replace
 
@@ -12,11 +13,13 @@ from dvintercept import kernels
 from dvintercept import protocol as P
 from dvintercept import reduction as R
 from dvintercept.interception import intercepted_pairs
+from dvintercept.selection import greedy_max_spds
 from dvintercept.kernels import INF
 
 from oracles import (_closest_hop, adjacent_strategy_reference,
                      check_separated_reference,
                      colluder_components_reference,
+                     intra_component_hops_reference,
                      minimal_admissible_bruteforce_reference,
                      random_connected_graph, rho_star_plan_reference,
                      rho_star_plans_reference, separated_strategy_reference,
@@ -390,8 +393,53 @@ class TestColluderRows:
                 assert S.colluder_components(g, C) == \
                     colluder_components_reference(g, C)
 
+    def test_intra_component_hops_match_reference(self):
+        # one BFS of the colluder subgraph: per multi-node component and
+        # exit, every other member's hop equals the reference's BFS from the
+        # exit; -1 on the diagonal and between components
+        graphs, rng = self.graphs()
+        for g in graphs:
+            for size in (1, 2, g.n // 2, g.n):
+                C = sorted(int(v) for v in rng.permutation(g.n)[:size])
+                comps = colluder_components_reference(g, C)
+                index, hops = S._colluder_graph(g, C)
+                assert [tuple(np.array(C)[index == i])
+                        for i in range(len(comps))] == comps
+                X = sorted(v for comp in comps if len(comp) > 1 for v in comp)
+                assert hops.shape == (len(X), len(X))
+                for comp in comps:
+                    if len(comp) < 2:
+                        continue
+                    at = np.searchsorted(X, comp)
+                    for j, exit_node in zip(at, comp):
+                        want = intra_component_hops_reference(g, comp, exit_node)
+                        assert {x: int(hops[i, j]) for i, x in zip(at, comp)
+                                if x != exit_node} == want
+                        assert hops[j, j] == -1
+                    other = np.setdiff1d(np.arange(len(X)), at)
+                    assert (hops[np.ix_(at, other)] == -1).all()
+
+
+def quickstart_seed(seed: int, unit: int) -> int:
+    """The graph seed of unit `unit` of the benchmark's quick-start workload
+    (perfbench `sub_seed(seed, "quickstart_pa", "graph", unit)`)."""
+    text = f"{seed}:quickstart_pa:graph:{unit}"
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "little") >> 1
+
 
 class TestAdjacentStrategy:
+    def test_quickstart_sets_match_reference(self):
+        # the 26 greedy_max sets of the quick-start workload (seed 0): hub
+        # sets of 1 to 4 components, built with the merged BFS on g, one BFS
+        # of the colluder subgraph and the held relay rows
+        for unit in range(26):
+            g = G.pref_attach(50, 2, seed=quickstart_seed(0, unit))
+            C = greedy_max_spds(g, 10)
+            got, want = S.adjacent_strategy(g, C), adjacent_strategy_reference(g, C)
+            for v in want.colluders:
+                assert got.broadcast[v].tolist() == want.broadcast[v].tolist()
+                assert got.forward[v].tolist() == want.forward[v].tolist()
+
     def test_matches_separated_on_separated_sets(self):
         rng = np.random.default_rng(61)
         for _ in range(10):
@@ -614,6 +662,61 @@ class TestValidate:
         for broadcast, forward, message in cases:
             bad = S.Strategy(colluders=(1, 3), broadcast=dict(broadcast),
                              forward=dict(forward))
+            with pytest.raises(ValueError, match=message):
+                bad.validate(g)
+            with pytest.raises(ValueError, match=message):
+                intercepted_pairs(g, bad)
+
+    def test_mixed_faults_in_integer_arrays(self):
+        # integer arrays, the vectors `Strategy.validate` reads stacked:
+        # key, then shape, then integrality per colluder in id order, and a
+        # value fault in an earlier colluder wins over a key or shape fault
+        # in a later one, in the broadcasts and in the forward vectors
+        g = path_graph(6)
+        strat = S.honest_strategy(g, [1, 3, 5])
+        b, f = strat.broadcast, strat.forward
+
+        def edit(vectors, v, t=None, value=None, shape=None, kind=None):
+            out = {u: a.copy() for u, a in vectors.items()}
+            if t is not None:
+                out[v][t] = value
+            if shape is not None:
+                out[v] = out[v][:shape]
+            if kind is not None:
+                out[v] = out[v].astype(kind)
+            return out
+
+        def without(vectors, v):
+            return {u: a for u, a in vectors.items() if u != v}
+
+        bad_hop = edit(f, 1, 4, 4)  # 4 is no neighbour of 1
+        cases = [
+            (edit(edit(b, 1, 1, 2), 3, shape=5), f,
+             r"^self distance must be 0 \(node 1, target 1\)$"),
+            (edit(edit(b, 3, 0, 0), 5, shape=5), f,
+             r"^broadcast distance must be >= 1 \(node 3, target 0\)$"),
+            (edit(b, 3, shape=5), f, r"^broadcast vector for node 3 has shape \(5,\)$"),
+            (edit(edit(b, 3, shape=5), 1, 4, 0), f,
+             r"^broadcast distance must be >= 1 \(node 1, target 4\)$"),
+            (b, without(bad_hop, 5), r"^forward\(1,4\) = 4 is not a neighbour$"),
+            (b, edit(bad_hop, 3, shape=4), r"^forward\(1,4\) = 4 is not a neighbour$"),
+            (b, edit(bad_hop, 5, kind=float) | {5: np.r_[f[5][:5], 0.5]},
+             r"^forward\(1,4\) = 4 is not a neighbour$"),
+            (b, without(edit(f, 3, shape=4), 5),
+             r"^forward vector for node 3 has shape \(4,\)$"),
+            (b, edit(without(f, 1), 3, shape=4),
+             "^forward vector for node 1 is missing$"),
+            (b, edit(f, 3, kind=float) | {3: np.r_[f[3][:3], 2.5, f[3][4:]]},
+             r"^forward\(3,3\) = 2.5 is not an integer$"),
+            (b, edit(f, 5, 0, 3), r"^forward\(5,0\) = 3 is not a neighbour$"),
+            # every vector one entry too long: the stack is k x (n + 1)
+            ({v: np.r_[a, 1] for v, a in b.items()}, f,
+             r"^broadcast vector for node 1 has shape \(7,\)$"),
+            (b, {v: np.r_[a, -1] for v, a in f.items()},
+             r"^forward vector for node 1 has shape \(7,\)$"),
+        ]
+        for broadcast, forward, message in cases:
+            bad = S.Strategy(colluders=(1, 3, 5), broadcast=broadcast, forward=forward)
             with pytest.raises(ValueError, match=message):
                 bad.validate(g)
             with pytest.raises(ValueError, match=message):
