@@ -191,18 +191,27 @@ class DistanceVector:
     dist: np.ndarray
 
 
+def _integer(v, what: str) -> int:
+    """int(v); ValueError "<what> v is not an integer" unless v is a
+    Python or numpy integer."""
+    if not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{what} {v!r} is not an integer")
+    return int(v)
+
+
 def _node_id(n: int, v, what: str) -> int:
-    """int(v); ValueError "<what> v out of range for n=<n>" outside [0, n)."""
-    v = int(v)
+    """`_integer(v, what)`; ValueError "<what> v out of range for n=<n>"
+    outside [0, n)."""
+    v = _integer(v, what)
     if not 0 <= v < n:
         raise ValueError(f"{what} {v} out of range for n={n}")
     return v
 
 
 def _colluder_tuple(n: int, S) -> tuple[int, ...]:
-    """S sorted and deduplicated; ValueError naming its least id outside
-    [0, n)."""
-    S = tuple(sorted(set(int(v) for v in S)))
+    """S sorted and deduplicated; ValueError naming the first member that is
+    not an integer (`_integer`), else its least id outside [0, n)."""
+    S = tuple(sorted({_integer(v, "colluder") for v in S}))
     for v in S[:1] + S[-1:]:
         _node_id(n, v, "colluder")
     return S
@@ -296,22 +305,20 @@ def _map_blocks(g: Graph, fn, items):
 _HOP_DTYPES = (np.uint8, np.uint16, np.uint32)
 
 
-def _pull_lists(g: Graph, removed=(), sealed=()):
+def _pull_lists(g: Graph, removed=()):
     """(n, starts, nbrs, mask): in a BFS level node v pulls the bits of
     nbrs[starts[v]:starts[v + 1]] and keeps those of mask[v].  Every arc
-    touching `removed` is dropped, and so is every arc into `sealed`.
-    `reduceat` gives a node with an empty run the word at its start instead
-    of zero, so such a node's `mask` word is 0 (all ones otherwise); nbrs
-    ends with one padding entry, and starts with its index, so that every
-    start is in range.  `mask` is n x 1, one word for every source word;
-    `_hop_families` widens it to one word per node and source word, 0 where
-    that word's sources are sealed off the node."""
-    blocked = np.zeros(g.n, np.bool_)
-    blocked[list(removed)] = True
-    gives = ~blocked
-    blocked[list(sealed)] = True
+    touching `removed` is dropped.  `reduceat` gives a node with an empty
+    run the word at its start instead of zero, so such a node's `mask` word
+    is 0 (all ones otherwise); nbrs ends with one padding entry, and starts
+    with its index, so that every start is in range.  `mask` is n x 1, one
+    word for every source word; `_hop_families` widens it to one word per
+    node and source word, 0 where that word's sources are sealed off the
+    node."""
+    gives = np.ones(g.n, np.bool_)
+    gives[list(removed)] = False
     esrc = np.repeat(np.arange(g.n), g.degrees())
-    keep = ~blocked[esrc] & gives[g.indices]
+    keep = gives[esrc] & gives[g.indices]
     counts = np.bincount(esrc[keep], minlength=g.n)
     starts = np.zeros(g.n + 1, np.int64)
     np.cumsum(counts, out=starts[1:])
@@ -363,13 +370,12 @@ def _bit_bfs(pull, sources) -> np.ndarray:
     return np.ascontiguousarray(dist[:, :k].T)
 
 
-def hop_distances(g: Graph, sources, removed=(), sealed=()) -> np.ndarray:
+def hop_distances(g: Graph, sources, removed=()) -> np.ndarray:
     """D[i, v]: the hop distance from sources[i] to v once every edge
-    touching `removed` is deleted, with no path entering a node of `sealed`
-    other than its own source.  uint8 while every distance fits below 255,
-    else uint16 or uint32; np.iinfo(D.dtype).max marks unreached entries
-    (see `as_hops`)."""
-    return _bit_bfs(_pull_lists(g, removed, sealed), sources)
+    touching `removed` is deleted.  uint8 while every distance fits below
+    255, else uint16 or uint32; np.iinfo(D.dtype).max marks unreached
+    entries (see `as_hops`)."""
+    return _bit_bfs(_pull_lists(g, removed), sources)
 
 
 # source words per `_hop_families` BFS: its per-level arrays take about
@@ -378,15 +384,15 @@ _WORDS = 32
 
 
 def _hop_families(g: Graph, families) -> list:
-    """[hop_distances(g, sources, sealed=sealed) for (sources, sealed) in
-    families], equal in values and dtype, from as few `_bit_bfs` calls as
-    possible: the families of one call take at most `_WORDS` source words
-    (a larger family runs alone).  Each family's sources start on a word of
-    their own, padded with -1, and the pull mask holds one word per node
-    and source word, 0 at the nodes its family seals.  A level runs while
-    any family's frontier is live, so the call's dtype is the widest its
-    families need; a family whose distances fit a narrower one is narrowed
-    to it, as its own call would return it."""
+    """Per family (sources, sealed), `hop_distances(g, sources)` but with
+    no path entering a node of `sealed` other than its own source, from as
+    few `_bit_bfs` calls as possible: the families of one call take at most
+    `_WORDS` source words (a larger family runs alone).  Each family's
+    sources start on a word of their own, padded with -1, and the pull mask
+    holds one word per node and source word, 0 at the nodes its family
+    seals.  A level runs while any family's frontier is live, so the call's
+    dtype is the widest its families need; a family whose distances fit a
+    narrower one is narrowed to it, as `hop_distances` would return it."""
     families = [(np.asarray(src, np.int64).reshape(-1),
                  np.asarray(sealed, np.int64).reshape(-1))
                 for src, sealed in families]
@@ -425,16 +431,6 @@ def as_hops(D, dtype=np.int64, inf: int = INF) -> np.ndarray:
     return out
 
 
-def _honest_rows(g: Graph, C):
-    """k x n: row i holds the hop distances from C's i-th member in id
-    order through honest nodes only (no path enters another colluder), from
-    one bit-parallel BFS with every colluder sealed.  The dtype is
-    `hop_distances`' narrow one, its maximum where unreachable.  The rows
-    are held, read-only, in the slot of C's set."""
-    S = _colluder_tuple(g.n, C)
-    return _memoized(g, S, "honest", lambda: hop_distances(g, S, sealed=S))
-
-
 def distance_blocks(g: Graph, removed=()):
     """Yield (T, D) over consecutive blocks T of at most _BLOCK node ids, in
     id order, where D[i, s] is the hop distance between T[i] and s once every
@@ -445,9 +441,9 @@ def distance_blocks(g: Graph, removed=()):
 
     Blocks are computed as they are read (`_over_blocks`).  Once a pass has
     read every block, they are held, read-only, in the slot of the set
-    `removed`, so later passes and single-row reads over it run no BFS:
-    n^2 bytes while the distances fit in one byte.  A pass that stops early
-    leaves nothing held."""
+    `removed`, so later passes over it run no BFS: n^2 bytes while the
+    distances fit in one byte.  A pass that stops early leaves nothing
+    held."""
     return _over_blocks(g, removed, lambda T, D: (T, D))
 
 

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import (INF, Graph, _colluder_tuple, _honest_rows, _over_blocks,
-                    as_hops)
+from .graph import INF, Graph, _colluder_tuple, _over_blocks, as_hops
 
 
 class BroadcastError(ValueError):
@@ -135,6 +134,9 @@ def synchronize(g: Graph, colluders, broadcasts) -> BeliefState:
     and an honest node settles in the round of the hop count from its
     nearest source attaining its belief: at most n - 1 rounds.
     """
+    # imported here: strategy imports this module
+    from .strategy import _honest_rows
+
     ids, b = validate_broadcasts(g.n, colluders, broadcasts)
     inf = INF + 1  # sums up to INF stay finite, as in the iteration
     dc = as_hops(_honest_rows(g, ids), inf=inf)

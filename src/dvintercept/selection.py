@@ -38,8 +38,9 @@ class SelectionSpec:
         if self.method == "greedy_min":
             if self.p is None or not (0.0 <= self.p <= 1.0):
                 raise ValueError("greedy_min requires p in [0, 1]")
-        elif self.k is None or self.k < 0:
-            raise ValueError(f"method {self.method!r} requires k >= 0")
+        elif not isinstance(self.k, (int, np.integer)) or self.k < 0:
+            raise ValueError(f"method {self.method!r} requires an integer "
+                             f"k >= 0, got {self.k!r}")
 
 
 # entries of the B x m x m arrays of one evaluation: a batch of B

@@ -21,9 +21,9 @@ from . import protocol
 # distance_avoiding is not called here but stays importable because
 # perfbench/tracing.py patches this name
 from .graph import (INF, Graph, ParseError, distance_avoiding,  # noqa: F401
-                    _colluder_tuple, _csr, _honest_rows, _hop_families,
-                    _over_blocks, _memoized, _node_id, _slot, as_hops,
-                    component_labels, distance_blocks, hop_distances)
+                    _colluder_tuple, _csr, _hop_families, _over_blocks,
+                    _memoized, _node_id, as_hops, component_labels,
+                    hop_distances)
 from .protocol import _min_plus
 
 
@@ -43,37 +43,42 @@ def _near(g: Graph, S):
     return ids, at
 
 
-def _distance_rows(g: Graph, S):
-    """(at, D): D holds the int64 hop-distance rows of S and its neighbours
-    in g, INF where unreachable.  Node v's row is D[at[v]]; at[v] = -1 for
-    nodes not covered.  Every true distance that a build or the brute
-    force's ranges read comes from these rows, held read-only in the slot
-    of S's set (`graph._memoized`) and computed by `_set_distances`."""
-    return _set_distances(g, S)[0]
-
-
-def _set_distances(g: Graph, S, families=()):
-    """((at, D), Ds): `_distance_rows` of S and, per family (sources,
-    sealed), `hop_distances(g, sources, sealed=sealed)`, from one
-    `graph._hop_families` call that also computes whichever of the rows and
-    D_C (`graph._honest_rows`) the slot of S does not yet hold, and holds
-    them.  With both held and no family it runs no BFS."""
+def _set_distances(g: Graph, S):
+    """(at, D, dc, relay): every distance in g that a reader on the
+    colluder set S takes, from one `graph._hop_families` call on first use,
+    held read-only in the slot of S's set (`graph._memoized`).  D holds the
+    int64 rows of S and its neighbours, INF where unreachable: node v's row
+    is D[at[v]], and at[v] = -1 for the others.  dc is D_C, the rows of the
+    colluders in id order through honest nodes only.  relay is empty unless
+    a component has several members; then, per component, it holds the
+    rows of the members X of such components in id order with that
+    component sealed (`_adjacent`'s relay bound).  dc and relay are
+    `hop_distances`' narrow arrays.  The components come first, from
+    `_colluder_graph`, which runs no BFS on g."""
     S = _colluder_tuple(g.n, S)
-    slot = _slot(g, S)
-    wanted = list(families)
-    near = None if "rows" in slot else _near(g, S)
-    if near is not None:
-        wanted.append((near[0], ()))
-    dc = "honest" not in slot
-    if dc:
-        wanted.append((S, S))
-    Ds = _hop_families(g, wanted) if wanted else []
-    # D_C is the last family and the rows the one before, after `families`
-    if dc:
-        _memoized(g, S, "honest", Ds.pop)
-    if near is not None:
-        _memoized(g, S, "rows", lambda: (near[1], as_hops(Ds.pop())))
-    return slot["rows"], Ds
+
+    def compute():
+        ids = np.asarray(S, np.int64)
+        index = _colluder_graph(g, S)[0]
+        X = ids[np.bincount(index)[index] > 1]
+        near, at = _near(g, S)
+        rows, dc, *relay = _hop_families(g, [(near, ()), (ids, ids)] + [
+            (X, comp) for comp in colluder_components(g, S) if X.size])
+        return at, as_hops(rows), dc, tuple(relay)
+
+    return _memoized(g, S, "rows", compute)
+
+
+def _distance_rows(g: Graph, S):
+    """(at, D) of `_set_distances`: every true distance that a build or the
+    brute force's ranges read."""
+    return _set_distances(g, S)[:2]
+
+
+def _honest_rows(g: Graph, C):
+    """D_C of `_set_distances`: k x n, the distances from C's colluders in
+    id order through honest nodes only (no path enters another colluder)."""
+    return _set_distances(g, C)[2]
 
 
 def _runs(g: Graph, V):
@@ -640,23 +645,18 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
 
 def _adjacent(g: Graph, C, component_order=None):
     """(C, b, hop) of `adjacent_strategy`: C as `_colluder_tuple` and the
-    broadcasts and hops as k x n int64 arrays in id order.  The BFS on g
-    that computes the rows of C and its neighbours and D_C, when they are
-    not yet held, also gives the relay bound's rows (`_set_distances`)."""
+    broadcasts and hops as k x n int64 arrays in id order."""
     C = _colluder_tuple(g.n, C)
     comps = colluder_components(g, C)
-    # the members of multi-node components, and per component cj their
-    # distances avoiding cj's other members
-    X = np.array([x for comp in comps if len(comp) > 1 for x in comp], np.int64)
-    relay = _set_distances(g, C, [(X, comp) for comp in comps if X.size])[1]
     C, rows, b, hop = _honest(g, C)
     ids = np.asarray(C, np.int64)
     cnum = np.full(g.n, -1, np.int64)  # component index of each colluder
     index, inner_hops = _colluder_graph(g, C)
     cnum[ids] = index
-    # relay bounds (multi-node components only) need the synchronized column
-    relays = len(comps) < len(C)
-    if relays:
+    # the members of multi-node components in id order, as the relay rows
+    # of `_set_distances` are; their relay bounds need the synchronized column
+    X = ids[np.bincount(index)[index] > 1]
+    if X.size:
         gq, qid, honest_of, comp_qid = _quotient(g, comps)
     else:
         # quotient ids follow original-id order, so with every component a
@@ -684,7 +684,7 @@ def _adjacent(g: Graph, C, component_order=None):
     honest[ids] = False
     T = np.flatnonzero(honest)
     qrows, qhops = rows, hop
-    if relays:
+    if X.size:
         near, at = _near(gq, comp_qid)
         qrows = at, as_hops(hop_distances(gq, near))
         qhops = _closest_hops(gq, qrows, comp_qid)
@@ -709,16 +709,15 @@ def _adjacent(g: Graph, C, component_order=None):
         cols = a[:, T]
         np.copyto(cols, planned[cnum[ids]], where=mine)
         a[:, T] = cols
-    members = np.sort(X)
     for ci, comp in enumerate(comps):
         if len(comp) > 1:
             # internal traffic is relayed toward the exit, which keeps w
             sel = exits[ci] >= 0
-            inner = inner_hops[np.ix_(np.searchsorted(members, comp),
-                                      np.searchsorted(members, exits[ci, sel]))]
+            inner = inner_hops[np.ix_(np.searchsorted(X, comp),
+                                      np.searchsorted(X, exits[ci, sel]))]
             at = np.ix_(np.searchsorted(ids, comp), T[sel])
             hop[at] = np.where(inner >= 0, inner, hop[at])
-    if not relays:
+    if not X.size:
         return C, b, hop
 
     # Relay bounds read the synchronized column at each exit's first honest
@@ -729,9 +728,10 @@ def _adjacent(g: Graph, C, component_order=None):
     # D_C(x, w) + D_G(x, t)), and each b_x[t] <= D_G(x, t) (exits announce
     # plan values, at most max(1, D_G(exit, t) - 2) as quotient distances
     # never exceed true ones; the rest their true distance).
+    _, _, dc, relay = _set_distances(g, C)
     has = exits >= 0
     col = rows[1][np.maximum(rows[0][wi], 0), T]  # clamped where no exit
-    for bx, dx in zip(b[:, T], as_hops(_honest_rows(g, C))):
+    for bx, dx in zip(b[:, T], as_hops(dc)):
         dxw = dx[wi]
         col = np.minimum(col, np.where((bx < INF) & (dxw < INF), bx + dxw, INF))
     # Per member x of a multi-node component ci, the bound is the largest
@@ -974,11 +974,8 @@ def minimal_admissible_bruteforce(g: Graph, C, t: int, budget: int = 10**6):
     if math.prod(map(len, ranges)) > budget:
         raise BudgetError(f"search space exceeds budget of {budget}")
     k, inf = len(C), INF + 1
-    # t's row of D_{G-S} and D_C, as the pass reads them; every block is
-    # read, so that the graph holds them for the set's other targets
-    for T, D in distance_blocks(g, C):
-        if T[0] <= t <= T[-1]:
-            d = as_hops(D[t - T[0]], inf=inf)
+    # t's row of D_{G-S} and D_C, as the pass reads them
+    d = as_hops(hop_distances(g, [t], C)[0], inf=inf)
     dc = as_hops(_honest_rows(g, C), inf=inf)
     comp = component_labels(g)
     combos = itertools.product(*ranges)

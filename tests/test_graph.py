@@ -257,6 +257,16 @@ def banned_rows(g, sources, removed=(), sealed=()):
     return rows
 
 
+def sealed_rows(g, sources, sealed):
+    """`banned_rows` with `sealed` in `hop_distances`' narrow dtype: the
+    first of uint8, uint16 and uint32 whose maximum exceeds every finite
+    entry, that maximum where unreached."""
+    rows = banned_rows(g, sources, sealed=sealed)
+    far = rows.max(initial=0, where=rows < INF)
+    dtype = next(t for t in G._HOP_DTYPES if far < np.iinfo(t).max)
+    return np.where(rows < INF, rows, np.iinfo(dtype).max).astype(dtype)
+
+
 def sparse_graph(rng, n):
     """A graph on n nodes with about n edges: several components and
     isolated nodes."""
@@ -266,7 +276,7 @@ def sparse_graph(rng, n):
 
 class TestHopDistances:
     """The bit-parallel BFS against scipy, `kernels.bfs` with a banned set
-    and path enumeration."""
+    and path enumeration; sealed sets go through `graph._hop_families`."""
 
     @pytest.mark.parametrize("count", [1, 63, 64, 65, 257])
     def test_removed_sets_match_scipy(self, count):
@@ -289,18 +299,17 @@ class TestHopDistances:
             g = (sparse_graph(rng, n) if trial % 2
                  else G.erdos_renyi(n, float(rng.uniform(0.05, 0.3)), seed=trial))
             sources = rng.integers(n, size=count)
-            removed = rng.permutation(n)[: int(rng.integers(0, n // 3 + 1))]
             sealed = rng.permutation(n)[: int(rng.integers(0, n + 1))]
             sealed = np.concatenate([sealed, sources[: count // 2]])
-            D = G.hop_distances(g, sources, removed, sealed)
-            assert (G.as_hops(D) == banned_rows(g, sources, removed, sealed)).all()
+            D = G._hop_families(g, [(sources, sealed)])[0]
+            assert (G.as_hops(D) == banned_rows(g, sources, sealed=sealed)).all()
 
     def test_distinct_sources_past_one_block(self):
         g = G.erdos_renyi(400, 0.006, seed=2)  # disconnected, isolated nodes
         sources = np.random.default_rng(3).permutation(g.n)[:257]
         assert (G.as_hops(G.hop_distances(g, sources)) == scipy_rows(g, sources)).all()
         S = sources[:40]
-        assert (G.as_hops(G.hop_distances(g, S, sealed=S))
+        assert (G.as_hops(G._hop_families(g, [(S, S)])[0])
                 == banned_rows(g, S, sealed=S)).all()
 
     def test_against_path_enumeration(self):
@@ -324,10 +333,9 @@ class TestHopDistances:
         assert G.hop_distances(g, [0, 1]).tolist() == [[0, 1], [1, 0]]
         assert G.hop_distances(g, [0, 1], removed=[1]).tolist() == \
             [[0, none], [none, 0]]
-        assert G.hop_distances(g, [0, 1], sealed=[1]).tolist() == \
-            [[0, none], [1, 0]]
-        assert G.hop_distances(g, [0, 1], sealed=[0, 1]).tolist() == \
-            [[0, none], [none, 0]]
+        assert [D.tolist() for D in G._hop_families(
+            g, [([0, 1], [1]), ([0, 1], [0, 1])])] == \
+            [[[0, none], [1, 0]], [[0, none], [none, 0]]]
 
     def test_widens_past_254(self):
         # the longest distance on a path of 255 nodes is 254, which uint8
@@ -345,13 +353,14 @@ class TestHopDistances:
         assert D.dtype == np.uint16
         assert (G.as_hops(D) == scipy_rows(g, sources, [300])).all()
         sealed = [1, 450]
-        assert (G.as_hops(G.hop_distances(g, sources, sealed=sealed))
+        assert (G.as_hops(G._hop_families(g, [(sources, sealed)])[0])
                 == banned_rows(g, sources, sealed=sealed)).all()
 
     @pytest.mark.parametrize("words", [1, 3, G._WORDS])
     def test_families_match_their_own_calls(self, monkeypatch, words):
-        # each family of one merged BFS equals its own hop_distances call in
-        # values and dtype: disconnected graphs with isolated nodes, n <= 2,
+        # each family of one merged BFS equals `kernels.bfs` with the
+        # family's sealed set banned, in `hop_distances`' dtype for those
+        # distances: disconnected graphs with isolated nodes, n <= 2,
         # sealed sets holding every node, more than one word of sources, and
         # a 300-node path whose unsealed family needs uint16 while a sealed
         # one fits uint8; with `words` source words per call the families
@@ -375,7 +384,7 @@ class TestHopDistances:
             got = G._hop_families(g, families)
             assert len(got) == len(families)
             for (src, sealed), D in zip(families, got):
-                want = G.hop_distances(g, src, sealed=sealed)
+                want = sealed_rows(g, src, sealed)
                 assert D.dtype == want.dtype and np.array_equal(D, want)
             if g.n == 300:
                 assert [D.dtype for D in got[-1:] + got[:1]] == [np.uint8, np.uint16]

@@ -18,6 +18,7 @@ from dvintercept.interception import coverage_function, intercepted_pairs
 from dvintercept.graph import INF
 from dvintercept.protocol import synchronize
 
+from test_graph import banned_rows
 from oracles import (adjacent_strategy_reference, intercepted_pairs_oracle,
                      minimal_admissible_bruteforce_reference, random_connected_graph)
 
@@ -131,7 +132,7 @@ def test_build_order_and_other_sets_leave_results_unchanged(g):
 def test_handed_out_arrays_are_read_only():
     g = G.erdos_renyi(300, 0.012, seed=4)
     C = [3, 50, 299]
-    arrays = [G.component_labels(g), G._honest_rows(g, C),
+    arrays = [G.component_labels(g), S._honest_rows(g, C),
               *S._distance_rows(g, C)]
     arrays += [a for block in G.distance_blocks(g, C) for a in block]
     assert S.check_admissible(g, S.adjacent_strategy(g, C))
@@ -188,6 +189,16 @@ def merged(g, *families):
     return G._pull_lists(g)[1].tobytes(), tuple(int(v) for v in sources)
 
 
+def set_bfs(g, C):
+    """The key `counted_bfs` gives the one BFS on g for the colluder set C
+    (`strategy._set_distances`): the rows of C and its neighbours, D_C and,
+    when C has a multi-node component, the rows of the members X of such
+    components in id order, once per component."""
+    comps = S.colluder_components(fresh(g), C)
+    X = sorted(v for comp in comps if len(comp) > 1 for v in comp)
+    return merged(g, S._near(g, C)[0], C, *([X] * len(comps) if X else []))
+
+
 def test_sweep_cell_runs_each_bfs_once(monkeypatch):
     # four builds and four counts on one separated set: one BFS for the
     # rows of S and its neighbours together with D_C, and one BFS per block
@@ -205,20 +216,20 @@ def test_sweep_cell_runs_each_bfs_once(monkeypatch):
 
 def test_checked_adjacent_op_computes_d_c_once(monkeypatch):
     # the relay bounds of a multi-node component and the count read the same
-    # D_C rows, computed in the build's one BFS on g with the relay rows (one
-    # family per component) and the rows of C and its neighbours; every BFS
-    # of the build and the checked count runs once
+    # D_C rows, computed in the build's one BFS on g with the rows of C and
+    # its neighbours and the relay rows (one family per component, in that
+    # order); every BFS of the build and the checked count runs once
     g = G.erdos_renyi(300, 0.012, seed=4)
     x = next(v for v in range(g.n) if g.degree(v))
     C = sorted({x, int(g.neighbors(x)[0]), 100, 200})
     comps = S.colluder_components(fresh(g), C)
-    X = [v for comp in comps if len(comp) > 1 for v in comp]
+    X = sorted(v for comp in comps if len(comp) > 1 for v in comp)
     calls = counted_bfs(monkeypatch)
     strat = S.adjacent_strategy(g, C)
     assert S.check_admissible(g, strat)
     intercepted_pairs(g, strat)
     assert set(calls.values()) == {1}
-    assert calls[merged(g, *[X] * len(comps), S._near(g, C)[0], C)] == 1
+    assert calls[merged(g, S._near(g, C)[0], C, *[X] * len(comps))] == 1
 
 
 def test_rho_star_plans_share_their_rows(monkeypatch):
@@ -232,19 +243,20 @@ def test_rho_star_plans_share_their_rows(monkeypatch):
 
 
 def test_each_distance_product_has_one_producer(monkeypatch):
-    # the brute force over every target of one set reads the held D_C, the
-    # held rows of C and its neighbours (its search ranges) and t's row of
-    # the held D_{G-S}: one BFS for the rows and D_C together and one block,
-    # however many targets
+    # the brute force over every target of one set reads the held D_C and
+    # rows of C and its neighbours (its search ranges), and t's row of
+    # D_{G-S} from a BFS of its own: one BFS on g for the set, whatever its
+    # components, and one single-source BFS in G - S per target, holding no
+    # block
     rng = np.random.default_rng(17)
     g = random_connected_graph(rng, n_max=10, n_min=8)
     C = sorted(int(v) for v in rng.choice(g.n, 3, replace=False))
     targets = [t for t in range(g.n) if t not in C]
-    near = tuple(np.flatnonzero(S._distance_rows(fresh(g), C)[0] >= 0).tolist())
     calls = counted_bfs(monkeypatch)
     frontiers = [S.minimal_admissible_bruteforce(g, C, t) for t in targets]
     removed = G._pull_lists(g, C)[1].tobytes()
-    assert calls == {merged(g, near, C): 1, (removed, tuple(range(g.n))): 1}
+    assert calls == {set_bfs(g, C): 1, **{(removed, (t,)): 1 for t in targets}}
+    assert "blocks" not in g._memo["slot"][1]
     assert frontiers == [minimal_admissible_bruteforce_reference(g, C, t)
                          for t in targets]
 
@@ -263,6 +275,46 @@ def test_each_distance_product_has_one_producer(monkeypatch):
               for lo in range(0, g.n, G._BLOCK)]
     assert {T: count for (pull, T), count in calls.items()
             if pull == removed} == dict.fromkeys(blocks, 1)
+
+
+@pytest.mark.parametrize("g", graphs(), ids=lambda g: f"n{g.n}m{g.m}")
+def test_first_check_count_or_sync_runs_one_set_bfs(monkeypatch, g):
+    # a check, a count or a synchronization, each the first call on a set
+    # that the graph holds nothing for, makes one `graph._hop_families` call
+    # on g for the set (its rows, D_C and any relay rows; one BFS while
+    # they fit `graph._WORDS` words) and runs one BFS per block of D_{G-S} and, for a multi-node set, one of
+    # the colluder subgraph; the D_C it holds equals one BFS per colluder
+    # with the other colluders banned
+    rng = np.random.default_rng(g.n)
+    blocks = [tuple(range(lo, min(lo + G._BLOCK, g.n)))
+              for lo in range(0, g.n, G._BLOCK)]
+    hop_families = S._hop_families
+    for C in map(sorted, colluder_sets(g, rng)):
+        strat = S.adjacent_strategy(fresh(g), C)
+        multi = max(map(len, S.colluder_components(fresh(g), C)), default=0) > 1
+        for first in (lambda h: S.check_admissible(h, strat),
+                      lambda h: intercepted_pairs(h, strat),
+                      lambda h: synchronize(h, strat.colluders, strat.broadcast)):
+            h, made = fresh(g), []  # per `_hop_families` call: on h, its BFS calls
+
+            def counted(graph, families):
+                before = sum(calls.values())
+                out = hop_families(graph, families)
+                made.append((graph is h, sum(calls.values()) - before))
+                return out
+
+            with monkeypatch.context() as m:
+                calls = counted_bfs(m)
+                m.setattr(S, "_hop_families", counted)
+                first(h)
+            assert [on_h for on_h, _ in made] == [True]
+            if len(set_bfs(h, C)[1]) <= 64 * G._WORDS:
+                assert made[0][1] == calls[set_bfs(h, C)] == 1
+            removed = G._pull_lists(h, C)[1].tobytes()
+            assert all(calls[removed, T] == 1 for T in blocks)
+            assert sum(calls.values()) == made[0][1] + len(blocks) + multi
+            assert (G.as_hops(S._honest_rows(h, C))
+                    == banned_rows(h, C, sealed=C)).all()
 
 
 def vectors(strat):
@@ -284,7 +336,7 @@ def test_adjacent_build_reads_no_distances_in_g_minus_s(monkeypatch):
         raise AssertionError("the build read D_{G-S}")
 
     with monkeypatch.context() as m:
-        m.setattr(S, "distance_blocks", no_blocks)
+        m.setattr(S, "_over_blocks", no_blocks)
         strat = S.adjacent_strategy(g, C)
     removed = G._pull_lists(g, C)[1].tobytes()
     assert calls and not any(pull == removed for pull, _ in calls)
@@ -338,12 +390,13 @@ def test_sweep_cell_computes_each_set_product_once(monkeypatch):
     # among them are
     # the colluders' closest hops (one `_closest_hops` on g), the components
     # and intra-component hops of the colluder subgraph (one BFS of it, none
-    # for a separated set, and no scipy labelling), D_C with the rows, the
+    # for a separated set, and no scipy labelling), the set's distances in
+    # g (its rows, D_C and relay rows, one product), the
     # adjacent arrays, the validation table and the pass's per-set arrays,
-    # in narrow dtypes.  The BFS calls: one on g for the rows and D_C, one
-    # per block, and for a multi-node set one of the colluder subgraph, one
-    # on g for the relay rows (the first build, honest, held the rows and
-    # D_C without them) and one of the quotient
+    # in narrow dtypes.  The BFS calls: one on g for the rows, D_C and, on
+    # a multi-node set, the relay rows (though the first build, honest,
+    # reads no relay row), one per block, and for a multi-node set one of
+    # the colluder subgraph and one of the quotient
     computed, work = Counter(), Counter()
     memoized, closest_hops, labels = S._memoized, S._closest_hops, S.component_labels
 
@@ -380,11 +433,12 @@ def test_sweep_cell_computes_each_set_product_once(monkeypatch):
                 intercepted_pairs(g, strat)
         assert work == Counter(closest_hops=1)
         assert set(calls.values()) == {1}
-        assert sum(calls.values()) == 1 + blocks + 3 * multi
+        assert sum(calls.values()) == 1 + blocks + 2 * multi
+        assert calls[set_bfs(g, C)] == 1
         # the held count is computed for honest, independent and the first
         # of the separated/adjacent pair, and read for the second
         assert computed == Counter(dict.fromkeys(
-            ["rows", "honest", "hops", "components", "adjacent", "hop_table",
+            ["rows", "hops", "components", "adjacent", "hop_table",
              "pass", ("dc", "|u1")], 1)) + Counter(count=3)
         held = g._memo["slot"][1]
         index, inner = held["components"]

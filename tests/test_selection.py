@@ -42,6 +42,21 @@ class TestSelectionSpec:
         with pytest.raises(ValueError):
             sel.SelectionSpec(method="random")
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2"],
+                             ids=["float", "integral-float", "string"])
+    @pytest.mark.parametrize("method", ["random", "top_degree", "greedy_max",
+                                        "exhaustive"])
+    def test_k_must_be_an_integer(self, method, k):
+        # greedy_max took k = 2.5 for 3 picks; the others raised a bare
+        # TypeError from slicing or math.comb
+        message = f"^method '{method}' requires an integer k >= 0, got {k!r}$"
+        with pytest.raises(ValueError, match=message.replace(".", r"\.")):
+            sel.SelectionSpec(method=method, k=k)
+
+    def test_numpy_integer_k(self):
+        spec = sel.SelectionSpec(method="greedy_max", k=np.int64(2))
+        assert len(sel.select(star(6), spec)) == 2
+
 
 class TestShortestPathCoverage:
     def test_p5(self):

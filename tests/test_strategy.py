@@ -347,6 +347,34 @@ class TestColluderIdsOutOfRange:
         with pytest.raises(ValueError, match=f"^{what} {bad} out of range for n=5$"):
             call(path_graph(5), bad)
 
+    NON_INTEGERS = pytest.mark.parametrize(
+        "bad", [1.5, 2.0, "3"], ids=["float", "integral-float", "string"])
+
+    @NON_INTEGERS
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_builders_reject_non_integers(self, build, bad):
+        # int() would truncate 1.5 to 1 and read "3" as 3
+        with pytest.raises(ValueError,
+                           match=f"^colluder {re.escape(repr(bad))} is not an integer$"):
+            build(path_graph(5), [4, bad])
+
+    @NON_INTEGERS
+    @pytest.mark.parametrize("call", [
+        lambda g, t: S.rho_star_plan(g, [1], t),
+        lambda g, t: S.minimal_admissible_bruteforce(g, [1], t)],
+        ids=["rho_star_plan", "bruteforce"])
+    def test_targets_reject_non_integers(self, call, bad):
+        with pytest.raises(ValueError,
+                           match=f"^target {re.escape(repr(bad))} is not an integer$"):
+            call(path_graph(5), bad)
+        with pytest.raises(ValueError, match="^target 4.9 is not an integer$"):
+            call(path_graph(5), 4.9)
+
+    def test_numpy_integers_are_ids(self):
+        g = path_graph(5)
+        assert S.honest_strategy(g, [np.int64(1), np.uint8(3)]).colluders == (1, 3)
+        assert S.rho_star_plan(g, [1], np.int32(4)).target == 4
+
     @pytest.mark.parametrize("bad", [-1, 5])
     def test_lift_strategy(self, bad):
         g = path_graph(5)
