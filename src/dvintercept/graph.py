@@ -127,11 +127,17 @@ def from_edges(n: int, edges, labels=None) -> Graph:
     """Build a Graph from an iterable of (u, v) pairs.
 
     Self-loops and duplicate edges are dropped; adjacency lists come out
-    sorted and symmetric.
+    sorted and symmetric.  A non-integer n or endpoint is a ValueError.
     """
+    n = _integer(n, "n")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    e = np.array([(int(u), int(v)) for u, v in edges], np.int64).reshape(-1, 2)
+    edges = list(edges)
+    e = np.array(edges).reshape(-1, 2)  # float64 when empty
+    if e.dtype.kind not in "iu":
+        for v in itertools.chain.from_iterable(edges):
+            _integer(v, "edge endpoint")
+    e = e.astype(np.int64)
     bad = np.flatnonzero(((e < 0) | (e >= n)).any(axis=1))
     if bad.size:
         u, v = e[bad[0]]
@@ -425,7 +431,12 @@ def _hop_families(g: Graph, families) -> list:
 def as_hops(D, dtype=np.int64, inf: int = INF) -> np.ndarray:
     """The hop distances D (as from `hop_distances`) in `dtype`, unreached
     entries set to `inf`.  The copy is widened before inf is written, so a
-    large inf never wraps in D's narrow dtype."""
+    large inf never wraps in D's narrow dtype.
+
+    A held distance array is narrow: a colluder set's rows, D_C and relay
+    rows (`strategy._set_distances`) and the D_{G-S} blocks are held as
+    `hop_distances` returns them; int64 with INF appears only in per-call
+    slices of k or |comps| rows (a block at a time in `synchronize`)."""
     out = D.astype(dtype)
     out[D == np.iinfo(D.dtype).max] = inf
     return out

@@ -135,11 +135,11 @@ def synchronize(g: Graph, colluders, broadcasts) -> BeliefState:
     nearest source attaining its belief: at most n - 1 rounds.
     """
     # imported here: strategy imports this module
-    from .strategy import _honest_rows
+    from .strategy import _set_distances
 
     ids, b = validate_broadcasts(g.n, colluders, broadcasts)
     inf = INF + 1  # sums up to INF stay finite, as in the iteration
-    dc = as_hops(_honest_rows(g, ids), inf=inf)
+    dc = as_hops(_set_distances(g, ids)[2], inf=inf)
     rho = np.empty((g.n, g.n), np.int64)
 
     def block(T, D):

@@ -33,7 +33,7 @@ class NonuniformStrategy:
 
 
 def honest_nonuniform(g: Graph, S) -> NonuniformStrategy:
-    S, _, honest, hop = _honest(g, S)
+    S, honest, hop = _honest(g, S)
     broadcast = {v: {int(u): row.copy() for u in g.neighbors(v)}
                  for v, row in zip(S, honest)}
     return NonuniformStrategy(colluders=S, broadcast=broadcast,
@@ -104,7 +104,7 @@ def lift_strategy(bm: BlowupMap, nonuniform: NonuniformStrategy) -> Strategy:
     if tuple(nonuniform.colluders) != bm.S:
         raise ValueError("nonuniform strategy colluders do not match the blowup")
     n = bm.original.n
-    S_prime, _, b, f = _honest(bm.blown, bm.S_prime)
+    S_prime, b, f = _honest(bm.blown, bm.S_prime)
     broadcast, forward = dict(zip(S_prime, b)), dict(zip(S_prime, f))
     sset = set(bm.S)
     # the original honest targets, the only columns that carry the lie

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .graph import Graph, component_labels, hop_distances, induced_subgraph
+from .graph import (Graph, _integer, component_labels, hop_distances,
+                    induced_subgraph)
 from .strategy import BudgetError
 
 _METHODS = ("random", "top_degree", "greedy_max", "greedy_min", "exhaustive")
@@ -254,6 +255,7 @@ def greedy_max_spds(g: Graph, k: int) -> list[int]:
     accepts a re-evaluated gain within 1e-12 of the best cached one, so the
     node re-evaluated first beats a tied node whose cached gain is older,
     whatever their ids."""
+    k = _integer(k, "k")
     if not (1 <= k <= g.n):
         raise ValueError(f"k={k} out of range for n={g.n}")
     chosen, _, _ = _lazy_greedy(g, lambda c, v: len(c) >= k)
@@ -280,6 +282,7 @@ def greedy_min_spds(g: Graph, p: float):
 
 def exhaustive_opt(g: Graph, k: int, budget: int = 10**6):
     """Optimal size-k set for shortest-path coverage by full enumeration."""
+    k = _integer(k, "k")
     if not (0 <= k <= g.n):
         raise ValueError(f"k={k} out of range for n={g.n}")
     if math.comb(g.n, k) > budget:

@@ -21,9 +21,9 @@ from . import protocol
 # distance_avoiding is not called here but stays importable because
 # perfbench/tracing.py patches this name
 from .graph import (INF, Graph, ParseError, distance_avoiding,  # noqa: F401
-                    _colluder_tuple, _csr, _hop_families, _over_blocks,
-                    _memoized, _node_id, as_hops, component_labels,
-                    hop_distances)
+                    _colluder_tuple, _csr, _hop_families, _integer,
+                    _over_blocks, _memoized, _node_id, as_hops,
+                    component_labels, hop_distances)
 from .protocol import _min_plus
 
 
@@ -46,15 +46,15 @@ def _near(g: Graph, S):
 def _set_distances(g: Graph, S):
     """(at, D, dc, relay): every distance in g that a reader on the
     colluder set S takes, from one `graph._hop_families` call on first use,
-    held read-only in the slot of S's set (`graph._memoized`).  D holds the
-    int64 rows of S and its neighbours, INF where unreachable: node v's row
-    is D[at[v]], and at[v] = -1 for the others.  dc is D_C, the rows of the
-    colluders in id order through honest nodes only.  relay is empty unless
-    a component has several members; then, per component, it holds the
-    rows of the members X of such components in id order with that
-    component sealed (`_adjacent`'s relay bound).  dc and relay are
-    `hop_distances`' narrow arrays.  The components come first, from
-    `_colluder_graph`, which runs no BFS on g."""
+    held read-only in the slot of S's set (`graph._memoized`) as
+    `hop_distances`' narrow arrays.  D holds the rows of S and its
+    neighbours: node v's row is D[at[v]], and at[v] = -1 for the others.
+    dc is D_C, the rows of the colluders in id order through honest nodes
+    only.  relay is empty unless a component has several members; then,
+    per component, it holds the rows of the members X of such components in
+    id order with that component sealed (`_adjacent`'s relay bound).  The
+    components come first, from `_colluder_graph`, which runs no BFS on
+    g."""
     S = _colluder_tuple(g.n, S)
 
     def compute():
@@ -64,21 +64,9 @@ def _set_distances(g: Graph, S):
         near, at = _near(g, S)
         rows, dc, *relay = _hop_families(g, [(near, ()), (ids, ids)] + [
             (X, comp) for comp in colluder_components(g, S) if X.size])
-        return at, as_hops(rows), dc, tuple(relay)
+        return at, rows, dc, tuple(relay)
 
     return _memoized(g, S, "rows", compute)
-
-
-def _distance_rows(g: Graph, S):
-    """(at, D) of `_set_distances`: every true distance that a build or the
-    brute force's ranges read."""
-    return _set_distances(g, S)[:2]
-
-
-def _honest_rows(g: Graph, C):
-    """D_C of `_set_distances`: k x n, the distances from C's colluders in
-    id order through honest nodes only (no path enters another colluder)."""
-    return _set_distances(g, C)[2]
 
 
 def _runs(g: Graph, V):
@@ -93,15 +81,18 @@ def _runs(g: Graph, V):
 def _closest_hops(g: Graph, rows, V) -> np.ndarray:
     """|V| x n int64: row i holds, per target, the lowest-id neighbour of
     V[i] minimizing true distance to it; -1 at V[i] itself, at unreachable
-    targets and everywhere when V[i] has no neighbours.  `rows` = (at, D) as
-    from `_distance_rows` and must cover V and its neighbours.
+    targets and everywhere when V[i] has no neighbours.  `rows` = (at, D),
+    D narrow as `_set_distances` holds it, must cover V and its neighbours.
 
-    A neighbour u of v is closest to t exactly when d(u, t) = d(v, t) - 1
-    (never at t = v or an unreachable t), and neighbour lists are sorted,
-    so the hop is the first such u.  With the nodes ranked by decreasing
-    degree, the p-th neighbours of the nodes with more than p are the first
-    c; positions are taken from last to first, each one masked copy.  The
-    transient is about three |V| x n int64 arrays, whatever the degrees.
+    A neighbour u of v is closest to t exactly when d(u, t) = d(v, t) - 1,
+    and neighbour lists are sorted, so the hop is the first such u.  In D's
+    unsigned dtype want = d(v, .) - 1 wraps to the maximum only at t = v,
+    where neighbours read 1, and is the maximum less 1 at an unreached t,
+    where they read the maximum: no mask is needed.  With the nodes ranked
+    by decreasing degree, the p-th neighbours of the nodes with more than p
+    are the first c; positions are taken from last to first, each one
+    masked copy.  The transient is the hops twice in int64 (before and after
+    the rank is undone) and the wants and c gathered rows in D's dtype.
     """
     at, D = rows
     V = np.asarray(V, np.int64).reshape(-1)
@@ -114,7 +105,6 @@ def _closest_hops(g: Graph, rows, V) -> np.ndarray:
         c = np.count_nonzero(deg > p)
         u = g.indices[lo[:c] + p]
         np.copyto(hop[:c], u[:, None], where=D[at[u]] == want[:c])
-    del want
     return hop[np.argsort(rank)]
 
 
@@ -130,20 +120,19 @@ def _colluder_hops(g: Graph, S) -> np.ndarray:
     read-only in the slot of S's set in the narrowest dtype that holds
     them."""
     S = _colluder_tuple(g.n, S)
-    rows = _distance_rows(g, S)
+    rows = _set_distances(g, S)[:2]
     return _memoized(g, S, "hops", lambda: _narrow(_closest_hops(g, rows, S)))
 
 
 def _honest(g: Graph, S):
-    """(S, rows, b, hop): S as `_colluder_tuple`, the distance rows of S and
-    its neighbours as from `_distance_rows`, and k x n int64 arrays in id
-    order: fresh copies of the colluders' true distances and their held
-    closest hops (`_colluder_hops`), which every builder starts from and
-    edits where it lies.  `_strategy` hands their rows out as the
-    strategy's vectors."""
+    """(S, b, hop): S as `_colluder_tuple` and k x n int64 arrays in id
+    order: the colluders' true distances (`_set_distances`), INF where
+    unreachable, and their held closest hops (`_colluder_hops`), both fresh
+    copies, which every builder starts from and edits where it lies.
+    `_strategy` hands their rows out as the strategy's vectors."""
     S = _colluder_tuple(g.n, S)
-    rows = at, D = _distance_rows(g, S)
-    return S, rows, D[at[list(S)]], _colluder_hops(g, S).astype(np.int64)
+    at, D = _set_distances(g, S)[:2]
+    return S, as_hops(D[at[list(S)]]), _colluder_hops(g, S).astype(np.int64)
 
 
 def _hop_table(g: Graph, ids) -> np.ndarray:
@@ -309,14 +298,14 @@ def strategy_from_text(text: str, n: int) -> Strategy:
 
 def honest_strategy(g: Graph, S) -> Strategy:
     """Everyone announces true distances and forwards to a closest neighbour."""
-    S, _, b, hop = _honest(g, S)
+    S, b, hop = _honest(g, S)
     return _strategy(S, b, hop, "honest")
 
 
 def independent_strategy(g: Graph, S) -> Strategy:
     """Each colluder lies on its own: announce max(1, d(v,t)-2) per target and
     forward to a true-closest neighbour."""
-    S, _, b, hop = _honest(g, S)
+    S, b, hop = _honest(g, S)
     np.copyto(b, np.maximum(1, b - 2), where=b < INF)
     b[np.arange(len(S)), np.asarray(S, np.int64)] = 0
     return _strategy(S, b, hop, "independent")
@@ -331,8 +320,10 @@ def colluding_distance(g: Graph, C, x: int, y: int, j: int) -> int:
     """Minimum, over ordered sequences of j distinct colluders from x to y,
     of the sum of consecutive true distances; INF if no such sequence."""
     C = _colluder_tuple(g.n, C)
+    x, y = _integer(x, "colluder"), _integer(y, "colluder")
     if x not in C or y not in C:
         raise ValueError("x and y must be colluders")
+    j = _integer(j, "j")
     if j < 1:
         raise ValueError("j must be >= 1")
     if j > len(C):
@@ -341,12 +332,13 @@ def colluding_distance(g: Graph, C, x: int, y: int, j: int) -> int:
         return 0 if x == y else INF
     if x == y:
         return INF
-    at, D = _distance_rows(g, C)
+    at, D = _set_distances(g, C)[:2]
+    row = dict(zip(C, as_hops(D[at[list(C)]])))
     middle = [v for v in C if v != x and v != y]
     best = INF
     for perm in itertools.permutations(middle, j - 2):
         seq = (x, *perm, y)
-        steps = [int(D[at[a], b]) for a, b in zip(seq, seq[1:])]
+        steps = [int(row[a][b]) for a, b in zip(seq, seq[1:])]
         if max(steps) < INF:
             best = min(best, sum(steps))
     return best
@@ -408,7 +400,7 @@ def _rho_star_plans(g: Graph, C, rows, hops, order=None, targets=None):
     """The rho* label setting toward every target at once.
 
     C is the sorted tuple of a colluder set with no two members adjacent,
-    `rows` = (at, D) as from `_distance_rows` (covering C and its
+    `rows` = (at, D) as `_set_distances` holds them (covering C and its
     neighbours), `hops` C's `_closest_hops` and `targets` defaults to every
     non-colluder.  Returns (T, val, fn, pred, hop), each of the last four a
     k x |T| int64 array indexed [colluder index, target index]: the plan
@@ -447,13 +439,11 @@ def _rho_star_plans(g: Graph, C, rows, hops, order=None, targets=None):
     ids = np.asarray(C, np.int64)
     k = ids.size
     if targets is None:
-        honest = np.ones(g.n, np.bool_)
-        honest[ids] = False
-        T = np.flatnonzero(honest)
+        T = np.delete(np.arange(g.n), ids)
     else:
         T = np.asarray(targets, np.int64).reshape(-1)
     if order is not None:
-        order = [int(v) for v in order]
+        order = [_integer(v, "order item") for v in order]
         if sorted(order) != list(C):
             raise ValueError("order must be a permutation of the colluder set")
         order = np.searchsorted(ids, order)
@@ -465,7 +455,7 @@ def _rho_star_plans(g: Graph, C, rows, hops, order=None, targets=None):
     dtype, unsigned = (np.int32, np.uint32) if bits <= 31 else (np.int64, np.uint64)
     mask = (1 << b) - 1
     keep = ~(mask << 2 * b | mask << b)  # a key less its id and step
-    DC = D[at[ids]]
+    DC = as_hops(D[at[ids]])
     # field: z's id, less 2 in the value, so that (d << 3b) + field is the
     # key of value d - 2
     field = np.arange(k)[:, None] << 2 * b
@@ -515,7 +505,7 @@ def rho_star_plan(g: Graph, C, t: int, *, order=None) -> RhoStarPlan:
     if t in C:
         raise ValueError("target must not be a colluder")
     _check_separated(g, C)
-    rows = _distance_rows(g, C)
+    rows = _set_distances(g, C)[:2]
     _, val, fn, pred, hop = _rho_star_plans(
         g, C, rows, _colluder_hops(g, C), order=order, targets=[t])
     entries = {}
@@ -569,9 +559,7 @@ def _colluder_graph(g: Graph, C):
         low = (D < np.iinfo(D.dtype).max).argmax(axis=1)
         index = (np.cumsum(low == np.arange(ids.size)) - 1)[low]
         X = np.flatnonzero(np.bincount(index)[index] > 1)
-        at = np.full(ids.size, -1, np.int64)
-        at[X] = np.arange(X.size)
-        hops = _closest_hops(sub, (at, as_hops(D[X])), X)[:, X]
+        hops = _closest_hops(sub, (np.arange(ids.size), D), X)[:, X]
         return _narrow(index), _narrow(np.where(hops >= 0, ids[hops], -1))
 
     return _memoized(g, C, "components", compute)
@@ -646,9 +634,9 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
 def _adjacent(g: Graph, C, component_order=None):
     """(C, b, hop) of `adjacent_strategy`: C as `_colluder_tuple` and the
     broadcasts and hops as k x n int64 arrays in id order."""
-    C = _colluder_tuple(g.n, C)
     comps = colluder_components(g, C)
-    C, rows, b, hop = _honest(g, C)
+    C, b, hop = _honest(g, C)
+    *rows, dc, relay = _set_distances(g, C)
     ids = np.asarray(C, np.int64)
     cnum = np.full(g.n, -1, np.int64)  # component index of each colluder
     index, inner_hops = _colluder_graph(g, C)
@@ -658,21 +646,26 @@ def _adjacent(g: Graph, C, component_order=None):
     X = ids[np.bincount(index)[index] > 1]
     if X.size:
         gq, qid, honest_of, comp_qid = _quotient(g, comps)
+        near, at = _near(gq, comp_qid)
+        qrows = at, hop_distances(gq, near)
+        qhops = _closest_hops(gq, qrows, comp_qid)
     else:
         # quotient ids follow original-id order, so with every component a
         # singleton the quotient is g itself with the same ids and hops
         gq, comp_qid = g, list(C)
         qid = honest_of = np.arange(g.n)
+        qrows, qhops = rows, hop
 
     qorder = None
     if component_order is not None:
         seen_ci = []
         for item in component_order:
-            members = (item,) if isinstance(item, (int, np.integer)) else tuple(item)
+            members = [_integer(m, f"order item {item!r}: member") for m in
+                       (tuple(item) if np.iterable(item) else (item,))]
             for m in members:
-                if not 0 <= int(m) < g.n or cnum[int(m)] < 0:
+                if not 0 <= m < g.n or cnum[m] < 0:
                     raise ValueError(f"order item {item!r}: {m} is not a colluder")
-            cis = {int(cnum[int(m)]) for m in members}
+            cis = {int(cnum[m]) for m in members}
             if len(cis) != 1:
                 raise ValueError(f"order item {item!r} spans multiple components")
             seen_ci.append(cis.pop())
@@ -680,14 +673,7 @@ def _adjacent(g: Graph, C, component_order=None):
             raise ValueError("component_order must list every component exactly once")
         qorder = [comp_qid[ci] for ci in seen_ci]
 
-    honest = np.ones(g.n, np.bool_)
-    honest[ids] = False
-    T = np.flatnonzero(honest)
-    qrows, qhops = rows, hop
-    if X.size:
-        near, at = _near(gq, comp_qid)
-        qrows = at, as_hops(hop_distances(gq, near))
-        qhops = _closest_hops(gq, qrows, comp_qid)
+    T = np.delete(np.arange(g.n), ids)  # the honest nodes
     _, val, fn, _, qhop = _rho_star_plans(gq, tuple(comp_qid), qrows, qhops,
                                           order=qorder, targets=qid[T])
     # colluder targets and components without a finite plan value keep the
@@ -728,9 +714,8 @@ def _adjacent(g: Graph, C, component_order=None):
     # D_C(x, w) + D_G(x, t)), and each b_x[t] <= D_G(x, t) (exits announce
     # plan values, at most max(1, D_G(exit, t) - 2) as quotient distances
     # never exceed true ones; the rest their true distance).
-    _, _, dc, relay = _set_distances(g, C)
     has = exits >= 0
-    col = rows[1][np.maximum(rows[0][wi], 0), T]  # clamped where no exit
+    col = as_hops(rows[1][np.maximum(rows[0][wi], 0), T])  # clamped where no exit
     for bx, dx in zip(b[:, T], as_hops(dc)):
         dxw = dx[wi]
         col = np.minimum(col, np.where((bx < INF) & (dxw < INF), bx + dxw, INF))
@@ -794,7 +779,7 @@ def _pass_setup(g: Graph, C, comp):
     component (`comp` = `component_labels(g)`) and the largest finite entry
     of D_C as a 0-d array (0 when there is none)."""
     ids = np.asarray(C, np.int64)
-    raw_dc = _honest_rows(g, C)
+    raw_dc = _set_distances(g, C)[2]
     finite = raw_dc[raw_dc < np.iinfo(raw_dc.dtype).max]
     return comp[ids][:, None] != comp, np.array(finite.max(initial=0))
 
@@ -859,7 +844,7 @@ def _closed_form_pass(g: Graph, arrays, comp):
     dtype, inf = _int_dtype(cap)
     b = np.where(finite, b, inf).astype(dtype)
     dc = _memoized(g, C, ("dc", np.dtype(dtype).str),
-                   lambda: as_hops(_honest_rows(g, C), dtype, inf))
+                   lambda: as_hops(_set_distances(g, C)[2], dtype, inf))
 
     def saturated(D):
         """D (as from `distance_blocks`) in `dtype`, at most min(cap,
@@ -968,15 +953,15 @@ def minimal_admissible_bruteforce(g: Graph, C, t: int, budget: int = 10**6):
     t = _node_id(g.n, t, "target")
     if t in C:
         raise ValueError("target must not be a colluder")
-    at, DG = _distance_rows(g, C)  # the ranges run up to D_G(x, t)
+    at, DG, dc, _ = _set_distances(g, C)  # the ranges run up to D_G(x, t)
     ranges = [tuple(range(1, d + 1)) if d < INF else (INF,)
-              for d in DG[at[list(C)], t].tolist()]
+              for d in as_hops(DG[at[list(C)], t]).tolist()]
     if math.prod(map(len, ranges)) > budget:
         raise BudgetError(f"search space exceeds budget of {budget}")
     k, inf = len(C), INF + 1
     # t's row of D_{G-S} and D_C, as the pass reads them
     d = as_hops(hop_distances(g, [t], C)[0], inf=inf)
-    dc = as_hops(_honest_rows(g, C), inf=inf)
+    dc = as_hops(dc, inf=inf)
     comp = component_labels(g)
     combos = itertools.product(*ranges)
     admissible = []

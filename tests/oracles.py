@@ -15,6 +15,7 @@ from math import comb
 import numpy as np
 
 from dvintercept import kernels
+from dvintercept.graph import as_hops
 from dvintercept.kernels import INF
 
 
@@ -378,7 +379,7 @@ def coverage_function_reference(g, S) -> Fraction:
     everyone honest, s -> t is intercepted exactly when d_G(s, t) <
     d_{G-S}(s, t), every edge touching S deleted (which also covers an
     endpoint in S)."""
-    from dvintercept.graph import as_hops, component_labels, distance_blocks
+    from dvintercept.graph import component_labels, distance_blocks
 
     S = sorted(set(int(v) for v in S))
     sizes = np.bincount(component_labels(g))
@@ -469,11 +470,11 @@ def _closest_hop(g, rows, v: int):
     """`strategy._closest_hops` for the one node v: per target, the
     lowest-id neighbour of v minimizing true distance to it; -1 at v itself,
     at unreachable targets and everywhere when v has no neighbours.  `rows`
-    = (at, D) as from `strategy._distance_rows` and must cover v's
-    neighbours."""
+    = (at, D) as `strategy._set_distances` holds them, or D widened by
+    `as_hops`, and must cover v's neighbours."""
     at, D = rows
     nbrs = g.neighbors(v)
-    vals = D[at[nbrs]]
+    vals = as_hops(D[at[nbrs]])
     if nbrs.size:
         # neighbour lists are sorted, so argmin's first minimum is the lowest id
         hop = np.where(vals.min(axis=0) < INF, nbrs[vals.argmin(axis=0)], -1)
@@ -487,16 +488,18 @@ def rho_star_plan_reference(g, C, t, *, order=None):
     """The per-target label setting `strategy.rho_star_plan` ran before the
     all-targets pass: a Python loop over the colluders toward one target t,
     one single-target `_closest_hop` per exit hop."""
-    from dvintercept.strategy import _distance_rows
+    from dvintercept.strategy import _set_distances
 
     C = tuple(sorted(set(int(v) for v in C)))
-    return _plan_on_rows(g, C, t, _distance_rows(g, C), order)
+    at, D = _set_distances(g, C)[:2]
+    return _plan_on_rows(g, C, t, (at, as_hops(D)), order)
 
 
 def _plan_on_rows(g, C, t, rows, order=None):
     """`rho_star_plan_reference` on the sorted colluder tuple C, reading the
     distance rows (at, D) of C and its neighbours from `rows`, so that the
-    per-target loops below compute them once."""
+    per-target loops below compute them once; D is int64, INF where
+    unreachable (`as_hops`)."""
     from dvintercept.strategy import RhoStarEntry, RhoStarPlan, _check_separated
 
     if t in C:
@@ -586,7 +589,7 @@ def rho_star_plans_reference(g, C, rows, hops, order=None, targets=None):
     if order is not None:
         order = np.searchsorted(ids, [int(v) for v in order])
     inf, w = 1 << 29, k + 1
-    DC = D[at[ids]]
+    DC = as_hops(D[at[ids]])
     dcc = np.full((k, w), inf + 2, np.int64)
     dcc[:, :k] = np.where(DC[:, ids] < INF, DC[:, ids], inf + 2)
     dcc = dcc.astype(np.int32)
@@ -626,10 +629,11 @@ def rho_star_plans_reference(g, C, rows, hops, order=None, targets=None):
 def separated_strategy_reference(g, C):
     """`strategy.separated_strategy` as one `rho_star_plan_reference` per
     honest target."""
-    from dvintercept.strategy import Strategy, _distance_rows
+    from dvintercept.strategy import Strategy, _set_distances
 
     C = tuple(sorted(set(int(v) for v in C)))
-    rows = at, D = _distance_rows(g, C)
+    at, D = _set_distances(g, C)[:2]
+    rows = at, D = at, as_hops(D)
     broadcast = {v: D[at[v]].copy() for v in C}
     forward = {v: _closest_hop(g, rows, v) for v in C}
     for t in range(g.n):
@@ -726,15 +730,17 @@ def adjacent_strategy_reference(g, C, component_order=None):
     all-targets plan: per honest target one quotient `rho_star_plan_reference`,
     the exits and intra-component hops, then for multi-node components one
     `kernels.sync_column` and the relay bounds."""
-    from dvintercept.strategy import (Strategy, _distance_rows,
+    from dvintercept.strategy import (Strategy, _set_distances,
                                       colluder_components)
 
     C = tuple(sorted(set(int(v) for v in C)))
     cset = set(C)
-    rows = at, D = _distance_rows(g, C)
+    at, D = _set_distances(g, C)[:2]
+    rows = at, D = at, as_hops(D)
     comps = colluder_components(g, C)
     gq, qid, honest_of, comp_qid = quotient_reference(g, comps)
-    qrows = _distance_rows(gq, comp_qid)
+    qat, qD = _set_distances(gq, comp_qid)[:2]
+    qrows = qat, as_hops(qD)
     qorder = None
     if component_order is not None:
         seen_ci = []

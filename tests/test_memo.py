@@ -132,14 +132,28 @@ def test_build_order_and_other_sets_leave_results_unchanged(g):
 def test_handed_out_arrays_are_read_only():
     g = G.erdos_renyi(300, 0.012, seed=4)
     C = [3, 50, 299]
-    arrays = [G.component_labels(g), S._honest_rows(g, C),
-              *S._distance_rows(g, C)]
+    arrays = [G.component_labels(g), *S._set_distances(g, C)[:3]]
     arrays += [a for block in G.distance_blocks(g, C) for a in block]
     assert S.check_admissible(g, S.adjacent_strategy(g, C))
     arrays += held_arrays(g)
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[:1] = 0
+
+
+def test_held_rows_are_narrow():
+    # the rows of C and its neighbours are held as `hop_distances` returns
+    # them, read-only: one byte per entry while the distances fit a byte
+    g = G.erdos_renyi(300, 0.012, seed=4)
+    for C in colluder_sets(g, np.random.default_rng(4)):
+        at, D = S._set_distances(g, C)[:2]
+        near = S._near(g, C)[0]
+        expect = G.hop_distances(g, near)
+        assert D.dtype == expect.dtype == np.uint8
+        assert np.array_equal(D, expect)
+        assert D.nbytes == near.size * g.n
+        assert not D.flags.writeable
+        assert np.array_equal(at[near], np.arange(near.size))
 
 
 def test_stopped_pass_is_not_held_as_complete():
@@ -313,7 +327,7 @@ def test_first_check_count_or_sync_runs_one_set_bfs(monkeypatch, g):
             removed = G._pull_lists(h, C)[1].tobytes()
             assert all(calls[removed, T] == 1 for T in blocks)
             assert sum(calls.values()) == made[0][1] + len(blocks) + multi
-            assert (G.as_hops(S._honest_rows(h, C))
+            assert (G.as_hops(S._set_distances(h, C)[2])
                     == banned_rows(h, C, sealed=C)).all()
 
 

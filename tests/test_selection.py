@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -173,6 +174,17 @@ class TestGreedyMin:
     def test_rejects_p(self, g, p, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             sel.greedy_min_spds(g, p)
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, "2"],
+                         ids=["float", "integral-float", "string"])
+@pytest.mark.parametrize("call", [sel.greedy_max_spds, sel.exhaustive_opt],
+                         ids=["greedy_max_spds", "exhaustive_opt"])
+def test_direct_calls_reject_non_integer_k(call, k):
+    # greedy_max_spds took k = 2.5 for 3 picks; exhaustive_opt raised a bare
+    # TypeError from math.comb
+    with pytest.raises(ValueError, match=f"^k {re.escape(repr(k))} is not an integer$"):
+        call(star(5), k)
 
 
 class TestExhaustive:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import re
 from dataclasses import replace
 
@@ -295,8 +296,9 @@ class TestSeparatedStrategy:
             C = tuple(sorted(int(v) for v in
                              rng.permutation(g.n)[: int(rng.integers(0, g.n + 1))]))
             msgs = []
+            rows = S._set_distances(g, C)[:2]
             for check in (lambda: S._check_separated(g, C),
-                          lambda: check_separated_reference(C, S._distance_rows(g, C))):
+                          lambda: check_separated_reference(C, rows)):
                 try:
                     check()
                     msgs.append(None)
@@ -370,10 +372,44 @@ class TestColluderIdsOutOfRange:
         with pytest.raises(ValueError, match="^target 4.9 is not an integer$"):
             call(path_graph(5), 4.9)
 
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda g: S.rho_star_plan(g, [1, 4], 0, order=[1.9, 4.2]),
+                     "order item 1.9", id="rho_star_plan-order"),
+        pytest.param(lambda g: S.adjacent_strategy(g, [1, 4],
+                                                   component_order=[4.7, 1.2]),
+                     "order item 4.7: member 4.7", id="component_order-item"),
+        pytest.param(lambda g: S.adjacent_strategy(g, [1, 4],
+                                                   component_order=[[4.7], [1.2]]),
+                     "order item [4.7]: member 4.7", id="component_order-member"),
+        pytest.param(lambda g: S.colluding_distance(g, [1, 4], 1.0, 4, 2),
+                     "colluder 1.0", id="colluding_distance-x"),
+        pytest.param(lambda g: S.colluding_distance(g, [1, 4], 1, "4", 2),
+                     "colluder '4'", id="colluding_distance-y"),
+        pytest.param(lambda g: S.colluding_distance(g, [1, 4], 1, 4, 2.5),
+                     "j 2.5", id="colluding_distance-j"),
+        pytest.param(lambda g: G.from_edges(3, [(0.5, 1.9)]),
+                     "edge endpoint 0.5", id="from_edges-float"),
+        pytest.param(lambda g: G.from_edges(3, [(0, 1), ("0", "2")]),
+                     "edge endpoint '0'", id="from_edges-string"),
+        pytest.param(lambda g: G.from_edges(3.7, [(0, 1)]), "n 3.7",
+                     id="from_edges-n"),
+    ])
+    def test_other_arguments_reject_non_integers(self, call, message):
+        # int() truncated order items, members and endpoints and read the
+        # endpoint "2" as 2; x = 1.0 raised an IndexError and j = 2.5 gave INF
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(message)} is not an integer$"):
+            call(path_graph(6))
+
     def test_numpy_integers_are_ids(self):
         g = path_graph(5)
         assert S.honest_strategy(g, [np.int64(1), np.uint8(3)]).colluders == (1, 3)
         assert S.rho_star_plan(g, [1], np.int32(4)).target == 4
+        assert S.rho_star_plan(g, [1, 3], 4, order=np.array([3, 1])) \
+            == S.rho_star_plan(g, [1, 3], 4, order=[3, 1])
+        assert S.colluding_distance(g, [1, 3], np.int64(1), np.uint8(3),
+                                    np.int32(2)) == 2
+        assert G.from_edges(np.int64(3), np.array([[0, 1], [1, 2]])).m == 2
 
     @pytest.mark.parametrize("bad", [-1, 5])
     def test_lift_strategy(self, bad):
@@ -403,7 +439,7 @@ class TestColluderRows:
             perm = [int(v) for v in rng.permutation(g.n)]
             for C in ([], sorted(perm[: max(1, g.n // 3)]), sorted(perm[:70]),
                       list(range(g.n))):
-                rows = S._honest_rows(g, C)
+                rows = S._set_distances(g, C)[2]
                 assert rows.shape == (len(C), g.n)
                 banned = np.zeros(g.n, np.bool_)
                 banned[C] = True
@@ -550,7 +586,7 @@ class TestCheckAdmissible:
     def _path_strategy(self, g, fwd4):
         b = G.bfs_distances(g, 2).dist.copy()
         b[4] = 1
-        f = _closest_hop(g, S._distance_rows(g, [2]), 2)
+        f = _closest_hop(g, S._set_distances(g, [2])[:2], 2)
         f[4] = fwd4
         return S.Strategy(colluders=(2,), broadcast={2: b}, forward={2: f})
 
@@ -619,7 +655,7 @@ class TestCheckAdmissible:
         def strat(claim):
             b = G.bfs_distances(g, 6).dist.copy()
             b[0] = claim
-            f = _closest_hop(g, S._distance_rows(g, [6]), 6)
+            f = _closest_hop(g, S._set_distances(g, [6])[:2], 6)
             return S.Strategy(colluders=(6,), broadcast={6: b}, forward={6: f})
 
         assert S.check_admissible(g, strat(3)).admissible  # d - 2
@@ -832,7 +868,7 @@ class TestIsBeneficial:
         g = path_graph(5)
         b = G.bfs_distances(g, 2).dist.copy()
         b[4] = 1
-        f = _closest_hop(g, S._distance_rows(g, [2]), 2)
+        f = _closest_hop(g, S._set_distances(g, [2])[:2], 2)
         f[4] = 1
         bad = S.Strategy(colluders=(2,), broadcast={2: b}, forward={2: f})
         with pytest.raises(ValueError):
@@ -1116,10 +1152,83 @@ class TestBuilderOutputs:
         assert g.n > G._BLOCK
         rng = np.random.default_rng(4)
         C = [int(v) for v in rng.permutation(g.n)[:150]]
-        at, D = S._distance_rows(g, C)
+        at, D = S._set_distances(g, C)[:2]
         assert D.shape[0] > G._BLOCK  # colluders and neighbours
         assert_builder_outputs(g, C, lift=False)
         assert_builder_outputs(g, separated_subset(g, rng)[:12])
+
+
+class TestTwoByteRows:
+    """Graphs whose distances pass 254, so that the held rows of S and its
+    neighbours are uint16 (`hop_distances`' dtype), and every reader widens
+    only the rows it computes with."""
+
+    # (graph, colluder sets): a separated set and one with a multi-node
+    # component each; the ring's run of four takes the relay bound end to end
+    CASES = [
+        pytest.param(lambda: path_graph(300), [[1, 4, 296], [4, 298, 299]],
+                     id="path300"),
+        pytest.param(lambda: G.watts_strogatz(600, 2, 0.0, seed=0),
+                     [[0, 5, 300], [0, 1, 2, 3]], id="ring600"),
+    ]
+
+    @pytest.mark.parametrize("graph, sets", CASES)
+    def test_readers_match_oracles(self, graph, sets):
+        g = graph()
+        for C in sets:
+            dist = {v: G.bfs_distances(g, v).dist for v in C}
+            at, D = S._set_distances(g, C)[:2]
+            assert D.dtype == np.uint16 and D.shape == (S._near(g, C)[0].size, g.n)
+            hops = S._closest_hops(g, (at, D), C)
+            assert hops.dtype == np.int64
+            assert hops.tolist() == [_closest_hop(g, (at, D), v).tolist() for v in C]
+            assert S.honest_strategy(g, C).broadcast[C[0]].tolist() == \
+                dist[C[0]].tolist()
+            # the adjacent reference runs one synchronization per target,
+            # seconds on the ring's multi-node set: there the build is
+            # compared with one on held rows widened to int64
+            if g.n <= 300 or C == sets[0]:
+                pairs = [(S.adjacent_strategy(g, C), adjacent_strategy_reference(g, C))]
+            else:
+                pairs = [(S.adjacent_strategy(g, C), wide_rows_build(graph(), C))]
+            if C == sets[0]:
+                pairs.append((S.separated_strategy(g, C),
+                              separated_strategy_reference(g, C)))
+                for t in (2, g.n // 2 + 1, g.n - 2):
+                    for o in (None, C[::-1]):
+                        assert S.rho_star_plan(g, C, t, order=o) == \
+                            rho_star_plan_reference(g, C, t, order=o)
+            for got, ref in pairs:
+                for v in C:
+                    assert got.broadcast[v].tolist() == ref.broadcast[v].tolist()
+                    assert got.forward[v].tolist() == ref.forward[v].tolist()
+            x, y = C[0], C[-1]
+            middle = [v for v in C if v not in (x, y)]
+            for j in range(2, len(C) + 1):
+                expect = min(sum(int(dist[a][b]) for a, b in zip(seq, seq[1:]))
+                             for seq in ((x, *m, y) for m in
+                                         itertools.permutations(middle, j - 2)))
+                assert S.colluding_distance(g, C, x, y, j) == expect
+        # the first two separated colluders' rows are uint16 too, and their
+        # ranges toward t are short
+        C, t = sets[0][:2], sets[0][0] + 2
+        assert S._set_distances(g, C)[1].dtype == np.uint16
+        assert S.minimal_admissible_bruteforce(g, C, t) == \
+            minimal_admissible_bruteforce_reference(g, C, t)
+
+
+def wide_rows_build(g, C):
+    """`adjacent_strategy` on g with the held rows of C and its neighbours
+    widened to int64, INF where unreached (`as_hops`)."""
+    held = S._set_distances
+
+    def widened(h, colluders):
+        at, D, *rest = held(h, colluders)
+        return (at, G.as_hops(D), *rest)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(S, "_set_distances", widened)
+        return S.adjacent_strategy(g, C)
 
 
 @settings(max_examples=25, deadline=None)
@@ -1153,7 +1262,7 @@ def test_plans_match_per_target_reference(seed):
         g = G.from_edges(g.n + 3, list(g.edges()) + [(g.n, g.n + 1)])
     order = separated_subset(g, rng)[: int(rng.integers(0, 9))]
     C = tuple(sorted(order))
-    rows = S._distance_rows(g, C)
+    rows = S._set_distances(g, C)[:2]
     hops = [_closest_hop(g, rows, x) for x in C]
     for o in (None, order):
         T, val, fn, pred, hop = S._rho_star_plans(g, C, rows, hops, order=o)
@@ -1216,17 +1325,20 @@ def test_closest_hops_match_reference(seed, hubs):
         b = random_connected_graph(rng, n_max=6, n_min=1)
         g = G.from_edges(a.n + b.n + int(rng.integers(0, 3)), list(a.edges())
                          + [(a.n + u, a.n + v) for u, v in b.edges()])
-        every = S._distance_rows(g, range(g.n))
-        assert (every[1] >= INF).any()
+        every = S._set_distances(g, range(g.n))[:2]
+        assert (every[1] == np.iinfo(every[1].dtype).max).any()
         V = [int(v) for v in rng.permutation(g.n)]
         assert S._closest_hops(g, every, V).tolist() == \
             [_closest_hop(g, every, v).tolist() for v in V]
         C = sorted(int(v) for v in
                    rng.choice(g.n, int(rng.integers(0, g.n + 1)), replace=False))
-    rows = S._distance_rows(g, C)
+    rows = S._set_distances(g, C)[:2]
+    assert rows[1].dtype == np.uint8
     hops = S._closest_hops(g, rows, C)
+    ref = [_closest_hop(g, rows, v) for v in C]
     assert hops.shape == (len(C), g.n) and hops.dtype == np.int64
-    assert hops.tolist() == [_closest_hop(g, rows, v).tolist() for v in C]
+    assert all(h.dtype == np.int64 for h in ref)
+    assert hops.tolist() == [h.tolist() for h in ref]
 
 
 
@@ -1250,10 +1362,10 @@ def test_plans_match_row_layout_reference(seed, k):
                      + [(a.n + u, a.n + v) for u, v in b.edges()])
     order = separated_subset(g, rng)[:k]
     C = tuple(sorted(order))
-    rows = S._distance_rows(g, C)
+    rows = S._set_distances(g, C)[:2]
     hops = S._closest_hops(g, rows, C)
     if len(C) > 1 and len({int(c) for c in G.component_labels(g)[list(C)]}) > 1:
-        assert (rows[1][rows[0][list(C)]] >= INF).any()
+        assert (rows[1][rows[0][list(C)]] == np.iinfo(rows[1].dtype).max).any()
     targets = [t for t in rng.permutation(g.n).tolist() if t not in C][:5]
     for o in (None, order):
         assert_plans_equal(S._rho_star_plans(g, C, rows, hops, order=o),
@@ -1268,7 +1380,7 @@ def test_plans_with_int64_keys():
     # 550 colluders need 10-bit key fields, which with n = 1100 pass 31 bits
     g = path_graph(1100)
     C = tuple(range(0, 1100, 2))
-    rows = S._distance_rows(g, C)
+    rows = S._set_distances(g, C)[:2]
     hops = S._colluder_hops(g, C)
     targets = [1, 3, 547, 1097, 1099]
     for o in (None, C[::-1]):
