@@ -89,7 +89,7 @@ class _Coverage:
         for nodes in self._nodes:
             m = nodes.size
             self._pos[nodes] = np.arange(m)
-            sub = induced_subgraph(g, nodes)
+            sub = g if m == g.n else induced_subgraph(g, nodes)
             a = csr_matrix((np.ones(sub.indices.size), sub.indices, sub.indptr),
                            shape=(m, m))
             D = hop_distances(sub, np.arange(m))

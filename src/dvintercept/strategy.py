@@ -44,17 +44,17 @@ def _near(g: Graph, S):
 
 
 def _set_distances(g: Graph, S):
-    """(at, D, dc, relay): every distance in g that a reader on the
+    """(at, D, dc, relay, hops): every distance in g that a reader on the
     colluder set S takes, from one `graph._hop_families` call on first use,
-    held read-only in the slot of S's set (`graph._memoized`) as
-    `hop_distances`' narrow arrays.  D holds the rows of S and its
+    and the colluders' closest hops, held read-only in the slot of S's set
+    (`graph._memoized`) in narrow dtypes.  D holds the rows of S and its
     neighbours: node v's row is D[at[v]], and at[v] = -1 for the others.
     dc is D_C, the rows of the colluders in id order through honest nodes
     only.  relay is empty unless a component has several members; then,
     per component, it holds the rows of the members X of such components in
-    id order with that component sealed (`_adjacent`'s relay bound).  The
-    components come first, from `_colluder_graph`, which runs no BFS on
-    g."""
+    id order with that component sealed (`_adjacent`'s relay bound).  hops
+    is the colluders' `_closest_hops` in id order.  The components come
+    first, from `_colluder_graph`, which runs no BFS on g."""
     S = _colluder_tuple(g.n, S)
 
     def compute():
@@ -64,7 +64,7 @@ def _set_distances(g: Graph, S):
         near, at = _near(g, S)
         rows, dc, *relay = _hop_families(g, [(near, ()), (ids, ids)] + [
             (X, comp) for comp in colluder_components(g, S) if X.size])
-        return at, rows, dc, tuple(relay)
+        return at, rows, dc, tuple(relay), _closest_hops(g, (at, rows), ids)
 
     return _memoized(g, S, "rows", compute)
 
@@ -79,10 +79,11 @@ def _runs(g: Graph, V):
 
 
 def _closest_hops(g: Graph, rows, V) -> np.ndarray:
-    """|V| x n int64: row i holds, per target, the lowest-id neighbour of
-    V[i] minimizing true distance to it; -1 at V[i] itself, at unreachable
-    targets and everywhere when V[i] has no neighbours.  `rows` = (at, D),
-    D narrow as `_set_distances` holds it, must cover V and its neighbours.
+    """|V| x n, in the narrowest signed dtype that holds -1 - n: row i
+    holds, per target, the lowest-id neighbour of V[i] minimizing true
+    distance to it; -1 at V[i] itself, at unreachable targets and everywhere
+    when V[i] has no neighbours.  `rows` = (at, D), D narrow as
+    `_set_distances` holds it, must cover V and its neighbours.
 
     A neighbour u of v is closest to t exactly when d(u, t) = d(v, t) - 1,
     and neighbour lists are sorted, so the hop is the first such u.  In D's
@@ -91,8 +92,9 @@ def _closest_hops(g: Graph, rows, V) -> np.ndarray:
     where they read the maximum: no mask is needed.  With the nodes ranked
     by decreasing degree, the p-th neighbours of the nodes with more than p
     are the first c; positions are taken from last to first, each one
-    masked copy.  The transient is the hops twice in int64 (before and after
-    the rank is undone) and the wants and c gathered rows in D's dtype.
+    masked copy.  The transient is the hops twice (before and after the rank
+    is undone) and the wants and c gathered rows in D's dtype.  The dtype is
+    sized by -1 - n, not -n, so that it is signed also at n = 0.
     """
     at, D = rows
     V = np.asarray(V, np.int64).reshape(-1)
@@ -100,7 +102,7 @@ def _closest_hops(g: Graph, rows, V) -> np.ndarray:
     rank = np.argsort(-deg, kind="stable")
     lo, deg = g.indptr[V[rank]], deg[rank]
     want = D[at[V[rank]]] - 1
-    hop = np.full((V.size, g.n), -1, np.int64)
+    hop = np.full((V.size, g.n), -1, np.min_scalar_type(-1 - g.n))
     for p in range(deg.max(initial=0) - 1, -1, -1):
         c = np.count_nonzero(deg > p)
         u = g.indices[lo[:c] + p]
@@ -115,24 +117,15 @@ def _narrow(a):
                     else np.min_scalar_type(hi))
 
 
-def _colluder_hops(g: Graph, S) -> np.ndarray:
-    """The `_closest_hops` of the colluders of S in id order, k x n, held
-    read-only in the slot of S's set in the narrowest dtype that holds
-    them."""
-    S = _colluder_tuple(g.n, S)
-    rows = _set_distances(g, S)[:2]
-    return _memoized(g, S, "hops", lambda: _narrow(_closest_hops(g, rows, S)))
-
-
 def _honest(g: Graph, S):
     """(S, b, hop): S as `_colluder_tuple` and k x n int64 arrays in id
-    order: the colluders' true distances (`_set_distances`), INF where
-    unreachable, and their held closest hops (`_colluder_hops`), both fresh
-    copies, which every builder starts from and edits where it lies.
-    `_strategy` hands their rows out as the strategy's vectors."""
+    order: the colluders' true distances, INF where unreachable, and their
+    closest hops, both fresh copies of what `_set_distances` holds, which
+    every builder starts from and edits where it lies.  `_strategy` hands
+    their rows out as the strategy's vectors."""
     S = _colluder_tuple(g.n, S)
-    at, D = _set_distances(g, S)[:2]
-    return S, as_hops(D[at[list(S)]]), _colluder_hops(g, S).astype(np.int64)
+    at, D, _, _, hops = _set_distances(g, S)
+    return S, as_hops(D[at[list(S)]]), hops.astype(np.int64)
 
 
 def _hop_table(g: Graph, ids) -> np.ndarray:
@@ -485,9 +478,10 @@ def _rho_star_plans(g: Graph, C, rows, hops, order=None, targets=None):
     pred = seq.take((done >> b & mask) * T.size + cols)
     pred[pred == k] = -1
     toward = np.where(pred >= 0, ids[pred], T)
-    hops = np.asarray(hops, np.int64).reshape(k, g.n)
-    hop = np.where(val < INF,
-                   hops.take(np.arange(k)[:, None] * g.n + toward), -1)
+    # taken narrow, so that only the k x |T| exit hops are widened
+    hop = np.asarray(hops).reshape(k, g.n).take(
+        np.arange(k)[:, None] * g.n + toward).astype(np.int64)
+    hop[val >= INF] = -1
     return T, val, fn, pred, hop
 
 
@@ -505,9 +499,9 @@ def rho_star_plan(g: Graph, C, t: int, *, order=None) -> RhoStarPlan:
     if t in C:
         raise ValueError("target must not be a colluder")
     _check_separated(g, C)
-    rows = _set_distances(g, C)[:2]
+    at, D, _, _, hops = _set_distances(g, C)
     _, val, fn, pred, hop = _rho_star_plans(
-        g, C, rows, _colluder_hops(g, C), order=order, targets=[t])
+        g, C, (at, D), hops, order=order, targets=[t])
     entries = {}
     for i, x in enumerate(C):
         witness = [x]
@@ -583,7 +577,8 @@ def _quotient(g: Graph, comps):
     order, each component sits at its lowest member.  Returns (quotient
     graph, qid array mapping original -> quotient id, honest_of array mapping
     quotient id -> original id, -1 at component nodes, comp quotient ids
-    list).
+    list).  When every component is a single colluder the quotient is g
+    itself, with the ids, and so the slot, of g.
     """
     rep = np.arange(g.n)  # the lowest member of each node's component
     colluder = np.zeros(g.n, np.bool_)
@@ -592,7 +587,8 @@ def _quotient(g: Graph, comps):
         colluder[list(comp)] = True
     nodes = np.flatnonzero(rep == np.arange(g.n))
     qid = np.searchsorted(nodes, rep)
-    gq = _csr(nodes.size, np.repeat(qid, g.degrees()), qid[g.indices])
+    gq = g if nodes.size == g.n else _csr(
+        nodes.size, np.repeat(qid, g.degrees()), qid[g.indices])
     honest_of = np.where(colluder[nodes], -1, nodes)
     return gq, qid, honest_of, [int(qid[comp[0]]) for comp in comps]
 
@@ -636,7 +632,7 @@ def _adjacent(g: Graph, C, component_order=None):
     broadcasts and hops as k x n int64 arrays in id order."""
     comps = colluder_components(g, C)
     C, b, hop = _honest(g, C)
-    *rows, dc, relay = _set_distances(g, C)
+    *rows, dc, relay, _ = _set_distances(g, C)
     ids = np.asarray(C, np.int64)
     cnum = np.full(g.n, -1, np.int64)  # component index of each colluder
     index, inner_hops = _colluder_graph(g, C)
@@ -644,17 +640,8 @@ def _adjacent(g: Graph, C, component_order=None):
     # the members of multi-node components in id order, as the relay rows
     # of `_set_distances` are; their relay bounds need the synchronized column
     X = ids[np.bincount(index)[index] > 1]
-    if X.size:
-        gq, qid, honest_of, comp_qid = _quotient(g, comps)
-        near, at = _near(gq, comp_qid)
-        qrows = at, hop_distances(gq, near)
-        qhops = _closest_hops(gq, qrows, comp_qid)
-    else:
-        # quotient ids follow original-id order, so with every component a
-        # singleton the quotient is g itself with the same ids and hops
-        gq, comp_qid = g, list(C)
-        qid = honest_of = np.arange(g.n)
-        qrows, qhops = rows, hop
+    gq, qid, honest_of, comp_qid = _quotient(g, comps)
+    qat, qD, _, _, qhops = _set_distances(gq, comp_qid)
 
     qorder = None
     if component_order is not None:
@@ -674,8 +661,8 @@ def _adjacent(g: Graph, C, component_order=None):
         qorder = [comp_qid[ci] for ci in seen_ci]
 
     T = np.delete(np.arange(g.n), ids)  # the honest nodes
-    _, val, fn, _, qhop = _rho_star_plans(gq, tuple(comp_qid), qrows, qhops,
-                                          order=qorder, targets=qid[T])
+    _, val, fn, _, qhop = _rho_star_plans(gq, tuple(comp_qid), (qat, qD),
+                                          qhops, order=qorder, targets=qid[T])
     # colluder targets and components without a finite plan value keep the
     # honest broadcast and hop
     live = qhop >= 0
@@ -953,7 +940,7 @@ def minimal_admissible_bruteforce(g: Graph, C, t: int, budget: int = 10**6):
     t = _node_id(g.n, t, "target")
     if t in C:
         raise ValueError("target must not be a colluder")
-    at, DG, dc, _ = _set_distances(g, C)  # the ranges run up to D_G(x, t)
+    at, DG, dc = _set_distances(g, C)[:3]  # the ranges run up to D_G(x, t)
     ranges = [tuple(range(1, d + 1)) if d < INF else (INF,)
               for d in as_hops(DG[at[list(C)], t]).tolist()]
     if math.prod(map(len, ranges)) > budget:

@@ -397,15 +397,44 @@ def test_one_plan_per_colluder_set(monkeypatch):
     assert vectors(adj) == vectors(S.adjacent_strategy(fresh(g), C))
 
 
+def test_separated_quotient_is_g():
+    # with every component a single colluder contraction changes nothing:
+    # the quotient is g itself, and its ids are g's
+    g = G.erdos_renyi(300, 0.012, seed=4)
+    C = sorted(colluder_sets(g, np.random.default_rng(4))[0])
+    gq, qid, honest_of, comp_qid = S._quotient(g, S.colluder_components(g, C))
+    assert gq is g and len(C) > 1
+    assert qid.tolist() == list(range(g.n)) and comp_qid == C
+    assert honest_of.tolist() == [-1 if v in C else v for v in range(g.n)]
+
+
+def test_adjacent_build_on_a_separated_set_reads_the_honest_products(monkeypatch):
+    # the plan reads the quotient's rows and closest hops from the set's
+    # slot in g, which the honest build filled: no BFS and no closest hops
+    g = G.erdos_renyi(300, 0.012, seed=4)
+    C = sorted(colluder_sets(g, np.random.default_rng(4))[0])
+    S.honest_strategy(g, C)
+    calls, hops, closest_hops = counted_bfs(monkeypatch), [], S._closest_hops
+
+    def counted_hops(h, rows, V):
+        hops.append(V)
+        return closest_hops(h, rows, V)
+
+    monkeypatch.setattr(S, "_closest_hops", counted_hops)
+    strat = S.adjacent_strategy(g, C)
+    assert not calls and not hops
+    assert vectors(strat) == vectors(S.adjacent_strategy(fresh(g), C))
+
+
 def test_sweep_cell_computes_each_set_product_once(monkeypatch):
     # the four strategies of a CLI cell, built and counted: every product
     # the strategy and interception modules hold for the set is computed
     # once, but for the held count, which each distinct strategy computes;
     # among them are
-    # the colluders' closest hops (one `_closest_hops` on g), the components
-    # and intra-component hops of the colluder subgraph (one BFS of it, none
-    # for a separated set, and no scipy labelling), the set's distances in
-    # g (its rows, D_C and relay rows, one product), the
+    # the components and intra-component hops of the colluder subgraph (one
+    # BFS of it, none for a separated set, and no scipy labelling), the
+    # set's distances in g (its rows, D_C, relay rows and the colluders'
+    # closest hops from one `_closest_hops` on g, one product), the
     # adjacent arrays, the validation table and the pass's per-set arrays,
     # in narrow dtypes.  The BFS calls: one on g for the rows, D_C and, on
     # a multi-node set, the relay rows (though the first build, honest,
@@ -452,11 +481,11 @@ def test_sweep_cell_computes_each_set_product_once(monkeypatch):
         # the held count is computed for honest, independent and the first
         # of the separated/adjacent pair, and read for the second
         assert computed == Counter(dict.fromkeys(
-            ["rows", "hops", "components", "adjacent", "hop_table",
+            ["rows", "components", "adjacent", "hop_table",
              "pass", ("dc", "|u1")], 1)) + Counter(count=3)
         held = g._memo["slot"][1]
         index, inner = held["components"]
-        assert [held["hops"].dtype, index.dtype] == [np.int16, np.uint8]
+        assert [held["rows"][4].dtype, index.dtype] == [np.int16, np.uint8]
         # the two adjacent colluders are each other's hop
         pair = sorted({x, int(g.neighbors(x)[0])})
         assert inner.tolist() == ([[-1, pair[1]], [pair[0], -1]] if multi else [])

@@ -1180,7 +1180,7 @@ class TestTwoByteRows:
             at, D = S._set_distances(g, C)[:2]
             assert D.dtype == np.uint16 and D.shape == (S._near(g, C)[0].size, g.n)
             hops = S._closest_hops(g, (at, D), C)
-            assert hops.dtype == np.int64
+            assert hops.dtype == np.int16
             assert hops.tolist() == [_closest_hop(g, (at, D), v).tolist() for v in C]
             assert S.honest_strategy(g, C).broadcast[C[0]].tolist() == \
                 dist[C[0]].tolist()
@@ -1336,7 +1336,8 @@ def test_closest_hops_match_reference(seed, hubs):
     assert rows[1].dtype == np.uint8
     hops = S._closest_hops(g, rows, C)
     ref = [_closest_hop(g, rows, v) for v in C]
-    assert hops.shape == (len(C), g.n) and hops.dtype == np.int64
+    assert hops.shape == (len(C), g.n)
+    assert hops.dtype == np.min_scalar_type(-1 - g.n)
     assert all(h.dtype == np.int64 for h in ref)
     assert hops.tolist() == [h.tolist() for h in ref]
 
@@ -1381,7 +1382,7 @@ def test_plans_with_int64_keys():
     g = path_graph(1100)
     C = tuple(range(0, 1100, 2))
     rows = S._set_distances(g, C)[:2]
-    hops = S._colluder_hops(g, C)
+    hops = S._set_distances(g, C)[4]
     targets = [1, 3, 547, 1097, 1099]
     for o in (None, C[::-1]):
         assert_plans_equal(
