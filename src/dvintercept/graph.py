@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import csv
 import inspect
 import io
@@ -255,10 +256,7 @@ def distance_avoiding(g: Graph, removed, x: int, y: int) -> int:
     x, y = _node_id(g.n, x, "endpoint"), _node_id(g.n, y, "endpoint")
     if x in removed or y in removed:
         raise ValueError("endpoints must not be in the removed set")
-    banned = np.zeros(g.n, np.bool_)
-    banned[list(removed)] = True
-    dist = bfs(g.indptr, g.indices, x, banned)
-    return int(dist[y])
+    return int(as_hops(hop_distances(g, [x], removed))[0, y])
 
 
 # target ids per distance block; per-block arrays take O(n * _BLOCK) memory
@@ -311,25 +309,15 @@ def _map_blocks(g: Graph, fn, items):
 _HOP_DTYPES = (np.uint8, np.uint16, np.uint32)
 
 
-def _pull_lists(g: Graph, removed=()):
+def _pull_lists(g: Graph):
     """(n, starts, nbrs, mask): in a BFS level node v pulls the bits of
-    nbrs[starts[v]:starts[v + 1]] and keeps those of mask[v].  Every arc
-    touching `removed` is dropped.  `reduceat` gives a node with an empty
-    run the word at its start instead of zero, so such a node's `mask` word
-    is 0 (all ones otherwise); nbrs ends with one padding entry, and starts
-    with its index, so that every start is in range.  `mask` is n x 1, one
-    word for every source word; `_hop_families` widens it to one word per
-    node and source word, 0 where that word's sources are sealed off the
-    node."""
-    gives = np.ones(g.n, np.bool_)
-    gives[list(removed)] = False
-    esrc = np.repeat(np.arange(g.n), g.degrees())
-    keep = gives[esrc] & gives[g.indices]
-    counts = np.bincount(esrc[keep], minlength=g.n)
-    starts = np.zeros(g.n + 1, np.int64)
-    np.cumsum(counts, out=starts[1:])
-    mask = np.where(counts > 0, ~np.uint64(0), np.uint64(0))[:, None]
-    return g.n, starts, np.append(g.indices[keep], 0), mask
+    nbrs[starts[v]:starts[v + 1]] and keeps those of mask[v].  starts is
+    g.indptr, and nbrs ends with a padding entry at starts[n], so every
+    start is in range.  `reduceat` gives an empty run the word at its
+    start, so the n x 1 mask is 0 at degree-0 nodes (all ones otherwise);
+    `_hop_families` widens it and seals nodes by zeroing their words."""
+    mask = np.where(g.degrees() > 0, ~np.uint64(0), np.uint64(0))[:, None]
+    return g.n, g.indptr, np.append(g.indices, 0), mask
 
 
 def _bit_bfs(pull, sources) -> np.ndarray:
@@ -378,10 +366,19 @@ def _bit_bfs(pull, sources) -> np.ndarray:
 
 def hop_distances(g: Graph, sources, removed=()) -> np.ndarray:
     """D[i, v]: the hop distance from sources[i] to v once every edge
-    touching `removed` is deleted.  uint8 while every distance fits below
-    255, else uint16 or uint32; np.iinfo(D.dtype).max marks unreached
-    entries (see `as_hops`)."""
-    return _bit_bfs(_pull_lists(g, removed), sources)
+    touching `removed` is deleted, as one `_hop_families` family sealed at
+    `removed`: a removed source is isolated, so it starts nothing and is 0
+    at its own entry only.  uint8 while every distance fits below 255, else
+    uint16 or uint32; np.iinfo(D.dtype).max marks unreached entries (see
+    `as_hops`)."""
+    removed = list(removed)
+    src = np.asarray(sources, np.int64).reshape(-1)
+    gone = np.zeros(g.n, np.bool_)
+    gone[removed] = True
+    alone = gone[src]
+    D = _hop_families(g, [(np.where(alone, -1, src), removed)])[0]
+    D[alone, src[alone]] = 0
+    return D
 
 
 # source words per `_hop_families` BFS: its per-level arrays take about
@@ -390,15 +387,17 @@ _WORDS = 32
 
 
 def _hop_families(g: Graph, families) -> list:
-    """Per family (sources, sealed), `hop_distances(g, sources)` but with
-    no path entering a node of `sealed` other than its own source, from as
+    """Per family (sources, sealed), the hop distances from each source
+    over paths that enter no node of `sealed` other than their own source
+    (a source -1 starts nothing and its row is unreached), from as
     few `_bit_bfs` calls as possible: the families of one call take at most
     `_WORDS` source words (a larger family runs alone).  Each family's
     sources start on a word of their own, padded with -1, and the pull mask
-    holds one word per node and source word, 0 at the nodes its family
-    seals.  A level runs while any family's frontier is live, so the call's
-    dtype is the widest its families need; a family whose distances fit a
-    narrower one is narrowed to it, as `hop_distances` would return it."""
+    is widened to one word per node and source word, 0 at the nodes its
+    family seals: the one place a BFS seals a set.  A level runs while any
+    family's frontier is live, so the call's dtype is the widest its
+    families need; a family whose distances fit a narrower one is narrowed
+    to it, the dtype it would have alone."""
     families = [(np.asarray(src, np.int64).reshape(-1),
                  np.asarray(sealed, np.int64).reshape(-1))
                 for src, sealed in families]
@@ -406,19 +405,20 @@ def _hop_families(g: Graph, families) -> list:
     out, i = [], 0
     while i < len(families):
         # families i to j - 1, whose words start at lo
-        size = [-(-src.size // 64) for src, _ in families[i:]]
-        j = i + max(1, np.searchsorted(np.cumsum(size), _WORDS, "right"))
-        lo = np.cumsum([0] + size[:j - i])
+        lo = list(itertools.accumulate(
+            (-(-src.size // 64) for src, _ in families[i:]), initial=0))
+        j = i + max(1, bisect.bisect_right(lo, _WORDS) - 1)
+        lo = lo[:j - i + 1]
         sources = np.full(64 * lo[-1], -1, np.int64)
         seal = np.repeat(mask, lo[-1], axis=1)
         for (src, sealed), a, b in zip(families[i:j], lo, lo[1:]):
             sources[64 * a:64 * a + src.size] = src
             seal[sealed, a:b] = 0
         D = _bit_bfs((n, starts, nbrs, seal), sources)
-        top = np.iinfo(D.dtype).max
         for (src, _), a in zip(families[i:j], lo):
             rows = D[64 * a:64 * a + src.size]
             if D.dtype != np.uint8:
+                top = np.iinfo(D.dtype).max
                 far = int(rows.max(initial=0, where=rows < top))
                 narrow = next(t for t in _HOP_DTYPES if far < np.iinfo(t).max)
                 rows = np.where(rows < top, rows,
@@ -444,11 +444,11 @@ def as_hops(D, dtype=np.int64, inf: int = INF) -> np.ndarray:
 
 def distance_blocks(g: Graph, removed=()):
     """Yield (T, D) over consecutive blocks T of at most _BLOCK node ids, in
-    id order, where D[i, s] is the hop distance between T[i] and s once every
-    edge touching `removed` is deleted, from one bit-parallel BFS per block.
-    D is `hop_distances`' narrow array: one byte per entry while the block's
-    distances stay below 255, the dtype's maximum where unreachable.  The
-    graph is undirected, so the rows D are also the columns D[:, T].
+    id order, where D = `hop_distances(g, T, removed)`: D[i, s] is the hop
+    distance between T[i] and s once every edge touching `removed` is
+    deleted, one byte per entry while the block's distances stay below 255,
+    the dtype's maximum where unreachable.  The graph is undirected, so the
+    rows D are also the columns D[:, T].
 
     Blocks are computed as they are read (`_over_blocks`).  Once a pass has
     read every block, they are held, read-only, in the slot of the set
@@ -461,17 +461,16 @@ def distance_blocks(g: Graph, removed=()):
 def _over_blocks(g: Graph, removed, fn):
     """Yield fn(T, D) for each block (T, D) of `distance_blocks(g,
     removed)`, in order, through `_map_blocks`: a block that is not yet
-    held has its BFS run in the same call, just before fn, and the blocks
-    are held once the last one is in.  fn must not write T or D."""
+    held has its `hop_distances` run in the same call, just before fn, and
+    the blocks are held once the last one is in.  fn must not write T or D."""
     S = _colluder_tuple(g.n, removed)
     held = _slot(g, S).get("blocks")
     if held is not None:
         yield from _map_blocks(g, lambda block: fn(*block), held)
         return
-    pull = _pull_lists(g, S)
 
     def block(T):
-        D = _bit_bfs(pull, T)
+        D = hop_distances(g, T, S)
         return T, D, fn(T, D)
 
     done = []

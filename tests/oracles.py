@@ -729,7 +729,10 @@ def adjacent_strategy_reference(g, C, component_order=None):
     """`strategy.adjacent_strategy` as the per-target loop it ran before the
     all-targets plan: per honest target one quotient `rho_star_plan_reference`,
     the exits and intra-component hops, then for multi-node components one
-    `kernels.sync_column` and the relay bounds."""
+    `kernels.sync_column` and the relay bounds.  Their distances d(x, w)
+    with component cj banned do not depend on the target: one `kernels.bfs`
+    per member x of a multi-node component and component cj gives them,
+    before the target loop."""
     from dvintercept.strategy import (Strategy, _set_distances,
                                       colluder_components)
 
@@ -760,6 +763,13 @@ def adjacent_strategy_reference(g, C, component_order=None):
     broadcast = {v: D[at[v]].copy() for v in C}
     forward = {v: _closest_hop(g, rows, v) for v in C}
     relays = any(len(comp) > 1 for comp in comps)
+    banned_from = {}  # (x, cj) -> distances from x with comps[cj] but x banned
+    for x in (x for comp in comps if len(comp) > 1 for x in comp):
+        for cj, comp in enumerate(comps):
+            banned = np.zeros(g.n, np.bool_)
+            banned[list(comp)] = True
+            banned[x] = False
+            banned_from[x, cj] = kernels.bfs(g.indptr, g.indices, x, banned)
     for t in range(g.n):
         if t in cset:
             continue
@@ -798,10 +808,7 @@ def adjacent_strategy_reference(g, C, component_order=None):
                     if plan.entries[comp_qid[cj]].forwarding_number > fn_i:
                         continue
                     w = w_of[cj]
-                    banned = np.zeros(g.n, np.bool_)
-                    banned[list(comps[cj])] = True
-                    banned[x] = False
-                    dwx = int(kernels.bfs(g.indptr, g.indices, x, banned)[w])
+                    dwx = int(banned_from[x, cj][w])
                     if dwx >= INF:
                         continue
                     best = max(best, int(col[w]) - dwx)

@@ -259,10 +259,14 @@ def banned_rows(g, sources, removed=(), sealed=()):
 
 
 def sealed_rows(g, sources, sealed):
-    """`banned_rows` with `sealed` in `hop_distances`' narrow dtype: the
-    first of uint8, uint16 and uint32 whose maximum exceeds every finite
-    entry, that maximum where unreached."""
-    rows = banned_rows(g, sources, sealed=sealed)
+    """`banned_rows` with `sealed`, `narrowed`."""
+    return narrowed(banned_rows(g, sources, sealed=sealed))
+
+
+def narrowed(rows):
+    """int64 hop distances, INF where unreached, in `hop_distances`' narrow
+    dtype: the first of uint8, uint16 and uint32 whose maximum exceeds every
+    finite entry, that maximum where unreached."""
     far = rows.max(initial=0, where=rows < INF)
     dtype = next(t for t in G._HOP_DTYPES if far < np.iinfo(t).max)
     return np.where(rows < INF, rows, np.iinfo(dtype).max).astype(dtype)
@@ -395,14 +399,37 @@ class TestHopDistances:
         assert G.as_hops(D).tolist() == [[0, 3, INF]]
         assert G.as_hops(D, np.int16, 16383).tolist() == [[0, 3, 16383]]
 
-    def test_distance_blocks_cover_nodes(self):
-        g = G.erdos_renyi(600, 0.005, seed=4)
-        removed = list(range(0, g.n, 9))
-        blocks = list(G.distance_blocks(g, removed))
-        assert [T.size for T, _ in blocks] == [G._BLOCK, G._BLOCK, 600 - 2 * G._BLOCK]
-        assert (np.concatenate([T for T, _ in blocks]) == np.arange(g.n)).all()
-        D = np.concatenate([G.as_hops(block) for _, block in blocks])
-        assert (D == scipy_rows(g, np.arange(g.n), removed)).all()
+    @pytest.mark.parametrize("make, cpus", [
+        (lambda: G.erdos_renyi(600, 0.005, seed=4), 1),
+        (lambda: G.from_edges(0, []), 1),
+        (lambda: G.from_edges(1, []), 1),
+        (lambda: G.from_edges(2, []), 1),
+        (lambda: G.from_edges(2, [(0, 1)]), 1),
+        (lambda: sparse_graph(np.random.default_rng(32), 40), 1),
+        (lambda: G.erdos_renyi(300, 0.006, seed=1), 1),
+        (lambda: path_graph(300), 1),
+        (lambda: G.watts_strogatz(600, 2, 0.0, seed=0), 1),
+        (lambda: G.erdos_renyi(517, 0.008, seed=6), 1),
+        (lambda: G.erdos_renyi(517, 0.008, seed=6), 2),
+    ], ids=["er600", "n0", "n1", "n2", "n2-edge", "sparse40", "er300",
+            "path300", "ring600", "er517-inline", "er517-pool"])
+    def test_distance_blocks_cover_nodes(self, monkeypatch, make, cpus):
+        # every block of D_{G-S} is scipy's rows with S's edges deleted, in
+        # values and in `hop_distances`' dtype (uint16 on the path and the
+        # ring), for S empty, every node, every ninth node and a random
+        # third: a target in S is 0 at its own entry, unreached elsewhere
+        monkeypatch.setattr(G, "_cpus", lambda: cpus)
+        g = make()
+        nodes = np.arange(g.n)
+        for S in ([], nodes, nodes[::9],
+                  np.random.default_rng(g.n).permutation(g.n)[:g.n // 3]):
+            g = make()  # holds no blocks
+            blocks = list(G.distance_blocks(g, S))
+            assert [T.tolist() for T, _ in blocks] == [
+                nodes[lo:lo + G._BLOCK].tolist() for lo in range(0, g.n, G._BLOCK)]
+            for T, D in blocks:
+                want = narrowed(scipy_rows(g, T, S))
+                assert D.dtype == want.dtype and np.array_equal(D, want)
 
 
 class TestGenerators:

@@ -179,13 +179,14 @@ def test_stopped_pass_is_not_held_as_complete():
 
 
 def counted_bfs(monkeypatch):
-    """Patch `graph._bit_bfs`; return the Counter of its (pull, sources)
-    calls, a pull told apart by its arc starts.  Blocks run their BFS on the
-    pool's threads, so the count is taken under a lock."""
+    """Patch `graph._bit_bfs`; return the Counter of its (seal, sources)
+    calls, a call's seal being the bytes of its pull mask (`seal`).  Blocks
+    run their BFS on the pool's threads, so the count is taken under a
+    lock."""
     calls, bit_bfs, lock = Counter(), G._bit_bfs, threading.Lock()
 
     def counted(pull, sources):
-        key = pull[1].tobytes(), tuple(np.asarray(sources).tolist())
+        key = pull[3].tobytes(), tuple(np.asarray(sources).tolist())
         with lock:
             calls[key] += 1
         return bit_bfs(pull, sources)
@@ -194,13 +195,34 @@ def counted_bfs(monkeypatch):
     return calls
 
 
+def seal(g, *words):
+    """The bytes of the pull mask that a BFS on g receives with one column
+    per entry of `words`: g's mask (`graph._pull_lists`), 0 at that entry's
+    nodes."""
+    mask = np.repeat(G._pull_lists(g)[3], len(words), axis=1)
+    for i, nodes in enumerate(words):
+        mask[list(nodes), i] = 0
+    return mask.tobytes()
+
+
+def blocks_bfs(g, C):
+    """The keys `counted_bfs` gives the BFS of each block of D_{G-C}
+    (`hop_distances(g, T, C)`): one family, the block's targets with a
+    removed one as -1 (it starts nothing), sealed at C."""
+    return [merged(g, ([-1 if v in C else v
+                        for v in range(lo, min(lo + G._BLOCK, g.n))], C))
+            for lo in range(0, g.n, G._BLOCK)]
+
+
 def merged(g, *families):
     """The key `counted_bfs` gives one `graph._hop_families` call on g over
-    the families' sources: each padded with -1 to whole words."""
-    sources = []
-    for src in families:
+    the families (sources, sealed): the sources each padded with -1 to
+    whole words, and each word sealed at its family's set."""
+    sources, words = [], []
+    for src, sealed in families:
         sources += list(src) + [-1] * (-len(src) % 64)
-    return G._pull_lists(g)[1].tobytes(), tuple(int(v) for v in sources)
+        words += [sealed] * -(-len(src) // 64)
+    return seal(g, *words), tuple(int(v) for v in sources)
 
 
 def set_bfs(g, C):
@@ -210,7 +232,8 @@ def set_bfs(g, C):
     components in id order, once per component."""
     comps = S.colluder_components(fresh(g), C)
     X = sorted(v for comp in comps if len(comp) > 1 for v in comp)
-    return merged(g, S._near(g, C)[0], C, *([X] * len(comps) if X else []))
+    return merged(g, (S._near(g, C)[0], ()), (C, C),
+                  *([(X, comp) for comp in comps] if X else []))
 
 
 def test_sweep_cell_runs_each_bfs_once(monkeypatch):
@@ -225,7 +248,7 @@ def test_sweep_cell_runs_each_bfs_once(monkeypatch):
     blocks = -(-g.n // G._BLOCK)
     assert sum(calls.values()) == 1 + blocks
     assert set(calls.values()) == {1}
-    assert calls[merged(g, S._near(g, C)[0], C)] == 1
+    assert calls[merged(g, (S._near(g, C)[0], ()), (C, C))] == 1
 
 
 def test_checked_adjacent_op_computes_d_c_once(monkeypatch):
@@ -243,7 +266,8 @@ def test_checked_adjacent_op_computes_d_c_once(monkeypatch):
     assert S.check_admissible(g, strat)
     intercepted_pairs(g, strat)
     assert set(calls.values()) == {1}
-    assert calls[merged(g, S._near(g, C)[0], C, *[X] * len(comps))] == 1
+    assert calls[merged(g, (S._near(g, C)[0], ()), (C, C),
+                        *[(X, comp) for comp in comps])] == 1
 
 
 def test_rho_star_plans_share_their_rows(monkeypatch):
@@ -268,8 +292,8 @@ def test_each_distance_product_has_one_producer(monkeypatch):
     targets = [t for t in range(g.n) if t not in C]
     calls = counted_bfs(monkeypatch)
     frontiers = [S.minimal_admissible_bruteforce(g, C, t) for t in targets]
-    removed = G._pull_lists(g, C)[1].tobytes()
-    assert calls == {set_bfs(g, C): 1, **{(removed, (t,)): 1 for t in targets}}
+    assert calls == {set_bfs(g, C): 1,
+                     **{merged(g, ([t], C)): 1 for t in targets}}
     assert "blocks" not in g._memo["slot"][1]
     assert frontiers == [minimal_admissible_bruteforce_reference(g, C, t)
                          for t in targets]
@@ -284,11 +308,9 @@ def test_each_distance_product_has_one_producer(monkeypatch):
     strat = S.adjacent_strategy(g, C)
     assert S.check_admissible(g, strat)
     intercepted_pairs(g, strat)
-    removed = G._pull_lists(g, C)[1].tobytes()
-    blocks = [tuple(range(lo, min(lo + G._BLOCK, g.n)))
-              for lo in range(0, g.n, G._BLOCK)]
-    assert {T: count for (pull, T), count in calls.items()
-            if pull == removed} == dict.fromkeys(blocks, 1)
+    removed = {key[0] for key in blocks_bfs(g, C)}
+    assert {key: count for key, count in calls.items()
+            if key[0] in removed} == dict.fromkeys(blocks_bfs(g, C), 1)
 
 
 @pytest.mark.parametrize("g", graphs(), ids=lambda g: f"n{g.n}m{g.m}")
@@ -300,8 +322,6 @@ def test_first_check_count_or_sync_runs_one_set_bfs(monkeypatch, g):
     # the colluder subgraph; the D_C it holds equals one BFS per colluder
     # with the other colluders banned
     rng = np.random.default_rng(g.n)
-    blocks = [tuple(range(lo, min(lo + G._BLOCK, g.n)))
-              for lo in range(0, g.n, G._BLOCK)]
     hop_families = S._hop_families
     for C in map(sorted, colluder_sets(g, rng)):
         strat = S.adjacent_strategy(fresh(g), C)
@@ -324,8 +344,8 @@ def test_first_check_count_or_sync_runs_one_set_bfs(monkeypatch, g):
             assert [on_h for on_h, _ in made] == [True]
             if len(set_bfs(h, C)[1]) <= 64 * G._WORDS:
                 assert made[0][1] == calls[set_bfs(h, C)] == 1
-            removed = G._pull_lists(h, C)[1].tobytes()
-            assert all(calls[removed, T] == 1 for T in blocks)
+            blocks = blocks_bfs(h, C)
+            assert all(calls[key] == 1 for key in blocks)
             assert sum(calls.values()) == made[0][1] + len(blocks) + multi
             assert (G.as_hops(S._set_distances(h, C)[2])
                     == banned_rows(h, C, sealed=C)).all()
@@ -352,8 +372,9 @@ def test_adjacent_build_reads_no_distances_in_g_minus_s(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(S, "_over_blocks", no_blocks)
         strat = S.adjacent_strategy(g, C)
-    removed = G._pull_lists(g, C)[1].tobytes()
-    assert calls and not any(pull == removed for pull, _ in calls)
+    # a BFS in G - S seals C in each of its words
+    removed = {seal(g, *[C] * words) for words in range(1, G._WORDS + 1)}
+    assert calls and not any(pull in removed for pull, _ in calls)
     assert S.check_admissible(g, strat)
     h = fresh(g)
     assert vectors(strat) == vectors(S.adjacent_strategy(h, C))
