@@ -320,16 +320,26 @@ def _pull_lists(g: Graph):
     return g.n, g.indptr, np.append(g.indices, 0), mask
 
 
+# bytes of unpacked bits per tile of `_bit_bfs`' result
+_TILE = 1 << 18
+
+
 def _bit_bfs(pull, sources) -> np.ndarray:
     """|sources| x n hop distances over `pull` (from `_pull_lists`), all
     sources at once: node v holds bit i of its uint64 words when sources[i]
     has reached it.  One level ORs the frontier words of each node's pulled
     neighbours and keeps the bits not yet seen and not masked (`mask` is
-    n x 1 or n x words); every entry still unseen before a level gains 1, so
-    an entry reached at level d holds d.  A source -1 starts nothing, and
-    its row is unreached.  The result is uint8, widened to uint16 or uint32
-    when a level would reach the dtype's maximum, which marks the unreached
-    entries."""
+    n x 1 or n x words).  The levels are recorded as bit planes: the
+    frontier of level d is ORed into plane j for each bit j set in d, so an
+    entry's planes spell the level that reached it, and an entry never
+    reached has no plane bit.  A source -1 starts nothing, and its row is
+    unreached.
+
+    The dtype is the first of uint8, uint16 and uint32 whose maximum exceeds
+    the last level; that maximum marks the unreached entries.  The result
+    is written through tiles of node rows: per tile, one unpack per plane,
+    times its bit's value, plus one of the unseen bits times the maximum,
+    and the tile's transpose is copied into the result's columns."""
     n, starts, nbrs, mask = pull
     sources = np.asarray(sources, np.int64).reshape(-1)
     k = sources.size
@@ -339,13 +349,7 @@ def _bit_bfs(pull, sources) -> np.ndarray:
     np.bitwise_or.at(frontier, (sources[bit], bit >> 6),
                      np.left_shift(np.uint64(1), (bit & 63).astype(np.uint64)))
     seen = frontier.copy()
-    dtypes = iter(_HOP_DTYPES)
-    dist = np.zeros((n, 64 * words), next(dtypes))
-
-    def unseen():
-        # bit i of a little-endian word is column i of its row
-        return np.unpackbits((~seen).view(np.uint8), axis=1, bitorder="little")
-
+    planes = []
     level = 0
     while starts[-1]:  # with no arc there is no level
         # the last run is the padding entry's
@@ -356,12 +360,27 @@ def _bit_bfs(pull, sources) -> np.ndarray:
         if not frontier.any():
             break
         level += 1
-        if level == np.iinfo(dist.dtype).max:
-            dist = dist.astype(next(dtypes))
-        dist += unseen()
+        if level.bit_length() > len(planes):
+            planes.append(np.zeros_like(seen))
+        for j, plane in enumerate(planes):
+            if level >> j & 1:
+                plane |= frontier
         seen |= frontier
-    dist[unseen().view(np.bool_)] = np.iinfo(dist.dtype).max
-    return np.ascontiguousarray(dist[:, :k].T)
+    dtype = next(t for t in _HOP_DTYPES if level < np.iinfo(t).max)
+    out = np.empty((k, n), dtype)
+
+    def unpack(a):
+        # bit i of a little-endian word is column i of its row
+        return np.unpackbits(a.view(np.uint8), axis=1, bitorder="little")
+
+    rows = max(1, _TILE // max(64 * words, 1))
+    for lo in range(0, n, rows):
+        at = slice(lo, lo + rows)
+        tile = np.multiply(unpack(~seen[at]), np.iinfo(dtype).max, dtype=dtype)
+        for j, plane in enumerate(planes):
+            tile |= np.multiply(unpack(plane[at]), 1 << j, dtype=dtype)
+        out[:, at] = tile[:, :k].T
+    return out
 
 
 def hop_distances(g: Graph, sources, removed=()) -> np.ndarray:
@@ -370,7 +389,10 @@ def hop_distances(g: Graph, sources, removed=()) -> np.ndarray:
     `removed`: a removed source is isolated, so it starts nothing and is 0
     at its own entry only.  uint8 while every distance fits below 255, else
     uint16 or uint32; np.iinfo(D.dtype).max marks unreached entries (see
-    `as_hops`)."""
+    `as_hops`), the dtype `_bit_bfs` picks for these distances alone
+    (`_narrowest`).  On a one-block graph `strategy._set_distances` holds
+    a colluder set's block, equal to this call on every node, from a
+    family whose colluder rows are D_C."""
     removed = list(removed)
     src = np.asarray(sources, np.int64).reshape(-1)
     gone = np.zeros(g.n, np.bool_)
@@ -416,16 +438,22 @@ def _hop_families(g: Graph, families) -> list:
             seal[sealed, a:b] = 0
         D = _bit_bfs((n, starts, nbrs, seal), sources)
         for (src, _), a in zip(families[i:j], lo):
-            rows = D[64 * a:64 * a + src.size]
-            if D.dtype != np.uint8:
-                top = np.iinfo(D.dtype).max
-                far = int(rows.max(initial=0, where=rows < top))
-                narrow = next(t for t in _HOP_DTYPES if far < np.iinfo(t).max)
-                rows = np.where(rows < top, rows,
-                                np.iinfo(narrow).max).astype(narrow)
+            rows = _narrowest(D[64 * a:64 * a + src.size])
             out.append(rows.copy() if j - i > 1 else rows)
         i = j
     return out
+
+
+def _narrowest(D):
+    """The hop distances D (the dtype's maximum where unreached) in the
+    first of `_HOP_DTYPES` whose maximum exceeds every finite entry: the
+    dtype a BFS over those distances alone returns."""
+    if D.dtype == _HOP_DTYPES[0]:
+        return D
+    top = np.iinfo(D.dtype).max
+    far = int(D.max(initial=0, where=D < top))
+    narrow = next(t for t in _HOP_DTYPES if far < np.iinfo(t).max)
+    return np.where(D < top, D, np.iinfo(narrow).max).astype(narrow)
 
 
 def as_hops(D, dtype=np.int64, inf: int = INF) -> np.ndarray:
@@ -454,7 +482,10 @@ def distance_blocks(g: Graph, removed=()):
     read every block, they are held, read-only, in the slot of the set
     `removed`, so later passes over it run no BFS: n^2 bytes while the
     distances fit in one byte.  A pass that stops early leaves nothing
-    held."""
+    held.  On a graph of one block (n <= _BLOCK) the set's first reader in
+    `strategy` holds its one block already (`strategy._set_distances`, from
+    the BFS that gives its rows and D_C), so no pass over the set runs a
+    BFS."""
     return _over_blocks(g, removed, lambda T, D: (T, D))
 
 

@@ -21,9 +21,9 @@ from . import protocol
 # distance_avoiding is not called here but stays importable because
 # perfbench/tracing.py patches this name
 from .graph import (INF, Graph, ParseError, distance_avoiding,  # noqa: F401
-                    _colluder_tuple, _csr, _hop_families, _integer,
-                    _over_blocks, _memoized, _node_id, as_hops,
-                    component_labels, hop_distances)
+                    _BLOCK, _colluder_tuple, _csr, _hop_families, _integer,
+                    _over_blocks, _memoized, _narrowest, _node_id, _slot,
+                    as_hops, component_labels, hop_distances)
 from .protocol import _min_plus
 
 
@@ -45,28 +45,52 @@ def _near(g: Graph, S):
 
 def _set_distances(g: Graph, S):
     """(at, D, dc, relay, hops): every distance in g that a reader on the
-    colluder set S takes, from one `graph._hop_families` call on first use,
-    and the colluders' closest hops, held read-only in the slot of S's set
-    (`graph._memoized`) in narrow dtypes.  D holds the rows of S and its
-    neighbours: node v's row is D[at[v]], and at[v] = -1 for the others.
-    dc is D_C, the rows of the colluders in id order through honest nodes
-    only.  relay is empty unless a component has several members; then,
-    per component, it holds the rows of the members X of such components in
-    id order with that component sealed (`_adjacent`'s relay bound).  hops
-    is the colluders' `_closest_hops` in id order.  The components come
-    first, from `_colluder_graph`, which runs no BFS on g."""
+    colluder set S takes, from one `graph._hop_families` call on first use
+    (`_near_rows`), and the colluders' closest hops, held read-only in the
+    slot of S's set (`graph._memoized`) in narrow dtypes.  D holds the rows
+    of S and its neighbours: node v's row is D[at[v]], and at[v] = -1 for
+    the others.  dc is D_C, the rows of the colluders in id order through
+    honest nodes only.  relay is empty unless a component has several
+    members; then, per component, it holds the rows of the members X of
+    such components in id order with that component sealed (`_adjacent`'s
+    relay bound).  hops is the colluders' `_closest_hops` in id order.  The
+    components come first, from `_colluder_graph`, which runs no BFS on g.
+
+    On a graph of one block (n <= `graph._BLOCK`) the same call also gives
+    the set's D_{G-S} block, held as the slot's blocks (`distance_blocks`),
+    so no pass over the set runs a BFS: its family is every node, sealed at
+    S.  A colluder's row there is D_C's, so D_C needs no family of its own;
+    in the block each colluder's row is then made isolated, 0 at its own
+    entry and unreached elsewhere, and D_C and the block each take the
+    dtype a call of their own would give (`graph._narrowest`)."""
     S = _colluder_tuple(g.n, S)
 
     def compute():
         ids = np.asarray(S, np.int64)
         index = _colluder_graph(g, S)[0]
         X = ids[np.bincount(index)[index] > 1]
-        near, at = _near(g, S)
-        rows, dc, *relay = _hop_families(g, [(near, ()), (ids, ids)] + [
-            (X, comp) for comp in colluder_components(g, S) if X.size])
-        return at, rows, dc, tuple(relay), _closest_hops(g, (at, rows), ids)
+        relay = [(X, comp) for comp in colluder_components(g, S) if X.size]
+        one_block = g.n <= _BLOCK
+        T = np.arange(g.n) if one_block else ids
+        at, rows, hops, dc, *relay = _near_rows(g, S, [(T, ids)] + relay)
+        if one_block:  # dc is the block, with D_C at the colluders' rows
+            D, dc = dc, _narrowest(dc[ids])
+            D[ids] = np.iinfo(D.dtype).max
+            D[ids, ids] = 0
+            _memoized(g, S, "blocks", lambda: ((T, _narrowest(D)),) if g.n else ())
+        return at, rows, dc, tuple(relay), hops
 
     return _memoized(g, S, "rows", compute)
+
+
+def _near_rows(g: Graph, S, families=()):
+    """(at, D, hops, *more): the rows D of the colluder set S and its
+    neighbours (`_near`: node v's row is D[at[v]]), the colluders'
+    `_closest_hops` in id order, and the rows of each further family
+    (sources, sealed), from one `graph._hop_families` call."""
+    near, at = _near(g, S)
+    D, *more = _hop_families(g, [(near, ())] + list(families))
+    return (at, D, _closest_hops(g, (at, D), np.asarray(S, np.int64)), *more)
 
 
 def _runs(g: Graph, V):
@@ -632,7 +656,7 @@ def _adjacent(g: Graph, C, component_order=None):
     broadcasts and hops as k x n int64 arrays in id order."""
     comps = colluder_components(g, C)
     C, b, hop = _honest(g, C)
-    *rows, dc, relay, _ = _set_distances(g, C)
+    *rows, dc, relay, hops = _set_distances(g, C)
     ids = np.asarray(C, np.int64)
     cnum = np.full(g.n, -1, np.int64)  # component index of each colluder
     index, inner_hops = _colluder_graph(g, C)
@@ -640,8 +664,11 @@ def _adjacent(g: Graph, C, component_order=None):
     # the members of multi-node components in id order, as the relay rows
     # of `_set_distances` are; their relay bounds need the synchronized column
     X = ids[np.bincount(index)[index] > 1]
+    # a separated set's quotient is g, whose rows and hops are the set's;
+    # another quotient's plan reads only its own, held nowhere
     gq, qid, honest_of, comp_qid = _quotient(g, comps)
-    qat, qD, _, _, qhops = _set_distances(gq, comp_qid)
+    qat, qD, qhops = ((*rows, hops) if gq is g
+                      else _near_rows(gq, comp_qid))
 
     qorder = None
     if component_order is not None:
@@ -946,8 +973,12 @@ def minimal_admissible_bruteforce(g: Graph, C, t: int, budget: int = 10**6):
     if math.prod(map(len, ranges)) > budget:
         raise BudgetError(f"search space exceeds budget of {budget}")
     k, inf = len(C), INF + 1
-    # t's row of D_{G-S} and D_C, as the pass reads them
-    d = as_hops(hop_distances(g, [t], C)[0], inf=inf)
+    # t's row of D_{G-S} and D_C, as the pass reads them; the row from the
+    # set's held blocks (on a one-block graph, from its first reader), else
+    # from a single-source BFS
+    blocks = _slot(g, C).get("blocks")
+    d = as_hops(hop_distances(g, [t], C)[0] if blocks is None
+                else blocks[t // _BLOCK][1][t % _BLOCK], inf=inf)
     dc = as_hops(dc, inf=inf)
     comp = component_labels(g)
     combos = itertools.product(*ranges)

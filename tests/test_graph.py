@@ -432,6 +432,67 @@ class TestHopDistances:
                 assert D.dtype == want.dtype and np.array_equal(D, want)
 
 
+class TestBitBfs:
+    """`graph._bit_bfs` on its own: levels recorded as bit planes, the
+    dtype picked from the last level, the result written in tiles of node
+    rows; every result equals the `narrowed` scipy rows in values and
+    dtype."""
+
+    @pytest.mark.parametrize("n, dtype", [(255, np.uint8), (256, np.uint16)])
+    def test_dtype_boundary(self, n, dtype):
+        # read from one end, the largest distance is n - 1: 254 fits below
+        # uint8's maximum, 255 does not
+        g = path_graph(n)
+        D = G._bit_bfs(G._pull_lists(g), [0])
+        want = narrowed(scipy_rows(g, [0]))
+        assert D.dtype == want.dtype == dtype
+        assert D.tolist() == [list(range(n))]
+
+    @pytest.mark.parametrize("tile", [G._TILE, 200])
+    @pytest.mark.parametrize("make", [
+        lambda: G.from_edges(0, []), lambda: G.from_edges(1, []),
+        lambda: G.from_edges(2, []), lambda: G.from_edges(2, [(0, 1)]),
+        lambda: sparse_graph(np.random.default_rng(7), 60),
+        lambda: path_graph(300),
+    ], ids=["n0", "n1", "n2", "n2-edge", "isolated60", "path300"])
+    def test_matches_scipy(self, monkeypatch, make, tile):
+        # every node as a source (five words on the path), and random
+        # sources with repeats and -1s, which start nothing; a tile of 200
+        # bytes is a few node rows, so the result is written in many tiles
+        # and a partial last one
+        monkeypatch.setattr(G, "_TILE", tile)
+        g = make()
+        rng = np.random.default_rng(g.n)
+        pull = G._pull_lists(g)
+        every = np.arange(g.n)
+        some = rng.integers(-1, g.n, size=70) if g.n else np.full(3, -1)
+        for sources in (every, some, every[::-1][:65]):
+            D = G._bit_bfs(pull, sources)
+            reached = sources >= 0
+            want = np.full((sources.size, g.n), INF, np.int64)
+            want[reached] = scipy_rows(g, sources[reached])
+            want = narrowed(want)
+            assert D.dtype == want.dtype and np.array_equal(D, want)
+        if g.n == 300:
+            assert G._bit_bfs(pull, every).dtype == np.uint16
+
+    def test_families_over_several_words(self):
+        # families of 5, 3, 2, 1 and 4 words in one call, each word sealed
+        # at its family's set: the unsealed path rows need uint16, the
+        # sealed ones fit uint8
+        for g in (path_graph(300), G.erdos_renyi(280, 0.006, seed=3)):
+            nodes = np.arange(g.n)
+            families = [(nodes, ()), (nodes[::2], nodes[5::40]),
+                        (nodes[:70], nodes[100:]), ([3], [150]),
+                        (nodes[::-1][:200], nodes[::7])]
+            got = G._hop_families(g, families)
+            for (src, sealed), D in zip(families, got):
+                want = sealed_rows(g, src, sealed)
+                assert D.dtype == want.dtype and np.array_equal(D, want)
+            if g.n == 300:
+                assert [D.dtype for D in got[:2]] == [np.uint16, np.uint8]
+
+
 class TestGenerators:
     def test_er_degenerate(self):
         assert G.erdos_renyi(7, 0.0, seed=1).m == 0

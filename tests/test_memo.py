@@ -18,7 +18,7 @@ from dvintercept.interception import coverage_function, intercepted_pairs
 from dvintercept.graph import INF
 from dvintercept.protocol import synchronize
 
-from test_graph import banned_rows
+from test_graph import banned_rows, path_graph
 from oracles import (adjacent_strategy_reference, intercepted_pairs_oracle,
                      minimal_admissible_bruteforce_reference, random_connected_graph)
 
@@ -227,12 +227,14 @@ def merged(g, *families):
 
 def set_bfs(g, C):
     """The key `counted_bfs` gives the one BFS on g for the colluder set C
-    (`strategy._set_distances`): the rows of C and its neighbours, D_C and,
-    when C has a multi-node component, the rows of the members X of such
-    components in id order, once per component."""
+    (`strategy._set_distances`): the rows of C and its neighbours, D_C (on a
+    one-block graph, every node sealed at C: the block of D_{G-C}, whose
+    colluder rows are D_C) and, when C has a multi-node component, the rows
+    of the members X of such components in id order, once per component."""
     comps = S.colluder_components(fresh(g), C)
     X = sorted(v for comp in comps if len(comp) > 1 for v in comp)
-    return merged(g, (S._near(g, C)[0], ()), (C, C),
+    dc = (range(g.n) if g.n <= G._BLOCK else C, C)
+    return merged(g, (S._near(g, C)[0], ()), dc,
                   *([(X, comp) for comp in comps] if X else []))
 
 
@@ -283,20 +285,27 @@ def test_rho_star_plans_share_their_rows(monkeypatch):
 def test_each_distance_product_has_one_producer(monkeypatch):
     # the brute force over every target of one set reads the held D_C and
     # rows of C and its neighbours (its search ranges), and t's row of
-    # D_{G-S} from a BFS of its own: one BFS on g for the set, whatever its
-    # components, and one single-source BFS in G - S per target, holding no
-    # block
+    # D_{G-S} from the block that the set's one BFS on g holds on a
+    # one-block graph: one BFS in all, whatever its components
     rng = np.random.default_rng(17)
     g = random_connected_graph(rng, n_max=10, n_min=8)
     C = sorted(int(v) for v in rng.choice(g.n, 3, replace=False))
     targets = [t for t in range(g.n) if t not in C]
     calls = counted_bfs(monkeypatch)
     frontiers = [S.minimal_admissible_bruteforce(g, C, t) for t in targets]
-    assert calls == {set_bfs(g, C): 1,
-                     **{merged(g, ([t], C)): 1 for t in targets}}
-    assert "blocks" not in g._memo["slot"][1]
+    assert calls == {set_bfs(g, C): 1}
     assert frontiers == [minimal_admissible_bruteforce_reference(g, C, t)
                          for t in targets]
+
+    # on a two-block graph that holds no block, t's row is a single-source
+    # BFS in G - S of its own, and no block is held after it
+    g = G.erdos_renyi(300, 0.012, seed=4)
+    C, t = colluder_sets(g, np.random.default_rng(4))[0][:2], 0
+    calls.clear()
+    frontier = S.minimal_admissible_bruteforce(g, C, t)
+    assert calls == {set_bfs(g, C): 1, merged(g, ([t], C)): 1}
+    assert "blocks" not in g._memo["slot"][1]
+    assert frontier == minimal_admissible_bruteforce_reference(g, C, t)
 
     # a checked adjacent op with a multi-node component: the build reads no
     # block (its relay bound takes true distances from the held rows), so
@@ -317,10 +326,11 @@ def test_each_distance_product_has_one_producer(monkeypatch):
 def test_first_check_count_or_sync_runs_one_set_bfs(monkeypatch, g):
     # a check, a count or a synchronization, each the first call on a set
     # that the graph holds nothing for, makes one `graph._hop_families` call
-    # on g for the set (its rows, D_C and any relay rows; one BFS while
-    # they fit `graph._WORDS` words) and runs one BFS per block of D_{G-S} and, for a multi-node set, one of
-    # the colluder subgraph; the D_C it holds equals one BFS per colluder
-    # with the other colluders banned
+    # on g for the set (its rows, D_C and any relay rows, and on a one-block
+    # graph its block of D_{G-S}; one BFS while they fit `graph._WORDS`
+    # words), one BFS per block of D_{G-S} on a larger graph, and for a
+    # multi-node set one BFS of the colluder subgraph; the D_C it holds
+    # equals one BFS per colluder with the other colluders banned
     rng = np.random.default_rng(g.n)
     hop_families = S._hop_families
     for C in map(sorted, colluder_sets(g, rng)):
@@ -344,7 +354,7 @@ def test_first_check_count_or_sync_runs_one_set_bfs(monkeypatch, g):
             assert [on_h for on_h, _ in made] == [True]
             if len(set_bfs(h, C)[1]) <= 64 * G._WORDS:
                 assert made[0][1] == calls[set_bfs(h, C)] == 1
-            blocks = blocks_bfs(h, C)
+            blocks = blocks_bfs(h, C) if g.n > G._BLOCK else []
             assert all(calls[key] == 1 for key in blocks)
             assert sum(calls.values()) == made[0][1] + len(blocks) + multi
             assert (G.as_hops(S._set_distances(h, C)[2])
@@ -427,6 +437,104 @@ def test_separated_quotient_is_g():
     assert gq is g and len(C) > 1
     assert qid.tolist() == list(range(g.n)) and comp_qid == C
     assert honest_of.tolist() == [-1 if v in C else v for v in range(g.n)]
+
+
+@pytest.mark.parametrize("n, p", [(120, 0.03), (300, 0.012)])
+def test_quotient_bfs_runs_only_its_rows(monkeypatch, n, p):
+    # a multi-node set's quotient plan reads only the quotient's rows of the
+    # contracted set and its neighbours, and their closest hops: the one
+    # BFS on the quotient receives those sources, padded to whole words,
+    # and no D_C or block family
+    g = G.erdos_renyi(n, p, seed=4)
+    x = next(v for v in range(g.n) if g.degree(v))
+    C = sorted({x, int(g.neighbors(x)[0]), 50, 100})
+    gq, _, _, comp_qid = S._quotient(g, S.colluder_components(g, C))
+    assert gq.n < g.n
+    received, bit_bfs = [], G._bit_bfs
+
+    def counted(pull, sources):
+        if pull[0] == gq.n:
+            received.append(tuple(np.asarray(sources).tolist()))
+        return bit_bfs(pull, sources)
+
+    monkeypatch.setattr(G, "_bit_bfs", counted)
+    strat = S.adjacent_strategy(g, C)
+    near = S._near(gq, comp_qid)[0].tolist()
+    assert received == [tuple(near + [-1] * (-len(near) % 64))]
+    assert vectors(strat) == vectors(adjacent_strategy_reference(fresh(g), C))
+
+
+def one_block_graphs():
+    """graphs() of one block, the 255- and 256-node paths and a ring."""
+    return ([g for g in graphs() if g.n <= G._BLOCK] + [path_graph(255), path_graph(256)]
+            + [G.watts_strogatz(256, 2, 0.0, seed=0)])
+
+
+@pytest.mark.parametrize("g", one_block_graphs(), ids=lambda g: f"n{g.n}m{g.m}")
+def test_one_block_set_products_equal_separate_calls(g):
+    # on a graph of one block the set's one BFS gives its rows, D_C, relay
+    # rows and block of D_{G-S}: each equals a `hop_distances` or
+    # one-family `_hop_families` call of its own in values and dtype, for S
+    # empty, every node, the drawn sets and an end of the path (whose D_C
+    # reaches 255, uint16, while its block stays uint8); a colluder
+    # target's row of the block is 0 at itself, unreached elsewhere
+    sets = [[], list(range(g.n)), *colluder_sets(g, np.random.default_rng(g.n))]
+    for C in sets + ([[0], [0, 1, 2]] if g.n > 200 else []):
+        h = fresh(g)
+        at, D, dc, relay, hops = S._set_distances(h, C)
+        ids = np.asarray(sorted(set(C)), np.int64)
+        near = S._near(h, C)[0]
+        comps = S.colluder_components(h, C)
+        X = [v for comp in comps if len(comp) > 1 for v in comp]
+        blocks = h._memo["slot"][1]["blocks"]
+        want = [G.hop_distances(g, near)] + [
+            G._hop_families(g, [family])[0]
+            for family in [(ids, ids)] + [(sorted(X), comp) for comp in comps if X]]
+        got = [D, dc, *relay]
+        if g.n:
+            (T, block), = blocks
+            assert T.tolist() == list(range(g.n))
+            want.append(G.hop_distances(g, T, C))
+            got.append(block)
+            top = np.iinfo(block.dtype).max
+            for c in ids:
+                assert block[c].tolist() == [0 if v == c else top for v in range(g.n)]
+        else:
+            assert blocks == ()
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.array_equal(hops, S._closest_hops(g, (at, D), ids))
+        if g.n == 256 and C == [0] and g.m == 255:
+            assert [dc.dtype, block.dtype] == [np.uint16, np.uint8]
+
+
+def test_bruteforce_reads_held_block_rows(monkeypatch):
+    # t's row of D_{G-S} from the one-block set BFS, from held blocks (a
+    # count ran first, with blocks of 8 targets, so t is in either of two)
+    # and from a single-source BFS when no block is held: the frontiers are
+    # equal, and equal the reference's
+    rng = np.random.default_rng(33)
+    monkeypatch.setattr(G, "_cpus", lambda: 1)
+    for _ in range(6):
+        g = random_connected_graph(rng, n_max=12, n_min=9)
+        C = sorted(int(v) for v in rng.choice(g.n, 2, replace=False))
+        targets = [t for t in range(g.n) if t not in C]
+        frontiers, single = [], []
+        for block, count in ((G._BLOCK, False), (8, True), (8, False)):
+            h = fresh(g)
+            with monkeypatch.context() as m:
+                for module in (G, S, I):
+                    m.setattr(module, "_BLOCK", block)
+                if count:
+                    intercepted_pairs(h, S.honest_strategy(h, C))
+                calls = counted_bfs(m)
+                frontiers.append([S.minimal_admissible_bruteforce(h, C, t)
+                                  for t in targets])
+            single.append(sum(calls[merged(h, ([t], C))] for t in targets))
+        assert single == [0, 0, len(targets)]
+        assert frontiers[0] == frontiers[1] == frontiers[2] == [
+            minimal_admissible_bruteforce_reference(g, C, t) for t in targets]
 
 
 def test_adjacent_build_on_a_separated_set_reads_the_honest_products(monkeypatch):
