@@ -262,6 +262,11 @@ def distance_avoiding(g: Graph, removed, x: int, y: int) -> int:
 # target ids per distance block; per-block arrays take O(n * _BLOCK) memory
 _BLOCK = 256
 
+# bytes of a block of D_{G-S} at one byte per entry (_BLOCK * n) from which
+# `_map_blocks` runs the blocks of a pass on threads: n >= 4096, the measured
+# crossover (see `_map_blocks`)
+_POOL_BYTES = 1 << 20
+
 
 def _cpus() -> int:
     """The number of CPUs this process may run on."""
@@ -275,17 +280,49 @@ def _map_blocks(g: Graph, fn, items):
     order and lazily: fn is called on an item only as the results before it
     are consumed.
 
-    With two or more blocks and two or more usable CPUs the calls run on a
-    pool of min(blocks, CPUs) threads, at most one item per thread ahead of
-    the consumer, so per-block transients are held up to threads + 1 times.
-    fn reads arrays that no one writes while it runs and writes nothing
-    that another call reads; most of its time is in numpy calls that
-    release the GIL.  An exception from fn is raised when its result is
-    reached, so results and errors come in item order.  The pool starts at
-    the first item and is shut down, its pending calls cancelled, when the
-    generator is exhausted or closed: no thread outlives it.  Otherwise the
-    calls run inline and no thread starts."""
-    workers = min(-(-g.n // _BLOCK), _cpus())
+    The calls run inline, and no thread starts, unless a block holds at
+    least `_POOL_BYTES` (_BLOCK * n >= _POOL_BYTES) and two or more CPUs are
+    usable.  Then they run on a pool of min(blocks, CPUs) threads, at most
+    one item per thread ahead of the consumer, so per-block transients are
+    held up to threads + 1 times.  fn reads arrays that no one writes while
+    it runs and writes nothing that another call reads; most of its time is
+    in numpy calls that release the GIL.  An exception from fn is raised
+    when its result is reached, so results and errors come in item order.
+    The pool starts at the first item and is shut down, its pending calls
+    cancelled, when the generator is exhausted or closed: no thread
+    outlives it.
+
+    Below the crossover the pool costs more than it overlaps: the GIL is
+    held by `np.bitwise_or.reduceat` in the BFS and handed over at every
+    short numpy call, a thread started while another runs numpy takes about
+    2 ms, and a fresh process pays the pool's import and more page faults.
+    Medians (ms) of a cold honest count (BFS included) and a warm adjacent
+    count (blocks held), 20 random colluders on pref_attach(n, 2, seed=3)
+    (18 at 10^4), inline and on 2 threads, 10 alternating rounds in one
+    process on 2 vCPUs:
+
+        n        inline        pool
+        1000     17 / 10      21 / 13
+        2000     61 / 27      53 / 28
+        3000    131 / 58     124 / 46
+        3500    177 / 74     144 / 70
+        4000    234 / 102    218 / 82
+        4500    309 / 135    279 / 109
+        5000    363 / 165    363 / 124
+        5500    473 / 209    349 / 135
+        6000    542 / 253    463 / 170
+        10^4   1653 / 700   1202 / 459
+
+    Over five such runs (four in one process, of 6 to 12 rounds, and one
+    of 6 rounds of fresh processes), from n = 4000 up the pool's median was
+    the lower in 39 of 42 cold and warm comparisons.  From 2000 to 3500 the
+    pooled/inline pair medians ranged from 0.77 to 1.24, so the counts
+    alone did not settle it, and at n = 2000 the benchmark's fresh-process
+    ops, builds included, ran faster inline; at n = 1000 inline won.  1 MiB
+    (n >= 4096) is the round budget just above that crossover.
+    """
+    big = _BLOCK * g.n >= _POOL_BYTES
+    workers = min(-(-g.n // _BLOCK), _cpus()) if big else 1
     if workers < 2:
         yield from map(fn, items)
         return
@@ -491,9 +528,10 @@ def distance_blocks(g: Graph, removed=()):
 
 def _over_blocks(g: Graph, removed, fn):
     """Yield fn(T, D) for each block (T, D) of `distance_blocks(g,
-    removed)`, in order, through `_map_blocks`: a block that is not yet
-    held has its `hop_distances` run in the same call, just before fn, and
-    the blocks are held once the last one is in.  fn must not write T or D."""
+    removed)`, in order, through `_map_blocks`, which runs the calls
+    inline unless a block holds `_POOL_BYTES`: a block that is not yet held
+    has its `hop_distances` run in the same call, just before fn, and the
+    blocks are held once the last one is in.  fn must not write T or D."""
     S = _colluder_tuple(g.n, removed)
     held = _slot(g, S).get("blocks")
     if held is not None:

@@ -69,12 +69,12 @@ def intercepted_pairs(g: Graph, strat: Strategy, *,
 
     Memory: the intercept matrix packed eight entries to a byte (n^2/8
     bytes), the pass's O(n * block) arrays, one byte per entry while every
-    offer is below 127, for up to threads + 1 blocks at once
-    (`graph._map_blocks`), and the distances in G - S that the graph holds
-    for the colluder set (n^2 bytes while they fit in one byte; see
-    `graph.distance_blocks`).  The held count is about 10 bytes per
-    colluder and target (the int64 broadcasts and the hops, narrowed) and
-    1 or 2 per target (the per-target counts)."""
+    offer is below 127, for one block at a time, or up to threads + 1 where
+    a block is large enough for the pool (`graph._map_blocks`), and the
+    distances in G - S that the graph holds for the colluder set (n^2 bytes
+    while they fit in one byte; see `graph.distance_blocks`).  The held
+    count is about 10 bytes per colluder and target (the int64 broadcasts
+    and the hops, narrowed) and 1 or 2 per target (the per-target counts)."""
     comp = component_labels(g)
     sizes = np.bincount(comp)
     arrays = C, b, hop = strat.validate(g)

@@ -807,8 +807,9 @@ def _closed_form_pass(g: Graph, arrays, comp):
     intercepted at [i, s].  Raises InadmissibleError at the first target
     with members of its component that cannot reach it in the routing
     graph.  Each block, with its BFS, is one call of `graph._over_blocks`,
-    which may run the next blocks on other threads; results and the error
-    still come in target order.
+    which runs the next blocks on other threads only when a block holds
+    `graph._POOL_BYTES`; results and the error come in target order either
+    way.
 
     With D the hop distances in G minus every edge touching the colluders,
     D_C[x] the hop distances from colluder x through honest nodes only and
@@ -842,7 +843,7 @@ def _closed_form_pass(g: Graph, arrays, comp):
 
     The set's arrays (`_pass_setup`, and D_C in each dtype a pass sizes) are
     held in its slot, written here on the calling thread before
-    `_over_blocks` starts its pool.
+    `_over_blocks` starts any pool.
     """
     C, b, hop = arrays
     n, ids = g.n, np.asarray(C, np.int64)

@@ -417,8 +417,10 @@ class TestHopDistances:
         # every block of D_{G-S} is scipy's rows with S's edges deleted, in
         # values and in `hop_distances`' dtype (uint16 on the path and the
         # ring), for S empty, every node, every ninth node and a random
-        # third: a target in S is 0 at its own entry, unreached elsewhere
+        # third: a target in S is 0 at its own entry, unreached elsewhere;
+        # the pool is open to every block size, so the CPUs pick the path
         monkeypatch.setattr(G, "_cpus", lambda: cpus)
+        monkeypatch.setattr(G, "_POOL_BYTES", 0)
         g = make()
         nodes = np.arange(g.n)
         for S in ([], nodes, nodes[::9],

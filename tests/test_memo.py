@@ -513,9 +513,9 @@ def test_bruteforce_reads_held_block_rows(monkeypatch):
     # t's row of D_{G-S} from the one-block set BFS, from held blocks (a
     # count ran first, with blocks of 8 targets, so t is in either of two)
     # and from a single-source BFS when no block is held: the frontiers are
-    # equal, and equal the reference's
+    # equal, and equal the reference's; graphs this small run every pass
+    # inline, so the BFS calls are counted on this thread
     rng = np.random.default_rng(33)
-    monkeypatch.setattr(G, "_cpus", lambda: 1)
     for _ in range(6):
         g = random_connected_graph(rng, n_max=12, n_min=9)
         C = sorted(int(v) for v in rng.choice(g.n, 2, replace=False))

@@ -1,9 +1,12 @@
 """The per-block thread pool (`graph._map_blocks`): counts, checks and belief
 matrices on multi-block graphs come out the same on the pool as inline,
 violations are reported for the same first target, and no thread outlives
-a pass.  The pool is chosen by the CPUs the process may use, so each test
-sets `graph._cpus` to pick a path."""
+a pass.  The pool is chosen by the CPUs the process may use and by the size
+of a block (`graph._POOL_BYTES`), and every graph here but those of the
+crossover tests is below that size, so each test sets `graph._cpus`, and
+the size to 0, to pick a path."""
 
+import concurrent.futures
 import sys
 import threading
 
@@ -59,9 +62,15 @@ def results(g, C):
     return out
 
 
+def pooled(m, cpus):
+    """Run passes on `cpus` CPUs with the pool open to every block size."""
+    m.setattr(G, "_cpus", lambda: cpus)
+    m.setattr(G, "_POOL_BYTES", 0)
+
+
 def on_cpus(monkeypatch, cpus, fn, *args):
     with monkeypatch.context() as m:
-        m.setattr(G, "_cpus", lambda: cpus)
+        pooled(m, cpus)
         return fn(*args)
 
 
@@ -116,7 +125,7 @@ def test_threads_end_with_the_pass(monkeypatch):
     g = G.erdos_renyi(517, 0.008, seed=6)
     C = colluder_sets(g)[0]
     start = threading.active_count()
-    monkeypatch.setattr(G, "_cpus", lambda: 2)
+    pooled(monkeypatch, 2)
     # the pool is used, and joined once the generator is exhausted or closed
     blocks = G.distance_blocks(g, C)
     next(blocks)
@@ -163,3 +172,44 @@ def test_more_workers_than_cores(monkeypatch):
             assert on_cpus(monkeypatch, 8, run, fresh(g)) == inline
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_no_thread_below_the_crossover(monkeypatch):
+    # two CPUs and three blocks, each below the pool's size: the count, the
+    # check and the belief matrix run inline, equal to one CPU's
+    g = G.erdos_renyi(517, 0.008, seed=6)
+    assert G._BLOCK * g.n < G._POOL_BYTES
+    C = colluder_sets(g)[0]
+    inline = on_cpus(monkeypatch, 1, results, fresh(g), C)
+
+    def no_pool(workers):
+        raise AssertionError(f"a pool of {workers} threads started")
+
+    monkeypatch.setattr(G, "_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    assert results(fresh(g), C) == inline
+
+
+def tree(n):
+    """A random recursive tree on n nodes: shallow, so its BFS is short."""
+    parent = np.random.default_rng(n).integers(0, np.arange(1, n))
+    return G.from_edges(n, np.column_stack((np.arange(1, n), parent)))
+
+
+@pytest.mark.parametrize("short", [1, 0], ids=["threshold-1", "threshold"])
+def test_pool_starts_at_the_crossover(monkeypatch, short):
+    # a block of _POOL_BYTES - 1 bytes runs inline and one of _POOL_BYTES
+    # starts the pool: with the size set to er517's block size, and with
+    # its own value on a tree one node short of it and on one at it
+    monkeypatch.setattr(G, "_cpus", lambda: 2)
+    start = threading.active_count()
+    g = G.erdos_renyi(517, 0.008, seed=6)
+    at = -(-G._POOL_BYTES // G._BLOCK)
+    for h, size in ((g, G._BLOCK * g.n + short),
+                    (tree(at - short), G._POOL_BYTES)):
+        monkeypatch.setattr(G, "_POOL_BYTES", size)
+        blocks = G.distance_blocks(h, [1, 2])
+        next(blocks)
+        assert (threading.active_count() > start) is not bool(short)
+        blocks.close()
+        assert threading.active_count() == start
