@@ -8,10 +8,8 @@ reaches its destination.
 
 from .graph import (
     INF,
-    DistanceVector,
     Graph,
     ParseError,
-    bfs_distances,
     component_labels,
     distance_avoiding,
     erdos_renyi,

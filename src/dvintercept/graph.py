@@ -190,14 +190,6 @@ def label_map_csv(g: Graph) -> str:
     return out.getvalue()
 
 
-@dataclass(frozen=True)
-class DistanceVector:
-    """Hop distances from a single source; INF marks unreachable nodes."""
-
-    source: int
-    dist: np.ndarray
-
-
 def _integer(v, what: str) -> int:
     """int(v); ValueError "<what> v is not an integer" unless v is a
     Python or numpy integer."""
@@ -215,6 +207,19 @@ def _node_id(n: int, v, what: str) -> int:
     return v
 
 
+def _node_ids(n: int, ids, what: str) -> np.ndarray:
+    """ids as a flat int64 array; ValueError as `_node_id` for the first id
+    that is not an integer or lies outside [0, n)."""
+    a = np.asarray(ids).reshape(-1)
+    if a.dtype.kind not in "iu":
+        for v in np.asarray(ids, object).reshape(-1):
+            _node_id(n, v, what)
+    bad = (a < 0) | (a >= n)
+    if bad.any():
+        _node_id(n, a[bad.argmax()], what)
+    return a.astype(np.int64, copy=False)
+
+
 def _colluder_tuple(n: int, S) -> tuple[int, ...]:
     """S sorted and deduplicated; ValueError naming the first member that is
     not an integer (`_integer`), else its least id outside [0, n)."""
@@ -222,32 +227,6 @@ def _colluder_tuple(n: int, S) -> tuple[int, ...]:
     for v in S[:1] + S[-1:]:
         _node_id(n, v, "colluder")
     return S
-
-
-def bfs(indptr, indices, src, banned=None):
-    """int64 hop distances from src over CSR arrays, INF where unreachable;
-    banned nodes are neither entered nor left."""
-    n = indptr.shape[0] - 1
-    banned = np.zeros(n, np.bool_) if banned is None else banned
-    esrc = np.repeat(np.arange(n), np.diff(indptr))
-    ok = ~banned[esrc] & ~banned[indices]
-    esrc, edst = esrc[ok], indices[ok]
-    dist = np.full(n, INF, np.int64)
-    frontier = np.zeros(n, np.bool_)
-    frontier[src] = not banned[src]
-    d = 0
-    while frontier.any():
-        dist[frontier] = d
-        d += 1
-        reached = np.zeros(n, np.bool_)
-        reached[edst[frontier[esrc]]] = True
-        frontier = reached & (dist == INF)
-    return dist
-
-
-def bfs_distances(g: Graph, source: int) -> DistanceVector:
-    source = _node_id(g.n, source, "source")
-    return DistanceVector(source=source, dist=bfs(g.indptr, g.indices, source))
 
 
 def distance_avoiding(g: Graph, removed, x: int, y: int) -> int:
@@ -429,9 +408,10 @@ def hop_distances(g: Graph, sources, removed=()) -> np.ndarray:
     `as_hops`), the dtype `_bit_bfs` picks for these distances alone
     (`_narrowest`).  On a one-block graph `strategy._set_distances` holds
     a colluder set's block, equal to this call on every node, from a
-    family whose colluder rows are D_C."""
-    removed = list(removed)
-    src = np.asarray(sources, np.int64).reshape(-1)
+    family whose colluder rows are D_C.  ValueError names the first source,
+    else removed node, that is not a node id (`_node_ids`)."""
+    src = _node_ids(g.n, sources, "source")
+    removed = _node_ids(g.n, removed, "removed node")
     gone = np.zeros(g.n, np.bool_)
     gone[removed] = True
     alone = gone[src]
@@ -498,8 +478,8 @@ def as_hops(D, dtype=np.int64, inf: int = INF) -> np.ndarray:
     entries set to `inf`.  The copy is widened before inf is written, so a
     large inf never wraps in D's narrow dtype.
 
-    A held distance array is narrow: a colluder set's rows, D_C and relay
-    rows (`strategy._set_distances`) and the D_{G-S} blocks are held as
+    A held distance array is narrow: a colluder set's rows and D_C
+    (`strategy._set_distances`) and the D_{G-S} blocks are held as
     `hop_distances` returns them; int64 with INF appears only in per-call
     slices of k or |comps| rows (a block at a time in `synchronize`)."""
     out = D.astype(dtype)

@@ -2,15 +2,15 @@
 shortest-path coverage, over CSR arrays with ``INF`` as the sentinel.
 
 No library module calls them; they are what the tests check the closed forms
-against and what the benchmark's traced run patches.  ``INF`` and ``bfs``
-are `graph`'s, re-exported.
+against and what the benchmark's traced run patches.  ``INF`` is `graph`'s,
+re-exported.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graph import INF, bfs
+from .graph import INF
 
 
 def backend() -> str:
@@ -22,6 +22,27 @@ def _edge_arrays(indptr, indices):
     n = indptr.shape[0] - 1
     deg = np.diff(indptr)
     return np.repeat(np.arange(n, dtype=np.int64), deg), indices
+
+
+def bfs(indptr, indices, src, banned=None):
+    """int64 hop distances from src over CSR arrays, INF where unreachable;
+    banned nodes are neither entered nor left."""
+    n = indptr.shape[0] - 1
+    banned = np.zeros(n, np.bool_) if banned is None else banned
+    esrc, edst = _edge_arrays(indptr, indices)
+    ok = ~banned[esrc] & ~banned[edst]
+    esrc, edst = esrc[ok], edst[ok]
+    dist = np.full(n, INF, np.int64)
+    frontier = np.zeros(n, np.bool_)
+    frontier[src] = not banned[src]
+    d = 0
+    while frontier.any():
+        dist[frontier] = d
+        d += 1
+        reached = np.zeros(n, np.bool_)
+        reached[edst[frontier[esrc]]] = True
+        frontier = reached & (dist == INF)
+    return dist
 
 
 # path_cover's BFS; a separate name keeps it out of the calls counted on `bfs`

@@ -44,17 +44,14 @@ def _near(g: Graph, S):
 
 
 def _set_distances(g: Graph, S):
-    """(at, D, dc, relay, hops): every distance in g that a reader on the
+    """(at, D, dc, hops): the distances in g that every reader on the
     colluder set S takes, from one `graph._hop_families` call on first use
     (`_near_rows`), and the colluders' closest hops, held read-only in the
     slot of S's set (`graph._memoized`) in narrow dtypes.  D holds the rows
     of S and its neighbours: node v's row is D[at[v]], and at[v] = -1 for
     the others.  dc is D_C, the rows of the colluders in id order through
-    honest nodes only.  relay is empty unless a component has several
-    members; then, per component, it holds the rows of the members X of
-    such components in id order with that component sealed (`_adjacent`'s
-    relay bound).  hops is the colluders' `_closest_hops` in id order.  The
-    components come first, from `_colluder_graph`, which runs no BFS on g.
+    honest nodes only.  hops is the colluders' `_closest_hops` in id order.
+    The relay rows of multi-node components are `_adjacent`'s alone.
 
     On a graph of one block (n <= `graph._BLOCK`) the same call also gives
     the set's D_{G-S} block, held as the slot's blocks (`distance_blocks`),
@@ -67,18 +64,15 @@ def _set_distances(g: Graph, S):
 
     def compute():
         ids = np.asarray(S, np.int64)
-        index = _colluder_graph(g, S)[0]
-        X = ids[np.bincount(index)[index] > 1]
-        relay = [(X, comp) for comp in colluder_components(g, S) if X.size]
         one_block = g.n <= _BLOCK
         T = np.arange(g.n) if one_block else ids
-        at, rows, hops, dc, *relay = _near_rows(g, S, [(T, ids)] + relay)
+        at, rows, hops, dc = _near_rows(g, S, [(T, ids)])
         if one_block:  # dc is the block, with D_C at the colluders' rows
             D, dc = dc, _narrowest(dc[ids])
             D[ids] = np.iinfo(D.dtype).max
             D[ids, ids] = 0
             _memoized(g, S, "blocks", lambda: ((T, _narrowest(D)),) if g.n else ())
-        return at, rows, dc, tuple(relay), hops
+        return at, rows, dc, hops
 
     return _memoized(g, S, "rows", compute)
 
@@ -148,7 +142,7 @@ def _honest(g: Graph, S):
     every builder starts from and edits where it lies.  `_strategy` hands
     their rows out as the strategy's vectors."""
     S = _colluder_tuple(g.n, S)
-    at, D, _, _, hops = _set_distances(g, S)
+    at, D, _, hops = _set_distances(g, S)
     return S, as_hops(D[at[list(S)]]), hops.astype(np.int64)
 
 
@@ -523,7 +517,7 @@ def rho_star_plan(g: Graph, C, t: int, *, order=None) -> RhoStarPlan:
     if t in C:
         raise ValueError("target must not be a colluder")
     _check_separated(g, C)
-    at, D, _, _, hops = _set_distances(g, C)
+    at, D, _, hops = _set_distances(g, C)
     _, val, fn, pred, hop = _rho_star_plans(
         g, C, (at, D), hops, order=order, targets=[t])
     entries = {}
@@ -653,16 +647,18 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
 
 def _adjacent(g: Graph, C, component_order=None):
     """(C, b, hop) of `adjacent_strategy`: C as `_colluder_tuple` and the
-    broadcasts and hops as k x n int64 arrays in id order."""
+    broadcasts and hops as k x n int64 arrays in id order.  The relay rows
+    (`relay`, |X| * c * n bytes) are computed here, their one reader, and
+    held nowhere; the default build is held, so a set computes them once."""
     comps = colluder_components(g, C)
     C, b, hop = _honest(g, C)
-    *rows, dc, relay, hops = _set_distances(g, C)
+    *rows, dc, hops = _set_distances(g, C)
     ids = np.asarray(C, np.int64)
     cnum = np.full(g.n, -1, np.int64)  # component index of each colluder
     index, inner_hops = _colluder_graph(g, C)
     cnum[ids] = index
-    # the members of multi-node components in id order, as the relay rows
-    # of `_set_distances` are; their relay bounds need the synchronized column
+    # the members of multi-node components in id order, whose relay bounds
+    # need the synchronized column
     X = ids[np.bincount(index)[index] > 1]
     # a separated set's quotient is g, whose rows and hops are the set's;
     # another quotient's plan reads only its own, held nowhere
@@ -737,6 +733,7 @@ def _adjacent(g: Graph, C, component_order=None):
     # col[w] - d(x, w), or 1 when there is none, over the components cj with
     # an exit and a forwarding number no larger than ci's, d avoiding cj's
     # members but x: the rows from every such x with cj sealed (`relay`).
+    relay = _hop_families(g, [(X, comp) for comp in comps])
     ci_of = cnum[X]
     best = np.full((X.size, T.size), -INF)
     for cj in np.flatnonzero(has.any(axis=1)):

@@ -71,7 +71,7 @@ class TestAcceptance:
             n = int(rng.integers(10, 201))
             g = erdos_renyi(n, 8.0 / n, int(rng.integers(2 ** 31)))
             belief = synchronize(g, [], {})
-            expect = np.vstack([G.bfs_distances(g, s).dist for s in range(n)])
+            expect = np.vstack([kernels.bfs(g.indptr, g.indices, s) for s in range(n)])
             assert np.array_equal(belief.rho, expect)
             assert belief.rounds_to_converge <= n - 1
             worst_rounds = max(worst_rounds, belief.rounds_to_converge)
@@ -83,7 +83,7 @@ class TestAcceptance:
         checked = 0
         for g in _sample_graphs(102, 200, 8):
             for x in range(g.n):
-                dt = G.bfs_distances(g, x).dist
+                dt = kernels.bfs(g.indptr, g.indices, x)
                 for t in range(g.n):
                     if t == x:
                         continue
@@ -100,7 +100,7 @@ class TestAcceptance:
         cases = [(g, 2) for g in graphs] + [(g, 3) for g in graphs[:30]]
         matched = decrements = 0
         for g, size in cases:
-            dist = {v: G.bfs_distances(g, v).dist for v in range(g.n)}
+            dist = {v: kernels.bfs(g.indptr, g.indices, v) for v in range(g.n)}
             sets = [C for C in itertools.combinations(range(g.n), size)
                     if all(dist[a][b] >= 2 for a, b in itertools.combinations(C, 2))]
             if size == 3 and len(sets) > 8:
@@ -141,7 +141,7 @@ class TestAcceptance:
             C = sorted(int(v) for v in rng.permutation(g.n)[:k])
             builders = [S.honest_strategy, S.independent_strategy,
                         S.adjacent_strategy]
-            dist = {v: G.bfs_distances(g, v).dist for v in C}
+            dist = {v: kernels.bfs(g.indptr, g.indices, v) for v in C}
             if all(dist[a][b] >= 2 for a, b in itertools.combinations(C, 2)):
                 builders.append(S.separated_strategy)
             for build in builders:

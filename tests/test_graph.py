@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -158,28 +159,28 @@ class TestComponentLabels:
 
 class TestBfsDistances:
     def test_path(self):
-        dv = G.bfs_distances(path_graph(5), 0)
-        assert list(dv.dist) == [0, 1, 2, 3, 4]
+        g = path_graph(5)
+        assert list(kernels.bfs(g.indptr, g.indices, 0)) == [0, 1, 2, 3, 4]
 
     def test_disconnected(self):
         g = G.from_edges(2, [])
-        dv = G.bfs_distances(g, 0)
-        assert dv.dist[0] == 0 and dv.dist[1] == INF
+        assert kernels.bfs(g.indptr, g.indices, 0).tolist() == [0, INF]
 
     def test_out_of_range_source(self):
-        with pytest.raises(ValueError):
-            G.bfs_distances(path_graph(3), 5)
+        with pytest.raises(ValueError, match="source 5 out of range for n=3"):
+            G.hop_distances(path_graph(3), [5])
 
     def test_against_path_enumeration(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             g = G.erdos_renyi(12, 0.25, seed=int(rng.integers(1 << 30)))
             s = int(rng.integers(g.n))
-            assert list(G.bfs_distances(g, s).dist) == simple_path_distances(g, s)
+            assert (list(kernels.bfs(g.indptr, g.indices, s))
+                    == simple_path_distances(g, s))
 
     def test_triangle_inequality(self):
         g = G.erdos_renyi(20, 0.2, seed=5)
-        rows = [G.bfs_distances(g, s).dist for s in range(g.n)]
+        rows = [kernels.bfs(g.indptr, g.indices, s) for s in range(g.n)]
         rng = np.random.default_rng(0)
         for _ in range(200):
             x, y, z = rng.integers(g.n, size=3)
@@ -202,7 +203,7 @@ class TestDistanceAvoiding:
     def test_empty_removal_equals_bfs(self):
         g = G.erdos_renyi(10, 0.3, seed=3)
         for x in range(g.n):
-            row = G.bfs_distances(g, x).dist
+            row = kernels.bfs(g.indptr, g.indices, x)
             for y in range(g.n):
                 assert G.distance_avoiding(g, set(), x, y) == row[y]
 
@@ -219,7 +220,7 @@ class TestDistanceAvoiding:
                  if u in remap and v in remap],
             )
             x, y = keep[0], keep[-1]
-            expect = G.bfs_distances(sub, remap[x]).dist[remap[y]]
+            expect = kernels.bfs(sub.indptr, sub.indices, remap[x])[remap[y]]
             assert G.distance_avoiding(g, removed, x, y) == expect
 
 
@@ -341,6 +342,20 @@ class TestHopDistances:
         assert [D.tolist() for D in G._hop_families(
             g, [([0, 1], [1]), ([0, 1], [0, 1])])] == \
             [[[0, none], [1, 0]], [[0, none], [none, 0]]]
+
+    @pytest.mark.parametrize("sources, removed, message", [
+        ([0], [-1], "removed node -1 out of range for n=4"),
+        ([-3], (), "source -3 out of range for n=4"),
+        ([5], (), "source 5 out of range for n=4"),
+        ([1.5], (), "source 1.5 is not an integer"),
+        ([0], [1.5], "removed node 1.5 is not an integer"),
+        ([2, 9, 1.5], [7], "source 9 out of range for n=4"),
+    ])
+    def test_rejects_bad_ids(self, sources, removed, message):
+        # the first bad source, else removed node, is named; no id wraps,
+        # truncates or indexes past the graph
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            G.hop_distances(path_graph(4), sources, removed)
 
     def test_widens_past_254(self):
         # the longest distance on a path of 255 nodes is 254, which uint8
@@ -595,7 +610,7 @@ def test_er_graph_invariants_property(seed, n, p):
 @given(st.integers(0, 2**31 - 1))
 def test_bfs_edge_lipschitz(seed):
     g = G.erdos_renyi(15, 0.25, seed=seed)
-    d = G.bfs_distances(g, 0).dist
+    d = kernels.bfs(g.indptr, g.indices, 0)
     for u, v in g.edges():
         if d[u] < INF and d[v] < INF:
             assert abs(int(d[u]) - int(d[v])) <= 1

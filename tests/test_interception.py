@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import dvintercept.strategy as S
 from dvintercept import graph as G
+from dvintercept import kernels
 from dvintercept.interception import coverage_function, intercepted_pairs
 from dvintercept.kernels import INF
 
@@ -58,7 +59,7 @@ class TestInterceptedPairs:
 
     def test_rejects_inadmissible(self):
         g = path_graph(5)
-        b = G.bfs_distances(g, 2).dist.copy()
+        b = kernels.bfs(g.indptr, g.indices, 2)
         b[4] = 1
         f = _closest_hop(g, S._set_distances(g, [2])[:2], 2)
         f[4] = 1
@@ -109,6 +110,8 @@ DEGENERATE = [
     (G.from_edges(1, []), 0),
     (G.from_edges(2, []), 0),
     (G.from_edges(2, [(0, 1)]), 2),
+    # a triangle: every node a colluder is one component, no honest target
+    (G.from_edges(3, [(0, 1), (1, 2), (0, 2)]), 6),
     # a path, a triangle and the isolated nodes 2 and 6
     (G.from_edges(7, [(0, 1), (3, 4), (4, 5), (3, 5)]), 2 + 6),
 ]
@@ -123,28 +126,43 @@ class TestDegenerateInputs:
         # every colluder set on the small graphs; on the 7-node one the empty
         # set, each single node, a pair across components, the whole path
         # (a multi-node component with no honest node beside it), an edge of
-        # the triangle and C = V
-        if g.n <= 2:
+        # the triangle, both of them (multi-node components in two graph
+        # components) and C = V.  Each adjacent build, also one with the
+        # components reversed after the held default build, equals the
+        # reference, and every count equals a build's on a fresh graph
+        if g.n <= 3:
             sets = [[v for v in range(g.n) if mask >> v & 1]
                     for mask in range(2 ** g.n)]
         else:
             sets = [[]] + [[v] for v in range(g.n)] + [[1, 4]] \
-                + MULTI_NODE + [list(range(g.n))]
+                + MULTI_NODE + [MULTI_NODE[0] + MULTI_NODE[1], list(range(g.n))]
+
+        def fresh_count(build, C, **kwargs):
+            h = G.from_edges(g.n, list(g.edges()))
+            return intercepted_pairs(h, build(h, C, **kwargs), per_target=True)
+
         for C in sets:
-            got = S.adjacent_strategy(g, C)
-            ref = adjacent_strategy_reference(g, C)
-            for v in C:
-                assert np.array_equal(got.broadcast[v], ref.broadcast[v])
-                assert np.array_equal(got.forward[v], ref.forward[v])
+            order = S.colluder_components(g, C)[::-1]
+            default = S.adjacent_strategy(g, C)
+            ordered = S.adjacent_strategy(g, C, component_order=order)
+            for got, ref in ((default, adjacent_strategy_reference(g, C)),
+                             (ordered, adjacent_strategy_reference(
+                                 g, C, component_order=order))):
+                for v in C:
+                    assert np.array_equal(got.broadcast[v], ref.broadcast[v])
+                    assert np.array_equal(got.forward[v], ref.forward[v])
+            assert intercepted_pairs(g, ordered, per_target=True) == \
+                fresh_count(S.adjacent_strategy, C, component_order=order)
             builders = [S.honest_strategy, S.independent_strategy,
                         S.adjacent_strategy]
-            if all(G.bfs_distances(g, x).dist[y] >= 2 for x in C for y in C
+            if all(kernels.bfs(g.indptr, g.indices, x)[y] >= 2 for x in C for y in C
                    if x < y):
                 builders.append(S.separated_strategy)
             for build in builders:
                 strat = build(g, C)
                 assert S.check_admissible(g, strat)
                 res = intercepted_pairs(g, strat, per_target=True)
+                assert res == fresh_count(build, C)
                 pairs = intercepted_pairs_oracle(g, strat)
                 assert res.total_ordered == total
                 assert res.total_unordered == total // 2
@@ -312,7 +330,7 @@ def assert_pass_matches(g, strat, oracle=True):
 
 def builders(g, C):
     out = [S.honest_strategy, S.independent_strategy, S.adjacent_strategy]
-    if all(G.bfs_distances(g, x).dist[y] >= 2 for x in C for y in C if x < y):
+    if all(kernels.bfs(g.indptr, g.indices, x)[y] >= 2 for x in C for y in C if x < y):
         out.append(S.separated_strategy)
     return [build(g, C) for build in out]
 

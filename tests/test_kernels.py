@@ -94,7 +94,7 @@ class TestKernelsAgainstOracles:
         for _ in range(5):
             g = G.erdos_renyi(8, 0.4, seed=int(rng.integers(1 << 30)))
             v = int(rng.integers(g.n))
-            vec = np.maximum(1, G.bfs_distances(g, v).dist - 1)
+            vec = np.maximum(1, K.bfs(g.indptr, g.indices, v) - 1)
             vec[v] = 0
             nbrs = g.neighbors(v)
             hop = int(nbrs[0]) if nbrs.size else -1

@@ -227,15 +227,20 @@ def merged(g, *families):
 
 def set_bfs(g, C):
     """The key `counted_bfs` gives the one BFS on g for the colluder set C
-    (`strategy._set_distances`): the rows of C and its neighbours, D_C (on a
-    one-block graph, every node sealed at C: the block of D_{G-C}, whose
-    colluder rows are D_C) and, when C has a multi-node component, the rows
-    of the members X of such components in id order, once per component."""
+    (`strategy._set_distances`): the rows of C and its neighbours and D_C
+    (on a one-block graph, every node sealed at C: the block of D_{G-C},
+    whose colluder rows are D_C)."""
+    dc = (range(g.n) if g.n <= G._BLOCK else C, C)
+    return merged(g, (S._near(g, C)[0], ()), dc)
+
+
+def relay_families(g, C):
+    """The families of `strategy._adjacent`'s relay rows on g: per
+    component of C, the members X of the multi-node components in id order
+    sealed at it; none when every component is a single colluder."""
     comps = S.colluder_components(fresh(g), C)
     X = sorted(v for comp in comps if len(comp) > 1 for v in comp)
-    dc = (range(g.n) if g.n <= G._BLOCK else C, C)
-    return merged(g, (S._near(g, C)[0], ()), dc,
-                  *([(X, comp) for comp in comps] if X else []))
+    return [(X, comp) for comp in comps] if X else []
 
 
 def test_sweep_cell_runs_each_bfs_once(monkeypatch):
@@ -256,20 +261,19 @@ def test_sweep_cell_runs_each_bfs_once(monkeypatch):
 def test_checked_adjacent_op_computes_d_c_once(monkeypatch):
     # the relay bounds of a multi-node component and the count read the same
     # D_C rows, computed in the build's one BFS on g with the rows of C and
-    # its neighbours and the relay rows (one family per component, in that
-    # order); every BFS of the build and the checked count runs once
+    # its neighbours; the relay rows (one family per component) are a BFS
+    # of the build's own; every BFS of the build and the checked count runs
+    # once
     g = G.erdos_renyi(300, 0.012, seed=4)
     x = next(v for v in range(g.n) if g.degree(v))
     C = sorted({x, int(g.neighbors(x)[0]), 100, 200})
-    comps = S.colluder_components(fresh(g), C)
-    X = sorted(v for comp in comps if len(comp) > 1 for v in comp)
     calls = counted_bfs(monkeypatch)
     strat = S.adjacent_strategy(g, C)
     assert S.check_admissible(g, strat)
     intercepted_pairs(g, strat)
     assert set(calls.values()) == {1}
-    assert calls[merged(g, (S._near(g, C)[0], ()), (C, C),
-                        *[(X, comp) for comp in comps])] == 1
+    assert calls[set_bfs(g, C)] == 1
+    assert calls[merged(g, *relay_families(g, C))] == 1
 
 
 def test_rho_star_plans_share_their_rows(monkeypatch):
@@ -324,39 +328,52 @@ def test_each_distance_product_has_one_producer(monkeypatch):
 
 @pytest.mark.parametrize("g", graphs(), ids=lambda g: f"n{g.n}m{g.m}")
 def test_first_check_count_or_sync_runs_one_set_bfs(monkeypatch, g):
-    # a check, a count or a synchronization, each the first call on a set
-    # that the graph holds nothing for, makes one `graph._hop_families` call
-    # on g for the set (its rows, D_C and any relay rows, and on a one-block
-    # graph its block of D_{G-S}; one BFS while they fit `graph._WORDS`
-    # words), one BFS per block of D_{G-S} on a larger graph, and for a
-    # multi-node set one BFS of the colluder subgraph; the D_C it holds
-    # equals one BFS per colluder with the other colluders banned
+    # a check, a count, a synchronization or an honest build, each the first
+    # call on a set that the graph holds nothing for, makes one
+    # `graph._hop_families` call on g for the set (its rows and D_C, and on
+    # a one-block graph its block of D_{G-S}; one BFS while they fit
+    # `graph._WORDS` words), one BFS per block of D_{G-S} on a larger graph
+    # for all but the build, and no BFS of the colluder subgraph: it
+    # computes no components; the D_C it holds equals one BFS per colluder
+    # with the other colluders banned.  An adjacent build then makes one
+    # further call on g, with the relay families when the set has a
+    # multi-node component, and a second default build makes none
     rng = np.random.default_rng(g.n)
     hop_families = S._hop_families
     for C in map(sorted, colluder_sets(g, rng)):
         strat = S.adjacent_strategy(fresh(g), C)
-        multi = max(map(len, S.colluder_components(fresh(g), C)), default=0) > 1
-        for first in (lambda h: S.check_admissible(h, strat),
-                      lambda h: intercepted_pairs(h, strat),
-                      lambda h: synchronize(h, strat.colluders, strat.broadcast)):
-            h, made = fresh(g), []  # per `_hop_families` call: on h, its BFS calls
+        relay = [(list(X), tuple(comp)) for X, comp in relay_families(g, C)]
+        for first, passes in ((lambda h: S.check_admissible(h, strat), True),
+                              (lambda h: intercepted_pairs(h, strat), True),
+                              (lambda h: synchronize(h, strat.colluders,
+                                                     strat.broadcast), True),
+                              (lambda h: S.honest_strategy(h, C), False)):
+            # per `_hop_families` call: on h, its BFS calls and its families
+            h, made = fresh(g), []
 
             def counted(graph, families):
                 before = sum(calls.values())
                 out = hop_families(graph, families)
-                made.append((graph is h, sum(calls.values()) - before))
+                made.append((graph is h, sum(calls.values()) - before,
+                             [(np.ravel(X).tolist(), tuple(np.ravel(sealed).tolist()))
+                              for X, sealed in families]))
                 return out
 
             with monkeypatch.context() as m:
                 calls = counted_bfs(m)
                 m.setattr(S, "_hop_families", counted)
                 first(h)
-            assert [on_h for on_h, _ in made] == [True]
-            if len(set_bfs(h, C)[1]) <= 64 * G._WORDS:
-                assert made[0][1] == calls[set_bfs(h, C)] == 1
-            blocks = blocks_bfs(h, C) if g.n > G._BLOCK else []
-            assert all(calls[key] == 1 for key in blocks)
-            assert sum(calls.values()) == made[0][1] + len(blocks) + multi
+                assert [on_h for on_h, _, _ in made] == [True]
+                if len(set_bfs(h, C)[1]) <= 64 * G._WORDS:
+                    assert made[0][1] == calls[set_bfs(h, C)] == 1
+                blocks = blocks_bfs(h, C) if passes and g.n > G._BLOCK else []
+                assert all(calls[key] == 1 for key in blocks)
+                assert sum(calls.values()) == made[0][1] + len(blocks)
+                assert "components" not in h._memo["slot"][1]
+                for expect in ([relay] if relay else [], []):
+                    made.clear()
+                    S.adjacent_strategy(h, C)
+                    assert [fams for on_h, _, fams in made if on_h] == expect
             assert (G.as_hops(S._set_distances(h, C)[2])
                     == banned_rows(h, C, sealed=C)).all()
 
@@ -472,8 +489,8 @@ def one_block_graphs():
 
 @pytest.mark.parametrize("g", one_block_graphs(), ids=lambda g: f"n{g.n}m{g.m}")
 def test_one_block_set_products_equal_separate_calls(g):
-    # on a graph of one block the set's one BFS gives its rows, D_C, relay
-    # rows and block of D_{G-S}: each equals a `hop_distances` or
+    # on a graph of one block the set's one BFS gives its rows, D_C and
+    # block of D_{G-S}: each equals a `hop_distances` or
     # one-family `_hop_families` call of its own in values and dtype, for S
     # empty, every node, the drawn sets and an end of the path (whose D_C
     # reaches 255, uint16, while its block stays uint8); a colluder
@@ -481,16 +498,12 @@ def test_one_block_set_products_equal_separate_calls(g):
     sets = [[], list(range(g.n)), *colluder_sets(g, np.random.default_rng(g.n))]
     for C in sets + ([[0], [0, 1, 2]] if g.n > 200 else []):
         h = fresh(g)
-        at, D, dc, relay, hops = S._set_distances(h, C)
+        at, D, dc, hops = S._set_distances(h, C)
         ids = np.asarray(sorted(set(C)), np.int64)
         near = S._near(h, C)[0]
-        comps = S.colluder_components(h, C)
-        X = [v for comp in comps if len(comp) > 1 for v in comp]
         blocks = h._memo["slot"][1]["blocks"]
-        want = [G.hop_distances(g, near)] + [
-            G._hop_families(g, [family])[0]
-            for family in [(ids, ids)] + [(sorted(X), comp) for comp in comps if X]]
-        got = [D, dc, *relay]
+        want = [G.hop_distances(g, near), G._hop_families(g, [(ids, ids)])[0]]
+        got = [D, dc]
         if g.n:
             (T, block), = blocks
             assert T.tolist() == list(range(g.n))
@@ -562,13 +575,12 @@ def test_sweep_cell_computes_each_set_product_once(monkeypatch):
     # among them are
     # the components and intra-component hops of the colluder subgraph (one
     # BFS of it, none for a separated set, and no scipy labelling), the
-    # set's distances in g (its rows, D_C, relay rows and the colluders'
-    # closest hops from one `_closest_hops` on g, one product), the
-    # adjacent arrays, the validation table and the pass's per-set arrays,
-    # in narrow dtypes.  The BFS calls: one on g for the rows, D_C and, on
-    # a multi-node set, the relay rows (though the first build, honest,
-    # reads no relay row), one per block, and for a multi-node set one of
-    # the colluder subgraph and one of the quotient
+    # set's distances in g (its rows, D_C and the colluders' closest hops
+    # from one `_closest_hops` on g, one product), the adjacent arrays, the
+    # validation table and the pass's per-set arrays, in narrow dtypes.
+    # The BFS calls: one on g for the rows and D_C, one per block, and for a
+    # multi-node set one of the colluder subgraph, one of the quotient and
+    # one on g for the relay rows, held nowhere
     computed, work = Counter(), Counter()
     memoized, closest_hops, labels = S._memoized, S._closest_hops, S.component_labels
 
@@ -605,7 +617,7 @@ def test_sweep_cell_computes_each_set_product_once(monkeypatch):
                 intercepted_pairs(g, strat)
         assert work == Counter(closest_hops=1)
         assert set(calls.values()) == {1}
-        assert sum(calls.values()) == 1 + blocks + 2 * multi
+        assert sum(calls.values()) == 1 + blocks + 3 * multi
         assert calls[set_bfs(g, C)] == 1
         # the held count is computed for honest, independent and the first
         # of the separated/adjacent pair, and read for the second
@@ -614,7 +626,7 @@ def test_sweep_cell_computes_each_set_product_once(monkeypatch):
              "pass", ("dc", "|u1")], 1)) + Counter(count=3)
         held = g._memo["slot"][1]
         index, inner = held["components"]
-        assert [held["rows"][4].dtype, index.dtype] == [np.int16, np.uint8]
+        assert [held["rows"][3].dtype, index.dtype] == [np.int16, np.uint8]
         # the two adjacent colluders are each other's hop
         pair = sorted({x, int(g.neighbors(x)[0])})
         assert inner.tolist() == ([[-1, pair[1]], [pair[0], -1]] if multi else [])

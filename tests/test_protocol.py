@@ -16,7 +16,7 @@ def path_graph(n):
 
 
 def all_pairs_bfs(g):
-    return np.array([G.bfs_distances(g, s).dist for s in range(g.n)])
+    return np.array([K.bfs(g.indptr, g.indices, s) for s in range(g.n)])
 
 
 class TestSynchronize:
@@ -51,7 +51,7 @@ class TestSynchronize:
 
     def test_fixpoint_below_initialization(self):
         g = G.erdos_renyi(20, 0.2, seed=8)
-        bc = np.maximum(1, G.bfs_distances(g, 3).dist - 2)
+        bc = np.maximum(1, K.bfs(g.indptr, g.indices, 3) - 2)
         bc[3] = 0
         b = P.synchronize(g, {3}, {3: bc})
         init = np.full((g.n, g.n), INF, np.int64)
@@ -109,7 +109,7 @@ def test_convergence_bound_property(seed):
     g = G.erdos_renyi(25, 0.2, seed=seed)
     rng = np.random.default_rng(seed)
     v = int(rng.integers(g.n))
-    vec = np.maximum(1, G.bfs_distances(g, v).dist - 2)
+    vec = np.maximum(1, K.bfs(g.indptr, g.indices, v) - 2)
     vec[v] = 0
     b = P.synchronize(g, {v}, {v: vec})
     assert b.rounds_to_converge <= g.n - 1

@@ -6,6 +6,7 @@ import pytest
 import dvintercept.reduction as R
 import dvintercept.strategy as S
 from dvintercept import graph as G
+from dvintercept import kernels
 from dvintercept.interception import intercepted_pairs
 from dvintercept.strategy import check_admissible
 
@@ -224,7 +225,7 @@ class TestGenuinelyNonuniform:
         g = G.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
         v = 0
         nu0 = R.honest_nonuniform(g, [v])
-        truth = G.bfs_distances(g, v).dist
+        truth = kernels.bfs(g.indptr, g.indices, v)
         broadcast = {v: {}}
         for i, u in enumerate(g.neighbors(v)):
             vec = truth.copy() if i % 2 == 0 else np.maximum(1, truth - 2)

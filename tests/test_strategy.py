@@ -36,7 +36,7 @@ def cycle_graph(n):
 
 
 def separated_pairs(g):
-    rows = [G.bfs_distances(g, x).dist for x in range(g.n)]
+    rows = [kernels.bfs(g.indptr, g.indices, x) for x in range(g.n)]
     return [(x, y) for x in range(g.n) for y in range(x + 1, g.n)
             if rows[x][y] >= 2]
 
@@ -56,7 +56,7 @@ class TestHonestStrategy:
         g = G.erdos_renyi(20, 0.3, seed=6)
         st_ = S.honest_strategy(g, {2, 5, 9})
         b = P.synchronize(g, st_.colluders, st_.broadcast)
-        expect = np.array([G.bfs_distances(g, s).dist for s in range(g.n)])
+        expect = np.array([kernels.bfs(g.indptr, g.indices, s) for s in range(g.n)])
         assert (b.rho == expect).all()
 
 
@@ -95,7 +95,7 @@ class TestIndependentStrategy:
             cols = [int(v) for v in rng.permutation(g.n)[: max(1, g.n // 3)]]
             st_ = S.independent_strategy(g, cols)
             b = P.synchronize(g, st_.colluders, st_.broadcast)
-            d = np.array([G.bfs_distances(g, s).dist for s in range(g.n)])
+            d = np.array([kernels.bfs(g.indptr, g.indices, s) for s in range(g.n)])
             honest = [i for i in range(g.n) if i not in set(cols)]
             assert (b.rho[honest] >= d[honest] - 2).all()
 
@@ -123,7 +123,7 @@ class TestColludingDistance:
         rng = np.random.default_rng(77)
         g = random_connected_graph(rng, n_max=10, n_min=10)
         C = [0, 2, 5, 8]
-        rows = {v: G.bfs_distances(g, v).dist for v in C}
+        rows = {v: kernels.bfs(g.indptr, g.indices, v) for v in C}
         import itertools
 
         x, y, j = 0, 8, 3
@@ -138,7 +138,7 @@ class TestColludingDistance:
         for perm in itertools.permutations([2, 5], 2):
             seq = (x, *perm, y)
             best = min(best, sum(int(rows[a][b]) if a in rows else
-                                 int(G.bfs_distances(g, a).dist[b])
+                                 int(kernels.bfs(g.indptr, g.indices, a)[b])
                                  for a, b in zip(seq, seq[1:])))
         assert S.colluding_distance(g, C, x, y, 4) == best
 
@@ -235,7 +235,7 @@ class TestRhoStarPlan:
                 continue
             plan = S.rho_star_plan(g, {x, y}, t)
             for v in (x, y):
-                d = int(G.bfs_distances(g, v).dist[t])
+                d = int(kernels.bfs(g.indptr, g.indices, v)[t])
                 assert 1 <= plan.entries[v].value <= max(1, d - 2)
 
 
@@ -262,7 +262,7 @@ class TestSeparatedStrategy:
             C = cand[int(rng.integers(len(cand)))]
             st_ = S.separated_strategy(g, C)
             b = P.synchronize(g, st_.colluders, st_.broadcast)
-            rows = {x: G.bfs_distances(g, x).dist for x in C}
+            rows = {x: kernels.bfs(g.indptr, g.indices, x) for x in C}
             for t in range(g.n):
                 if t in C:
                     continue
@@ -584,7 +584,7 @@ class TestCheckAdmissible:
             assert S.check_admissible(g, S.honest_strategy(g, C)).admissible
 
     def _path_strategy(self, g, fwd4):
-        b = G.bfs_distances(g, 2).dist.copy()
+        b = kernels.bfs(g.indptr, g.indices, 2)
         b[4] = 1
         f = _closest_hop(g, S._set_distances(g, [2])[:2], 2)
         f[4] = fwd4
@@ -653,7 +653,7 @@ class TestCheckAdmissible:
         g = G.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6)])
 
         def strat(claim):
-            b = G.bfs_distances(g, 6).dist.copy()
+            b = kernels.bfs(g.indptr, g.indices, 6)
             b[0] = claim
             f = _closest_hop(g, S._set_distances(g, [6])[:2], 6)
             return S.Strategy(colluders=(6,), broadcast={6: b}, forward={6: f})
@@ -866,7 +866,7 @@ class TestIsBeneficial:
 
     def test_refuses_inadmissible(self):
         g = path_graph(5)
-        b = G.bfs_distances(g, 2).dist.copy()
+        b = kernels.bfs(g.indptr, g.indices, 2)
         b[4] = 1
         f = _closest_hop(g, S._set_distances(g, [2])[:2], 2)
         f[4] = 1
@@ -896,7 +896,7 @@ class TestBruteforce:
             t = int(rng.integers(g.n))
             if x == t:
                 continue
-            d = int(G.bfs_distances(g, x).dist[t])
+            d = int(kernels.bfs(g.indptr, g.indices, x)[t])
             _, frontier = S.minimal_admissible_bruteforce(g, [x], t)
             assert frontier == [(max(1, d - 2),)]
 
@@ -1076,7 +1076,7 @@ def closest_hop_oracle(g, dist, v, t):
 def assert_builder_outputs(g, C, lift=True):
     """Every builder's broadcasts and hops against per-target BFS rows: hops
     at honestly routed entries are the lowest-id closest neighbour."""
-    dist = [G.bfs_distances(g, t).dist for t in range(g.n)]
+    dist = [kernels.bfs(g.indptr, g.indices, t) for t in range(g.n)]
     cset = set(C)
 
     def check_hops(graph, rows, strat, honest_entry=lambda v, t: True):
@@ -1119,14 +1119,14 @@ def assert_builder_outputs(g, C, lift=True):
         bm = R.blow_up(g, C)
         lifted = R.lift_strategy(bm, nonuniform)
         gp = bm.blown
-        blown = [G.bfs_distances(gp, t).dist for t in range(gp.n)]
+        blown = [kernels.bfs(gp.indptr, gp.indices, t) for t in range(gp.n)]
         check_hops(gp, blown, lifted, lambda v, t: t >= g.n or t in cset)
 
 
 def separated_subset(g, rng):
     out = []
     for v in rng.permutation(g.n):
-        if all(G.bfs_distances(g, int(v)).dist[u] >= 2 for u in out):
+        if all(kernels.bfs(g.indptr, g.indices, int(v))[u] >= 2 for u in out):
             out.append(int(v))
     return out
 
@@ -1176,7 +1176,7 @@ class TestTwoByteRows:
     def test_readers_match_oracles(self, graph, sets):
         g = graph()
         for C in sets:
-            dist = {v: G.bfs_distances(g, v).dist for v in C}
+            dist = {v: kernels.bfs(g.indptr, g.indices, v) for v in C}
             at, D = S._set_distances(g, C)[:2]
             assert D.dtype == np.uint16 and D.shape == (S._near(g, C)[0].size, g.n)
             hops = S._closest_hops(g, (at, D), C)
@@ -1242,7 +1242,7 @@ def test_separated_strategy_properties(seed):
     C = cand[int(rng.integers(len(cand)))]
     st_ = S.separated_strategy(g, C)
     assert S.check_admissible(g, st_).admissible
-    rows = {x: G.bfs_distances(g, x).dist for x in C}
+    rows = {x: kernels.bfs(g.indptr, g.indices, x) for x in C}
     for x in C:
         for t in range(g.n):
             if t in C:
@@ -1382,7 +1382,7 @@ def test_plans_with_int64_keys():
     g = path_graph(1100)
     C = tuple(range(0, 1100, 2))
     rows = S._set_distances(g, C)[:2]
-    hops = S._set_distances(g, C)[4]
+    hops = S._set_distances(g, C)[3]
     targets = [1, 3, 547, 1097, 1099]
     for o in (None, C[::-1]):
         assert_plans_equal(
