@@ -192,8 +192,8 @@ def label_map_csv(g: Graph) -> str:
 
 def _integer(v, what: str) -> int:
     """int(v); ValueError "<what> v is not an integer" unless v is a
-    Python or numpy integer."""
-    if not isinstance(v, (int, np.integer)):
+    Python or numpy integer other than a bool."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise ValueError(f"{what} {v!r} is not an integer")
     return int(v)
 

@@ -179,8 +179,11 @@ def translate_fraction(g: Graph, S, p) -> Fraction:
     and all its pairs are intercepted (new vertices all collude).  So with
     n_c nodes and q_c subdivided edges in component c, P = sum C(n_c, 2),
     P' = sum C(n_c + q_c, 2) and p' = (p*P + P' - P) / P', 0 with no pair.
+    ValueError for p outside [0, 1].
     """
     S = set(_colluder_tuple(g.n, S))
+    if not 0 <= Fraction(p) <= 1:
+        raise ValueError(f"p={p!r} outside [0, 1]")
     comp = component_labels(g).tolist()
     q = Counter(comp[u] for u, v in g.edges() if u in S or v in S)
     sizes = Counter(comp)

@@ -39,7 +39,8 @@ class SelectionSpec:
         if self.method == "greedy_min":
             if self.p is None or not (0.0 <= self.p <= 1.0):
                 raise ValueError("greedy_min requires p in [0, 1]")
-        elif not isinstance(self.k, (int, np.integer)) or self.k < 0:
+        elif (isinstance(self.k, bool)
+              or not isinstance(self.k, (int, np.integer)) or self.k < 0):
             raise ValueError(f"method {self.method!r} requires an integer "
                              f"k >= 0, got {self.k!r}")
 

@@ -407,22 +407,22 @@ def _check_separated(g: Graph, C) -> None:
         )
 
 
-def _rho_star_plans(g: Graph, C, rows, hops, order=None, targets=None):
-    """The rho* label setting toward every target at once.
+def _rho_star_plans(g: Graph, C, rows, hops, targets):
+    """The rho* label setting toward all the targets at once.
 
     C is the sorted tuple of a colluder set with no two members adjacent,
     `rows` = (at, D) as `_set_distances` holds them (covering C and its
-    neighbours), `hops` C's `_closest_hops` and `targets` defaults to every
-    non-colluder.  Returns (T, val, fn, pred, hop), each of the last four a
+    neighbours), `hops` C's `_closest_hops` and `targets` non-colluders.
+    Returns (T, val, fn, pred, hop), T the targets and each of the last four a
     k x |T| int64 array indexed [colluder index, target index]: the plan
     value, forwarding number, index of the predecessor on the witness chain
     (-1 for none) and exit hop (-1 where the value is INF).
 
     Step i settles, per target, the unsettled colluder with the least
-    (tentative value, id), or order[i] when `order` is given, then relaxes
-    every unsettled colluder z to max(1, d(x, z) - 2 + val); only a strict
-    improvement makes x the predecessor of z.  The exit hop is the closest
-    hop toward the predecessor, or toward the target when there is none.
+    (tentative value, id), then relaxes every unsettled colluder z to
+    max(1, d(x, z) - 2 + val); only a strict improvement makes x the
+    predecessor of z.  The exit hop is the closest hop toward the
+    predecessor, or toward the target when there is none.
 
     The state is colluder-major, one column per target, and each entry is
     one integer key, value << 3b | id << 2b | step << b | fn with 2^b > k:
@@ -449,15 +449,7 @@ def _rho_star_plans(g: Graph, C, rows, hops, order=None, targets=None):
     at, D = rows
     ids = np.asarray(C, np.int64)
     k = ids.size
-    if targets is None:
-        T = np.delete(np.arange(g.n), ids)
-    else:
-        T = np.asarray(targets, np.int64).reshape(-1)
-    if order is not None:
-        order = [_integer(v, "order item") for v in order]
-        if sorted(order) != list(C):
-            raise ValueError("order must be a permutation of the colluder set")
-        order = np.searchsorted(ids, order)
+    T = np.asarray(targets, np.int64).reshape(-1)
     inf, b = 1 << (2 * g.n).bit_length(), k.bit_length()
     bits = inf.bit_length() + 1 + 3 * b
     if bits > 63:
@@ -482,10 +474,7 @@ def _rho_star_plans(g: Graph, C, rows, hops, order=None, targets=None):
     seq = np.full((k + 1, T.size), k, np.int64)
     offset, cols = np.arange(k) * T.size, np.arange(T.size)
     for step in range(k):
-        if order is None:
-            least = key.view(unsigned).min(axis=0).view(dtype)
-        else:
-            least = key[order[step]]
+        least = key.view(unsigned).min(axis=0).view(dtype)
         seq[step + 1] = x = least >> 2 * b & mask
         done.put(offset.take(x) + cols, least)
         cand = rel.take(x, axis=1)
@@ -503,14 +492,13 @@ def _rho_star_plans(g: Graph, C, rows, hops, order=None, targets=None):
     return T, val, fn, pred, hop
 
 
-def rho_star_plan(g: Graph, C, t: int, *, order=None) -> RhoStarPlan:
+def rho_star_plan(g: Graph, C, t: int) -> RhoStarPlan:
     """Optimal broadcasts toward t for pairwise-separated colluders.
 
-    Label-setting over colluders: each settles at the minimum of its own lie
-    max(1, d(x,t)-2) and max(1, d(x,y)-2 + value(y)) over settled colluders y.
-    With `order` given, colluders settle in exactly that sequence and may only
-    relay through earlier entries.  A colluder is proper (forwarding_number
-    > 1) only when a relay value strictly beats its own lie.
+    Label-setting over colluders, the least (value, id) first: each settles
+    at the minimum of its own lie max(1, d(x,t)-2) and max(1, d(x,y)-2 +
+    value(y)) over settled colluders y.  A colluder is proper
+    (forwarding_number > 1) only when a relay value strictly beats its own lie.
     """
     C = _colluder_tuple(g.n, C)
     t = _node_id(g.n, t, "target")
@@ -518,8 +506,7 @@ def rho_star_plan(g: Graph, C, t: int, *, order=None) -> RhoStarPlan:
         raise ValueError("target must not be a colluder")
     _check_separated(g, C)
     at, D, _, hops = _set_distances(g, C)
-    _, val, fn, pred, hop = _rho_star_plans(
-        g, C, (at, D), hops, order=order, targets=[t])
+    _, val, fn, pred, hop = _rho_star_plans(g, C, (at, D), hops, targets=[t])
     entries = {}
     for i, x in enumerate(C):
         witness = [x]
@@ -611,7 +598,7 @@ def _quotient(g: Graph, comps):
     return gq, qid, honest_of, [int(qid[comp[0]]) for comp in comps]
 
 
-def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
+def adjacent_strategy(g: Graph, C) -> Strategy:
     """Generalized strategy allowing adjacent colluders.
 
     Colluder components are contracted to single nodes; the separated optimum
@@ -623,20 +610,15 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
     component is one colluder and the quotient is g itself; that case is
     separated_strategy.
 
-    Without a `component_order` the broadcasts and hops are held in the slot
-    of C's set (`graph._memoized`), in the narrowest dtypes that hold them
-    (-1 standing for INF), so that a separated and an adjacent build on one
-    set run one label setting; each call hands out fresh int64 copies.  A
-    build with a `component_order` reads the set's held distance rows,
-    closest hops and components, and holds nothing of its own.
+    The broadcasts and hops are held in the slot of C's set
+    (`graph._memoized`), in the narrowest dtypes that hold them (-1 standing
+    for INF), so that a separated and an adjacent build on one set run one
+    label setting; each call hands out fresh int64 copies.
     """
-    if component_order is not None:
-        C, b, hop = _adjacent(g, C, component_order)
-        return _strategy(C, b, hop, "adjacent_general")
     C = _colluder_tuple(g.n, C)
 
     def build():
-        _, b, hop = _adjacent(g, C)
+        b, hop = _adjacent(g, C)
         return _narrow(np.where(b < INF, b, -1)), _narrow(hop)
 
     held_b, held_hop = _memoized(g, C, "adjacent", build)
@@ -645,47 +627,29 @@ def adjacent_strategy(g: Graph, C, component_order=None) -> Strategy:
     return _strategy(C, b, held_hop.astype(np.int64), "adjacent_general")
 
 
-def _adjacent(g: Graph, C, component_order=None):
-    """(C, b, hop) of `adjacent_strategy`: C as `_colluder_tuple` and the
+def _adjacent(g: Graph, C):
+    """(b, hop) of `adjacent_strategy` on the sorted colluder tuple C: the
     broadcasts and hops as k x n int64 arrays in id order.  The relay rows
     (`relay`, |X| * c * n bytes) are computed here, their one reader, and
-    held nowhere; the default build is held, so a set computes them once."""
+    held nowhere; the build is held, so a set computes them once."""
     comps = colluder_components(g, C)
-    C, b, hop = _honest(g, C)
+    _, b, hop = _honest(g, C)
     *rows, dc, hops = _set_distances(g, C)
     ids = np.asarray(C, np.int64)
-    cnum = np.full(g.n, -1, np.int64)  # component index of each colluder
-    index, inner_hops = _colluder_graph(g, C)
-    cnum[ids] = index
+    index, inner_hops = _colluder_graph(g, C)  # each colluder's component
     # the members of multi-node components in id order, whose relay bounds
     # need the synchronized column
-    X = ids[np.bincount(index)[index] > 1]
+    multi = np.bincount(index)[index] > 1
+    X = ids[multi]
     # a separated set's quotient is g, whose rows and hops are the set's;
     # another quotient's plan reads only its own, held nowhere
     gq, qid, honest_of, comp_qid = _quotient(g, comps)
     qat, qD, qhops = ((*rows, hops) if gq is g
                       else _near_rows(gq, comp_qid))
 
-    qorder = None
-    if component_order is not None:
-        seen_ci = []
-        for item in component_order:
-            members = [_integer(m, f"order item {item!r}: member") for m in
-                       (tuple(item) if np.iterable(item) else (item,))]
-            for m in members:
-                if not 0 <= m < g.n or cnum[m] < 0:
-                    raise ValueError(f"order item {item!r}: {m} is not a colluder")
-            cis = {int(cnum[m]) for m in members}
-            if len(cis) != 1:
-                raise ValueError(f"order item {item!r} spans multiple components")
-            seen_ci.append(cis.pop())
-        if sorted(seen_ci) != list(range(len(comps))):
-            raise ValueError("component_order must list every component exactly once")
-        qorder = [comp_qid[ci] for ci in seen_ci]
-
     T = np.delete(np.arange(g.n), ids)  # the honest nodes
     _, val, fn, _, qhop = _rho_star_plans(gq, tuple(comp_qid), (qat, qD),
-                                          qhops, order=qorder, targets=qid[T])
+                                          qhops, targets=qid[T])
     # colluder targets and components without a finite plan value keep the
     # honest broadcast and hop
     live = qhop >= 0
@@ -695,15 +659,15 @@ def _adjacent(g: Graph, C, component_order=None):
     # adjacent to w: lowest[ci, u] for each node u, n where none is
     nbrs, deg = _runs(g, ids)
     lowest = np.full((len(comps), g.n), g.n, np.int64)
-    np.minimum.at(lowest, (np.repeat(cnum[ids], deg), nbrs), np.repeat(ids, deg))
+    np.minimum.at(lowest, (np.repeat(index, deg), nbrs), np.repeat(ids, deg))
     exits = lowest[np.arange(len(comps))[:, None], wi]
     exits[~live | (exits == g.n)] = -1
     # each colluder announces its component's plan value, and forwards to w,
     # toward the targets where it is the exit
-    mine = exits[cnum[ids]] == ids[:, None]
+    mine = exits[index] == ids[:, None]
     for a, planned in ((b, val), (hop, w)):
         cols = a[:, T]
-        np.copyto(cols, planned[cnum[ids]], where=mine)
+        np.copyto(cols, planned[index], where=mine)
         a[:, T] = cols
     for ci, comp in enumerate(comps):
         if len(comp) > 1:
@@ -714,7 +678,7 @@ def _adjacent(g: Graph, C, component_order=None):
             at = np.ix_(np.searchsorted(ids, comp), T[sel])
             hop[at] = np.where(inner >= 0, inner, hop[at])
     if not X.size:
-        return C, b, hop
+        return b, hop
 
     # Relay bounds read the synchronized column at each exit's first honest
     # vertex w, min(D_{G-S}(w, t), min over x of b_x[t] + D_C(x, w)), with
@@ -723,28 +687,30 @@ def _adjacent(g: Graph, C, component_order=None):
     # through honest nodes, so D_G(w, t) = min(D_{G-S}(w, t), min over x of
     # D_C(x, w) + D_G(x, t)), and each b_x[t] <= D_G(x, t) (exits announce
     # plan values, at most max(1, D_G(exit, t) - 2) as quotient distances
-    # never exceed true ones; the rest their true distance).
+    # never exceed true ones; the rest their true distance).  No entry
+    # exceeds INF = 2^60, so a sum cannot wrap in int64, and one with an INF
+    # term never lowers col, which starts at or below INF.
     has = exits >= 0
     col = as_hops(rows[1][np.maximum(rows[0][wi], 0), T])  # clamped where no exit
     for bx, dx in zip(b[:, T], as_hops(dc)):
-        dxw = dx[wi]
-        col = np.minimum(col, np.where((bx < INF) & (dxw < INF), bx + dxw, INF))
+        col = np.minimum(col, bx + dx[wi])
     # Per member x of a multi-node component ci, the bound is the largest
     # col[w] - d(x, w), or 1 when there is none, over the components cj with
     # an exit and a forwarding number no larger than ci's, d avoiding cj's
     # members but x: the rows from every such x with cj sealed (`relay`).
+    # Where d(x, w) is INF, col[w] - INF <= 0 is discarded by max(1, .).
     relay = _hop_families(g, [(X, comp) for comp in comps])
-    ci_of = cnum[X]
+    ci_of = index[multi]
     best = np.full((X.size, T.size), -INF)
     for cj in np.flatnonzero(has.any(axis=1)):
         dwx = as_hops(relay[cj][:, wi[cj]])
-        ok = has[cj] & (fn[cj] <= fn[ci_of]) & (dwx < INF)
+        ok = has[cj] & (fn[cj] <= fn[ci_of])
         best = np.where(ok, np.maximum(best, col[cj] - dwx), best)
     # every member but the exit announces its bound
     at = np.ix_(np.searchsorted(ids, X), T)
     b[at] = np.where(has[ci_of] & (exits[ci_of] != X[:, None]),
                      np.maximum(1, best), b[at])
-    return C, b, hop
+    return b, hop
 
 
 # ---------------------------------------------------------------------------

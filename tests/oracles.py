@@ -484,7 +484,7 @@ def _closest_hop(g, rows, v: int):
     return hop
 
 
-def rho_star_plan_reference(g, C, t, *, order=None):
+def rho_star_plan_reference(g, C, t):
     """The per-target label setting `strategy.rho_star_plan` ran before the
     all-targets pass: a Python loop over the colluders toward one target t,
     one single-target `_closest_hop` per exit hop."""
@@ -492,7 +492,7 @@ def rho_star_plan_reference(g, C, t, *, order=None):
 
     C = tuple(sorted(set(int(v) for v in C)))
     at, D = _set_distances(g, C)[:2]
-    return _plan_on_rows(g, C, t, (at, as_hops(D)), order)
+    return _plan_on_rows(g, C, t, (at, as_hops(D)))
 
 
 def _plan_on_rows(g, C, t, rows, order=None):
@@ -572,7 +572,7 @@ def _plan_on_rows(g, C, t, rows, order=None):
     return RhoStarPlan(target=t, entries=entries)
 
 
-def rho_star_plans_reference(g, C, rows, hops, order=None, targets=None):
+def rho_star_plans_reference(g, C, rows, hops, targets=None):
     """`strategy._rho_star_plans` as it was before its state went colluder-
     major: one row of k + 1 int32 entries per target, read and written
     through flat indices, settling by argmin over the rows' uint32 view
@@ -586,8 +586,6 @@ def rho_star_plans_reference(g, C, rows, hops, order=None, targets=None):
         T = np.flatnonzero(honest)
     else:
         T = np.asarray(targets, np.int64).reshape(-1)
-    if order is not None:
-        order = np.searchsorted(ids, [int(v) for v in order])
     inf, w = 1 << 29, k + 1
     DC = as_hops(D[at[ids]])
     dcc = np.full((k, w), inf + 2, np.int64)
@@ -600,11 +598,8 @@ def rho_star_plans_reference(g, C, rows, hops, order=None, targets=None):
     fn = np.zeros((T.size, w), np.int32)
     val = np.empty((T.size, w), np.int32)
     base = np.arange(T.size) * w
-    for step in range(k):
-        if order is None:
-            x = tent.view(np.uint32).argmin(axis=1)
-        else:
-            x = np.full(T.size, order[step])
+    for _ in range(k):
+        x = tent.view(np.uint32).argmin(axis=1)
         flat = base + x
         v = tent.take(flat)
         val.put(flat, v)

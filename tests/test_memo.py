@@ -337,7 +337,7 @@ def test_first_check_count_or_sync_runs_one_set_bfs(monkeypatch, g):
     # computes no components; the D_C it holds equals one BFS per colluder
     # with the other colluders banned.  An adjacent build then makes one
     # further call on g, with the relay families when the set has a
-    # multi-node component, and a second default build makes none
+    # multi-node component, and a second build makes none
     rng = np.random.default_rng(g.n)
     hop_families = S._hop_families
     for C in map(sorted, colluder_sets(g, rng)):
@@ -412,28 +412,22 @@ def test_adjacent_build_reads_no_distances_in_g_minus_s(monkeypatch):
 
 def test_one_plan_per_colluder_set(monkeypatch):
     # a separated and an adjacent build on one set run one label setting,
-    # the second reading the held adjacent arrays; a build with a component
-    # order runs its own and leaves them held
+    # the second reading the held adjacent arrays
     calls, plans = [], S._rho_star_plans
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("order"))
+        calls.append(args[1])
         return plans(*args, **kwargs)
 
     monkeypatch.setattr(S, "_rho_star_plans", counted)
     g = G.erdos_renyi(300, 0.012, seed=4)
     C = sorted(colluder_sets(g, np.random.default_rng(4))[0])
     sep, adj = S.separated_strategy(g, C), S.adjacent_strategy(g, C)
-    assert calls == [None]
-    ordered = S.adjacent_strategy(g, C, component_order=C[::-1])
-    assert calls == [None, C[::-1]]
     assert vectors(S.adjacent_strategy(g, C)) == vectors(adj)
-    assert len(calls) == 2
+    assert len(calls) == 1
     h = fresh(g)
     assert vectors(sep) == vectors(S.separated_strategy(h, C))
     assert vectors(adj) == vectors(S.adjacent_strategy(h, C))
-    assert vectors(ordered) == \
-        vectors(S.adjacent_strategy(h, C, component_order=C[::-1]))
 
     # a multi-node component: its adjacent arrays are held alike
     x = next(v for v in range(g.n) if g.degree(v))
@@ -441,7 +435,7 @@ def test_one_plan_per_colluder_set(monkeypatch):
     calls.clear()
     adj = S.adjacent_strategy(g, C)
     assert vectors(S.adjacent_strategy(g, C)) == vectors(adj)
-    assert calls == [None]
+    assert len(calls) == 1
     assert vectors(adj) == vectors(S.adjacent_strategy(fresh(g), C))
 
 

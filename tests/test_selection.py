@@ -43,13 +43,13 @@ class TestSelectionSpec:
         with pytest.raises(ValueError):
             sel.SelectionSpec(method="random")
 
-    @pytest.mark.parametrize("k", [2.5, 2.0, "2"],
-                             ids=["float", "integral-float", "string"])
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2", True],
+                             ids=["float", "integral-float", "string", "bool"])
     @pytest.mark.parametrize("method", ["random", "top_degree", "greedy_max",
                                         "exhaustive"])
     def test_k_must_be_an_integer(self, method, k):
         # greedy_max took k = 2.5 for 3 picks; the others raised a bare
-        # TypeError from slicing or math.comb
+        # TypeError from slicing or math.comb; True passed as k = 1
         message = f"^method '{method}' requires an integer k >= 0, got {k!r}$"
         with pytest.raises(ValueError, match=message.replace(".", r"\.")):
             sel.SelectionSpec(method=method, k=k)

@@ -178,12 +178,6 @@ class TestRhoStarPlan:
         plan = S.rho_star_plan(path_graph(7), {1, 4}, 6)
         assert [plan.value(x) for x in (1, 4)] == [2, 1]
 
-    @pytest.mark.parametrize("order", [[1], [1, 1, 4], [1, 3]])
-    def test_order_must_permute_colluders(self, order):
-        with pytest.raises(ValueError,
-                           match="^order must be a permutation of the colluder set$"):
-            S.rho_star_plan(path_graph(7), {1, 4}, 6, order=order)
-
     @pytest.mark.parametrize("call", [
         lambda g: S.rho_star_plan(g, {1, 4}, 4),
         lambda g: S.minimal_admissible_bruteforce(g, [1, 4], 4)])
@@ -373,14 +367,6 @@ class TestColluderIdsOutOfRange:
             call(path_graph(5), 4.9)
 
     @pytest.mark.parametrize("call, message", [
-        pytest.param(lambda g: S.rho_star_plan(g, [1, 4], 0, order=[1.9, 4.2]),
-                     "order item 1.9", id="rho_star_plan-order"),
-        pytest.param(lambda g: S.adjacent_strategy(g, [1, 4],
-                                                   component_order=[4.7, 1.2]),
-                     "order item 4.7: member 4.7", id="component_order-item"),
-        pytest.param(lambda g: S.adjacent_strategy(g, [1, 4],
-                                                   component_order=[[4.7], [1.2]]),
-                     "order item [4.7]: member 4.7", id="component_order-member"),
         pytest.param(lambda g: S.colluding_distance(g, [1, 4], 1.0, 4, 2),
                      "colluder 1.0", id="colluding_distance-x"),
         pytest.param(lambda g: S.colluding_distance(g, [1, 4], 1, "4", 2),
@@ -393,10 +379,17 @@ class TestColluderIdsOutOfRange:
                      "edge endpoint '0'", id="from_edges-string"),
         pytest.param(lambda g: G.from_edges(3.7, [(0, 1)]), "n 3.7",
                      id="from_edges-n"),
+        pytest.param(lambda g: S.honest_strategy(g, [True]), "colluder True",
+                     id="bool-colluder"),
+        pytest.param(lambda g: S.rho_star_plan(g, [4], True), "target True",
+                     id="bool-target"),
+        pytest.param(lambda g: greedy_max_spds(g, True), "k True",
+                     id="bool-k"),
     ])
     def test_other_arguments_reject_non_integers(self, call, message):
-        # int() truncated order items, members and endpoints and read the
-        # endpoint "2" as 2; x = 1.0 raised an IndexError and j = 2.5 gave INF
+        # int() truncated endpoints and read the endpoint "2" as 2; x = 1.0
+        # raised an IndexError and j = 2.5 gave INF; True passed as node 1
+        # and as k = 1
         with pytest.raises(ValueError,
                            match=f"^{re.escape(message)} is not an integer$"):
             call(path_graph(6))
@@ -405,8 +398,6 @@ class TestColluderIdsOutOfRange:
         g = path_graph(5)
         assert S.honest_strategy(g, [np.int64(1), np.uint8(3)]).colluders == (1, 3)
         assert S.rho_star_plan(g, [1], np.int32(4)).target == 4
-        assert S.rho_star_plan(g, [1, 3], 4, order=np.array([3, 1])) \
-            == S.rho_star_plan(g, [1, 3], 4, order=[3, 1])
         assert S.colluding_distance(g, [1, 3], np.int64(1), np.uint8(3),
                                     np.int32(2)) == 2
         assert G.from_edges(np.int64(3), np.array([[0, 1], [1, 2]])).m == 2
@@ -552,27 +543,21 @@ class TestAdjacentStrategy:
         C = [2, 3, 9, 10]
         from dvintercept.interception import intercepted_pairs
 
-        st_b_first = S.adjacent_strategy(g, C, component_order=[9, 2])
-        st_a_first = S.adjacent_strategy(g, C, component_order=[2, 9])
+        st_b_first = adjacent_strategy_reference(g, C, component_order=[9, 2])
+        st_a_first = adjacent_strategy_reference(g, C, component_order=[2, 9])
         assert S.check_admissible(g, st_b_first).admissible
         assert S.check_admissible(g, st_a_first).admissible
         rb = intercepted_pairs(g, st_b_first)
         ra = intercepted_pairs(g, st_a_first)
         assert rb.intercepted_ordered > ra.intercepted_ordered
 
-    def test_order_validation(self):
-        g = path_graph(6)
-        with pytest.raises(ValueError):
-            S.adjacent_strategy(g, {1, 4}, component_order=[1])
-        with pytest.raises(ValueError):
-            S.adjacent_strategy(g, {1, 4}, component_order=[1, 1])
-        for order, bad in (([0, 99], 99), ([0, -1], -1), ([0, 2], 2),
-                           ([(0, 1), 3], 1)):
-            with pytest.raises(ValueError, match=f": {bad} is not a colluder"):
-                S.adjacent_strategy(g, [0, 3], component_order=order)
-        with pytest.raises(ValueError,
-                           match=r"^order item \(0, 3\) spans multiple components$"):
-            S.adjacent_strategy(g, [0, 3], component_order=[(0, 3)])
+    def test_no_order_keyword(self):
+        # components and colluders settle by the least (value, id) only
+        g = path_graph(7)
+        with pytest.raises(TypeError):
+            S.rho_star_plan(g, [1, 4], 6, order=[4, 1])
+        with pytest.raises(TypeError):
+            S.adjacent_strategy(g, [1, 4], component_order=[4, 1])
 
 
 class TestCheckAdmissible:
@@ -1195,9 +1180,8 @@ class TestTwoByteRows:
                 pairs.append((S.separated_strategy(g, C),
                               separated_strategy_reference(g, C)))
                 for t in (2, g.n // 2 + 1, g.n - 2):
-                    for o in (None, C[::-1]):
-                        assert S.rho_star_plan(g, C, t, order=o) == \
-                            rho_star_plan_reference(g, C, t, order=o)
+                    assert S.rho_star_plan(g, C, t) == \
+                        rho_star_plan_reference(g, C, t)
             for got, ref in pairs:
                 for v in C:
                     assert got.broadcast[v].tolist() == ref.broadcast[v].tolist()
@@ -1255,27 +1239,26 @@ def test_separated_strategy_properties(seed):
 @given(st.integers(0, 2**31 - 1))
 def test_plans_match_per_target_reference(seed):
     # 40 % of the graphs have a second component and an isolated node; the
-    # separated set of 0 to 8 colluders, in random order, is also the order
+    # separated set has 0 to 8 colluders
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, n_max=16, n_min=1)
     if rng.random() < 0.4:
         g = G.from_edges(g.n + 3, list(g.edges()) + [(g.n, g.n + 1)])
-    order = separated_subset(g, rng)[: int(rng.integers(0, 9))]
-    C = tuple(sorted(order))
+    C = tuple(sorted(separated_subset(g, rng)[: int(rng.integers(0, 9))]))
     rows = S._set_distances(g, C)[:2]
     hops = [_closest_hop(g, rows, x) for x in C]
-    for o in (None, order):
-        T, val, fn, pred, hop = S._rho_star_plans(g, C, rows, hops, order=o)
-        assert list(T) == [t for t in range(g.n) if t not in C]
-        for j, t in enumerate(T):
-            ref = rho_star_plan_reference(g, C, int(t), order=o)
-            assert S.rho_star_plan(g, C, int(t), order=o) == ref
-            for i, x in enumerate(C):
-                e = ref.entries[x]
-                assert (val[i, j], fn[i, j], hop[i, j]) == \
-                    (e.value, e.forwarding_number, e.exit_hop)
-                nxt = C[pred[i, j]] if pred[i, j] >= 0 else None
-                assert nxt == (e.witness[1] if len(e.witness) > 1 else None)
+    targets = [t for t in range(g.n) if t not in C]
+    T, val, fn, pred, hop = S._rho_star_plans(g, C, rows, hops, targets)
+    assert list(T) == targets
+    for j, t in enumerate(targets):
+        ref = rho_star_plan_reference(g, C, t)
+        assert S.rho_star_plan(g, C, t) == ref
+        for i, x in enumerate(C):
+            e = ref.entries[x]
+            assert (val[i, j], fn[i, j], hop[i, j]) == \
+                (e.value, e.forwarding_number, e.exit_hop)
+            nxt = C[pred[i, j]] if pred[i, j] >= 0 else None
+            assert nxt == (e.witness[1] if len(e.witness) > 1 else None)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1291,13 +1274,7 @@ def test_builders_match_per_target_reference(seed):
         C = [int(v) for v in rng.permutation(g.n)]
     C = C[: int(rng.integers(0, len(C) + 1))]
     pairs = [(S.adjacent_strategy(g, C), adjacent_strategy_reference(g, C))]
-    comps = S.colluder_components(g, C)
-    if len(comps) > 1:
-        order = [comps[i] if rng.random() < 0.5 else comps[i][-1]
-                 for i in rng.permutation(len(comps))]
-        pairs.append((S.adjacent_strategy(g, C, component_order=order),
-                      adjacent_strategy_reference(g, C, component_order=order)))
-    if all(len(c) == 1 for c in comps):
+    if all(len(c) == 1 for c in S.colluder_components(g, C)):
         pairs.append((S.separated_strategy(g, C),
                       separated_strategy_reference(g, C)))
     for got, ref in pairs:
@@ -1354,27 +1331,23 @@ def assert_plans_equal(got, ref):
 @example(3, 1)
 def test_plans_match_row_layout_reference(seed, k):
     # two components and up to two isolated nodes, the separated set drawn
-    # from both, so that some targets are unreachable from some colluders;
-    # the set in random order is also the order
+    # from both, so that some targets are unreachable from some colluders
     rng = np.random.default_rng(seed)
     a = random_connected_graph(rng, n_max=14, n_min=1)
     b = random_connected_graph(rng, n_max=7, n_min=1)
     g = G.from_edges(a.n + b.n + int(rng.integers(0, 3)), list(a.edges())
                      + [(a.n + u, a.n + v) for u, v in b.edges()])
-    order = separated_subset(g, rng)[:k]
-    C = tuple(sorted(order))
+    C = tuple(sorted(separated_subset(g, rng)[:k]))
     rows = S._set_distances(g, C)[:2]
     hops = S._closest_hops(g, rows, C)
     if len(C) > 1 and len({int(c) for c in G.component_labels(g)[list(C)]}) > 1:
         assert (rows[1][rows[0][list(C)]] == np.iinfo(rows[1].dtype).max).any()
+    honest = [t for t in range(g.n) if t not in C]
+    assert_plans_equal(S._rho_star_plans(g, C, rows, hops, honest),
+                       rho_star_plans_reference(g, C, rows, hops))
     targets = [t for t in rng.permutation(g.n).tolist() if t not in C][:5]
-    for o in (None, order):
-        assert_plans_equal(S._rho_star_plans(g, C, rows, hops, order=o),
-                           rho_star_plans_reference(g, C, rows, hops, order=o))
-        assert_plans_equal(
-            S._rho_star_plans(g, C, rows, hops, order=o, targets=targets),
-            rho_star_plans_reference(g, C, rows, hops, order=o,
-                                     targets=targets))
+    assert_plans_equal(S._rho_star_plans(g, C, rows, hops, targets),
+                       rho_star_plans_reference(g, C, rows, hops, targets))
 
 
 def test_plans_with_int64_keys():
@@ -1384,11 +1357,8 @@ def test_plans_with_int64_keys():
     rows = S._set_distances(g, C)[:2]
     hops = S._set_distances(g, C)[3]
     targets = [1, 3, 547, 1097, 1099]
-    for o in (None, C[::-1]):
-        assert_plans_equal(
-            S._rho_star_plans(g, C, rows, hops, order=o, targets=targets),
-            rho_star_plans_reference(g, C, rows, hops, order=o,
-                                     targets=targets))
+    assert_plans_equal(S._rho_star_plans(g, C, rows, hops, targets),
+                       rho_star_plans_reference(g, C, rows, hops, targets))
 
 
 @settings(max_examples=40, deadline=None)
