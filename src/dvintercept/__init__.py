@@ -22,7 +22,6 @@ from .graph import (
     watts_strogatz,
 )
 from .interception import InterceptionResult, coverage_function, intercepted_pairs
-from .kernels import backend
 from .protocol import BeliefState, BroadcastError, synchronize
 from .reduction import (
     BlowupMap,

@@ -96,8 +96,8 @@ def _read_only(a):
 
 def _slot(g: Graph, S) -> dict:
     """The values g holds for the colluder set S (as `_colluder_tuple` gives
-    it): the distances every build, count and check on (g, S) reads.  g
-    holds one slot at a time; naming another set drops the last one's."""
+    it): "rows", "blocks", "adjacent" and "count", each the output of a BFS,
+    a label setting or a pass.  One set at a time; naming another drops it."""
     if g._memo.get("slot", (None,))[0] != S:
         g._memo["slot"] = (S, {})
     return g._memo["slot"][1]
@@ -503,16 +503,15 @@ def distance_blocks(g: Graph, removed=()):
     `strategy` holds its one block already (`strategy._set_distances`, from
     the BFS that gives its rows and D_C), so no pass over the set runs a
     BFS."""
-    return _over_blocks(g, removed, lambda T, D: (T, D))
+    return _over_blocks(g, _colluder_tuple(g.n, removed), lambda T, D: (T, D))
 
 
-def _over_blocks(g: Graph, removed, fn):
-    """Yield fn(T, D) for each block (T, D) of `distance_blocks(g,
-    removed)`, in order, through `_map_blocks`, which runs the calls
-    inline unless a block holds `_POOL_BYTES`: a block that is not yet held
-    has its `hop_distances` run in the same call, just before fn, and the
-    blocks are held once the last one is in.  fn must not write T or D."""
-    S = _colluder_tuple(g.n, removed)
+def _over_blocks(g: Graph, S, fn):
+    """Yield fn(T, D) for each block (T, D) of `distance_blocks(g, S)`, S a
+    sorted colluder tuple, in order, through `_map_blocks`, which runs the
+    calls inline unless a block holds `_POOL_BYTES`: a block that is not yet
+    held has its `hop_distances` run in the same call, just before fn, and
+    the blocks are held once the last one is in.  fn must not write T or D."""
     held = _slot(g, S).get("blocks")
     if held is not None:
         yield from _map_blocks(g, lambda block: fn(*block), held)

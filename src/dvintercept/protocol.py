@@ -28,13 +28,17 @@ class BroadcastError(ValueError):
 
 def _non_integer(vec, what: str, v):
     """ValueError "<what>(v,t) = x is not an integer" at the first target t
-    where vec holds a non-integer x, or None."""
+    where vec holds a non-integer x, a bool included (as in
+    `graph._integer`), or None."""
     vec = np.asarray(vec)
-    if vec.dtype.kind not in "biu":  # an integer array needs no test
-        with np.errstate(invalid="ignore"):  # NaN and infinities fail it
-            bad = np.flatnonzero(vec.astype(np.int64) != vec)
-        if bad.size:
-            return ValueError(f"{what}({v},{bad[0]}) = {vec[bad[0]]} is not an integer")
+    if vec.dtype.kind in "iu":  # an integer array needs no test
+        return None
+    with np.errstate(invalid="ignore"):  # NaN and infinities fail it
+        bad = vec.astype(np.int64) != vec
+    if vec.dtype.kind in "bO":  # True equals 1
+        bad |= [isinstance(x, (bool, np.bool_)) for x in vec]
+    if (bad := np.flatnonzero(bad)).size:
+        return ValueError(f"{what}({v},{bad[0]}) = {vec[bad[0]]} is not an integer")
     return None
 
 
@@ -46,13 +50,15 @@ def _int_rows(vectors, ids, n: int, what: str):
     a non-integer entry (`_non_integer`, which passes an integer dtype
     untested).  The caller tests the values of a, whose faults come before
     `fault`.  The vectors are stacked once: an integer k x n stack has no
-    row fault, and any other outcome reads the rows one by one to find the
-    first."""
+    row fault unless a row is a bool array (stacked as 0 and 1), and any
+    other outcome reads the rows one by one to find the first."""
     try:
-        a = np.array([vectors[v] for v in ids])
+        given = [vectors[v] for v in ids]
+        a = np.array(given)
     except (KeyError, ValueError):  # a missing vector, or unequal shapes
         a = None
-    if a is not None and a.shape == (len(ids), n) and a.dtype.kind in "biu":
+    if (a is not None and a.shape == (len(ids), n) and a.dtype.kind in "iu"
+            and not any(getattr(x, "dtype", a.dtype).kind == "b" for x in given)):
         return a.astype(np.int64, copy=False), None
     rows, fault = [], None
     for v in ids:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,13 +37,19 @@ class SelectionSpec:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown selection method {self.method!r}")
+        _integer(self.seed, "seed")
         if self.method == "greedy_min":
-            if self.p is None or not (0.0 <= self.p <= 1.0):
-                raise ValueError("greedy_min requires p in [0, 1]")
+            _fraction(self.p, "greedy_min requires p in [0, 1]")
         elif (isinstance(self.k, bool)
               or not isinstance(self.k, (int, np.integer)) or self.k < 0):
             raise ValueError(f"method {self.method!r} requires an integer "
                              f"k >= 0, got {self.k!r}")
+
+
+def _fraction(p, what: str) -> None:
+    """ValueError "<what>, got p" unless p is a real number in [0, 1], not a bool."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0 <= p <= 1:
+        raise ValueError(f"{what}, got {p!r}")
 
 
 # entries of the B x m x m arrays of one evaluation: a batch of B
@@ -270,8 +277,7 @@ def greedy_min_spds(g: Graph, p: float):
     reported approximation-ratio certificate (an upper bound on |greedy| /
     |optimal|, not a tight value).
     """
-    if not (0.0 <= p <= 1.0):
-        raise ValueError("p must lie in [0, 1]")
+    _fraction(p, "p must lie in [0, 1]")
     if p > 0 and g.n == 0:
         raise ValueError("unachievable coverage target on an empty graph")
     chosen, value, _ = _lazy_greedy(g, lambda c, v: v >= p - 1e-12)

@@ -45,12 +45,13 @@ def _near(g: Graph, S):
 
 def _set_distances(g: Graph, S):
     """(at, D, dc, hops): the distances in g that every reader on the
-    colluder set S takes, from one `graph._hop_families` call on first use
-    (`_near_rows`), and the colluders' closest hops, held read-only in the
-    slot of S's set (`graph._memoized`) in narrow dtypes.  D holds the rows
-    of S and its neighbours: node v's row is D[at[v]], and at[v] = -1 for
-    the others.  dc is D_C, the rows of the colluders in id order through
-    honest nodes only.  hops is the colluders' `_closest_hops` in id order.
+    colluder set S (the sorted tuple `_colluder_tuple` gives) takes, from
+    one `graph._hop_families` call on first use (`_near_rows`), and the
+    colluders' closest hops, held read-only in the slot of S's set
+    (`graph._memoized`) in narrow dtypes.  D holds the rows of S and its
+    neighbours: node v's row is D[at[v]], and at[v] = -1 for the others.
+    dc is D_C, the rows of the colluders in id order through honest nodes
+    only.  hops is the colluders' `_closest_hops` in id order.
     The relay rows of multi-node components are `_adjacent`'s alone.
 
     On a graph of one block (n <= `graph._BLOCK`) the same call also gives
@@ -60,7 +61,6 @@ def _set_distances(g: Graph, S):
     in the block each colluder's row is then made isolated, 0 at its own
     entry and unreached elsewhere, and D_C and the block each take the
     dtype a call of their own would give (`graph._narrowest`)."""
-    S = _colluder_tuple(g.n, S)
 
     def compute():
         ids = np.asarray(S, np.int64)
@@ -177,11 +177,8 @@ class Strategy:
         repeated colluder, a malformed broadcast (see
         `protocol.validate_broadcasts`), then per colluder in id order a
         missing, misshapen or non-integer forward vector, or at its lowest
-        target a hop that is neither -1 nor a neighbour.  Once the
-        broadcasts pass, the k x (n + 2) neighbour table of the whole set is
-        held in its slot (`graph._memoized`), also when a forward vector's
-        fault stops the reading early, so validating a strategy of another
-        set drops the set the graph held."""
+        target a hop that is neither -1 nor a neighbour, looked up in a
+        `_hop_table` built per call: validation reads and writes no slot."""
         for v, count in Counter(self.colluders).items():
             if count > 1:
                 raise ValueError(f"colluder {v} is repeated")
@@ -190,11 +187,10 @@ class Strategy:
         # one flat lookup of every hop read in `_hop_table`, the uint64 view
         # sending the hops below -1 above n
         k, w = len(hop), g.n + 2
-        ok = _memoized(g, ids, "hop_table", lambda: _hop_table(g, ids))[:k]
         at = (hop + 1).view(np.uint64)
         np.minimum(at, w - 1, out=at)
         at += np.arange(0, k * w, w, dtype=np.uint64)[:, None]
-        good = ok.take(at.view(np.int64))
+        good = _hop_table(g, ids[:k]).take(at.view(np.int64))
         if not good.all():
             i, t = np.argwhere(~good)[0]
             raise ValueError(f"forward({ids[i]},{t}) = {hop[i, t]} "
@@ -381,9 +377,9 @@ class RhoStarPlan:
 
 
 def _colluder_arcs(g: Graph, C):
-    """(src, dst): the arcs joining two members of the colluder set C, in
-    CSR order, read from the colluders' own runs."""
-    ids = np.asarray(_colluder_tuple(g.n, C), np.int64)
+    """(src, dst): the arcs joining two members of the sorted colluder
+    tuple C, in CSR order, read from the colluders' own runs."""
+    ids = np.asarray(C, np.int64)
     nbrs, deg = _runs(g, ids)
     cmask = np.zeros(g.n, np.bool_)
     cmask[ids] = True
@@ -392,19 +388,13 @@ def _colluder_arcs(g: Graph, C):
 
 
 def _check_separated(g: Graph, C) -> None:
-    """ValueError naming the least adjacent colluder pair (x, y), x < y, when
-    the held components (`_colluder_graph`) are not all single colluders.
-    It is the first arc between two colluders in CSR order: its source x is
-    the least colluder with a colluder neighbour, so each such neighbour is
-    above x."""
-    index = _colluder_graph(g, C)[0]
-    if index.size and index[-1] < index.size - 1:
-        src, dst = _colluder_arcs(g, C)
-        x, y = src[0], dst[0]
-        raise ValueError(
-            f"colluders {x} and {y} are not separated "
-            "(distance < 2); use adjacent_strategy"
-        )
+    """ValueError naming the least adjacent pair (x, y), x < y, of the
+    sorted colluder tuple C: the first arc between two colluders in CSR
+    order (`_colluder_arcs`), from the least colluder with such a neighbour."""
+    src, dst = _colluder_arcs(g, C)
+    if src.size:
+        raise ValueError(f"colluders {src[0]} and {dst[0]} are not separated "
+                         "(distance < 2); use adjacent_strategy")
 
 
 def _rho_star_plans(g: Graph, C, rows, hops, targets):
@@ -526,6 +516,7 @@ def separated_strategy(g: Graph, C) -> Strategy:
     `adjacent_strategy`, whose components are then all single colluders,
     after a check that no two colluders are adjacent.  Colluder targets are
     intercepted by definition: toward them every colluder stays honest."""
+    C = _colluder_tuple(g.n, C)
     _check_separated(g, C)
     return replace(adjacent_strategy(g, C), label="rho_star")
 
@@ -536,43 +527,35 @@ def separated_strategy(g: Graph, C) -> Strategy:
 
 
 def _colluder_graph(g: Graph, C):
-    """(index, hops) of the subgraph induced on the colluder set C, from one
-    BFS of it.  index: per colluder in id order the index of its component,
-    counting up from the component of its lowest member (each colluder's
-    lowest reachable member names its component); 0 to k - 1, with no BFS,
-    when no arc joins two colluders.  hops: over the members X of the
+    """(comps, index, hops) of the subgraph induced on the sorted colluder
+    tuple C, from one BFS of it.  index: per colluder in id order the index
+    of its component, counting up from the component of its lowest member
+    (each colluder's lowest reachable member names its component); 0 to
+    k - 1, with no BFS, when no arc joins two colluders.  comps: the
+    components' members, in index order.  hops: over the members X of the
     multi-node components in id order, hops[a, b] is the `_closest_hops`
     hop of X[a] toward X[b] inside their component, -1 on the diagonal and
-    between components.  Held read-only in the slot of C's set, in the
-    narrowest dtypes that hold them; the BFS and hops take k^2 and a few
-    |X| k int64 entries."""
-    C = _colluder_tuple(g.n, C)
-
-    def compute():
-        ids = np.asarray(C, np.int64)
-        src, dst = (np.searchsorted(ids, a) for a in _colluder_arcs(g, C))
-        if not src.size:
-            return _narrow(np.arange(ids.size)), np.zeros((0, 0), np.int8)
-        sub = _csr(ids.size, src, dst)
-        D = hop_distances(sub, np.arange(ids.size))
-        low = (D < np.iinfo(D.dtype).max).argmax(axis=1)
-        index = (np.cumsum(low == np.arange(ids.size)) - 1)[low]
-        X = np.flatnonzero(np.bincount(index)[index] > 1)
-        hops = _closest_hops(sub, (np.arange(ids.size), D), X)[:, X]
-        return _narrow(index), _narrow(np.where(hops >= 0, ids[hops], -1))
-
-    return _memoized(g, C, "components", compute)
+    between components.  The BFS and hops take k^2 and a few |X| k int64
+    entries; nothing is held."""
+    ids = np.asarray(C, np.int64)
+    src, dst = (np.searchsorted(ids, a) for a in _colluder_arcs(g, C))
+    if not src.size:
+        return [(v,) for v in C], np.arange(ids.size), np.zeros((0, 0), np.int64)
+    sub = _csr(ids.size, src, dst)
+    D = hop_distances(sub, np.arange(ids.size))
+    low = (D < np.iinfo(D.dtype).max).argmax(axis=1)
+    index = (np.cumsum(low == np.arange(ids.size)) - 1)[low]
+    X = np.flatnonzero(np.bincount(index)[index] > 1)
+    hops = _closest_hops(sub, (np.arange(ids.size), D), X)[:, X]
+    comps = [tuple(ids[index == i].tolist()) for i in range(index.max() + 1)]
+    return comps, index, np.where(hops >= 0, ids[hops], -1)
 
 
 def colluder_components(g: Graph, C) -> list[tuple[int, ...]]:
     """Connected components of the subgraph induced on the colluder set,
     ordered by lowest member id (`_colluder_graph`).  With no arc between
     two colluders every component is a single colluder."""
-    C = _colluder_tuple(g.n, C)
-    comps: list[list[int]] = [[] for _ in C]
-    for v, ci in zip(C, _colluder_graph(g, C)[0].tolist()):
-        comps[ci].append(v)
-    return [tuple(comp) for comp in comps if comp]
+    return _colluder_graph(g, _colluder_tuple(g.n, C))[0]
 
 
 def _quotient(g: Graph, comps):
@@ -632,11 +615,10 @@ def _adjacent(g: Graph, C):
     broadcasts and hops as k x n int64 arrays in id order.  The relay rows
     (`relay`, |X| * c * n bytes) are computed here, their one reader, and
     held nowhere; the build is held, so a set computes them once."""
-    comps = colluder_components(g, C)
     _, b, hop = _honest(g, C)
     *rows, dc, hops = _set_distances(g, C)
     ids = np.asarray(C, np.int64)
-    index, inner_hops = _colluder_graph(g, C)  # each colluder's component
+    comps, index, inner_hops = _colluder_graph(g, C)
     # the members of multi-node components in id order, whose relay bounds
     # need the synchronized column
     multi = np.bincount(index)[index] > 1
@@ -751,21 +733,12 @@ def _int_dtype(bound: int):
     return np.int64, INF + 1
 
 
-def _pass_setup(g: Graph, C, comp):
-    """(away, top): the k x n mask of the targets outside each colluder's
-    component (`comp` = `component_labels(g)`) and the largest finite entry
-    of D_C as a 0-d array (0 when there is none)."""
-    ids = np.asarray(C, np.int64)
-    raw_dc = _set_distances(g, C)[2]
-    finite = raw_dc[raw_dc < np.iinfo(raw_dc.dtype).max]
-    return comp[ids][:, None] != comp, np.array(finite.max(initial=0))
-
-
 def _closed_form_pass(g: Graph, arrays, comp):
     """The pass shared by the admissibility check and the count, in closed
     form over blocks of targets T; `arrays` = (C, b, hop) as from
-    `Strategy.validate`, which it does not write, and `comp` is
-    `component_labels(g)`, which each caller computes once.  Yields
+    `Strategy.validate` (C the sorted colluder tuple), which it does not
+    write, and `comp` is `component_labels(g)`, which each caller computes
+    once.  Yields
     (T, intercept): intercept is a |T| x n bool array marking s -> T[i] as
     intercepted at [i, s].  Raises InadmissibleError at the first target
     with members of its component that cannot reach it in the routing
@@ -804,9 +777,7 @@ def _closed_form_pass(g: Graph, arrays, comp):
     target's component, where every delivering colluder lies too; so the
     component test is made only in the colluder columns and rows.
 
-    The set's arrays (`_pass_setup`, and D_C in each dtype a pass sizes) are
-    held in its slot, written here on the calling thread before
-    `_over_blocks` starts any pool.
+    D_C is converted per pass; its one slot write is `_over_blocks`' blocks.
     """
     C, b, hop = arrays
     n, ids = g.n, np.asarray(C, np.int64)
@@ -814,15 +785,16 @@ def _closed_form_pass(g: Graph, arrays, comp):
     cidx[ids] = np.arange(ids.size)
     smask = cidx >= 0
     sizes = np.bincount(comp)
-    away, top = _memoized(g, C, "pass", lambda: _pass_setup(g, C, comp))
+    raw_dc = _set_distances(g, C)[2]
+    # D_C's largest finite entry: + 1 wraps the unreached maximum to 0
+    far = int((raw_dc + 1).max(initial=1)) - 1
     # an offer toward a target in another component reaches none of the
     # target's members, so such entries are dropped before sizing the dtype
-    finite = (b < INF) & ~away
-    cap = int(b.max(where=finite, initial=0)) + int(top) + 1
+    finite = (b < INF) & (comp[ids][:, None] == comp)
+    cap = int(b.max(where=finite, initial=0)) + far + 1
     dtype, inf = _int_dtype(cap)
     b = np.where(finite, b, inf).astype(dtype)
-    dc = _memoized(g, C, ("dc", np.dtype(dtype).str),
-                   lambda: as_hops(_set_distances(g, C)[2], dtype, inf))
+    dc = as_hops(raw_dc, dtype, inf)
 
     def saturated(D):
         """D (as from `distance_blocks`) in `dtype`, at most min(cap,

@@ -15,7 +15,7 @@ from math import comb
 import numpy as np
 
 from dvintercept import kernels
-from dvintercept.graph import as_hops
+from dvintercept.graph import _colluder_tuple, as_hops
 from dvintercept.kernels import INF
 
 
@@ -490,7 +490,7 @@ def rho_star_plan_reference(g, C, t):
     one single-target `_closest_hop` per exit hop."""
     from dvintercept.strategy import _set_distances
 
-    C = tuple(sorted(set(int(v) for v in C)))
+    C = _colluder_tuple(g.n, C)
     at, D = _set_distances(g, C)[:2]
     return _plan_on_rows(g, C, t, (at, as_hops(D)))
 
@@ -626,7 +626,7 @@ def separated_strategy_reference(g, C):
     honest target."""
     from dvintercept.strategy import Strategy, _set_distances
 
-    C = tuple(sorted(set(int(v) for v in C)))
+    C = _colluder_tuple(g.n, C)
     at, D = _set_distances(g, C)[:2]
     rows = at, D = at, as_hops(D)
     broadcast = {v: D[at[v]].copy() for v in C}
@@ -731,13 +731,13 @@ def adjacent_strategy_reference(g, C, component_order=None):
     from dvintercept.strategy import (Strategy, _set_distances,
                                       colluder_components)
 
-    C = tuple(sorted(set(int(v) for v in C)))
+    C = _colluder_tuple(g.n, C)
     cset = set(C)
     at, D = _set_distances(g, C)[:2]
     rows = at, D = at, as_hops(D)
     comps = colluder_components(g, C)
     gq, qid, honest_of, comp_qid = quotient_reference(g, comps)
-    qat, qD = _set_distances(gq, comp_qid)[:2]
+    qat, qD = _set_distances(gq, _colluder_tuple(gq.n, comp_qid))[:2]
     qrows = qat, as_hops(qD)
     qorder = None
     if component_order is not None:
@@ -819,7 +819,7 @@ def minimal_admissible_bruteforce_reference(g, C, t, budget=10**6):
     neighbour), admissible when the reach covers t's component.
 
     Returns (colluder order, Pareto frontier of admissible vectors)."""
-    from dvintercept.graph import _colluder_tuple, _node_id, component_labels
+    from dvintercept.graph import _node_id, component_labels
     from dvintercept.strategy import BudgetError
 
     C = _colluder_tuple(g.n, C)

@@ -61,7 +61,7 @@ class TestInterceptedPairs:
         g = path_graph(5)
         b = kernels.bfs(g.indptr, g.indices, 2)
         b[4] = 1
-        f = _closest_hop(g, S._set_distances(g, [2])[:2], 2)
+        f = _closest_hop(g, S._set_distances(g, G._colluder_tuple(g.n, [2]))[:2], 2)
         f[4] = 1
         bad = S.Strategy(colluders=(2,), broadcast={2: b}, forward={2: f})
         verdict = S.check_admissible(g, bad)

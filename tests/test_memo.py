@@ -116,23 +116,39 @@ def test_interleaved_sets_match_fresh_graphs(g):
 @pytest.mark.parametrize("g", graphs(), ids=lambda g: f"n{g.n}m{g.m}")
 def test_build_order_and_other_sets_leave_results_unchanged(g):
     # the builders reversed and with adjacent first, once on their own and
-    # once with a strategy of another set validated after each build, which
+    # once with a strategy of another set built after each build, which
     # drops the set the graph holds: every build, check, count and belief
     # matrix equals the one on a freshly built copy in the default order
     rng = np.random.default_rng(g.n)
     S1, S2 = colluder_sets(g, rng)
-    other = S.honest_strategy(fresh(g), S2)
     expect = results(fresh(g), S1)
     for order in (BUILDERS[::-1], (S.adjacent_strategy,) + BUILDERS[:3]):
         assert results(g, S1, order) == expect
-        assert results(g, S1, order, lambda: other.validate(g)) == expect
+        assert results(g, S1, order, lambda: S.honest_strategy(g, S2)) == expect
         assert g._memo["slot"][0] == tuple(sorted(S1))
+
+
+def test_validation_leaves_the_slot_alone():
+    # after a count on set A, validating a strategy of set B reads and
+    # writes no slot: g still holds A's rows, blocks and count, the same
+    # objects
+    g = G.erdos_renyi(40, 0.1, seed=2)
+    A, B = (sorted(C) for C in colluder_sets(g, np.random.default_rng(2)))
+    intercepted_pairs(g, S.honest_strategy(g, A))
+    held = dict(g._memo["slot"][1])
+    assert {"rows", "blocks", "count"} <= set(held)
+    assert S.honest_strategy(fresh(g), B).validate(g)[0] == tuple(B) != tuple(A)
+    assert g._memo["slot"][0] == tuple(A)
+    slot = g._memo["slot"][1]
+    assert slot.keys() == held.keys()
+    assert all(slot[key] is value for key, value in held.items())
 
 
 def test_handed_out_arrays_are_read_only():
     g = G.erdos_renyi(300, 0.012, seed=4)
     C = [3, 50, 299]
-    arrays = [G.component_labels(g), *S._set_distances(g, C)[:3]]
+    arrays = [G.component_labels(g),
+              *S._set_distances(g, G._colluder_tuple(g.n, C))[:3]]
     arrays += [a for block in G.distance_blocks(g, C) for a in block]
     assert S.check_admissible(g, S.adjacent_strategy(g, C))
     arrays += held_arrays(g)
@@ -146,7 +162,7 @@ def test_held_rows_are_narrow():
     # them, read-only: one byte per entry while the distances fit a byte
     g = G.erdos_renyi(300, 0.012, seed=4)
     for C in colluder_sets(g, np.random.default_rng(4)):
-        at, D = S._set_distances(g, C)[:2]
+        at, D = S._set_distances(g, G._colluder_tuple(g.n, C))[:2]
         near = S._near(g, C)[0]
         expect = G.hop_distances(g, near)
         assert D.dtype == expect.dtype == np.uint8
@@ -369,12 +385,11 @@ def test_first_check_count_or_sync_runs_one_set_bfs(monkeypatch, g):
                 blocks = blocks_bfs(h, C) if passes and g.n > G._BLOCK else []
                 assert all(calls[key] == 1 for key in blocks)
                 assert sum(calls.values()) == made[0][1] + len(blocks)
-                assert "components" not in h._memo["slot"][1]
                 for expect in ([relay] if relay else [], []):
                     made.clear()
                     S.adjacent_strategy(h, C)
                     assert [fams for on_h, _, fams in made if on_h] == expect
-            assert (G.as_hops(S._set_distances(h, C)[2])
+            assert (G.as_hops(S._set_distances(h, G._colluder_tuple(h.n, C))[2])
                     == banned_rows(h, C, sealed=C)).all()
 
 
@@ -492,7 +507,7 @@ def test_one_block_set_products_equal_separate_calls(g):
     sets = [[], list(range(g.n)), *colluder_sets(g, np.random.default_rng(g.n))]
     for C in sets + ([[0], [0, 1, 2]] if g.n > 200 else []):
         h = fresh(g)
-        at, D, dc, hops = S._set_distances(h, C)
+        at, D, dc, hops = S._set_distances(h, G._colluder_tuple(h.n, C))
         ids = np.asarray(sorted(set(C)), np.int64)
         near = S._near(h, C)[0]
         blocks = h._memo["slot"][1]["blocks"]
@@ -563,18 +578,17 @@ def test_adjacent_build_on_a_separated_set_reads_the_honest_products(monkeypatch
 
 
 def test_sweep_cell_computes_each_set_product_once(monkeypatch):
-    # the four strategies of a CLI cell, built and counted: every product
-    # the strategy and interception modules hold for the set is computed
-    # once, but for the held count, which each distinct strategy computes;
-    # among them are
-    # the components and intra-component hops of the colluder subgraph (one
-    # BFS of it, none for a separated set, and no scipy labelling), the
-    # set's distances in g (its rows, D_C and the colluders' closest hops
-    # from one `_closest_hops` on g, one product), the adjacent arrays, the
-    # validation table and the pass's per-set arrays, in narrow dtypes.
-    # The BFS calls: one on g for the rows and D_C, one per block, and for a
-    # multi-node set one of the colluder subgraph, one of the quotient and
-    # one on g for the relay rows, held nowhere
+    # the four strategies of a CLI cell, built and counted: the slot holds
+    # exactly the four products that cost a BFS, a label setting or a pass
+    # (the set's distances in g: its rows, D_C and the colluders' closest
+    # hops from one `_closest_hops` on g; the D_{G-S} blocks; the adjacent
+    # arrays; the last count), and the strategy and interception modules
+    # compute theirs once, but for the held count, which each distinct
+    # strategy computes.  The colluder components are the adjacent build's
+    # alone: one BFS of the colluder subgraph, none for a separated set, and
+    # no scipy labelling.  The BFS calls: one on g for the rows and D_C,
+    # one per block, and for a multi-node set one of the colluder subgraph,
+    # one of the quotient and one on g for the relay rows, held nowhere
     computed, work = Counter(), Counter()
     memoized, closest_hops, labels = S._memoized, S._closest_hops, S.component_labels
 
@@ -615,16 +629,10 @@ def test_sweep_cell_computes_each_set_product_once(monkeypatch):
         assert calls[set_bfs(g, C)] == 1
         # the held count is computed for honest, independent and the first
         # of the separated/adjacent pair, and read for the second
-        assert computed == Counter(dict.fromkeys(
-            ["rows", "components", "adjacent", "hop_table",
-             "pass", ("dc", "|u1")], 1)) + Counter(count=3)
+        assert computed == Counter(rows=1, adjacent=1, count=3)
         held = g._memo["slot"][1]
-        index, inner = held["components"]
-        assert [held["rows"][3].dtype, index.dtype] == [np.int16, np.uint8]
-        # the two adjacent colluders are each other's hop
-        pair = sorted({x, int(g.neighbors(x)[0])})
-        assert inner.tolist() == ([[-1, pair[1]], [pair[0], -1]] if multi else [])
-        assert held["hop_table"].shape == (len(C), g.n + 2)
+        assert set(held) == {"rows", "blocks", "adjacent", "count"}
+        assert held["rows"][3].dtype == np.int16
 
 
 def counted_passes(monkeypatch):

@@ -54,6 +54,28 @@ class TestSelectionSpec:
         with pytest.raises(ValueError, match=message.replace(".", r"\.")):
             sel.SelectionSpec(method=method, k=k)
 
+    @pytest.mark.parametrize("p", [True, "0.5", None, float("nan"), 1.5],
+                             ids=["bool", "string", "none", "nan", "above-1"])
+    def test_greedy_min_p_must_be_a_fraction(self, p):
+        # True validated and ran as p = 1; "0.5" raised a bare TypeError
+        message = f"greedy_min requires p in [0, 1], got {p!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sel.SelectionSpec(method="greedy_min", p=p)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "1", None],
+                             ids=["float", "bool", "string", "none"])
+    def test_seed_must_be_an_integer(self, seed):
+        # True selected as seed 1; 1.5 validated and failed in numpy with a
+        # TypeError
+        with pytest.raises(ValueError,
+                           match=f"^seed {re.escape(repr(seed))} is not an integer$"):
+            sel.SelectionSpec(method="random", k=3, seed=seed)
+
+    def test_numpy_scalars_pass(self):
+        spec = sel.SelectionSpec(method="greedy_min", p=np.float64(1.0),
+                                 seed=np.int64(3))
+        assert sel.select(star(6), spec) == [0]
+
     def test_numpy_integer_k(self):
         spec = sel.SelectionSpec(method="greedy_max", k=np.int64(2))
         assert len(sel.select(star(6), spec)) == 2
@@ -166,11 +188,13 @@ class TestGreedyMin:
             assert len(nodes) <= (1 + math.log(g.n)) * max(opt, 1)
 
     @pytest.mark.parametrize("g, p, message", [
-        (star(6), -0.1, r"p must lie in \[0, 1\]"),
-        (star(6), 1.5, r"p must lie in \[0, 1\]"),
+        (star(6), -0.1, r"p must lie in \[0, 1\], got -0.1"),
+        (star(6), 1.5, r"p must lie in \[0, 1\], got 1.5"),
+        (star(6), True, r"p must lie in \[0, 1\], got True"),
+        (star(6), "0.5", r"p must lie in \[0, 1\], got '0.5'"),
         (G.from_edges(0, []), 0.5, "unachievable coverage target on an empty graph"),
         (G.from_edges(2, []), 0.5, r"coverage target 0.5 unachievable \(max 0.0\)")],
-        ids=["below-0", "above-1", "empty-graph", "no-pairs"])
+        ids=["below-0", "above-1", "bool", "string", "empty-graph", "no-pairs"])
     def test_rejects_p(self, g, p, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             sel.greedy_min_spds(g, p)
