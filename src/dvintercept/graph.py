@@ -7,6 +7,7 @@ import csv
 import inspect
 import io
 import itertools
+import numbers
 import os
 from collections import deque
 from dataclasses import dataclass, field
@@ -125,7 +126,7 @@ def induced_subgraph(g: Graph, nodes) -> Graph:
 
 
 def from_edges(n: int, edges, labels=None) -> Graph:
-    """Build a Graph from an iterable of (u, v) pairs.
+    """Build a Graph from an iterable of (u, v) pairs, or an m x 2 array.
 
     Self-loops and duplicate edges are dropped; adjacency lists come out
     sorted and symmetric.  A non-integer n or endpoint is a ValueError.
@@ -133,12 +134,11 @@ def from_edges(n: int, edges, labels=None) -> Graph:
     n = _integer(n, "n")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    edges = list(edges)
-    e = np.array(edges).reshape(-1, 2)  # float64 when empty
-    if e.dtype.kind not in "iu":
-        for v in itertools.chain.from_iterable(edges):
-            _integer(v, "edge endpoint")
-    e = e.astype(np.int64)
+    e, fault = _integers(edges if isinstance(edges, np.ndarray)
+                         else itertools.chain.from_iterable(edges), "edge endpoint")
+    if fault:
+        raise fault
+    e = e.reshape(-1, 2)
     bad = np.flatnonzero(((e < 0) | (e >= n)).any(axis=1))
     if bad.size:
         u, v = e[bad[0]]
@@ -190,49 +190,85 @@ def label_map_csv(g: Graph) -> str:
     return out.getvalue()
 
 
+# the types of an integer: int and numpy's integer scalar types, not bool
+_INT_TYPES = frozenset({int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})
+
+
 def _integer(v, what: str) -> int:
     """int(v); ValueError "<what> v is not an integer" unless v is a
-    Python or numpy integer other than a bool."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+    Python or numpy integer (its type is in `_INT_TYPES`)."""
+    if type(v) not in _INT_TYPES:
         raise ValueError(f"{what} {v!r} is not an integer")
     return int(v)
 
 
-def _node_id(n: int, v, what: str) -> int:
-    """`_integer(v, what)`; ValueError "<what> v out of range for n=<n>"
-    outside [0, n)."""
-    v = _integer(v, what)
-    if not 0 <= v < n:
-        raise ValueError(f"{what} {v} out of range for n={n}")
-    return v
+def _fraction(p, message: str) -> None:
+    """ValueError(message) unless p is a real number in [0, 1], not a bool."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0 <= p <= 1:
+        raise ValueError(message)
+
+
+def _integers(a, what: str):
+    """(ints, fault): the entries of `a`, an array, an iterable or one
+    scalar, as a flat int64 array up to the first, in input order, that is
+    not an integer as for `_integer` or that int64 cannot hold, and for
+    that entry x the ValueError "<what> x is not an integer" (or "does not
+    fit in int64"), `what` formatted with x's position, or None.  Only a
+    float array is read by value: its integral entries pass, INF included.
+    An integer array costs no per-entry work, a float array one compare,
+    anything else one type scan."""
+    if isinstance(a, np.ndarray):
+        flat, kind = a.reshape(-1), a.dtype.kind
+    elif isinstance(a, (list, tuple)):
+        flat, kind = a, "O"
+    else:  # a scalar or a string is one entry
+        flat = list(a) if np.iterable(a) and not isinstance(a, (str, bytes)) else [a]
+        kind = "O"
+    if kind in "iu":
+        return flat.astype(np.int64, copy=False), None
+    if kind == "f":
+        with np.errstate(invalid="ignore"):  # NaN and infinities fail
+            bad = np.flatnonzero(flat.astype(np.int64) != flat).tolist()
+    elif set(map(type, flat)) <= _INT_TYPES:
+        bad = []
+    else:  # nested lists are read in row-major order, as numpy reads them
+        flat = np.asarray(flat, object).reshape(-1)
+        bad = [i for i, x in enumerate(flat) if type(x) not in _INT_TYPES]
+    if not bad:
+        try:
+            return np.array(flat, np.int64), None
+        except OverflowError:  # a Python int that int64 cannot hold
+            bad = [i for i, x in enumerate(flat) if not -1 << 63 <= x < 1 << 63]
+    i = bad[0]
+    x = flat[i].item() if isinstance(flat[i], np.generic) else flat[i]
+    why = "does not fit in int64" if type(x) in _INT_TYPES else "is not an integer"
+    return np.array(flat[:i], np.int64), ValueError(f"{what.format(i)} {x!r} {why}")
 
 
 def _node_ids(n: int, ids, what: str) -> np.ndarray:
-    """ids as a flat int64 array; ValueError as `_node_id` for the first id
-    that is not an integer or lies outside [0, n)."""
-    a = np.asarray(ids).reshape(-1)
-    if a.dtype.kind not in "iu":
-        for v in np.asarray(ids, object).reshape(-1):
-            _node_id(n, v, what)
-    bad = (a < 0) | (a >= n)
-    if bad.any():
-        _node_id(n, a[bad.argmax()], what)
-    return a.astype(np.int64, copy=False)
+    """ids as a flat int64 array; ValueError at the first id, in input
+    order, that is not a node id: not an integer (`_integers`), or outside
+    [0, n) ("<what> v out of range for n=<n>")."""
+    a, fault = _integers(ids, what)
+    # a negative id reads as at least 2^63 in uint64
+    out = a.view(np.uint64) >= n
+    if np.count_nonzero(out):
+        raise ValueError(f"{what} {a[out.argmax()]} out of range for n={n}")
+    if fault:
+        raise fault
+    return a
 
 
 def _colluder_tuple(n: int, S) -> tuple[int, ...]:
-    """S sorted and deduplicated; ValueError naming the first member that is
-    not an integer (`_integer`), else its least id outside [0, n)."""
-    S = tuple(sorted({_integer(v, "colluder") for v in S}))
-    for v in S[:1] + S[-1:]:
-        _node_id(n, v, "colluder")
-    return S
+    """S sorted and deduplicated; ValueError at its first member, in input
+    order, that is not a node id (`_node_ids`)."""
+    return tuple(sorted(set(_node_ids(n, S, "colluder").tolist())))
 
 
 def distance_avoiding(g: Graph, removed, x: int, y: int) -> int:
     """Distance from x to y in the subgraph induced on V minus `removed`."""
     removed = _colluder_tuple(g.n, removed)
-    x, y = _node_id(g.n, x, "endpoint"), _node_id(g.n, y, "endpoint")
+    x, y = _node_ids(g.n, [x, y], "endpoint").tolist()
     if x in removed or y in removed:
         raise ValueError("endpoints must not be in the removed set")
     return int(as_hops(hop_distances(g, [x], removed))[0, y])
@@ -554,8 +590,8 @@ def is_connected(g: Graph) -> bool:
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p): each of the C(n,2) edges present independently with prob p."""
-    if n < 0 or not (0.0 <= p <= 1.0):
-        raise ValueError(f"invalid erdos_renyi parameters n={n}, p={p}")
+    n, seed = _integer(n, "n"), _integer(seed, "seed")
+    _fraction(p, f"p must lie in [0, 1], got {p!r}")
     rng = np.random.default_rng(seed)
     edges = []
     for i in range(n - 1):
@@ -568,6 +604,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
 def pref_attach(n: int, m: int = 2, *, seed: int) -> Graph:
     """Preferential attachment: seed clique of m+1 nodes, then each new node
     attaches m edges with probability proportional to current degree."""
+    n, m, seed = _integer(n, "n"), _integer(m, "m"), _integer(seed, "seed")
     if not (1 <= m < n):
         raise ValueError(f"invalid pref_attach parameters n={n}, m={m}")
     rng = np.random.default_rng(seed)
@@ -590,7 +627,9 @@ def pref_attach(n: int, m: int = 2, *, seed: int) -> Graph:
 def watts_strogatz(n: int, k: int, beta: float, seed: int) -> Graph:
     """Ring lattice with k nearest neighbours, then each lattice edge's far
     endpoint rewired with probability beta (no self-loops or duplicates)."""
-    if not (0 < k < n) or k % 2 != 0 or not (0.0 <= beta <= 1.0):
+    n, k, seed = _integer(n, "n"), _integer(k, "k"), _integer(seed, "seed")
+    _fraction(beta, f"beta must lie in [0, 1], got {beta!r}")
+    if not (0 < k < n) or k % 2 != 0:
         raise ValueError(f"invalid watts_strogatz parameters n={n}, k={k}, beta={beta}")
     rng = np.random.default_rng(seed)
     edge_set = set()
@@ -662,5 +701,5 @@ def generate(spec: str, seed: int) -> Graph:
                          f"positional arguments but {len(args)} were given")
     try:
         return fn(*args, seed=seed)
-    except TypeError as exc:  # a missing or extra argument, or a float count
+    except (TypeError, ValueError) as exc:  # a missing argument, a bad value
         raise ValueError(f"generator spec {spec!r}: {exc}") from None

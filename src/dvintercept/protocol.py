@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import INF, Graph, _colluder_tuple, _over_blocks, as_hops
+from .graph import (INF, Graph, _colluder_tuple, _integers, _over_blocks,
+                    as_hops)
 
 
 class BroadcastError(ValueError):
@@ -26,54 +27,38 @@ class BroadcastError(ValueError):
         self.target = target
 
 
-def _non_integer(vec, what: str, v):
-    """ValueError "<what>(v,t) = x is not an integer" at the first target t
-    where vec holds a non-integer x, a bool included (as in
-    `graph._integer`), or None."""
-    vec = np.asarray(vec)
-    if vec.dtype.kind in "iu":  # an integer array needs no test
-        return None
-    with np.errstate(invalid="ignore"):  # NaN and infinities fail it
-        bad = vec.astype(np.int64) != vec
-    if vec.dtype.kind in "bO":  # True equals 1
-        bad |= [isinstance(x, (bool, np.bool_)) for x in vec]
-    if (bad := np.flatnonzero(bad)).size:
-        return ValueError(f"{what}({v},{bad[0]}) = {vec[bad[0]]} is not an integer")
-    return None
-
-
 def _int_rows(vectors, ids, n: int, what: str):
     """(a, fault): the `what` vectors of the colluders ids, in order, as the
     rows of a new int64 array, up to the first row that has a fault of its
-    own, and that fault as a ValueError (None when there is none).  A row's
-    own faults are, in order: a missing vector, a shape other than (n,) and
-    a non-integer entry (`_non_integer`, which passes an integer dtype
-    untested).  The caller tests the values of a, whose faults come before
-    `fault`.  The vectors are stacked once: an integer k x n stack has no
-    row fault unless a row is a bool array (stacked as 0 and 1), and any
-    other outcome reads the rows one by one to find the first."""
+    own, and that fault as a ValueError (None when there is none): a missing
+    vector, a shape other than (n,), or a first non-integer entry t,
+    "<what>(v,t) = x is not an integer" (`graph._integers`).  The caller
+    tests the values of a, whose faults come before `fault`.  The stack of
+    the vectors goes through `_integers` whole when it kept every vector's
+    dtype; else, or at a fault, the rows are read one by one in id order."""
     try:
         given = [vectors[v] for v in ids]
         a = np.array(given)
     except (KeyError, ValueError):  # a missing vector, or unequal shapes
         a = None
-    if (a is not None and a.shape == (len(ids), n) and a.dtype.kind in "iu"
-            and not any(getattr(x, "dtype", a.dtype).kind == "b" for x in given)):
-        return a.astype(np.int64, copy=False), None
+    # a list, or a bool array among integer ones, changes type in the stack
+    if (a is not None and a.shape == (len(ids), n)
+            and all(getattr(x, "dtype", None) is a.dtype for x in given)):
+        ints, fault = _integers(a, what)
+        if fault is None:
+            return ints.reshape(a.shape), None
     rows, fault = [], None
     for v in ids:
         if v not in vectors:
             fault = ValueError(f"{what} vector for node {v} is missing")
             break
-        vec = vectors[v]
-        if not isinstance(vec, np.ndarray):
-            vec = np.asarray(vec)
-        if vec.shape != (n,):
-            fault = ValueError(f"{what} vector for node {v} has shape {vec.shape}")
+        if np.shape(vec := vectors[v]) != (n,):
+            fault = ValueError(f"{what} vector for node {v} has shape {np.shape(vec)}")
             break
-        if fault := _non_integer(vec, what, v):
+        row, fault = _integers(vec, f"{what}({v},{{}}) =")
+        if fault:
             break
-        rows.append(vec)
+        rows.append(row)
     return np.array(rows, np.int64).reshape(len(rows), n), fault
 
 
@@ -93,14 +78,14 @@ def validate_broadcasts(n: int, colluders, broadcasts):
                          f"{sorted(set(ids) - keys)}, extra {sorted(keys - set(ids))})")
     b, fault = _int_rows(broadcasts, ids, n, "broadcast")
     diag = (np.arange(len(b)), np.asarray(ids[:len(b)], np.int64))
-    not_self = b[diag] != 0
+    # one mask of the faulty entries: the self entries other than 0, and the
+    # other entries below 1
     low = b < 1
-    low[diag] = False
-    bad = not_self | low.any(axis=1)
-    if bad.any():
-        i = int(bad.argmax())
+    low[diag] = b[diag] != 0
+    if low.any():
+        i = int(low.any(axis=1).argmax())
         v = ids[i]
-        if not_self[i]:
+        if low[i, v]:
             raise BroadcastError("self distance must be 0", v, v)
         raise BroadcastError("broadcast distance must be >= 1", v, int(low[i].argmax()))
     if fault:

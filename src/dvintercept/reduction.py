@@ -15,7 +15,8 @@ from math import comb
 
 import numpy as np
 
-from .graph import Graph, _colluder_tuple, component_labels, from_edges
+from .graph import (Graph, _colluder_tuple, _fraction, component_labels,
+                    from_edges)
 from .strategy import Strategy, _honest
 
 
@@ -179,11 +180,10 @@ def translate_fraction(g: Graph, S, p) -> Fraction:
     and all its pairs are intercepted (new vertices all collude).  So with
     n_c nodes and q_c subdivided edges in component c, P = sum C(n_c, 2),
     P' = sum C(n_c + q_c, 2) and p' = (p*P + P' - P) / P', 0 with no pair.
-    ValueError for p outside [0, 1].
+    ValueError unless p is a real number in [0, 1] other than a bool.
     """
     S = set(_colluder_tuple(g.n, S))
-    if not 0 <= Fraction(p) <= 1:
-        raise ValueError(f"p={p!r} outside [0, 1]")
+    _fraction(p, f"p={p!r} outside [0, 1]")
     comp = component_labels(g).tolist()
     q = Counter(comp[u] for u, v in g.edges() if u in S or v in S)
     sizes = Counter(comp)

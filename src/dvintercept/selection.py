@@ -14,14 +14,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .graph import (Graph, _integer, component_labels, hop_distances,
-                    induced_subgraph)
+from .graph import (_INT_TYPES, Graph, _fraction, _integer, component_labels,
+                    hop_distances, induced_subgraph)
 from .strategy import BudgetError
 
 _METHODS = ("random", "top_degree", "greedy_max", "greedy_min", "exhaustive")
@@ -39,17 +38,10 @@ class SelectionSpec:
             raise ValueError(f"unknown selection method {self.method!r}")
         _integer(self.seed, "seed")
         if self.method == "greedy_min":
-            _fraction(self.p, "greedy_min requires p in [0, 1]")
-        elif (isinstance(self.k, bool)
-              or not isinstance(self.k, (int, np.integer)) or self.k < 0):
+            _fraction(self.p, f"greedy_min requires p in [0, 1], got {self.p!r}")
+        elif type(self.k) not in _INT_TYPES or self.k < 0:
             raise ValueError(f"method {self.method!r} requires an integer "
                              f"k >= 0, got {self.k!r}")
-
-
-def _fraction(p, what: str) -> None:
-    """ValueError "<what>, got p" unless p is a real number in [0, 1], not a bool."""
-    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0 <= p <= 1:
-        raise ValueError(f"{what}, got {p!r}")
 
 
 # entries of the B x m x m arrays of one evaluation: a batch of B
@@ -277,7 +269,7 @@ def greedy_min_spds(g: Graph, p: float):
     reported approximation-ratio certificate (an upper bound on |greedy| /
     |optimal|, not a tight value).
     """
-    _fraction(p, "p must lie in [0, 1]")
+    _fraction(p, f"p must lie in [0, 1], got {p!r}")
     if p > 0 and g.n == 0:
         raise ValueError("unachievable coverage target on an empty graph")
     chosen, value, _ = _lazy_greedy(g, lambda c, v: v >= p - 1e-12)
@@ -289,7 +281,7 @@ def greedy_min_spds(g: Graph, p: float):
 
 def exhaustive_opt(g: Graph, k: int, budget: int = 10**6):
     """Optimal size-k set for shortest-path coverage by full enumeration."""
-    k = _integer(k, "k")
+    k, budget = _integer(k, "k"), _integer(budget, "budget")
     if not (0 <= k <= g.n):
         raise ValueError(f"k={k} out of range for n={g.n}")
     if math.comb(g.n, k) > budget:

@@ -22,8 +22,8 @@ from . import protocol
 # perfbench/tracing.py patches this name
 from .graph import (INF, Graph, ParseError, distance_avoiding,  # noqa: F401
                     _BLOCK, _colluder_tuple, _csr, _hop_families, _integer,
-                    _over_blocks, _memoized, _narrowest, _node_id, _slot,
-                    as_hops, component_labels, hop_distances)
+                    _integers, _over_blocks, _memoized, _narrowest, _node_ids,
+                    _slot, as_hops, component_labels, hop_distances)
 from .protocol import _min_plus
 
 
@@ -210,18 +210,20 @@ def _strategy(S, b, hop, label: str) -> Strategy:
 def strategy_to_text(strat: Strategy) -> str:
     """One record per (colluder, target): `colluder target broadcast hop`;
     ValueError at what the format cannot hold: an empty label or one with
-    whitespace, then a non-integer entry."""
+    whitespace, then a non-integer entry (`graph._integers`)."""
     if strat.label.split() != [strat.label]:
         raise ValueError(f"label {strat.label!r} is empty or holds whitespace")
     lines = [f"# label {strat.label}", f"# colluders {' '.join(map(str, strat.colluders))}"]
     for v in strat.colluders:
-        bv, fv = strat.broadcast[v], strat.forward[v]
-        for what, vec in (("broadcast", bv), ("forward", fv)):
-            if fault := protocol._non_integer(vec, what, v):
+        bv, fv = [], []
+        for what, vec, out in (("broadcast", strat.broadcast[v], bv),
+                               ("forward", strat.forward[v], fv)):
+            ints, fault = _integers(vec, f"{what}({v},{{}}) =")
+            if fault:
                 raise fault
-        for t in range(bv.shape[0]):
-            b = "inf" if bv[t] >= INF else str(int(bv[t]))
-            lines.append(f"{v} {t} {b} {int(fv[t])}")
+            out += ints.tolist()
+        for t, (b, h) in enumerate(zip(bv, fv, strict=True)):
+            lines.append(f"{v} {t} {'inf' if b >= INF else b} {h}")
     return "\n".join(lines) + "\n"
 
 
@@ -491,7 +493,7 @@ def rho_star_plan(g: Graph, C, t: int) -> RhoStarPlan:
     (forwarding_number > 1) only when a relay value strictly beats its own lie.
     """
     C = _colluder_tuple(g.n, C)
-    t = _node_id(g.n, t, "target")
+    [t] = _node_ids(g.n, [t], "target").tolist()
     if t in C:
         raise ValueError("target must not be a colluder")
     _check_separated(g, C)
@@ -900,7 +902,8 @@ def minimal_admissible_bruteforce(g: Graph, C, t: int, budget: int = 10**6):
     Returns (colluder order, Pareto frontier of admissible vectors).
     """
     C = _colluder_tuple(g.n, C)
-    t = _node_id(g.n, t, "target")
+    [t] = _node_ids(g.n, [t], "target").tolist()
+    budget = _integer(budget, "budget")
     if t in C:
         raise ValueError("target must not be a colluder")
     at, DG, dc = _set_distances(g, C)[:3]  # the ranges run up to D_G(x, t)

@@ -819,11 +819,11 @@ def minimal_admissible_bruteforce_reference(g, C, t, budget=10**6):
     neighbour), admissible when the reach covers t's component.
 
     Returns (colluder order, Pareto frontier of admissible vectors)."""
-    from dvintercept.graph import _node_id, component_labels
+    from dvintercept.graph import _node_ids, component_labels
     from dvintercept.strategy import BudgetError
 
     C = _colluder_tuple(g.n, C)
-    t = _node_id(g.n, t, "target")
+    [t] = _node_ids(g.n, [t], "target").tolist()
     if t in C:
         raise ValueError("target must not be a colluder")
     dt = kernels.bfs(g.indptr, g.indices, t)

@@ -306,8 +306,7 @@ class TestMain:
          "error: generator spec 'erdos_renyi(10)': "
          "erdos_renyi() missing 1 required positional argument: 'p'\n"),
         (["--generate", "pref_attach(20,2.5)", "--k", "2"],
-         "error: generator spec 'pref_attach(20,2.5)': "
-         "'float' object cannot be interpreted as an integer\n"),
+         "error: generator spec 'pref_attach(20,2.5)': m 2.5 is not an integer\n"),
         (["--generate", "erdos_renyi(10,0.3)", "--k", "inf%,nan%"],
          "error: k: percentage 'inf%' is not finite; "
          "k: percentage 'nan%' is not finite\n"),

@@ -350,12 +350,29 @@ class TestHopDistances:
         ([1.5], (), "source 1.5 is not an integer"),
         ([0], [1.5], "removed node 1.5 is not an integer"),
         ([2, 9, 1.5], [7], "source 9 out of range for n=4"),
+        # True in a list of integers was read as node 1
+        ([0, True], (), "source True is not an integer"),
+        ([2], [0, True], "removed node True is not an integer"),
+        ([np.int64(3), np.True_], (), "source True is not an integer"),
+        # an int that int64 cannot hold raised an OverflowError from numpy
+        ([1, 2**64], (), f"source {2**64} does not fit in int64"),
     ])
     def test_rejects_bad_ids(self, sources, removed, message):
         # the first bad source, else removed node, is named; no id wraps,
         # truncates or indexes past the graph
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             G.hop_distances(path_graph(4), sources, removed)
+
+    def test_id_containers(self):
+        # ids are read in input order from any container numpy reads, and
+        # from sets and generators, which numpy does not
+        g = path_graph(4)
+        want = G.hop_distances(g, [2, 0])
+        for ids in ((2, 0), np.array([2, 0]), np.array([[2], [0]]), [[2], [0]],
+                    range(2, -1, -2), (v for v in (2, 0)), [np.int64(2), np.uint8(0)]):
+            assert np.array_equal(G.hop_distances(g, ids), want), ids
+        assert np.array_equal(G.hop_distances(g, 3), G.hop_distances(g, [3]))
+        assert np.array_equal(G.hop_distances(g, {1, 3}), G.hop_distances(g, [1, 3]))
 
     def test_widens_past_254(self):
         # the longest distance on a path of 255 nodes is 254, which uint8
@@ -546,6 +563,22 @@ class TestGenerators:
         assert g.m == m * (m + 1) // 2 + (n - m - 1) * m
         check_invariants(g)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: G.erdos_renyi(5.0, 0.5, 1), "n 5.0 is not an integer"),
+        (lambda: G.erdos_renyi(5, 0.5, 1.5), "seed 1.5 is not an integer"),
+        (lambda: G.erdos_renyi(5, True, 1), "p must lie in [0, 1], got True"),
+        (lambda: G.pref_attach(5.0, 2, seed=1), "n 5.0 is not an integer"),
+        (lambda: G.pref_attach(5, True, seed=1), "m True is not an integer"),
+        (lambda: G.watts_strogatz(6, 2.0, 0.1, 1), "k 2.0 is not an integer"),
+        (lambda: G.watts_strogatz(6, 2, True, 1),
+         "beta must lie in [0, 1], got True"),
+    ], ids=["er-n", "er-seed", "er-p", "pa-n", "pa-m", "ws-k", "ws-beta"])
+    def test_parameters_are_checked_by_name(self, make, message):
+        # a float count raised a TypeError from range, a float seed one
+        # from numpy, and True passed as m = 1 and as probability 1
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
     def test_pref_attach_invalid(self):
         with pytest.raises(ValueError):
             G.pref_attach(3, 5, seed=0)
@@ -585,8 +618,8 @@ class TestGenerateSpec:
 
     @pytest.mark.parametrize("spec, detail", [
         ("erdos_renyi(10)", "missing 1 required positional argument: 'p'"),
-        ("pref_attach(20,2.5)", "'float' object cannot be interpreted as an integer"),
-        ("watts_strogatz(20.0,4,0.1)", "'float' object cannot be interpreted"),
+        ("pref_attach(20,2.5)", "m 2.5 is not an integer"),
+        ("watts_strogatz(20.0,4,0.1)", "n 20.0 is not an integer"),
         ("pref_attach(20,2,3,4)", "takes from 1 to 2 positional arguments"),
         ("erdos_renyi(10,0.5,3)",
          "erdos_renyi() takes 2 positional arguments but 3 were given"),

@@ -75,9 +75,10 @@ class TestTranslateFraction:
         assert closed == Fraction(7, 15)
         assert direct != closed  # the two accountings genuinely disagree
 
-    @pytest.mark.parametrize("p", [-1, 1.5, 2])
+    @pytest.mark.parametrize("p", [-1, 1.5, 2, True, "1/2"])
     def test_p_outside_unit_interval(self, p):
-        # returned -9/35, 46/35 and 57/35
+        # returned -9/35, 46/35 and 57/35; True returned 1, and "1/2" was
+        # parsed as a fraction
         g = G.pref_attach(12, 2, seed=1)
         with pytest.raises(ValueError, match=rf"^p={p!r} outside \[0, 1\]$"):
             R.translate_fraction(g, [1], p)

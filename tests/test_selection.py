@@ -237,6 +237,12 @@ class TestExhaustive:
         with pytest.raises(S.BudgetError):
             sel.exhaustive_opt(g, 10, budget=100)
 
+    @pytest.mark.parametrize("budget", [True, 10.5])
+    def test_budget_must_be_an_integer(self, budget):
+        # budget=True ran, as a budget of 1
+        with pytest.raises(ValueError, match=f"^budget {budget!r} is not an integer$"):
+            sel.exhaustive_opt(G.erdos_renyi(10, 0.3, seed=0), 0, budget=budget)
+
 
 class TestSelect:
     def test_top_degree_star(self):

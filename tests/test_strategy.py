@@ -379,6 +379,8 @@ class TestColluderIdsOutOfRange:
                      "edge endpoint '0'", id="from_edges-string"),
         pytest.param(lambda g: G.from_edges(3.7, [(0, 1)]), "n 3.7",
                      id="from_edges-n"),
+        pytest.param(lambda g: G.from_edges(3, [(0, True)]),
+                     "edge endpoint True", id="from_edges-bool"),
         pytest.param(lambda g: S.honest_strategy(g, [True]), "colluder True",
                      id="bool-colluder"),
         pytest.param(lambda g: S.rho_star_plan(g, [4], True), "target True",
@@ -393,6 +395,20 @@ class TestColluderIdsOutOfRange:
         with pytest.raises(ValueError,
                            match=f"^{re.escape(message)} is not an integer$"):
             call(path_graph(6))
+
+    @pytest.mark.parametrize("ids, message", [
+        ([-1, 1.5], "colluder -1 out of range for n=5"),
+        ([1, 6, 8], "colluder 6 out of range for n=5"),
+        ([8, 1.5, 6], "colluder 8 out of range for n=5"),
+    ])
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_first_bad_id_in_input_order(self, build, ids, message):
+        # the non-integer was named before an earlier id out of range, and
+        # of several ids out of range the largest
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(path_graph(5), ids)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            G._colluder_tuple(5, ids)
 
     def test_numpy_integers_are_ids(self):
         g = path_graph(5)
@@ -715,6 +731,20 @@ class TestValidate:
              r"^broadcast\(1,0\) = False is not an integer$"),
             (b, {1: f[1], 3: np.array([True, True, True, False, True])},
              r"^forward\(3,0\) = True is not an integer$"),
+            # a list mixing bools and integers validated as 0 and 1
+            ({1: [True, 0, True, 2, 3], 3: b[3]}, f,
+             r"^broadcast\(1,0\) = True is not an integer$"),
+            (b, {1: f[1], 3: [2, 2, 2, -1, True]},
+             r"^forward\(3,4\) = True is not an integer$"),
+            ({1: b[1].tolist(), 3: [np.int64(3), 2, 1, 0, np.True_]}, f,
+             r"^broadcast\(3,4\) = True is not an integer$"),
+            # in a list a float is no integer, as for an id; only a float
+            # array is read by value
+            ({1: [1.0, 0, 1, 2, 3], 3: b[3]}, f,
+             r"^broadcast\(1,0\) = 1.0 is not an integer$"),
+            # int64 holds INF, and raised an OverflowError above it
+            ({1: [1, 0, 1, 2, 2**64], 3: b[3]}, f,
+             rf"^broadcast\(1,4\) = {2**64} does not fit in int64$"),
         ]
         for broadcast, forward, message in cases:
             bad = S.Strategy(colluders=(1, 3), broadcast=dict(broadcast),
@@ -919,6 +949,13 @@ class TestBruteforce:
         with pytest.raises(S.BudgetError):
             S.minimal_admissible_bruteforce(g, [1, 3, 5, 7], 11, budget=10)
 
+    @pytest.mark.parametrize("budget", [True, 10.5])
+    def test_budget_must_be_an_integer(self, budget):
+        # True ran as a budget of 1, reported as "exceeds budget of True"
+        with pytest.raises(ValueError, match=f"^budget {budget!r} is not an integer$"):
+            S.minimal_admissible_bruteforce(path_graph(12), [1, 3, 5, 7], 11,
+                                            budget=budget)
+
     def test_frontier_matches_iterative_reference(self):
         # the closed form against one sync_column and one liberal reach per
         # combination: n from 1 to 9, a third of the graphs with a second
@@ -968,6 +1005,11 @@ class TestSerialization:
         for v in st_.colluders:
             assert (back.broadcast[v] == st_.broadcast[v]).all()
             assert (back.forward[v] == st_.forward[v]).all()
+        # vectors given as lists validate, and are written alike
+        lists = replace(st_, broadcast={v: a.tolist() for v, a in st_.broadcast.items()},
+                        forward={v: a.tolist() for v, a in st_.forward.items()})
+        lists.validate(g)
+        assert S.strategy_to_text(lists) == text
 
     def test_other_component_is_inf(self):
         # colluder 1 cannot reach 3 or 4: its lie toward them is INF, not
