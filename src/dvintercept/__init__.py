@@ -16,12 +16,11 @@ from .graph import (
     from_edge_list,
     from_edges,
     generate,
-    is_connected,
     load_edge_list,
     pref_attach,
     watts_strogatz,
 )
-from .interception import InterceptionResult, coverage_function, intercepted_pairs
+from .interception import InterceptionResult, intercepted_pairs
 from .protocol import BeliefState, BroadcastError, synchronize
 from .reduction import (
     BlowupMap,
@@ -49,15 +48,10 @@ from .strategy import (
     Strategy,
     adjacent_strategy,
     check_admissible,
-    colluding_distance,
     honest_strategy,
     independent_strategy,
-    is_beneficial,
-    minimal_admissible_bruteforce,
     rho_star_plan,
     separated_strategy,
-    strategy_from_text,
-    strategy_to_text,
 )
 
 __version__ = "0.1.0"

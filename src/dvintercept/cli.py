@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 
 from . import graph as graphmod
-from .graph import Graph, load_edge_list
+from .graph import Graph, _int_text, _real_text, load_edge_list
 from .interception import intercepted_pairs
 from .selection import SelectionSpec, select
 from .strategy import (
@@ -123,7 +123,8 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
     sweep = _names("k", merged.get("k", ""), "sweep value", errors)
     for tok in sweep:
         try:
-            value = float(tok[:-1]) if tok.endswith("%") else int(tok)
+            value = (_real_text(tok[:-1], "k:") if tok.endswith("%")
+                     else _int_text(tok, "k:"))
         except ValueError:
             errors.append(f"k: malformed sweep value {tok!r} "
                           "(a count is an integer, a percentage ends in %)")
@@ -135,15 +136,15 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
 
     trials = master_seed = 0
     try:
-        trials = int(merged["trials"])
+        trials = _int_text(merged["trials"], "trials:")
         if trials < 1:
             errors.append("trials: must be >= 1")
-    except ValueError:
-        errors.append(f"trials: not an integer ({merged['trials']!r})")
+    except ValueError as exc:
+        errors.append(str(exc))
     try:
-        master_seed = int(merged["seed"])
-    except ValueError:
-        errors.append(f"seed: not an integer ({merged['seed']!r})")
+        master_seed = _int_text(merged["seed"], "seed:")
+    except ValueError as exc:
+        errors.append(str(exc))
 
     metric = merged["metric"]
     if metric not in _METRICS:
@@ -193,9 +194,9 @@ def _resolve_sweep(sweep, n: int) -> list[int]:
     sizes: dict[int, str] = {}  # size -> the value that gave it
     for tok in sweep:
         if tok.endswith("%"):
-            k = round(n * float(tok[:-1]) / 100.0)
+            k = round(n * _real_text(tok[:-1], "k:") / 100.0)
         else:
-            k = int(tok)
+            k = _int_text(tok, "k:")
         if k > n:
             raise ConfigError(f"sweep value {tok!r} exceeds n={n}")
         if k in sizes:

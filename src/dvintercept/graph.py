@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import bisect
-import csv
 import inspect
-import io
 import itertools
 import numbers
 import os
+import re
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -129,13 +128,21 @@ def from_edges(n: int, edges, labels=None) -> Graph:
     """Build a Graph from an iterable of (u, v) pairs, or an m x 2 array.
 
     Self-loops and duplicate edges are dropped; adjacency lists come out
-    sorted and symmetric.  A non-integer n or endpoint is a ValueError.
+    sorted and symmetric.  A non-integer n or endpoint, an array that is
+    not m x 2 and a record whose length is not 2 are ValueErrors.
     """
     n = _integer(n, "n")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    e, fault = _integers(edges if isinstance(edges, np.ndarray)
-                         else itertools.chain.from_iterable(edges), "edge endpoint")
+    if isinstance(edges, np.ndarray):
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"edge array has shape {edges.shape}, not (m, 2)")
+    else:
+        edges = list(edges)
+        if bad := [i for i, rec in enumerate(edges) if len(rec) != 2]:
+            raise ValueError(f"edge record {bad[0]} {edges[bad[0]]!r} is not a pair")
+        edges = itertools.chain.from_iterable(edges)
+    e, fault = _integers(edges, "edge endpoint")
     if fault:
         raise fault
     e = e.reshape(-1, 2)
@@ -179,17 +186,6 @@ def load_edge_list(path) -> Graph:
         return from_edge_list(fh.read())
 
 
-def label_map_csv(g: Graph) -> str:
-    """Two-column CSV token,id for an ingested graph; a token holding a
-    comma or a quote is quoted, so `csv.reader` reads it back whole."""
-    if g.labels is None:
-        raise ValueError("graph has no ingestion label map")
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(
-        [("token", "id"), *((tok, i) for i, tok in enumerate(g.labels))])
-    return out.getvalue()
-
-
 # the types of an integer: int and numpy's integer scalar types, not bool
 _INT_TYPES = frozenset({int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})
 
@@ -200,6 +196,24 @@ def _integer(v, what: str) -> int:
     if type(v) not in _INT_TYPES:
         raise ValueError(f"{what} {v!r} is not an integer")
     return int(v)
+
+
+def _int_text(text: str, what: str) -> int:
+    """int(text) for an optional sign and ASCII digits, blanks around them
+    allowed (int() also takes `1_0` and `３0`); else ValueError."""
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+        raise ValueError(f"{what} {text!r} is not an integer")
+    return int(text)
+
+
+def _real_text(text: str, what: str) -> float:
+    """float(text) for ASCII text without `_`; else ValueError."""
+    try:
+        if text.isascii() and "_" not in text:
+            return float(text)
+    except ValueError:
+        pass
+    raise ValueError(f"{what} {text!r} is not a number")
 
 
 def _fraction(p, message: str) -> None:
@@ -579,10 +593,6 @@ def component_labels(g: Graph) -> np.ndarray:
     return g._memo["labels"]
 
 
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or bool((component_labels(g) == 0).all())
-
-
 # ---------------------------------------------------------------------------
 # generators (seeded, deterministic: numpy PCG64)
 # ---------------------------------------------------------------------------
@@ -664,7 +674,8 @@ GENERATORS = {
 def parse_generator_spec(spec: str):
     """Parse "name(arg,...)" e.g. "erdos_renyi(1000,0.004)".
 
-    Returns (name, args tuple); numbers are ints when they look like ints.
+    Returns (name, args tuple); an argument is an int when it is one as
+    `_int_text` reads it, else a float (`_real_text`).
     """
     spec = spec.strip()
     if "(" not in spec or not spec.endswith(")"):
@@ -675,13 +686,12 @@ def parse_generator_spec(spec: str):
         raise ValueError(f"unknown generator {name!r}")
     args = []
     body = rest[:-1].strip()
-    if body:
-        for part in body.split(","):
-            part = part.strip()
-            try:
-                args.append(int(part))
-            except ValueError:
-                args.append(float(part))
+    what = f"generator spec {spec!r}: argument"
+    for part in map(str.strip, body.split(",")) if body else ():
+        try:
+            args.append(_int_text(part, what))
+        except ValueError:
+            args.append(_real_text(part, what))
     return name, tuple(args)
 
 

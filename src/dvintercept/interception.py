@@ -18,8 +18,7 @@ import numpy as np
 from .graph import _BLOCK, Graph, _memoized, _slot, component_labels
 # intercepted_pairs checks admissibility in its own pass; check_admissible
 # stays importable here because perfbench/tracing.py patches this name
-from .strategy import (Strategy, _closed_form_pass,  # noqa: F401
-                       check_admissible, honest_strategy)
+from .strategy import Strategy, _closed_form_pass, check_admissible  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -144,11 +143,3 @@ def _unpack(packed, lo: int, n: int):
     return np.unpackbits(packed[:, lo // 8:(lo + _BLOCK) // 8], axis=1,
                          count=min(_BLOCK, n - lo)).view(np.bool_)
 
-
-def coverage_function(g: Graph, S) -> Fraction:
-    """Honest-strategy interception fraction for colluder set S, the ordered
-    fraction of intercepted_pairs(g, honest_strategy(g, S)).  With everyone
-    honest the routing graph toward t is the shortest-path predecessor DAG,
-    so s -> t is intercepted exactly when every shortest path crosses S:
-    d_G(s, t) < d_{G-S}(s, t), with every edge touching S deleted."""
-    return intercepted_pairs(g, honest_strategy(g, S)).fraction_ordered

@@ -320,9 +320,3 @@ def select(g: Graph, spec: SelectionSpec) -> list[int]:
         return greedy_max_spds(g, k)
     return exhaustive_opt(g, k)[0]
 
-
-def selection_to_text(g: Graph, nodes) -> str:
-    """Newline-delimited node tokens (external labels when available)."""
-    if g.labels is not None:
-        return "\n".join(g.labels[int(v)] for v in nodes) + "\n"
-    return "\n".join(str(int(v)) for v in nodes) + "\n"

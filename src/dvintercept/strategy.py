@@ -10,20 +10,17 @@ and the best composite value obtained by relaying through other colluders.
 
 from __future__ import annotations
 
-import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import protocol
-# distance_avoiding is not called here but stays importable because
-# perfbench/tracing.py patches this name
-from .graph import (INF, Graph, ParseError, distance_avoiding,  # noqa: F401
-                    _BLOCK, _colluder_tuple, _csr, _hop_families, _integer,
-                    _integers, _over_blocks, _memoized, _narrowest, _node_ids,
-                    _slot, as_hops, component_labels, hop_distances)
+# perfbench/tracing.py patches distance_avoiding here, where nothing calls it
+from .graph import (INF, Graph, distance_avoiding,  # noqa: F401
+                    _BLOCK, _colluder_tuple, _csr, _hop_families, _over_blocks,
+                    _memoized, _narrowest, _node_ids, as_hops, component_labels,
+                    hop_distances)
 from .protocol import _min_plus
 
 
@@ -207,99 +204,6 @@ def _strategy(S, b, hop, label: str) -> Strategy:
                     forward=dict(zip(S, hop)), label=label)
 
 
-def strategy_to_text(strat: Strategy) -> str:
-    """One record per (colluder, target): `colluder target broadcast hop`;
-    ValueError at what the format cannot hold: an empty label or one with
-    whitespace, then a non-integer entry (`graph._integers`)."""
-    if strat.label.split() != [strat.label]:
-        raise ValueError(f"label {strat.label!r} is empty or holds whitespace")
-    lines = [f"# label {strat.label}", f"# colluders {' '.join(map(str, strat.colluders))}"]
-    for v in strat.colluders:
-        bv, fv = [], []
-        for what, vec, out in (("broadcast", strat.broadcast[v], bv),
-                               ("forward", strat.forward[v], fv)):
-            ints, fault = _integers(vec, f"{what}({v},{{}}) =")
-            if fault:
-                raise fault
-            out += ints.tolist()
-        for t, (b, h) in enumerate(zip(bv, fv, strict=True)):
-            lines.append(f"{v} {t} {'inf' if b >= INF else b} {h}")
-    return "\n".join(lines) + "\n"
-
-
-def strategy_from_text(text: str, n: int) -> Strategy:
-    """Parse `strategy_to_text`'s format.  ParseError at the first malformed
-    or repeated record or label line; then, at the line of its first
-    record, at the first colluder in id order that lacks a record for some
-    target, naming the lowest such target; then at a `# colluders` header
-    that does not list exactly the colluders with records."""
-    label, labelled = "custom", 0  # the label and the line giving it
-    header = None  # (line, the colluders it lists)
-    broadcast: dict[int, np.ndarray] = {}
-    forward: dict[int, np.ndarray] = {}
-    first: dict[tuple[int, int], int] = {}  # (colluder, target) -> line
-    start: dict[int, int] = {}  # colluder -> line of its first record
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line[1:].split()
-            if parts and parts[0] == "label":
-                if len(parts) < 2:
-                    raise ParseError("label line without a label", lineno)
-                if len(parts) > 2:
-                    raise ParseError(f"label line holds {len(parts) - 1} "
-                                     "tokens, not one", lineno)
-                if labelled:
-                    raise ParseError(f"label line repeats line {labelled}", lineno)
-                labelled, label = lineno, parts[1]
-            elif parts and parts[0] == "colluders":
-                if header is not None:
-                    raise ParseError(f"colluders header repeats line {header[0]}",
-                                     lineno)
-                try:
-                    header = lineno, sorted(int(tok) for tok in parts[1:])
-                except ValueError:
-                    raise ParseError(f"non-integer colluder in {line!r}",
-                                     lineno) from None
-            continue
-        tokens = line.split()
-        if len(tokens) != 4:
-            raise ParseError(f"expected 4 tokens, got {len(tokens)}", lineno)
-        try:
-            v, t, h = (int(tok) for tok in tokens[:2] + tokens[3:])
-            b = INF if tokens[2] == "inf" else int(tokens[2])
-        except ValueError:
-            raise ParseError(f"non-integer field in {line!r}", lineno) from None
-        for name, node in (("colluder", v), ("target", t)):
-            if not 0 <= node < n:
-                raise ParseError(f"{name} {node} out of range for n={n}", lineno)
-        if not -1 <= h < n:
-            raise ParseError(f"hop {h} out of range for n={n}", lineno)
-        if (v, t) in first:
-            raise ParseError(f"record for colluder {v}, target {t} repeats "
-                             f"line {first[v, t]}", lineno)
-        first[v, t] = lineno
-        if v not in broadcast:
-            broadcast[v] = np.full(n, INF, np.int64)
-            forward[v] = np.full(n, -1, np.int64)
-            start[v] = lineno
-        broadcast[v][t] = b
-        forward[v][t] = h
-    colluders = sorted(broadcast)
-    for v in colluders:
-        lacks = next((t for t in range(n) if (v, t) not in first), None)
-        if lacks is not None:
-            raise ParseError(f"colluder {v} has no record for target {lacks}",
-                             start[v])
-    if header is not None and header[1] != colluders:
-        raise ParseError(f"colluders header lists {header[1]}, records name "
-                         f"{colluders}", header[0])
-    return Strategy(colluders=tuple(colluders), broadcast=broadcast,
-                    forward=forward, label=label)
-
-
 # ---------------------------------------------------------------------------
 # basic strategies
 # ---------------------------------------------------------------------------
@@ -321,36 +225,8 @@ def independent_strategy(g: Graph, S) -> Strategy:
 
 
 # ---------------------------------------------------------------------------
-# colluding distances and the separated optimum
+# the separated optimum
 # ---------------------------------------------------------------------------
-
-
-def colluding_distance(g: Graph, C, x: int, y: int, j: int) -> int:
-    """Minimum, over ordered sequences of j distinct colluders from x to y,
-    of the sum of consecutive true distances; INF if no such sequence."""
-    C = _colluder_tuple(g.n, C)
-    x, y = _integer(x, "colluder"), _integer(y, "colluder")
-    if x not in C or y not in C:
-        raise ValueError("x and y must be colluders")
-    j = _integer(j, "j")
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    if j > len(C):
-        return INF
-    if j == 1:
-        return 0 if x == y else INF
-    if x == y:
-        return INF
-    at, D = _set_distances(g, C)[:2]
-    row = dict(zip(C, as_hops(D[at[list(C)]])))
-    middle = [v for v in C if v != x and v != y]
-    best = INF
-    for perm in itertools.permutations(middle, j - 2):
-        seq = (x, *perm, y)
-        steps = [int(row[a][b]) for a, b in zip(seq, seq[1:])]
-        if max(steps) < INF:
-            best = min(best, sum(steps))
-    return best
 
 
 @dataclass(frozen=True)
@@ -698,7 +574,7 @@ def _adjacent(g: Graph, C):
 
 
 # ---------------------------------------------------------------------------
-# admissibility and benefit
+# admissibility
 # ---------------------------------------------------------------------------
 
 
@@ -876,70 +752,3 @@ def check_admissible(g: Graph, strat: Strategy) -> AdmissibilityVerdict:
     except InadmissibleError as e:
         return AdmissibilityVerdict(False, e.pair, e.trapped)
     return AdmissibilityVerdict(True)
-
-
-def is_beneficial(g: Graph, strat: Strategy) -> bool:
-    """True when the strategy strictly beats the honest strategy on the same
-    colluder set in worst-case ordered interception."""
-    from .interception import intercepted_pairs
-
-    res = intercepted_pairs(g, strat)
-    base = intercepted_pairs(g, honest_strategy(g, strat.colluders))
-    return res.fraction_ordered > base.fraction_ordered
-
-
-_COMBOS = 4096  # combinations per brute-force step, ~3 int64 + 2k bytes per node
-
-
-def minimal_admissible_bruteforce(g: Graph, C, t: int, budget: int = 10**6):
-    """Entrywise-minimal admissible broadcasts toward t by exhaustion.
-
-    Other targets stay honest, so only the column for t constrains anything.
-    A broadcast vector counts admissible when some forwarding commitment
-    delivers every same-component message, i.e. when the closed form of
-    `_closed_form_pass`, with colluders fanning out to all neighbours, lets
-    the whole component reach t.
-    Returns (colluder order, Pareto frontier of admissible vectors).
-    """
-    C = _colluder_tuple(g.n, C)
-    [t] = _node_ids(g.n, [t], "target").tolist()
-    budget = _integer(budget, "budget")
-    if t in C:
-        raise ValueError("target must not be a colluder")
-    at, DG, dc = _set_distances(g, C)[:3]  # the ranges run up to D_G(x, t)
-    ranges = [tuple(range(1, d + 1)) if d < INF else (INF,)
-              for d in as_hops(DG[at[list(C)], t]).tolist()]
-    if math.prod(map(len, ranges)) > budget:
-        raise BudgetError(f"search space exceeds budget of {budget}")
-    k, inf = len(C), INF + 1
-    # t's row of D_{G-S} and D_C, as the pass reads them; the row from the
-    # set's held blocks (on a one-block graph, from its first reader), else
-    # from a single-source BFS
-    blocks = _slot(g, C).get("blocks")
-    d = as_hops(hop_distances(g, [t], C)[0] if blocks is None
-                else blocks[t // _BLOCK][1][t % _BLOCK], inf=inf)
-    dc = as_hops(dc, inf=inf)
-    comp = component_labels(g)
-    combos = itertools.product(*ranges)
-    admissible = []
-    while chunk := list(itertools.islice(combos, _COMBOS)):
-        bt = np.array(chunk, np.int64).reshape(len(chunk), k).T
-        bt[bt >= INF] = inf
-        col = np.minimum(d, _min_plus(bt, dc, inf))
-        finite = col < inf
-        direct = (d == col) & finite
-        # attains[i, m, s]: colluder C[i]'s offer sets s's belief; at s = C[i]
-        # only its own does, so good there is its deliver flag
-        attains = (bt[:, :, None] + dc[:, None, :] == col) & finite
-        # deliver reaches its least fixpoint within k steps, good last reads it
-        deliver = np.zeros(bt.shape, np.bool_)
-        for _ in range(k + 1):
-            good = direct | (attains & deliver[:, :, None]).any(axis=0)
-            deliver = np.array([good[:, g.neighbors(x)].any(axis=1) for x in C],
-                               np.bool_).reshape(bt.shape)
-        ok = good[:, comp == comp[t]].all(axis=1)
-        admissible += [combo for combo, a in zip(chunk, ok) if a]
-    frontier = [a for a in admissible
-                if not any(b != a and all(bi <= ai for bi, ai in zip(b, a))
-                           for b in admissible)]
-    return C, sorted(frontier)

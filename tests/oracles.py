@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from itertools import combinations, product
-from math import comb
+from itertools import combinations, islice, permutations, product
+from math import comb, prod
 
 import numpy as np
 
 from dvintercept import kernels
-from dvintercept.graph import _colluder_tuple, as_hops
+from dvintercept.graph import (_colluder_tuple, _integer, _node_ids, as_hops,
+                               component_labels, hop_distances)
 from dvintercept.kernels import INF
 
 
@@ -374,12 +375,62 @@ def from_edges_reference(n, edges, labels=None):
                  labels=tuple(labels) if labels is not None else None)
 
 
+def coverage_function(g, S) -> Fraction:
+    """Honest-strategy interception fraction for colluder set S, the ordered
+    fraction of intercepted_pairs(g, honest_strategy(g, S)).  With everyone
+    honest the routing graph toward t is the shortest-path predecessor DAG,
+    so s -> t is intercepted exactly when every shortest path crosses S:
+    d_G(s, t) < d_{G-S}(s, t), with every edge touching S deleted."""
+    from dvintercept.interception import intercepted_pairs
+    from dvintercept.strategy import honest_strategy
+
+    return intercepted_pairs(g, honest_strategy(g, S)).fraction_ordered
+
+
+def is_beneficial(g, strat) -> bool:
+    """True when the strategy strictly beats the honest strategy on the same
+    colluder set in worst-case ordered interception."""
+    from dvintercept.interception import intercepted_pairs
+    from dvintercept.strategy import honest_strategy
+
+    res = intercepted_pairs(g, strat)
+    base = intercepted_pairs(g, honest_strategy(g, strat.colluders))
+    return res.fraction_ordered > base.fraction_ordered
+
+
+def colluding_distance(g, C, x: int, y: int, j: int) -> int:
+    """Minimum, over ordered sequences of j distinct colluders from x to y,
+    of the sum of consecutive true distances; INF if no such sequence."""
+    C = _colluder_tuple(g.n, C)
+    x, y = _integer(x, "colluder"), _integer(y, "colluder")
+    if x not in C or y not in C:
+        raise ValueError("x and y must be colluders")
+    j = _integer(j, "j")
+    if j < 1:
+        raise ValueError("j must be >= 1")
+    if j > len(C):
+        return INF
+    if j == 1:
+        return 0 if x == y else INF
+    if x == y:
+        return INF
+    row = dict(zip(C, as_hops(hop_distances(g, C))))
+    middle = [v for v in C if v != x and v != y]
+    best = INF
+    for perm in permutations(middle, j - 2):
+        seq = (x, *perm, y)
+        steps = [int(row[a][b]) for a, b in zip(seq, seq[1:])]
+        if max(steps) < INF:
+            best = min(best, sum(steps))
+    return best
+
+
 def coverage_function_reference(g, S) -> Fraction:
-    """`interception.coverage_function` as its own two-pass count: with
+    """`coverage_function` as its own two-pass count: with
     everyone honest, s -> t is intercepted exactly when d_G(s, t) <
     d_{G-S}(s, t), every edge touching S deleted (which also covers an
     endpoint in S)."""
-    from dvintercept.graph import component_labels, distance_blocks
+    from dvintercept.graph import distance_blocks
 
     S = sorted(set(int(v) for v in S))
     sizes = np.bincount(component_labels(g))
@@ -813,13 +864,12 @@ def adjacent_strategy_reference(g, C, component_order=None):
 
 
 def minimal_admissible_bruteforce_reference(g, C, t, budget=10**6):
-    """`strategy.minimal_admissible_bruteforce` as it ran before its closed
-    form: per broadcast combination one iterative `kernels.sync_column` and
-    one liberal `kernels.reach` (every colluder forwards to every
-    neighbour), admissible when the reach covers t's component.
+    """`minimal_admissible_bruteforce` as it ran before its closed form:
+    per broadcast combination one iterative `kernels.sync_column` and one
+    liberal `kernels.reach` (every colluder forwards to every neighbour),
+    admissible when the reach covers t's component.
 
     Returns (colluder order, Pareto frontier of admissible vectors)."""
-    from dvintercept.graph import _node_ids, component_labels
     from dvintercept.strategy import BudgetError
 
     C = _colluder_tuple(g.n, C)
@@ -857,3 +907,85 @@ def minimal_admissible_bruteforce_reference(g, C, t, budget=10**6):
                 if not any(b != a and all(bi <= ai for bi, ai in zip(b, a))
                            for b in admissible)]
     return C, sorted(frontier)
+
+
+_COMBOS = 4096  # combinations per brute-force step, ~k + 1 int64 and 2k bytes per node
+
+
+def minimal_admissible_frontiers(g, C, targets, budget: int = 10**6):
+    """(C sorted, per target of `targets` the Pareto frontier of the
+    entrywise-minimal admissible broadcasts toward it), by exhaustion.
+
+    Other targets stay honest, so only the column for t constrains anything.
+    A broadcast vector counts admissible when some forwarding commitment
+    delivers every same-component message: with colluders fanning out to all
+    neighbours, the closed form of the library's pass lets the whole
+    component reach t.  The search ranges are 1 to D_G(x, t) per colluder x.
+    D_G and D_{G-S} come from two `graph.hop_distances` calls per call, and
+    D_C (each colluder's distances through honest nodes only) from D_{G-S},
+    so a search over many targets of one set pays its BFS once.  It reads
+    nothing a graph holds but `component_labels`.  BudgetError, before any
+    search, when a target's search space exceeds `budget`.
+    """
+    from dvintercept.strategy import BudgetError
+
+    C = _colluder_tuple(g.n, C)
+    T = _node_ids(g.n, targets, "target").tolist()
+    budget = _integer(budget, "budget")
+    if set(T) & set(C):
+        raise ValueError("target must not be a colluder")
+    k, inf = len(C), INF + 1
+    DG = as_hops(hop_distances(g, C))
+    ranges = [[tuple(range(1, d + 1)) if d < INF else (INF,) for d in DG[:, t].tolist()]
+              for t in T]
+    if any(prod(map(len, r)) > budget for r in ranges):
+        raise BudgetError(f"search space exceeds budget of {budget}")
+    # D_{G-S} on every node; D_C[x] steps from x to an honest neighbour u
+    # and on through honest nodes only, D_{G-S}[u], and is 0 at x itself and
+    # unreached at the other colluders, which are isolated in G - S
+    D = as_hops(hop_distances(g, np.arange(g.n), C), inf=inf)
+    honest = np.ones(g.n, np.bool_)
+    honest[list(C)] = False
+    nbrs = [g.neighbors(x) for x in C]
+    dc = np.array([np.minimum(D[u[honest[u]]].min(axis=0, initial=inf) + 1, inf)
+                   for u in nbrs], np.int64).reshape(k, g.n)
+    dc[np.arange(k), list(C)] = 0
+    adj = np.zeros((g.n, k), np.bool_)  # adj[u, i]: u neighbours C[i]
+    for i, u in enumerate(nbrs):
+        adj[u, i] = True
+    comp = component_labels(g)
+    frontiers = []
+    for t, r in zip(T, ranges):
+        d = D[t]
+        combos = product(*r)
+        admissible = []
+        while chunk := list(islice(combos, _COMBOS)):
+            bt = np.array(chunk, np.int64).reshape(len(chunk), k).T
+            bt[bt >= INF] = inf
+            # offer[i, m, s]: colluder C[i]'s offer at s under combination m
+            offer = bt[:, :, None] + dc[:, None, :]
+            col = np.minimum(d, offer.min(axis=0, initial=inf))
+            finite = col < inf
+            direct = (d == col) & finite
+            # attains[i, m, s]: C[i]'s offer sets s's belief; at s = C[i]
+            # only its own does, so good there is its deliver flag
+            attains = (offer == col) & finite
+            # deliver reaches its least fixpoint within k steps, good last reads it
+            deliver = np.zeros(bt.shape, np.bool_)
+            for _ in range(k + 1):
+                good = direct | (attains & deliver[:, :, None]).any(axis=0)
+                deliver = (good @ adj).T
+            ok = good[:, comp == comp[t]].all(axis=1)
+            admissible += [combo for combo, a in zip(chunk, ok) if a]
+        frontiers.append(sorted(
+            a for a in admissible
+            if not any(b != a and all(bi <= ai for bi, ai in zip(b, a))
+                       for b in admissible)))
+    return C, frontiers
+
+
+def minimal_admissible_bruteforce(g, C, t: int, budget: int = 10**6):
+    """(C sorted, Pareto frontier of the admissible broadcasts toward t):
+    `minimal_admissible_frontiers` for the one target t."""
+    C, [frontier] = minimal_admissible_frontiers(g, C, [t], budget)
+    return C, frontier

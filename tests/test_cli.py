@@ -1,6 +1,7 @@
 """Config parsing and the experiment runner."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from dvintercept.cli import (
     serialize_config,
 )
 from dvintercept.graph import from_edges, load_edge_list
-from dvintercept.interception import coverage_function
 from dvintercept.selection import exhaustive_opt
 
+from oracles import coverage_function
 
 CONFIG = """\
 # small sweep on a generated graph
@@ -109,6 +110,33 @@ class TestConfigParsing:
     def test_fractional_percentage_allowed(self):
         cfg = parse_config("generate = erdos_renyi(9,0.5)\nk = 2.5%, 3\n")
         assert cfg.sweep == ("2.5%", "3")
+
+    @pytest.mark.parametrize("tok", ["1_0", "\uff130", "1_0%", "0.1_0%", "\uff13%"])
+    def test_sweep_values_refuse_underscores_and_other_digits(self, tok):
+        # int() read 1_0 as 10 and the full-width \uff130 as 30, float() 1_0%
+        # as 10 % and 0.1_0% as 0.1 %
+        with pytest.raises(ConfigError) as exc:
+            build_config({"generate": "erdos_renyi(9,0.5)", "k": tok})
+        assert str(exc.value) == (f"k: malformed sweep value {tok!r} (a count "
+                                  "is an integer, a percentage ends in %)")
+
+    @pytest.mark.parametrize("key", ["trials", "seed"])
+    @pytest.mark.parametrize("text", ["1_0", "\uff13", "+-1", "", "1.0"])
+    def test_trials_and_seed_refuse_what_is_not_digits(self, key, text):
+        with pytest.raises(ConfigError, match=re.escape(f"{key}: {text!r} is not an integer")):
+            build_config({"generate": "erdos_renyi(9,0.5)", "k": "1", key: text})
+
+    def test_signs_and_blanks_stay_accepted(self):
+        cfg = build_config({"generate": "erdos_renyi(9,0.5)", "k": "+3, 2.5%",
+                            "trials": " +2 ", "seed": "-7"})
+        assert (cfg.trials, cfg.master_seed) == (2, -7)
+        assert cli._resolve_sweep(cfg.sweep, 40) == [3, 1]
+
+    @pytest.mark.parametrize("tok", ["1_0", "\uff130", "1_0%"])
+    def test_resolve_sweep_reads_digits_only(self, tok):
+        # a config built without `build_config` reaches the sweep unchecked
+        with pytest.raises(ValueError, match="is not"):
+            cli._resolve_sweep((tok,), 40)
 
     def test_graph_and_generate_mutually_exclusive(self):
         with pytest.raises(ConfigError, match="exactly one"):
@@ -320,6 +348,9 @@ class TestMain:
          "error: k: sweep value '4' is repeated\n"),
         (["--generate", "erdos_renyi(30, 0.1)", "--k", "4,13%"],
          "error: sweep values '4' and '13%' both give k=4 at n=30\n"),
+        (["--generate", "erdos_renyi(30, 0.1)", "--k", "1_0"],
+         "error: k: malformed sweep value '1_0' (a count is an integer, "
+         "a percentage ends in %)\n"),
     ])
     def test_input_error_exit_code_and_message(self, capsys, argv, message):
         assert main(argv) == 1

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 import dvintercept.strategy as S
 from dvintercept import graph as G
 from dvintercept import kernels
-from dvintercept.interception import coverage_function, intercepted_pairs
+from dvintercept.interception import intercepted_pairs
 from dvintercept.kernels import INF
 
 from oracles import (_closest_hop, adjacent_strategy_reference,
-                     coverage_function_reference,
+                     coverage_function, coverage_function_reference,
                      deliverable, intercepted_pairs_oracle,
                      random_connected_graph, simulate_strategy,
                      target_pass_reference)

@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 import dvintercept.interception as I
 import dvintercept.strategy as S
 from dvintercept import cli, graph as G
-from dvintercept.interception import coverage_function, intercepted_pairs
+from dvintercept.interception import intercepted_pairs
 from dvintercept.graph import INF
 from dvintercept.protocol import synchronize
 
 from test_graph import banned_rows, path_graph
-from oracles import (adjacent_strategy_reference, intercepted_pairs_oracle,
-                     minimal_admissible_bruteforce_reference, random_connected_graph)
+from oracles import (adjacent_strategy_reference, coverage_function,
+                     intercepted_pairs_oracle, random_connected_graph)
 
 BUILDERS = (S.honest_strategy, S.independent_strategy, S.separated_strategy,
             S.adjacent_strategy)
@@ -303,30 +303,6 @@ def test_rho_star_plans_share_their_rows(monkeypatch):
 
 
 def test_each_distance_product_has_one_producer(monkeypatch):
-    # the brute force over every target of one set reads the held D_C and
-    # rows of C and its neighbours (its search ranges), and t's row of
-    # D_{G-S} from the block that the set's one BFS on g holds on a
-    # one-block graph: one BFS in all, whatever its components
-    rng = np.random.default_rng(17)
-    g = random_connected_graph(rng, n_max=10, n_min=8)
-    C = sorted(int(v) for v in rng.choice(g.n, 3, replace=False))
-    targets = [t for t in range(g.n) if t not in C]
-    calls = counted_bfs(monkeypatch)
-    frontiers = [S.minimal_admissible_bruteforce(g, C, t) for t in targets]
-    assert calls == {set_bfs(g, C): 1}
-    assert frontiers == [minimal_admissible_bruteforce_reference(g, C, t)
-                         for t in targets]
-
-    # on a two-block graph that holds no block, t's row is a single-source
-    # BFS in G - S of its own, and no block is held after it
-    g = G.erdos_renyi(300, 0.012, seed=4)
-    C, t = colluder_sets(g, np.random.default_rng(4))[0][:2], 0
-    calls.clear()
-    frontier = S.minimal_admissible_bruteforce(g, C, t)
-    assert calls == {set_bfs(g, C): 1, merged(g, ([t], C)): 1}
-    assert "blocks" not in g._memo["slot"][1]
-    assert frontier == minimal_admissible_bruteforce_reference(g, C, t)
-
     # a checked adjacent op with a multi-node component: the build reads no
     # block (its relay bound takes true distances from the held rows), so
     # every BFS in G - S is one block's, run once by the check
@@ -529,34 +505,6 @@ def test_one_block_set_products_equal_separate_calls(g):
         assert np.array_equal(hops, S._closest_hops(g, (at, D), ids))
         if g.n == 256 and C == [0] and g.m == 255:
             assert [dc.dtype, block.dtype] == [np.uint16, np.uint8]
-
-
-def test_bruteforce_reads_held_block_rows(monkeypatch):
-    # t's row of D_{G-S} from the one-block set BFS, from held blocks (a
-    # count ran first, with blocks of 8 targets, so t is in either of two)
-    # and from a single-source BFS when no block is held: the frontiers are
-    # equal, and equal the reference's; graphs this small run every pass
-    # inline, so the BFS calls are counted on this thread
-    rng = np.random.default_rng(33)
-    for _ in range(6):
-        g = random_connected_graph(rng, n_max=12, n_min=9)
-        C = sorted(int(v) for v in rng.choice(g.n, 2, replace=False))
-        targets = [t for t in range(g.n) if t not in C]
-        frontiers, single = [], []
-        for block, count in ((G._BLOCK, False), (8, True), (8, False)):
-            h = fresh(g)
-            with monkeypatch.context() as m:
-                for module in (G, S, I):
-                    m.setattr(module, "_BLOCK", block)
-                if count:
-                    intercepted_pairs(h, S.honest_strategy(h, C))
-                calls = counted_bfs(m)
-                frontiers.append([S.minimal_admissible_bruteforce(h, C, t)
-                                  for t in targets])
-            single.append(sum(calls[merged(h, ([t], C))] for t in targets))
-        assert single == [0, 0, len(targets)]
-        assert frontiers[0] == frontiers[1] == frontiers[2] == [
-            minimal_admissible_bruteforce_reference(g, C, t) for t in targets]
 
 
 def test_adjacent_build_on_a_separated_set_reads_the_honest_products(monkeypatch):

@@ -429,9 +429,3 @@ class TestCoverageEvaluator:
             with pytest.raises(ValueError, match="out of range"):
                 cover.value_with(v)
 
-
-def test_selection_to_text_labels():
-    g = G.from_edge_list("alpha beta\nbeta gamma\n")
-    assert sel.selection_to_text(g, [2, 0]) == "gamma\nalpha\n"
-    # a generated graph has no labels: its ids are the tokens
-    assert sel.selection_to_text(star(4), [3, 0]) == "3\n0\n"

@@ -19,8 +19,9 @@ from dvintercept.kernels import INF
 
 from oracles import (_closest_hop, adjacent_strategy_reference,
                      check_separated_reference,
-                     colluder_components_reference,
-                     intra_component_hops_reference,
+                     colluder_components_reference, colluding_distance,
+                     intra_component_hops_reference, is_beneficial,
+                     minimal_admissible_bruteforce,
                      minimal_admissible_bruteforce_reference,
                      random_connected_graph, rho_star_plan_reference,
                      rho_star_plans_reference, separated_strategy_reference,
@@ -103,21 +104,21 @@ class TestIndependentStrategy:
 class TestColludingDistance:
     def test_trivial(self):
         g = path_graph(7)
-        assert S.colluding_distance(g, {1, 4}, 1, 1, 1) == 0
-        assert S.colluding_distance(g, {1, 4}, 1, 4, 2) == 3
+        assert colluding_distance(g, {1, 4}, 1, 1, 1) == 0
+        assert colluding_distance(g, {1, 4}, 1, 4, 2) == 3
 
     def test_j_exceeds_set(self):
         g = path_graph(7)
-        assert S.colluding_distance(g, {1, 4}, 1, 4, 3) == INF
+        assert colluding_distance(g, {1, 4}, 1, 4, 3) == INF
         # a sequence of two or more distinct colluders never returns to x
-        assert S.colluding_distance(g, {1, 4}, 1, 1, 2) == INF
+        assert colluding_distance(g, {1, 4}, 1, 1, 2) == INF
 
     @pytest.mark.parametrize("x, y, j, message", [
         (2, 4, 2, "x and y must be colluders"), (1, 3, 2, "x and y must be colluders"),
         (1, 4, 0, "j must be >= 1")])
     def test_argument_errors(self, x, y, j, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            S.colluding_distance(path_graph(7), {1, 4}, x, y, j)
+            colluding_distance(path_graph(7), {1, 4}, x, y, j)
 
     def test_permutation_minimum(self):
         rng = np.random.default_rng(77)
@@ -132,7 +133,7 @@ class TestColludingDistance:
              for m in C if m not in (x, y)),
             default=INF,
         )
-        assert S.colluding_distance(g, C, x, y, j) == expect
+        assert colluding_distance(g, C, x, y, j) == expect
         # full brute force for j = 4
         best = INF
         for perm in itertools.permutations([2, 5], 2):
@@ -140,7 +141,7 @@ class TestColludingDistance:
             best = min(best, sum(int(rows[a][b]) if a in rows else
                                  int(kernels.bfs(g.indptr, g.indices, a)[b])
                                  for a, b in zip(seq, seq[1:])))
-        assert S.colluding_distance(g, C, x, y, 4) == best
+        assert colluding_distance(g, C, x, y, 4) == best
 
 
 class TestRhoStarPlan:
@@ -180,7 +181,7 @@ class TestRhoStarPlan:
 
     @pytest.mark.parametrize("call", [
         lambda g: S.rho_star_plan(g, {1, 4}, 4),
-        lambda g: S.minimal_admissible_bruteforce(g, [1, 4], 4)])
+        lambda g: minimal_admissible_bruteforce(g, [1, 4], 4)])
     def test_refuses_colluder_target(self, call):
         with pytest.raises(ValueError, match="^target must not be a colluder$"):
             call(path_graph(7))
@@ -280,6 +281,16 @@ class TestSeparatedStrategy:
         with pytest.raises(ValueError):
             S.separated_strategy(path_graph(4), {1, 2})
 
+    def test_other_component_is_inf(self):
+        # colluder 1 cannot reach 3 or 4: its lie toward them is INF, not
+        # INF - 2; every ordered pair of {0, 1, 2} crosses 1 either way
+        g = G.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+        honest = intercepted_pairs(g, S.honest_strategy(g, [1]))
+        for st_ in (S.separated_strategy(g, [1]), S.adjacent_strategy(g, [1])):
+            assert list(st_.broadcast[1]) == [1, 0, 1, INF, INF]
+            res = intercepted_pairs(g, st_)
+            assert res.intercepted_ordered == honest.intercepted_ordered == 6
+
     def test_first_adjacent_pair_matches_rows_check(self):
         # the CSR check names the same pair, in the same message, as the
         # check on distance rows it replaced
@@ -318,11 +329,11 @@ class TestColluderIdsOutOfRange:
             build(path_graph(5), [2, bad])
 
     CALLS = [
-        pytest.param(lambda g, bad: S.minimal_admissible_bruteforce(g, [bad], 0),
+        pytest.param(lambda g, bad: minimal_admissible_bruteforce(g, [bad], 0),
                      "colluder", id="bruteforce-colluder"),
-        pytest.param(lambda g, bad: S.minimal_admissible_bruteforce(g, [2], bad),
+        pytest.param(lambda g, bad: minimal_admissible_bruteforce(g, [2], bad),
                      "target", id="bruteforce-target"),
-        pytest.param(lambda g, bad: S.colluding_distance(g, [bad, 1], bad, 1, 2),
+        pytest.param(lambda g, bad: colluding_distance(g, [bad, 1], bad, 1, 2),
                      "colluder", id="colluding_distance"),
         pytest.param(lambda g, bad: S.colluder_components(g, [2, bad]),
                      "colluder", id="colluder_components"),
@@ -357,7 +368,7 @@ class TestColluderIdsOutOfRange:
     @NON_INTEGERS
     @pytest.mark.parametrize("call", [
         lambda g, t: S.rho_star_plan(g, [1], t),
-        lambda g, t: S.minimal_admissible_bruteforce(g, [1], t)],
+        lambda g, t: minimal_admissible_bruteforce(g, [1], t)],
         ids=["rho_star_plan", "bruteforce"])
     def test_targets_reject_non_integers(self, call, bad):
         with pytest.raises(ValueError,
@@ -367,11 +378,11 @@ class TestColluderIdsOutOfRange:
             call(path_graph(5), 4.9)
 
     @pytest.mark.parametrize("call, message", [
-        pytest.param(lambda g: S.colluding_distance(g, [1, 4], 1.0, 4, 2),
+        pytest.param(lambda g: colluding_distance(g, [1, 4], 1.0, 4, 2),
                      "colluder 1.0", id="colluding_distance-x"),
-        pytest.param(lambda g: S.colluding_distance(g, [1, 4], 1, "4", 2),
+        pytest.param(lambda g: colluding_distance(g, [1, 4], 1, "4", 2),
                      "colluder '4'", id="colluding_distance-y"),
-        pytest.param(lambda g: S.colluding_distance(g, [1, 4], 1, 4, 2.5),
+        pytest.param(lambda g: colluding_distance(g, [1, 4], 1, 4, 2.5),
                      "j 2.5", id="colluding_distance-j"),
         pytest.param(lambda g: G.from_edges(3, [(0.5, 1.9)]),
                      "edge endpoint 0.5", id="from_edges-float"),
@@ -414,7 +425,7 @@ class TestColluderIdsOutOfRange:
         g = path_graph(5)
         assert S.honest_strategy(g, [np.int64(1), np.uint8(3)]).colluders == (1, 3)
         assert S.rho_star_plan(g, [1], np.int32(4)).target == 4
-        assert S.colluding_distance(g, [1, 3], np.int64(1), np.uint8(3),
+        assert colluding_distance(g, [1, 3], np.int64(1), np.uint8(3),
                                     np.int32(2)) == 2
         assert G.from_edges(np.int64(3), np.array([[0, 1], [1, 2]])).m == 2
 
@@ -692,8 +703,7 @@ class TestValidate:
         bad = replace(strat, **{field: {2: vec}})
         message = rf"^{field}\(2,{t}\) = {value} is not an integer$"
         calls = [bad.validate, lambda g: S.check_admissible(g, bad),
-                 lambda g: intercepted_pairs(g, bad),
-                 lambda g: S.strategy_to_text(bad)]
+                 lambda g: intercepted_pairs(g, bad)]
         if field == "broadcast":
             calls += [lambda g: P.validate_broadcasts(g.n, [2], bad.broadcast),
                       lambda g: P.synchronize(g, [2], bad.broadcast)]
@@ -809,24 +819,6 @@ class TestValidate:
             with pytest.raises(ValueError, match=message):
                 intercepted_pairs(g, bad)
 
-    def test_text_refuses_non_integer_broadcast(self):
-        # the text format holds integers only: 2.9 is refused, not truncated
-        strat = S.honest_strategy(path_graph(3), [1])
-        strat.broadcast[1] = np.array([2.9, 0, 1])
-        with pytest.raises(ValueError,
-                           match=r"^broadcast\(1,0\) = 2.9 is not an integer$"):
-            S.strategy_to_text(strat)
-
-    @pytest.mark.parametrize("label", ["my label", "", "tab\there", "end\n"])
-    def test_text_refuses_label_it_cannot_hold(self, label):
-        # "my label" was read back as "my", and "" wrote a label line that
-        # strategy_from_text rejects
-        strat = replace(S.honest_strategy(path_graph(3), [1]), label=label)
-        with pytest.raises(ValueError,
-                           match=rf"^label {re.escape(repr(label))} is empty "
-                                 "or holds whitespace$"):
-            S.strategy_to_text(strat)
-
     def test_forward_fault_before_the_last_row(self):
         # the fault of colluder 3's forward vector stops the reading at row
         # 1 of 3; the hops read before it are checked first
@@ -870,20 +862,20 @@ class TestValidate:
 class TestIsBeneficial:
     def test_honest_never(self):
         g = cycle_graph(6)
-        assert not S.is_beneficial(g, S.honest_strategy(g, {1}))
+        assert not is_beneficial(g, S.honest_strategy(g, {1}))
 
     def test_lying_on_a_cycle(self):
         g = cycle_graph(6)
-        assert S.is_beneficial(g, S.independent_strategy(g, {1}))
+        assert is_beneficial(g, S.independent_strategy(g, {1}))
 
     def test_path_graph_gains_nothing(self):
         # on a path every route already crosses the interior colluders
         g = path_graph(7)
-        assert not S.is_beneficial(g, S.separated_strategy(g, {1, 4}))
+        assert not is_beneficial(g, S.separated_strategy(g, {1, 4}))
 
     def test_adjacent_pair_on_cycle(self):
         g = cycle_graph(8)
-        assert S.is_beneficial(g, S.adjacent_strategy(g, {0, 1}))
+        assert is_beneficial(g, S.adjacent_strategy(g, {0, 1}))
 
     def test_refuses_inadmissible(self):
         g = path_graph(5)
@@ -893,7 +885,7 @@ class TestIsBeneficial:
         f[4] = 1
         bad = S.Strategy(colluders=(2,), broadcast={2: b}, forward={2: f})
         with pytest.raises(ValueError):
-            S.is_beneficial(g, bad)
+            is_beneficial(g, bad)
 
     def test_uniform_neighbour_distance_gadget(self):
         # single colluder all of whose neighbours sit at the same distance
@@ -918,12 +910,12 @@ class TestBruteforce:
             if x == t:
                 continue
             d = int(kernels.bfs(g.indptr, g.indices, x)[t])
-            _, frontier = S.minimal_admissible_bruteforce(g, [x], t)
+            _, frontier = minimal_admissible_bruteforce(g, [x], t)
             assert frontier == [(max(1, d - 2),)]
 
     def test_p7(self):
         g = path_graph(7)
-        order, frontier = S.minimal_admissible_bruteforce(g, [1, 4], 6)
+        order, frontier = minimal_admissible_bruteforce(g, [1, 4], 6)
         assert order == (1, 4)
         assert frontier == [(2, 1)]
 
@@ -940,20 +932,20 @@ class TestBruteforce:
             if t is None:
                 continue
             plan = S.rho_star_plan(g, list(C), t)
-            _, frontier = S.minimal_admissible_bruteforce(g, list(C), t)
+            _, frontier = minimal_admissible_bruteforce(g, list(C), t)
             assert frontier == [tuple(plan.entries[x].value for x in sorted(C))]
             checked += 1
 
     def test_budget(self):
         g = path_graph(12)
         with pytest.raises(S.BudgetError):
-            S.minimal_admissible_bruteforce(g, [1, 3, 5, 7], 11, budget=10)
+            minimal_admissible_bruteforce(g, [1, 3, 5, 7], 11, budget=10)
 
     @pytest.mark.parametrize("budget", [True, 10.5])
     def test_budget_must_be_an_integer(self, budget):
         # True ran as a budget of 1, reported as "exceeds budget of True"
         with pytest.raises(ValueError, match=f"^budget {budget!r} is not an integer$"):
-            S.minimal_admissible_bruteforce(path_graph(12), [1, 3, 5, 7], 11,
+            minimal_admissible_bruteforce(path_graph(12), [1, 3, 5, 7], 11,
                                             budget=budget)
 
     def test_frontier_matches_iterative_reference(self):
@@ -985,115 +977,13 @@ class TestBruteforce:
                                                                      budget=40)
                 except S.BudgetError:
                     with pytest.raises(S.BudgetError):
-                        S.minimal_admissible_bruteforce(g, C, t, budget=40)
+                        minimal_admissible_bruteforce(g, C, t, budget=40)
                     raised += 1
                     continue
-                assert S.minimal_admissible_bruteforce(g, C, t, budget=40) \
+                assert minimal_admissible_bruteforce(g, C, t, budget=40) \
                     == expect, (list(g.edges()), C, t)
                 triples += 1
         assert triples >= 1500 and raised
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        g = path_graph(7)
-        st_ = S.separated_strategy(g, {1, 4})
-        text = S.strategy_to_text(st_)
-        back = S.strategy_from_text(text, g.n)
-        assert back.label == st_.label
-        assert back.colluders == st_.colluders
-        for v in st_.colluders:
-            assert (back.broadcast[v] == st_.broadcast[v]).all()
-            assert (back.forward[v] == st_.forward[v]).all()
-        # vectors given as lists validate, and are written alike
-        lists = replace(st_, broadcast={v: a.tolist() for v, a in st_.broadcast.items()},
-                        forward={v: a.tolist() for v, a in st_.forward.items()})
-        lists.validate(g)
-        assert S.strategy_to_text(lists) == text
-
-    def test_other_component_is_inf(self):
-        # colluder 1 cannot reach 3 or 4: its lie toward them is INF, not
-        # INF - 2, and the text says so; every ordered pair of {0, 1, 2}
-        # crosses 1 either way
-        g = G.from_edges(5, [(0, 1), (1, 2), (3, 4)])
-        honest = intercepted_pairs(g, S.honest_strategy(g, [1]))
-        for st_ in (S.separated_strategy(g, [1]), S.adjacent_strategy(g, [1])):
-            assert list(st_.broadcast[1]) == [1, 0, 1, INF, INF]
-            text = S.strategy_to_text(st_)
-            assert "1 3 inf -1" in text and "1 4 inf -1" in text
-            back = S.strategy_from_text(text, g.n)
-            assert (back.broadcast[1] == st_.broadcast[1]).all()
-            res = intercepted_pairs(g, st_)
-            assert res.intercepted_ordered == honest.intercepted_ordered == 6
-
-    @pytest.mark.parametrize("record, message", [
-        ("1 0 1", "expected 4 tokens, got 3"),
-        ("1 0 1 0 0", "expected 4 tokens, got 5"),
-        ("1 x 1 0", "non-integer field"),
-        ("1 0 1.5 0", "non-integer field"),
-        ("1 -1 2 0", "target -1 out of range"),
-        ("9 0 1 0", "colluder 9 out of range"),
-        ("1 7 1 0", "target 7 out of range"),
-        ("1 0 1 -2", "hop -2 out of range"),
-        ("# label", "label line without a label"),
-        ("1 1 2 0", "record for colluder 1, target 1 repeats line 2"),
-        # these two were read back as label "my" and as label "b"
-        ("# label my label", "label line holds 2 tokens, not one"),
-        ("# label b", "label line repeats line 1"),
-    ], ids=["too-few-tokens", "too-many-tokens", "non-integer-id",
-            "non-integer-broadcast", "negative-target", "colluder-out-of-range",
-            "target-out-of-range", "hop-below-minus-one", "label-missing",
-            "repeated-record", "label-of-two-tokens", "repeated-label"])
-    def test_rejects_malformed_record(self, record, message):
-        text = f"# label custom\n1 1 0 -1\n\n{record}\n"
-        with pytest.raises(G.ParseError, match=f"line 4: {message}") as exc:
-            S.strategy_from_text(text, 4)
-        assert exc.value.line_number == 4
-
-
-    @staticmethod
-    def truncated(drop):
-        """The text of an honest strategy on pref_attach(6, 2, seed=1) with
-        colluders 0 and 3, its records (colluder, target) in `drop` left
-        out; the header is line 2 and colluder 0's records start at line 3,
-        colluder 3's at line 9."""
-        g = G.pref_attach(6, 2, seed=1)
-        lines = S.strategy_to_text(S.honest_strategy(g, [0, 3])).splitlines()
-        return "\n".join(ln for ln in lines if ln.startswith("#")
-                         or tuple(map(int, ln.split()[:2])) not in drop) + "\n"
-
-    @pytest.mark.parametrize("drop, line, message", [
-        ({(3, t) for t in range(6)} | {(0, 5)}, 3,
-         "colluder 0 has no record for target 5"),
-        ({(0, 5)}, 3, "colluder 0 has no record for target 5"),
-        ({(3, 1), (3, 4)}, 9, "colluder 3 has no record for target 1"),
-        ({(0, 0)}, 3, "colluder 0 has no record for target 0"),
-        ({(3, t) for t in range(6)}, 2,
-         r"colluders header lists \[0, 3\], records name \[0\]"),
-    ], ids=["header-colluder-and-target", "one-target", "first-of-two",
-            "first-record", "header-colluder"])
-    def test_rejects_truncated_text(self, drop, line, message):
-        # without these checks the first case parsed to colluders (0,),
-        # broadcasting INF with hop -1 toward 5, and check_admissible then
-        # reported pair (0, 5) as inadmissible
-        with pytest.raises(G.ParseError, match=f"line {line}: {message}") as exc:
-            S.strategy_from_text(self.truncated(drop), 6)
-        assert exc.value.line_number == line
-
-    @pytest.mark.parametrize("header, message", [
-        ("# colluders 0 3 3", r"lists \[0, 3, 3\], records name \[0, 3\]"),
-        ("# colluders 0 3 4", r"lists \[0, 3, 4\], records name \[0, 3\]"),
-        ("# colluders 0 x", "non-integer colluder"),
-    ])
-    def test_rejects_header_that_does_not_list_the_colluders(self, header,
-                                                               message):
-        text = self.truncated(set()).replace("# colluders 0 3", header)
-        with pytest.raises(G.ParseError, match=f"line 2: .*{message}"):
-            S.strategy_from_text(text, 6)
-        second = self.truncated(set()) + "# colluders 0 3\n"
-        with pytest.raises(G.ParseError, match="line 15: colluders header "
-                                               "repeats line 2"):
-            S.strategy_from_text(second, 6)
 
 
 def closest_hop_oracle(g, dist, v, t):
@@ -1240,12 +1130,12 @@ class TestTwoByteRows:
                 expect = min(sum(int(dist[a][b]) for a, b in zip(seq, seq[1:]))
                              for seq in ((x, *m, y) for m in
                                          itertools.permutations(middle, j - 2)))
-                assert S.colluding_distance(g, C, x, y, j) == expect
+                assert colluding_distance(g, C, x, y, j) == expect
         # the first two separated colluders' rows are uint16 too, and their
         # ranges toward t are short
         C, t = sets[0][:2], sets[0][0] + 2
         assert S._set_distances(g, G._colluder_tuple(g.n, C))[1].dtype == np.uint16
-        assert S.minimal_admissible_bruteforce(g, C, t) == \
+        assert minimal_admissible_bruteforce(g, C, t) == \
             minimal_admissible_bruteforce_reference(g, C, t)
 
 
