@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import graph as graphmod
 from .graph import Graph, _int_text, _real_text, load_edge_list
 from .interception import intercepted_pairs
-from .selection import SelectionSpec, select
+from .selection import _METHODS, SelectionSpec, select
 from .strategy import (
     BudgetError,
     Strategy,
@@ -27,20 +27,28 @@ from .strategy import (
 CSV_HEADER = ("graph,n,m,selection,strategy,k,trial,seed,"
               "fraction_ordered,fraction_unordered,runtime_ms")
 
-_SELECT_METHODS = ("random", "top_degree", "greedy_max", "exhaustive")
-_STRATEGIES = ("honest", "independent", "separated", "adjacent")
-_METRICS = ("ordered", "unordered")
-
-_DEFAULTS = {
-    "select": "random",
-    "strategy": "separated",
-    "trials": "5",
-    "seed": "0",
-    "metric": "ordered",
+# each setting is the config key and the flag --key: key -> (default, or
+# None for one that is unset until given; help)
+_SETTINGS = {
+    "graph": (None, "edge-list file path"),
+    "generate": (None, "generator spec, e.g. erdos_renyi(1000,0.004)"),
+    "select": ("random", "comma-separated selection methods"),
+    "strategy": ("separated", "comma-separated strategy names"),
+    "k": (None, "comma-separated sweep sizes (counts or 'N%%')"),
+    "trials": ("5", "trials per cell"),
+    "seed": ("0", "master seed"),
+    "metric": ("ordered", "summary metric: ordered or unordered"),
+    "out": (None, "CSV output path (default: stdout)"),
 }
 
-_KEYS = ("graph", "generate", "select", "strategy", "k", "trials", "seed",
-         "metric", "out")
+# strategy name -> (builder, CSV label)
+_STRATEGIES = {
+    "honest": (honest_strategy, "honest"),
+    "independent": (independent_strategy, "independent"),
+    "separated": (separated_strategy, "separated"),
+    "adjacent": (adjacent_strategy, "adjacent_general"),
+}
+_METRICS = ("ordered", "unordered")
 
 
 class ConfigError(ValueError):
@@ -96,16 +104,22 @@ def _names(key: str, value: str, what: str, errors: list) -> tuple[str, ...]:
     return names
 
 
+def _sweep_value(tok: str) -> tuple[float, bool]:
+    """(number, whether it is a percentage) of a sweep value: a count
+    (`graph._int_text`), or the float text before a final % (`_real_text`)."""
+    if tok.endswith("%"):
+        return _real_text(tok[:-1], "k:"), True
+    return _int_text(tok, "k:"), False
+
+
 def build_config(mapping: dict[str, str]) -> ExperimentConfig:
     """Validate raw key/value settings, fill defaults, report all violations."""
-    errors = []
-    for key in mapping:
-        if key not in _KEYS:
-            errors.append(f"unknown key {key!r}")
-    merged = {**_DEFAULTS, **{k: v for k, v in mapping.items() if k in _KEYS}}
+    errors = [f"unknown key {key!r}" for key in mapping if key not in _SETTINGS]
+    merged = {key: mapping.get(key, default)
+              for key, (default, _) in _SETTINGS.items()}
 
-    graph_path = merged.get("graph")
-    generate = merged.get("generate")
+    graph_path = merged["graph"]
+    generate = merged["generate"]
     if bool(graph_path) == bool(generate):
         errors.append("exactly one of `graph` and `generate` is required")
 
@@ -113,18 +127,17 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
     for m in methods:
         if m == "greedy_min":
             errors.append("select: greedy_min picks its own size; it cannot sweep k")
-        elif m not in _SELECT_METHODS:
+        elif m not in _METHODS:
             errors.append(f"select: unknown method {m!r}")
     strategies = _names("strategy", merged["strategy"], "name", errors)
     for s in strategies:
         if s not in _STRATEGIES:
             errors.append(f"strategy: unknown name {s!r}")
 
-    sweep = _names("k", merged.get("k", ""), "sweep value", errors)
+    sweep = _names("k", merged["k"] or "", "sweep value", errors)
     for tok in sweep:
         try:
-            value = (_real_text(tok[:-1], "k:") if tok.endswith("%")
-                     else _int_text(tok, "k:"))
+            value, _ = _sweep_value(tok)
         except ValueError:
             errors.append(f"k: malformed sweep value {tok!r} "
                           "(a count is an integer, a percentage ends in %)")
@@ -155,29 +168,12 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
     return ExperimentConfig(
         graph_path=graph_path, generate=generate, select=methods,
         strategies=strategies, sweep=sweep, trials=trials,
-        master_seed=master_seed, metric=metric, out=merged.get("out"),
+        master_seed=master_seed, metric=metric, out=merged["out"],
     )
 
 
 def parse_config(text: str) -> ExperimentConfig:
     return build_config(_parse_kv(text))
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = []
-    if cfg.graph_path:
-        lines.append(f"graph = {cfg.graph_path}")
-    if cfg.generate:
-        lines.append(f"generate = {cfg.generate}")
-    lines.append(f"select = {','.join(cfg.select)}")
-    lines.append(f"strategy = {','.join(cfg.strategies)}")
-    lines.append(f"k = {','.join(cfg.sweep)}")
-    lines.append(f"trials = {cfg.trials}")
-    lines.append(f"seed = {cfg.master_seed}")
-    lines.append(f"metric = {cfg.metric}")
-    if cfg.out:
-        lines.append(f"out = {cfg.out}")
-    return "\n".join(lines) + "\n"
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -193,10 +189,8 @@ def _resolve_sweep(sweep, n: int) -> list[int]:
     repeat."""
     sizes: dict[int, str] = {}  # size -> the value that gave it
     for tok in sweep:
-        if tok.endswith("%"):
-            k = round(n * _real_text(tok[:-1], "k:") / 100.0)
-        else:
-            k = _int_text(tok, "k:")
+        value, percent = _sweep_value(tok)
+        k = round(n * value / 100.0) if percent else value
         if k > n:
             raise ConfigError(f"sweep value {tok!r} exceeds n={n}")
         if k in sizes:
@@ -209,18 +203,15 @@ def _resolve_sweep(sweep, n: int) -> list[int]:
 def build_strategy(g: Graph, name: str, S) -> tuple[Strategy, str]:
     """Instantiate a named strategy; `separated` degrades to the adjacent
     generalization when the set has members at distance < 2 (annotated)."""
-    if name == "honest":
-        return honest_strategy(g, S), "honest"
-    if name == "independent":
-        return independent_strategy(g, S), "independent"
-    if name == "adjacent":
-        return adjacent_strategy(g, S), "adjacent_general"
-    if name == "separated":
-        try:
-            return separated_strategy(g, S), "separated"
-        except ValueError:
-            return adjacent_strategy(g, S), "separated->adjacent_general"
-    raise ConfigError(f"unknown strategy {name!r}")
+    if name not in _STRATEGIES:
+        raise ConfigError(f"unknown strategy {name!r}")
+    build, label = _STRATEGIES[name]
+    try:
+        return build(g, S), label
+    except ValueError:
+        if name != "separated":
+            raise
+        return adjacent_strategy(g, S), "separated->adjacent_general"
 
 
 def _load_graph(cfg: ExperimentConfig) -> tuple[Graph, str]:
@@ -284,15 +275,9 @@ def main(argv=None) -> int:
         description="interception experiments on distance-vector routing networks",
     )
     parser.add_argument("--config", help="key = value config file (overrides flags)")
-    parser.add_argument("--graph", help="edge-list file path")
-    parser.add_argument("--generate", help="generator spec, e.g. erdos_renyi(1000,0.004)")
-    parser.add_argument("--select", help="comma-separated selection methods")
-    parser.add_argument("--strategy", help="comma-separated strategy names")
-    parser.add_argument("--k", help="comma-separated sweep sizes (counts or 'N%%')")
-    parser.add_argument("--trials", help="trials per cell")
-    parser.add_argument("--seed", help="master seed")
-    parser.add_argument("--metric", choices=_METRICS, help="summary metric")
-    parser.add_argument("--out", help="CSV output path (default: stdout)")
+    for key, (default, text) in _SETTINGS.items():
+        parser.add_argument(f"--{key}", help=text if default is None
+                            else f"{text} (default: {default})")
     args = parser.parse_args(argv)
 
     try:

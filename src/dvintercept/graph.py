@@ -139,7 +139,7 @@ def from_edges(n: int, edges, labels=None) -> Graph:
             raise ValueError(f"edge array has shape {edges.shape}, not (m, 2)")
     else:
         edges = list(edges)
-        if bad := [i for i, rec in enumerate(edges) if len(rec) != 2]:
+        if bad := [i for i, rec in enumerate(edges) if not _is_pair(rec)]:
             raise ValueError(f"edge record {bad[0]} {edges[bad[0]]!r} is not a pair")
         edges = itertools.chain.from_iterable(edges)
     e, fault = _integers(edges, "edge endpoint")
@@ -153,6 +153,14 @@ def from_edges(n: int, edges, labels=None) -> Graph:
     return _csr(n, np.concatenate([e[:, 0], e[:, 1]]),
                 np.concatenate([e[:, 1], e[:, 0]]),
                 labels=tuple(labels) if labels is not None else None)
+
+
+def _is_pair(rec) -> bool:
+    """Whether an edge record has length 2; False for one with no length."""
+    try:
+        return len(rec) == 2
+    except TypeError:
+        return False
 
 
 def from_edge_list(text: str) -> Graph:
@@ -581,10 +589,9 @@ def _over_blocks(g: Graph, S, fn):
 
 def component_labels(g: Graph) -> np.ndarray:
     """Connected-component label per node (labels are 0..c-1, numbered in
-    order of each component's lowest node id).  This is the one
-    connected-components routine: one scipy pass over the stored CSR
-    arrays, which are sorted and duplicate-free (`_csr`), once per graph,
-    which holds the labels read-only."""
+    order of each component's lowest node id): one scipy pass over the
+    stored CSR arrays, which are sorted and duplicate-free (`_csr`), once
+    per graph, which holds the labels read-only."""
     if "labels" not in g._memo:
         adj = csr_matrix((np.ones(g.indices.size), g.indices, g.indptr),
                          shape=(g.n, g.n))

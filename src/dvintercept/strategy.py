@@ -172,14 +172,17 @@ class Strategy:
         """(ids, b, hop): the colluders in id order and their broadcasts and
         hops as k x n int64 arrays.  ValueError at the first fault: a
         repeated colluder, a malformed broadcast (see
-        `protocol.validate_broadcasts`), then per colluder in id order a
-        missing, misshapen or non-integer forward vector, or at its lowest
-        target a hop that is neither -1 nor a neighbour, looked up in a
-        `_hop_table` built per call: validation reads and writes no slot."""
+        `protocol.validate_broadcasts`), a forward key outside the set, then
+        per colluder in id order a missing, misshapen or non-integer forward
+        vector, or at its lowest target a hop that is neither -1 nor a
+        neighbour, looked up in a `_hop_table` built per call: validation
+        reads and writes no slot."""
         for v, count in Counter(self.colluders).items():
             if count > 1:
                 raise ValueError(f"colluder {v} is repeated")
         ids, b = protocol.validate_broadcasts(g.n, self.colluders, self.broadcast)
+        if extra := set(self.forward) - set(ids):
+            raise ValueError(f"forward keys outside the colluder set: {sorted(extra)}")
         hop, fault = protocol._int_rows(self.forward, ids, g.n, "forward")
         # one flat lookup of every hop read in `_hop_table`, the uint64 view
         # sending the hops below -1 above n

@@ -430,14 +430,13 @@ def coverage_function_reference(g, S) -> Fraction:
     everyone honest, s -> t is intercepted exactly when d_G(s, t) <
     d_{G-S}(s, t), every edge touching S deleted (which also covers an
     endpoint in S)."""
-    from dvintercept.graph import distance_blocks
-
     S = sorted(set(int(v) for v in S))
     sizes = np.bincount(component_labels(g))
     total = int((sizes * (sizes - 1)).sum())
-    # the two blocks may differ in width, so both are compared as int64
-    intercepted = sum(int((as_hops(d) < as_hops(d_cut)).sum()) for (_, d), (_, d_cut)
-                      in zip(distance_blocks(g), distance_blocks(g, S)))
+    # the two may differ in width, so both are compared as int64
+    nodes = np.arange(g.n)
+    intercepted = int((as_hops(hop_distances(g, nodes))
+                       < as_hops(hop_distances(g, nodes, S))).sum())
     return Fraction(intercepted, total) if total else Fraction(0)
 
 
@@ -517,6 +516,17 @@ def target_pass_reference(g, strat):
     return None, None, counts, per_target
 
 
+def _near_rows(g, C):
+    """(at, D): the distance rows of the colluders C and their neighbours
+    from one `graph.hop_distances` call, node v's row D[at[v]] (at[v] = -1
+    for the others), D int64 and INF where unreachable (`as_hops`)."""
+    near = np.unique(np.concatenate([np.asarray(C, np.int64),
+                                     *(g.neighbors(v) for v in C)]))
+    at = np.full(g.n, -1, np.int64)
+    at[near] = np.arange(near.size)
+    return at, as_hops(hop_distances(g, near))
+
+
 def _closest_hop(g, rows, v: int):
     """`strategy._closest_hops` for the one node v: per target, the
     lowest-id neighbour of v minimizing true distance to it; -1 at v itself,
@@ -539,11 +549,8 @@ def rho_star_plan_reference(g, C, t):
     """The per-target label setting `strategy.rho_star_plan` ran before the
     all-targets pass: a Python loop over the colluders toward one target t,
     one single-target `_closest_hop` per exit hop."""
-    from dvintercept.strategy import _set_distances
-
     C = _colluder_tuple(g.n, C)
-    at, D = _set_distances(g, C)[:2]
-    return _plan_on_rows(g, C, t, (at, as_hops(D)))
+    return _plan_on_rows(g, C, t, _near_rows(g, C))
 
 
 def _plan_on_rows(g, C, t, rows, order=None):
@@ -551,11 +558,11 @@ def _plan_on_rows(g, C, t, rows, order=None):
     distance rows (at, D) of C and its neighbours from `rows`, so that the
     per-target loops below compute them once; D is int64, INF where
     unreachable (`as_hops`)."""
-    from dvintercept.strategy import RhoStarEntry, RhoStarPlan, _check_separated
+    from dvintercept.strategy import RhoStarEntry, RhoStarPlan
 
     if t in C:
         raise ValueError("target must not be a colluder")
-    _check_separated(g, C)
+    check_separated_reference(C, rows)
     at, D = rows
 
     def lie(d):
@@ -675,11 +682,10 @@ def rho_star_plans_reference(g, C, rows, hops, targets=None):
 def separated_strategy_reference(g, C):
     """`strategy.separated_strategy` as one `rho_star_plan_reference` per
     honest target."""
-    from dvintercept.strategy import Strategy, _set_distances
+    from dvintercept.strategy import Strategy
 
     C = _colluder_tuple(g.n, C)
-    at, D = _set_distances(g, C)[:2]
-    rows = at, D = at, as_hops(D)
+    rows = at, D = _near_rows(g, C)
     broadcast = {v: D[at[v]].copy() for v in C}
     forward = {v: _closest_hop(g, rows, v) for v in C}
     for t in range(g.n):
@@ -779,17 +785,14 @@ def adjacent_strategy_reference(g, C, component_order=None):
     with component cj banned do not depend on the target: one `kernels.bfs`
     per member x of a multi-node component and component cj gives them,
     before the target loop."""
-    from dvintercept.strategy import (Strategy, _set_distances,
-                                      colluder_components)
+    from dvintercept.strategy import Strategy
 
     C = _colluder_tuple(g.n, C)
     cset = set(C)
-    at, D = _set_distances(g, C)[:2]
-    rows = at, D = at, as_hops(D)
-    comps = colluder_components(g, C)
+    rows = at, D = _near_rows(g, C)
+    comps = colluder_components_reference(g, C)
     gq, qid, honest_of, comp_qid = quotient_reference(g, comps)
-    qat, qD = _set_distances(gq, _colluder_tuple(gq.n, comp_qid))[:2]
-    qrows = qat, as_hops(qD)
+    qrows = _near_rows(gq, _colluder_tuple(gq.n, comp_qid))
     qorder = None
     if component_order is not None:
         seen_ci = []

@@ -94,6 +94,7 @@ class TestFromEdges:
         ([(0, 1, 2), (1, 2, 0)], r"edge record 0 \(0, 1, 2\) is not a pair"),
         ([(0, 1), (1, 2), [2]], r"edge record 2 \[2\] is not a pair"),
         ([(0, 1), ()], r"edge record 1 \(\) is not a pair"),
+        ([0, 1], "edge record 0 0 is not a pair"),
         (np.array([[0, 1, 2], [1, 2, 0]]),
          r"edge array has shape \(2, 3\), not \(m, 2\)"),
         (np.array([0, 1, 1, 2]), r"edge array has shape \(4,\), not \(m, 2\)"),

@@ -630,7 +630,7 @@ def test_sweep_cell_runs_three_passes(monkeypatch, n, p):
         for name in cli._STRATEGIES:
             h = fresh(g)
             expect[name] = intercepted_pairs(h, cli.build_strategy(h, name, C)[0])
-        for names in (cli._STRATEGIES, cli._STRATEGIES[::-1]):
+        for names in (cli._STRATEGIES, [*cli._STRATEGIES][::-1]):
             h = fresh(g)
             with monkeypatch.context() as m:
                 calls = counted_passes(m)

@@ -735,6 +735,15 @@ class TestValidate:
              r"^forward\(1,4\) = 2.5 is not an integer$"),
             (b, {1: [0, -1, 2, 2], 3: [7, 4, 4, 4, -1]},
              r"^forward vector for node 1 has shape \(4,\)$"),
+            # a forward key outside the set passed the check, where the same
+            # key among the broadcasts was refused; a missing vector is
+            # refused at its row
+            (b, {**f, 4: f[1]}, r"^forward keys outside the colluder set: \[4\]$"),
+            (b, {1: [0, -1, 2, 2], 4: f[1]},
+             r"^forward keys outside the colluder set: \[4\]$"),
+            ({**b, 4: b[1]}, {**f, 4: f[1]}, r"^broadcast keys must equal the "
+             r"colluder set \(missing \[\], extra \[4\]\)$"),
+            (b, {1: f[1]}, r"^forward vector for node 3 is missing$"),
             # a bool array validated as 0 and 1, also stacked with integer
             # arrays
             ({1: np.array([False, False, True, True, True]), 3: b[3]}, f,
@@ -759,10 +768,10 @@ class TestValidate:
         for broadcast, forward, message in cases:
             bad = S.Strategy(colluders=(1, 3), broadcast=dict(broadcast),
                              forward=dict(forward))
-            with pytest.raises(ValueError, match=message):
-                bad.validate(g)
-            with pytest.raises(ValueError, match=message):
-                intercepted_pairs(g, bad)
+            for call in (bad.validate, lambda g: S.check_admissible(g, bad),
+                         lambda g: intercepted_pairs(g, bad)):
+                with pytest.raises(ValueError, match=message):
+                    call(g)
 
     def test_mixed_faults_in_integer_arrays(self):
         # integer arrays, the vectors `Strategy.validate` reads stacked:
